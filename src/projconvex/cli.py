@@ -350,6 +350,7 @@ def dispatch(argv) -> CommandResult:
     except SystemExit as exc:
         return CommandResult(2 if exc.code else 0, "", [])
     report_path = getattr(args, "out", None) or ""
+    frontier = config.TOL.frontier
     try:
         report, summary, warnings = _run(args)
     except InputFormatError as exc:
@@ -364,6 +365,8 @@ def dispatch(argv) -> CommandResult:
     except (OSError, ValueError) as exc:
         print(f"input error: {exc}")
         return CommandResult(2, "", [])
+    finally:
+        config.TOL.frontier = frontier   # --tol holds for this command only
     if report is not None and report_path and not report_path.endswith(".csv"):
         jsonio.dump_file({"report": report, "warnings": warnings}, report_path)
     print(summary)

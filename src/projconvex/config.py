@@ -13,8 +13,6 @@ class Tolerances:
     matrix: float = 1e-9        # determinant scaling, eigen residuals
     frontier: float = 1e-8      # membership of root-found frontier points
     boundary_band: float = 1e-10  # |margin| below this classifies as boundary
-    chord_param: float = 1e-12  # bisection tolerance on line parameters
-    geodesic_spacing: float = 1e-9
     flatness: float = 1e-9
     coplanarity: float = 1e-12
     fiber_gradient: float = 1e-12  # reduced-gradient stop for fiber Newton

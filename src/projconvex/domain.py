@@ -4,10 +4,12 @@ A domain is a chart (hyperplane at infinity plus cached frame) and a backend
 holding the set in chart coordinates.  Backends: half-space intersections,
 vertex polytopes, ellipsoids, and radial graphs (PL star-shaped regions used
 for numerically computed hypersurfaces).  Polytope predicates are exact,
-ellipsoids have closed forms, radial-graph chords bisect.
+ellipsoids have closed forms, radial-graph chords are those of the convex
+hull of the surface points.
 """
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 from scipy.optimize import linprog
@@ -33,17 +35,10 @@ def simplex_volume(verts):
     e = verts[1:] - verts[0]
     n = verts.shape[1]
     if e.shape[0] == n:
-        return abs(np.linalg.det(e)) / _factorial(n)
+        return abs(np.linalg.det(e)) / factorial(n)
     # lower-dimensional simplex in a higher ambient: Gram determinant
     g = e @ e.T
-    return float(np.sqrt(max(np.linalg.det(g), 0.0))) / _factorial(e.shape[0])
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+    return float(np.sqrt(max(np.linalg.det(g), 0.0))) / factorial(e.shape[0])
 
 
 def simplex_second_moment(verts):
@@ -62,6 +57,17 @@ def _aggregate_moments(pieces):
     mu = sum(p[0] * p[1] for p in pieces) / vol
     e2 = sum(p[0] * p[2] for p in pieces) / vol
     return vol, mu, e2 - np.outer(mu, mu)
+
+
+def _triangulated_moments(backend):
+    """Chart moments of a backend from the simplices of its triangulation."""
+    pts, simps = backend.chart_triangulation()
+    pieces = []
+    for s in simps:
+        verts = pts[s]
+        pieces.append((simplex_volume(verts), verts.mean(axis=0),
+                       simplex_second_moment(verts)))
+    return _aggregate_moments(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +192,14 @@ class HPolyBackend:
     def chord_params(self, x, d):
         num = self.offsets - self.normals @ x
         den = self.normals @ d
+        # a facet with |a . d| <= cut is parallel to the line; the cut scales
+        # with |d| so that a short direction keeps its facets
+        cut = TOL.exact * np.sqrt(np.dot(d, d))
         t_hi, t_lo = np.inf, -np.inf
         for ni, di in zip(num, den):
-            if di > TOL.exact:
+            if di > cut:
                 t_hi = min(t_hi, ni / di)
-            elif di < -TOL.exact:
+            elif di < -cut:
                 t_lo = max(t_lo, ni / di)
         if not np.isfinite(t_hi) or not np.isfinite(t_lo):
             raise NotProperlyConvexError("line does not exit the region")
@@ -215,14 +224,7 @@ class HPolyBackend:
             self._tri = _triangulate(v)
         return self._tri
 
-    def moments(self):
-        pts, simps = self.chart_triangulation()
-        pieces = []
-        for s in simps:
-            verts = pts[s]
-            pieces.append((simplex_volume(verts), verts.mean(axis=0),
-                           simplex_second_moment(verts)))
-        return _aggregate_moments(pieces)
+    moments = _triangulated_moments
 
     def bounding_radius(self):
         return float(np.max(np.linalg.norm(self.vertices(), axis=1)))
@@ -320,14 +322,7 @@ class VPolyBackend:
             self._tri = _triangulate(self.vertices())
         return self._tri
 
-    def moments(self):
-        pts, simps = self.chart_triangulation()
-        pieces = []
-        for s in simps:
-            verts = pts[s]
-            pieces.append((simplex_volume(verts), verts.mean(axis=0),
-                           simplex_second_moment(verts)))
-        return _aggregate_moments(pieces)
+    moments = _triangulated_moments
 
     def bounding_radius(self):
         return float(np.max(np.linalg.norm(self.verts, axis=1)))
@@ -483,24 +478,6 @@ class RadialGraphBackend:
     def interior_point(self):
         return self.center
 
-    def radial_value(self, u):
-        """PL radius of the surface in unit chart direction u from the center."""
-        u = np.asarray(u, dtype=float)
-        pts = self.surface_points() - self.center
-        best = None
-        for s in self.simplices:
-            m = pts[list(s)].T
-            try:
-                lam = np.linalg.solve(m, u)
-            except np.linalg.LinAlgError:
-                continue
-            if np.all(lam >= -1e-12) and lam.sum() > 0:
-                best = 1.0 / lam.sum()
-                break
-        if best is None:
-            raise InvalidInputError("direction not covered by radial triangulation")
-        return best
-
     def contains_margin(self, x):
         return self.as_hpoly().contains_margin(x)
 
@@ -513,23 +490,7 @@ class RadialGraphBackend:
         return pts[np.argmax(pts @ np.asarray(u, dtype=float))]
 
     def chord_params(self, x, d):
-        # bisection on the line parameter, bracketed by the exact hull clip so
-        # the resolved endpoints are symmetric in the two argument orders
-        lo_b, hi_b = self.as_hpoly().chord_params(x, d)
-        span = max(hi_b - lo_b, 1e-12)
-        pad = 1e-6 * span
-
-        def _bisect(t_in, t_out):
-            while abs(t_out - t_in) > 1e-3 * TOL.chord_param * span:
-                mid = 0.5 * (t_in + t_out)
-                if self.contains_margin(x + mid * d) > 0:
-                    t_in = mid
-                else:
-                    t_out = mid
-            return 0.5 * (t_in + t_out)
-
-        return (_bisect(lo_b + pad, lo_b - pad),
-                _bisect(hi_b - pad, hi_b + pad))
+        return self.as_hpoly().chord_params(x, d)
 
     def supporting_facets(self, x, tol):
         return self.as_hpoly().supporting_facets(x, tol)
@@ -542,14 +503,7 @@ class RadialGraphBackend:
         simps = np.array([[0] + [i + 1 for i in s] for s in self.simplices], dtype=int)
         return pts, simps
 
-    def moments(self):
-        pts, simps = self.chart_triangulation()
-        pieces = []
-        for s in simps:
-            verts = pts[s]
-            pieces.append((simplex_volume(verts), verts.mean(axis=0),
-                           simplex_second_moment(verts)))
-        return _aggregate_moments(pieces)
+    moments = _triangulated_moments
 
     def bounding_radius(self):
         return float(np.max(np.linalg.norm(self.surface_points(), axis=1)))

@@ -6,7 +6,6 @@ two points, computed in chart coordinates; the half makes the Klein-model
 value agree with the hyperbolic metric.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,34 +51,29 @@ def distance(dom: ConvexDomain, x, y) -> float:
     return _distance_chart(dom, xc, yc)
 
 
+def _param_at_distance(t_lo, t_hi, r):
+    """Line parameter at Hilbert distance r from t = 0 towards t_hi.
+
+    Inverts d(t) = 0.5 log(t_hi (t - t_lo) / ((t_hi - t)(-t_lo))) in closed
+    form, written in w = exp(-2r) so that it cannot overflow.
+    """
+    s = -2.0 * np.asarray(r, dtype=float)
+    return t_hi * t_lo * np.expm1(s) / (t_hi * np.exp(s) - t_lo)
+
+
 def geodesic(dom: ConvexDomain, x, y, k: int):
     """k+1 points on the segment from x to y, equally spaced in arclength."""
     if k < 1:
         raise InvalidInputError("need at least one segment")
     xc, yc = _chart_pair(dom, x, y)
     total = _distance_chart(dom, xc, yc)
-    pts = [xc]
     d = yc - xc
-    t_prev = 0.0
-    for i in range(1, k):
-        target = total * i / k
-        lo, hi = t_prev, 1.0
-        # distance from x grows monotonically along the segment
-        while True:
-            mid = 0.5 * (lo + hi)
-            val = _distance_chart(dom, xc, xc + mid * d)
-            if abs(val - target) <= 0.1 * TOL.geodesic_spacing:
-                break
-            if val < target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-17:
-                break
-        t_prev = 0.5 * (lo + hi)
-        pts.append(xc + t_prev * d)
-    pts.append(yc)
-    return pts
+    if np.linalg.norm(d) <= TOL.exact:
+        ts = np.zeros(k - 1)
+    else:
+        t_lo, t_hi = dom.backend.chord_params(xc, d)
+        ts = _param_at_distance(t_lo, t_hi, total * np.arange(1, k) / k)
+    return [xc] + [xc + t * d for t in ts] + [yc]
 
 
 @dataclass
@@ -157,20 +151,8 @@ def metric_ball(dom: ConvexDomain, center, radius, samples=64):
     out = []
     for ang in 2 * np.pi * np.arange(samples) / samples:
         u = np.array([np.cos(ang), np.sin(ang)])
-        _, t_hi = dom.backend.chord_params(c, u)
-        lo, hi = 0.0, t_hi
-        # distance from the center grows monotonically along the ray
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            try:
-                inside = _distance_chart(dom, c, c + mid * u) < radius
-            except InfiniteDistanceError:
-                inside = False
-            if inside:
-                lo = mid
-            else:
-                hi = mid
-        out.append(c + 0.5 * (lo + hi) * u)
+        t_lo, t_hi = dom.backend.chord_params(c, u)
+        out.append(c + _param_at_distance(t_lo, t_hi, radius) * u)
     return np.array(out)
 
 
@@ -188,7 +170,8 @@ def thin_triangle_delta(dom: ConvexDomain, triangle, m: int = 64,
     For m+1 points (endpoints included) on each side, measures the Hilbert
     distance to the union of the other two sides by golden-section search
     along each of them; returns the max.  A sampled lower bound of the true
-    sup, nondecreasing when m doubles.
+    sup, nondecreasing when m doubles.  `threads` is accepted and ignored:
+    the search holds the GIL, so threads cannot speed it up.
     """
     verts = [dom.chart_coords(p) for p in triangle]
     if len(verts) != 3:
@@ -212,20 +195,14 @@ def thin_triangle_delta(dom: ConvexDomain, triangle, m: int = 64,
 
         return _golden_min(f, 0.0, 1.0)[1]
 
-    def sample_gap(args):
-        side_idx, t = args
+    def sample_gap(side_idx, t):
         a, b = sides[side_idx]
         p = (1 - t) * a + t * b
         others = [sides[(side_idx + 1) % 3], sides[(side_idx + 2) % 3]]
         return min(dist_to_side(p, s) for s in others)
 
-    jobs = [(i, t) for i in range(3) for t in np.linspace(0.0, 1.0, m + 1)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            gaps = list(pool.map(sample_gap, jobs))
-    else:
-        gaps = [sample_gap(j) for j in jobs]
-    gaps = np.array(gaps).reshape(3, m + 1)
+    gaps = np.array([sample_gap(i, t) for i in range(3)
+                     for t in np.linspace(0.0, 1.0, m + 1)]).reshape(3, m + 1)
     side_maxima = gaps.max(axis=1)
     return ThinTriangleResult(float(side_maxima.max()), False,
                               [float(v) for v in side_maxima])

@@ -457,10 +457,6 @@ def _word_matrix(word, mats, invs):
     return out
 
 
-def _word_name(word):
-    return "".join(name for _, _, name in word)
-
-
 def invariant_subspace_search(gens, tol=1e-8, max_word_len=4):
     """Bounded heuristic: sweep eigenspace sums of short words for a common
     invariant subspace of the family (and of the transposed family).

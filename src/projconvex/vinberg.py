@@ -16,6 +16,7 @@ as an independent cross-check.
 """
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 from scipy.linalg import null_space
@@ -26,7 +27,6 @@ from .domain import (
     ConvexDomain,
     _ball_volume,
     _homogeneous_quadric,
-    simplex_second_moment,
 )
 from .errors import (
     ConvergenceFailureError,
@@ -102,10 +102,10 @@ def _slice_exact(cone: ConvexCone, v) -> _SliceData:
                 witness=pts[int(np.argmin(g))])
         roofs = lifts / g[:, None]
         rv = roofs[simps]                       # (k, n+1, n+1)
-        vol = float(np.abs(np.linalg.det(rv)).sum()) / _fact(n + 1)
+        vol = float(np.abs(np.linalg.det(rv)).sum()) / factorial(n + 1)
         e = rv[:, 1:, :] - rv[:, :1, :]         # (k, n, n+1)
         gram = np.einsum("kij,klj->kil", e, e)
-        areas = np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / _fact(n)
+        areas = np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / factorial(n)
         cents = rv.mean(axis=1)
         s = rv.sum(axis=1)
         seconds = (np.einsum("kiv,kiw->kvw", rv, rv)
@@ -153,13 +153,6 @@ def _cone_quadric_inverse(cone: ConvexCone):
         cached = (np.linalg.inv(q), float(np.linalg.det(q)))
         cone._quadric_inverse = cached
     return cached
-
-
-def _fact(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +215,8 @@ def min_volume_on_fiber(c, q, max_iter=80) -> FiberMinimum:
     """
     cone = _as_cone(c)
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    if isinstance(c, ConvexDomain) or True:
-        if cone.contains_vector(q) <= 0:
-            raise InvalidInputError("base point is not strictly inside the cone")
+    if cone.contains_vector(q) <= 0:
+        raise InvalidInputError("base point is not strictly inside the cone")
     n1 = q.size
     n = n1 - 1
     v_inf = cone.domain.chart.infinity

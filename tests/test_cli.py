@@ -3,6 +3,7 @@ import pytest
 
 from projconvex import domain as dm, jsonio
 from projconvex.cli import dispatch
+from projconvex.config import TOL
 from projconvex.normalize import RepSequence
 
 from conftest import boost
@@ -147,3 +148,11 @@ def test_domain_dual_and_flats(tmp_path, capsys):
     res = dispatch(["domain", "flats", "--domain", str(sq)])
     assert res.exit_code == 0
     assert "4 maximal flat pieces" in capsys.readouterr().out
+
+
+def test_tol_does_not_outlive_the_command(disk_file, monkeypatch):
+    monkeypatch.setattr(TOL, "frontier", 1e-8)
+    res = dispatch(["hilbert", "dist", "--domain", disk_file,
+                    "--x", "0,0", "--y", "0.5,0", "--tol", "1e-6"])
+    assert res.exit_code == 0
+    assert TOL.frontier == 1e-8

@@ -186,3 +186,42 @@ def test_thin_triangle_threads_match(disk):
     a = hb.thin_triangle_delta(disk, tri, m=8, threads=1).delta
     b = hb.thin_triangle_delta(disk, tri, m=8, threads=4).delta
     assert a == b
+
+
+def test_geodesic_of_a_point_makes_no_chord_call(disk, monkeypatch):
+    def no_chord(x, d):
+        raise AssertionError("chord_params called on a zero direction")
+
+    monkeypatch.setattr(disk.backend, "chord_params", no_chord)
+    x = np.array([0.2, -0.3])
+    pts = hb.geodesic(disk, x, x.copy(), 4)
+    assert len(pts) == 5
+    assert all(np.array_equal(p, x) for p in pts)
+
+
+def test_metric_ball_radius(any_domain):
+    c = any_domain.interior_point()
+    for radius in (0.3, 1.0, 2.5):
+        pts = hb.metric_ball(any_domain, c, radius, samples=32)
+        assert pts.shape == (32, 2)
+        for p in pts:
+            assert abs(hb.distance(any_domain, c, p) - radius) < 1e-12
+    assert np.all(np.isfinite(hb.metric_ball(any_domain, c, 1e3, samples=8)))
+
+
+def test_tiny_direction_chord(triangle):
+    x = triangle.interior_point()
+    u = np.array([0.6, 0.8])
+    unit = np.array(triangle.backend.chord_params(x, u))
+    tiny = np.array(triangle.backend.chord_params(x, 1e-12 * u))
+    assert np.allclose(tiny * 1e-12, unit, rtol=1e-12, atol=0.0)
+
+
+def test_thin_triangle_short_side_on_polytope(triangle):
+    c = triangle.interior_point()
+    tri = [c, c + np.array([0.02, 0.0]), c + np.array([0.0, 0.3])]
+    res = hb.thin_triangle_delta(triangle, tri, m=8)
+    assert not res.degenerate
+    # each sample is at most as far from the other sides as from a vertex
+    diam = max(hb.distance(triangle, tri[i], tri[i - 1]) for i in range(3))
+    assert 0.0 < res.delta <= diam
