@@ -3,17 +3,20 @@
 A domain is a chart (hyperplane at infinity plus cached frame) and a backend
 holding the set in chart coordinates.  Backends: half-space intersections,
 vertex polytopes, ellipsoids, and radial graphs (PL star-shaped regions used
-for numerically computed hypersurfaces).  Polytope predicates are exact,
-ellipsoids have closed forms, radial-graph chords are those of the convex
-hull of the surface points.
+for numerically computed hypersurfaces).  Ellipsoids have closed forms.  The
+three polytope backends share one copy of every query: predicates and chords
+read the half-space form, supports and radii the vertex list (a radial
+graph's surface points), and moments the simplices of a triangulation, all
+exact.  Chart moments and the cone's slice moments (vinberg) use one kernel,
+`_simplex_moments`, since the chart is the unit slice of its own functional.
 """
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, gamma, pi
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, Delaunay, HalfspaceIntersection
+from scipy.spatial import ConvexHull, Delaunay, HalfspaceIntersection, QhullError
 
 from .config import TOL
 from .errors import (
@@ -24,57 +27,115 @@ from .errors import (
     NotOnFrontierError,
     NotProperlyConvexError,
 )
-from .projgeom import AffineChart, DualFunctional, ProjPoint, ProjTransform
+from .projgeom import (
+    AffineChart,
+    DualFunctional,
+    ProjPoint,
+    ProjTransform,
+    standard_chart,
+)
 
 
 # ---------------------------------------------------------------------------
 # simplex moment formulas (exact)
 
-def simplex_volume(verts):
-    verts = np.asarray(verts, dtype=float)
-    e = verts[1:] - verts[0]
-    n = verts.shape[1]
-    if e.shape[0] == n:
-        return abs(np.linalg.det(e)) / factorial(n)
-    # lower-dimensional simplex in a higher ambient: Gram determinant
-    g = e @ e.T
-    return float(np.sqrt(max(np.linalg.det(g), 0.0))) / factorial(e.shape[0])
+def _simplex_moments(rv, measures):
+    """Total measure, centroid and E[x x^T] of stacked simplices.
 
-
-def simplex_second_moment(verts):
-    """E[x x^T] for the uniform distribution on a simplex (any ambient dim)."""
-    verts = np.asarray(verts, dtype=float)
-    k = verts.shape[0]  # number of vertices = dim + 1
-    s = verts.sum(axis=0)
-    return (verts.T @ verts + np.outer(s, s)) / (k * (k + 1))
-
-
-def _aggregate_moments(pieces):
-    """Combine (volume, centroid, E[xx^T]) triples of disjoint pieces."""
-    vol = sum(p[0] for p in pieces)
-    if vol <= 0:
-        raise DegenerateDomainError("zero volume region")
-    mu = sum(p[0] * p[1] for p in pieces) / vol
-    e2 = sum(p[0] * p[2] for p in pieces) / vol
-    return vol, mu, e2 - np.outer(mu, mu)
+    rv is (k, m+1, d): the m+1 vertices of each of k m-simplices in R^d;
+    measures holds their m-dimensional volumes.
+    """
+    m1 = rv.shape[1]
+    cents = rv.mean(axis=1)
+    s = rv.sum(axis=1)
+    seconds = (np.einsum("kiv,kiw->kvw", rv, rv)
+               + np.einsum("kv,kw->kvw", s, s)) / (m1 * (m1 + 1))
+    total = float(measures.sum())
+    mu = (measures[:, None] * cents).sum(axis=0) / total
+    e2 = (measures[:, None, None] * seconds).sum(axis=0) / total
+    return total, mu, e2
 
 
 def _triangulated_moments(backend):
-    """Chart moments of a backend from the simplices of its triangulation."""
+    """Chart volume, centroid and central second moment from a triangulation."""
     pts, simps = backend.chart_triangulation()
-    pieces = []
-    for s in simps:
-        verts = pts[s]
-        pieces.append((simplex_volume(verts), verts.mean(axis=0),
-                       simplex_second_moment(verts)))
-    return _aggregate_moments(pieces)
+    rv = pts[simps]
+    vols = np.abs(np.linalg.det(rv[:, 1:] - rv[:, :1])) / factorial(pts.shape[1])
+    if vols.sum() <= 0:
+        raise DegenerateDomainError("zero volume region")
+    vol, mu, e2 = _simplex_moments(rv, vols)
+    return vol, mu, e2 - np.outer(mu, mu)
 
 
 # ---------------------------------------------------------------------------
 # backends
 
 
-class HPolyBackend:
+class _PolytopeBackend:
+    """Queries shared by the polytope backends.
+
+    Predicates and chords read the half-space form `as_hpoly()`; supports and
+    radii read the vertex list `vertices()`; moments come from the cached
+    triangulation of the vertices (radial graphs supply their own fan).
+    """
+
+    _tri = None
+
+    def contains_margin(self, x):
+        hp = self.as_hpoly()
+        return float(np.min(hp.offsets - hp.normals @ np.asarray(x, dtype=float)))
+
+    def chord_params(self, x, d):
+        hp = self.as_hpoly()
+        num = hp.offsets - hp.normals @ x
+        den = hp.normals @ d
+        # a facet with |a . d| <= cut is parallel to the line; the cut scales
+        # with |d| so that a short direction keeps its facets
+        cut = TOL.exact * np.sqrt(np.dot(d, d))
+        t_hi, t_lo = np.inf, -np.inf
+        for ni, di in zip(num, den):
+            if di > cut:
+                t_hi = min(t_hi, ni / di)
+            elif di < -cut:
+                t_lo = max(t_lo, ni / di)
+        if not np.isfinite(t_hi) or not np.isfinite(t_lo):
+            raise NotProperlyConvexError("line does not exit the region")
+        return t_lo, t_hi
+
+    def supporting_facets(self, x, tol):
+        hp = self.as_hpoly()
+        slack = hp.offsets - hp.normals @ np.asarray(x, dtype=float)
+        idx = np.nonzero(np.abs(slack) <= tol)[0]
+        return [(hp.normals[i], hp.offsets[i]) for i in idx]
+
+    def boundary_flats(self):
+        hp = self.as_hpoly()
+        v = hp.vertices()
+        flats = []
+        for a, b in zip(hp.normals, hp.offsets):
+            on = v[np.abs(v @ a - b) <= TOL.flatness * (1.0 + abs(b))]
+            flats.append({"normal": a.copy(), "offset": float(b), "vertices": on})
+        return flats
+
+    def support(self, u):
+        return float(np.max(self.vertices() @ np.asarray(u, dtype=float)))
+
+    def support_point(self, u):
+        v = self.vertices()
+        return v[np.argmax(v @ np.asarray(u, dtype=float))]
+
+    def bounding_radius(self):
+        return float(np.max(np.linalg.norm(self.vertices(), axis=1)))
+
+    def chart_triangulation(self):
+        if self._tri is None:
+            self._tri = _triangulate(self.vertices())
+        return self._tri
+
+    moments = _triangulated_moments
+
+
+class HPolyBackend(_PolytopeBackend):
     """Open intersection of half-spaces {x : a_i . x < b_i} with unit normals."""
 
     kind = "hpoly"
@@ -91,7 +152,6 @@ class HPolyBackend:
         self.offsets = b / norms
         self._vertices = None
         self._interior = None
-        self._tri = None
         if prune:
             self._prune_inactive()
 
@@ -149,7 +209,7 @@ class HPolyBackend:
                     hs = HalfspaceIntersection(
                         np.hstack([self.normals, -self.offsets[:, None]]), center
                     )
-                except Exception as exc:
+                except (QhullError, ValueError) as exc:
                     raise NotProperlyConvexError(
                         f"half-space intersection failed: {exc}",
                         witness=self._recession_direction(),
@@ -179,55 +239,8 @@ class HPolyBackend:
             self.vertices()
         return self._interior
 
-    def contains_margin(self, x):
-        return float(np.min(self.offsets - self.normals @ np.asarray(x, dtype=float)))
-
-    def support(self, u):
-        return float(np.max(self.vertices() @ np.asarray(u, dtype=float)))
-
-    def support_point(self, u):
-        v = self.vertices()
-        return v[np.argmax(v @ np.asarray(u, dtype=float))]
-
-    def chord_params(self, x, d):
-        num = self.offsets - self.normals @ x
-        den = self.normals @ d
-        # a facet with |a . d| <= cut is parallel to the line; the cut scales
-        # with |d| so that a short direction keeps its facets
-        cut = TOL.exact * np.sqrt(np.dot(d, d))
-        t_hi, t_lo = np.inf, -np.inf
-        for ni, di in zip(num, den):
-            if di > cut:
-                t_hi = min(t_hi, ni / di)
-            elif di < -cut:
-                t_lo = max(t_lo, ni / di)
-        if not np.isfinite(t_hi) or not np.isfinite(t_lo):
-            raise NotProperlyConvexError("line does not exit the region")
-        return t_lo, t_hi
-
-    def supporting_facets(self, x, tol):
-        slack = self.offsets - self.normals @ np.asarray(x, dtype=float)
-        idx = np.nonzero(np.abs(slack) <= tol)[0]
-        return [(self.normals[i], self.offsets[i]) for i in idx]
-
-    def boundary_flats(self):
-        v = self.vertices()
-        flats = []
-        for a, b in zip(self.normals, self.offsets):
-            on = v[np.abs(v @ a - b) <= TOL.flatness * (1.0 + abs(b))]
-            flats.append({"normal": a.copy(), "offset": float(b), "vertices": on})
-        return flats
-
-    def chart_triangulation(self):
-        if self._tri is None:
-            v = self.vertices()
-            self._tri = _triangulate(v)
-        return self._tri
-
-    moments = _triangulated_moments
-
-    def bounding_radius(self):
-        return float(np.max(np.linalg.norm(self.vertices(), axis=1)))
+    def as_hpoly(self):
+        return self
 
     def transform_affine(self, lin, shift):
         linv = np.linalg.inv(lin)
@@ -240,7 +253,7 @@ class HPolyBackend:
                 "offsets": self.offsets.tolist()}
 
 
-class VPolyBackend:
+class VPolyBackend(_PolytopeBackend):
     """Open convex hull of a vertex list in convex position."""
 
     kind = "vpoly"
@@ -249,7 +262,6 @@ class VPolyBackend:
         v = np.atleast_2d(np.asarray(vertices, dtype=float))
         self.verts = v
         self._hpoly = None
-        self._tri = None
         if check:
             self._check_convex_position()
 
@@ -268,7 +280,7 @@ class VPolyBackend:
             raise NotProperlyConvexError("too few vertices for an open set", witness=v)
         try:
             hull = ConvexHull(v)
-        except Exception as exc:
+        except (QhullError, ValueError) as exc:
             raise NotProperlyConvexError(f"degenerate vertex data: {exc}") from exc
         if len(hull.vertices) != v.shape[0]:
             inner = sorted(set(range(v.shape[0])) - set(hull.vertices))
@@ -298,34 +310,6 @@ class VPolyBackend:
 
     def interior_point(self):
         return self.verts.mean(axis=0)
-
-    def contains_margin(self, x):
-        return self.as_hpoly().contains_margin(x)
-
-    def support(self, u):
-        return float(np.max(self.verts @ np.asarray(u, dtype=float)))
-
-    def support_point(self, u):
-        return self.verts[np.argmax(self.verts @ np.asarray(u, dtype=float))]
-
-    def chord_params(self, x, d):
-        return self.as_hpoly().chord_params(x, d)
-
-    def supporting_facets(self, x, tol):
-        return self.as_hpoly().supporting_facets(x, tol)
-
-    def boundary_flats(self):
-        return self.as_hpoly().boundary_flats()
-
-    def chart_triangulation(self):
-        if self._tri is None:
-            self._tri = _triangulate(self.vertices())
-        return self._tri
-
-    moments = _triangulated_moments
-
-    def bounding_radius(self):
-        return float(np.max(np.linalg.norm(self.verts, axis=1)))
 
     def transform_affine(self, lin, shift):
         return VPolyBackend(self.verts @ np.asarray(lin, dtype=float).T
@@ -421,7 +405,7 @@ class EllipsoidBackend:
                 "shape": self.shape_matrix.tolist()}
 
 
-class RadialGraphBackend:
+class RadialGraphBackend(_PolytopeBackend):
     """PL star-shaped region: positive radii over a triangulated direction set."""
 
     kind = "radialgraph"
@@ -459,6 +443,10 @@ class RadialGraphBackend:
     def surface_points(self):
         return self.center + self.radii[:, None] * self.directions
 
+    def vertices(self):
+        """The surface points, all hull vertices (checked at construction)."""
+        return self.surface_points()
+
     def _check_convex(self):
         pts = self.surface_points()
         if self.dim == 1:
@@ -478,35 +466,10 @@ class RadialGraphBackend:
     def interior_point(self):
         return self.center
 
-    def contains_margin(self, x):
-        return self.as_hpoly().contains_margin(x)
-
-    def support(self, u):
-        pts = self.surface_points()
-        return float(np.max(pts @ np.asarray(u, dtype=float)))
-
-    def support_point(self, u):
-        pts = self.surface_points()
-        return pts[np.argmax(pts @ np.asarray(u, dtype=float))]
-
-    def chord_params(self, x, d):
-        return self.as_hpoly().chord_params(x, d)
-
-    def supporting_facets(self, x, tol):
-        return self.as_hpoly().supporting_facets(x, tol)
-
-    def boundary_flats(self):
-        return self.as_hpoly().boundary_flats()
-
     def chart_triangulation(self):
         pts = np.vstack([self.center[None, :], self.surface_points()])
         simps = np.array([[0] + [i + 1 for i in s] for s in self.simplices], dtype=int)
         return pts, simps
-
-    moments = _triangulated_moments
-
-    def bounding_radius(self):
-        return float(np.max(np.linalg.norm(self.surface_points(), axis=1)))
 
     def transform_affine(self, lin, shift):
         lin = np.asarray(lin, dtype=float)
@@ -524,7 +487,6 @@ class RadialGraphBackend:
 
 
 def _ball_volume(n):
-    from math import gamma, pi
     return pi ** (n / 2.0) / gamma(n / 2.0 + 1.0)
 
 
@@ -597,25 +559,25 @@ class ConvexDomain:
     @staticmethod
     def from_halfspaces(normals, offsets, chart=None):
         b = HPolyBackend(normals, offsets)
-        chart = chart or _default_chart(b.dim)
+        chart = chart or standard_chart(b.dim)
         return ConvexDomain(chart, b)
 
     @staticmethod
     def from_vertices(vertices, chart=None):
         b = VPolyBackend(vertices)
-        chart = chart or _default_chart(b.dim)
+        chart = chart or standard_chart(b.dim)
         return ConvexDomain(chart, b)
 
     @staticmethod
     def ellipsoid(center, shape, chart=None):
         b = EllipsoidBackend(center, shape)
-        chart = chart or _default_chart(b.dim)
+        chart = chart or standard_chart(b.dim)
         return ConvexDomain(chart, b)
 
     @staticmethod
     def radial_graph(center, directions, radii, simplices=None, chart=None):
         b = RadialGraphBackend(center, directions, radii, simplices)
-        chart = chart or _default_chart(b.dim)
+        chart = chart or standard_chart(b.dim)
         return ConvexDomain(chart, b)
 
     # -- basic queries
@@ -666,11 +628,6 @@ class ConvexDomain:
     def to_json(self):
         return {"chart": self.chart.infinity.tolist(),
                 "backend": self.backend.to_json()}
-
-
-def _default_chart(n):
-    from .projgeom import standard_chart
-    return standard_chart(n)
 
 
 def _remap(dom, matrix, chart):
@@ -755,8 +712,7 @@ class ConvexCone:
         b = self.domain.backend
         if b.kind == "ellipsoid":
             return None
-        verts = b.vertices() if hasattr(b, "vertices") else b.surface_points()
-        return self.domain.chart.lift_many(verts)
+        return self.domain.chart.lift_many(b.vertices())
 
     def dual_margin(self, v):
         """min of <v, .> over the lifted closure; positive iff v is in the dual cone."""

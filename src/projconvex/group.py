@@ -6,12 +6,19 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import null_space
-from scipy.spatial import ConvexHull, HalfspaceIntersection
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .config import TOL
-from .domain import Chord, ConvexCone, ConvexDomain
+from .domain import (
+    Chord,
+    ConvexCone,
+    ConvexDomain,
+    _homogeneous_quadric,
+    support as dom_support,
+)
 from .errors import (
     AutomorphismInconsistencyError,
+    GeometryError,
     InvalidBasepointError,
     InvalidInputError,
     NotHyperbolicError,
@@ -36,7 +43,6 @@ def is_automorphism(dom: ConvexDomain, a: ProjTransform, tol: float = 1e-8) -> A
     """
     b = dom.backend
     if b.kind == "ellipsoid":
-        from .domain import _homogeneous_quadric
         q = _homogeneous_quadric(b, dom.chart)
         minv = np.linalg.inv(a.matrix)
         q2 = minv.T @ q @ minv
@@ -46,13 +52,13 @@ def is_automorphism(dom: ConvexDomain, a: ProjTransform, tol: float = 1e-8) -> A
     if b.kind == "radialgraph":
         try:
             image = dom.transform(a, chart=dom.chart)
-        except Exception:
+        except GeometryError:
             return AutoCheck(False, np.inf)
         hs_old = np.array([b.support(u) for u in b.directions])
         hs_new = np.array([image.backend.support(u) for u in b.directions])
         res = float(np.max(np.abs(hs_old - hs_new)))
         return AutoCheck(res <= tol, res)
-    verts = b.vertices() if hasattr(b, "vertices") else b.verts
+    verts = b.vertices()
     lifts = dom.chart.lift_many(verts) @ a.matrix.T
     h = lifts @ dom.chart.infinity
     if np.any(np.abs(h) <= TOL.exact):
@@ -151,7 +157,7 @@ def fixed_point_dynamics(dom: ConvexDomain, a: ProjTransform) -> HyperbolicData:
     length_inf = np.nan
     try:
         _, length_inf = _golden_min(displacement, 0.05, 0.95, tol=1e-12)
-    except Exception:
+    except GeometryError:
         pass  # axis may touch the frontier for non-strictly-convex backends
     primary = length_inf if np.isfinite(length_inf) else length_eigen
     return HyperbolicData(
@@ -186,18 +192,21 @@ def attractor_convergence(dom: ConvexDomain, a: ProjTransform, x,
 # orbits and words
 
 
-def _reduced_word_matrices(gens, max_len, include_identity=True, dim=None):
+def _reduced_word_matrices(gens, max_len, dim=None):
+    """All reduced words up to max_len with their matrices, the empty word first.
+
+    A word is a tuple of letters (generator index, +1 or -1); the letters
+    run over the generators, then over their inverses.
+    """
     mats = [g.matrix if isinstance(g, ProjTransform) else np.asarray(g, float)
             for g in gens]
     if not mats:
-        return [((), np.eye(dim))] if include_identity and dim else []
+        return [((), np.eye(dim))] if dim else []
     invs = [np.linalg.inv(m) for m in mats]
     letters = [(i, +1) for i in range(len(mats))] + \
               [(i, -1) for i in range(len(mats))]
-    out = []
-    if include_identity:
-        out.append(((), np.eye(mats[0].shape[0])))
-    frontier = [((), np.eye(mats[0].shape[0]))]
+    out = [((), np.eye(mats[0].shape[0]))]
+    frontier = list(out)
     for _ in range(max_len):
         nxt = []
         for word, m in frontier:
@@ -336,7 +345,7 @@ def dirichlet_domain(cone: ConvexCone, gens, x, max_len: int,
         try:
             _, _, active_prev = _solve(max_len - 1)
             stable = active_prev == active
-        except Exception:
+        except (GeometryError, QhullError, ValueError):
             stable = False
     pairings = {}
     label_set = set(active)
@@ -364,7 +373,6 @@ def _cone_constraints(cone: ConvexCone, conic_samples):
     b = dom.backend
     chart = dom.chart
     if b.kind == "ellipsoid":
-        from .domain import support as dom_support
         rows, offs = [], []
         n = dom.dim
         if n == 1:
@@ -382,7 +390,7 @@ def _cone_constraints(cone: ConvexCone, conic_samples):
             rows.append(phi.coeffs)
             offs.append(0.0)
         return rows, offs
-    hp = b if b.kind == "hpoly" else b.as_hpoly()
+    hp = b.as_hpoly()
     rows = [float(bo) * chart.infinity - chart.frame @ ao
             for ao, bo in zip(hp.normals, hp.offsets)]
     return rows, [0.0] * len(rows)

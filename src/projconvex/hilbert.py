@@ -26,9 +26,9 @@ def _chart_pair(dom, x, y):
     return xc, yc
 
 
-def _distance_chart(dom: ConvexDomain, xc, yc):
-    if np.linalg.norm(yc - xc) <= TOL.exact:
-        return 0.0
+def _distance_and_chord(dom: ConvexDomain, xc, yc):
+    """Distance of two distinct interior chart points, and the parameters
+    (t_lo, t_hi) of the chord endpoints on the line xc + t (yc - xc)."""
     for name, c in (("x", xc), ("y", yc)):
         if dom.backend.contains_margin(c) <= 0:
             raise InvalidInputError(f"point {name} is not inside the domain")
@@ -42,7 +42,13 @@ def _distance_chart(dom: ConvexDomain, xc, yc):
     if min(ax, ay, bx, by) <= TOL.exact * max(1.0, step):
         raise InfiniteDistanceError(
             "chord endpoint coincides with an argument point")
-    return 0.5 * abs(np.log((bx * ay) / (by * ax)))
+    return 0.5 * abs(np.log((bx * ay) / (by * ax))), t_lo, t_hi
+
+
+def _distance_chart(dom: ConvexDomain, xc, yc):
+    if np.linalg.norm(yc - xc) <= TOL.exact:
+        return 0.0
+    return _distance_and_chord(dom, xc, yc)[0]
 
 
 def distance(dom: ConvexDomain, x, y) -> float:
@@ -66,12 +72,11 @@ def geodesic(dom: ConvexDomain, x, y, k: int):
     if k < 1:
         raise InvalidInputError("need at least one segment")
     xc, yc = _chart_pair(dom, x, y)
-    total = _distance_chart(dom, xc, yc)
     d = yc - xc
     if np.linalg.norm(d) <= TOL.exact:
         ts = np.zeros(k - 1)
     else:
-        t_lo, t_hi = dom.backend.chord_params(xc, d)
+        total, t_lo, t_hi = _distance_and_chord(dom, xc, yc)
         ts = _param_at_distance(t_lo, t_hi, total * np.arange(1, k) / k)
     return [xc] + [xc + t * d for t in ts] + [yc]
 

@@ -14,6 +14,7 @@ from .errors import (
     DegenerateDomainError,
     InvalidInputError,
 )
+from .group import _reduced_word_matrices, word_label
 from .projgeom import ProjTransform, minimal_rotation, standard_chart
 from .vinberg import spherical_center
 
@@ -429,34 +430,6 @@ class SubspaceWitness:
     dual: bool
 
 
-def _reduced_words(labels, max_len):
-    """Reduced words over the generators and inverses, as index strings."""
-    letters = []
-    for i, lab in enumerate(labels):
-        letters.append((i, 1, str(lab)))
-        letters.append((i, -1, str(lab) + "^-1"))
-    words = []
-    frontier = [((), None)]
-    for _ in range(max_len):
-        nxt = []
-        for word, last in frontier:
-            for idx, (i, s, name) in enumerate(letters):
-                if last is not None and last[0] == i and last[1] == -s:
-                    continue  # cancellation
-                w2 = word + ((i, s, name),)
-                nxt.append((w2, (i, s)))
-        words.extend(w for w, _ in nxt)
-        frontier = nxt
-    return words
-
-
-def _word_matrix(word, mats, invs):
-    out = np.eye(mats[0].shape[0])
-    for i, s, _ in word:
-        out = out @ (mats[i] if s > 0 else invs[i])
-    return out
-
-
 def invariant_subspace_search(gens, tol=1e-8, max_word_len=4):
     """Bounded heuristic: sweep eigenspace sums of short words for a common
     invariant subspace of the family (and of the transposed family).
@@ -467,14 +440,13 @@ def invariant_subspace_search(gens, tol=1e-8, max_word_len=4):
             _unit_det(np.asarray(g, dtype=float)) for g in gens]
     if not mats:
         raise InvalidInputError("need at least one generator")
-    invs = [np.linalg.inv(m) for m in mats]
     n1 = mats[0].shape[0]
 
     for dual in (False, True):
         fam = [m.T for m in mats] if dual else mats
-        fam_inv = [m.T for m in invs] if dual else invs
-        for word in _reduced_words(list(range(len(mats))), max_word_len):
-            w = _word_matrix(word, fam, fam_inv)
+        for word, w in _reduced_word_matrices(fam, max_word_len):
+            if not word:
+                continue
             vals, vecs = np.linalg.eig(w)
             clusters = _conjugate_clusters(vals)
             for subset in _proper_subsets(clusters):
@@ -490,13 +462,9 @@ def invariant_subspace_search(gens, tol=1e-8, max_word_len=4):
                     continue
                 res = max(_invariance_residual(m, p) for m in fam)
                 if res <= tol:
-                    return SubspaceWitness(p, p.shape[1],
-                                           _word_name_pretty(word), res, dual)
+                    return SubspaceWitness(p, p.shape[1], word_label(word),
+                                           res, dual)
     return None
-
-
-def _word_name_pretty(word):
-    return "".join(f"g{i}" + ("" if s > 0 else "^-1") for i, s, _ in word)
 
 
 def _conjugate_clusters(vals):

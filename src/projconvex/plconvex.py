@@ -12,9 +12,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_SEED, TOL
+from .domain import ConvexDomain, validate
 from .errors import (
     ApproximationFailureError,
     CoplanarStarError,
+    GeometryError,
     InvalidInputError,
     NonManifoldComplexError,
     TransversalityError,
@@ -455,7 +457,6 @@ def pl_characteristic_surface(cone, budget: int, seed: int = DEFAULT_SEED,
     surface, triangulate, and certify; on coplanarity failures jitter the
     radii within the certified perturbation freedom until the certificate
     passes or the rounds run out."""
-    from .domain import ConvexCone, ConvexDomain, validate
     if isinstance(cone, ConvexDomain):
         cone = cone.cone()
     dom = cone.domain
@@ -463,12 +464,8 @@ def pl_characteristic_surface(cone, budget: int, seed: int = DEFAULT_SEED,
     n = dom.dim
     chart = dom.chart
     if n == 1:
-        v = dom.backend.vertices() if hasattr(dom.backend, "vertices") else None
-        if v is None:
-            lo = -dom.backend.support(np.array([-1.0]))
-            hi = dom.backend.support(np.array([1.0]))
-        else:
-            lo, hi = float(np.min(v)), float(np.max(v))
+        lo = -dom.backend.support(np.array([-1.0]))
+        hi = dom.backend.support(np.array([1.0]))
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         xs = mid + half * inset * np.linspace(-1.0, 1.0, budget)
         chart_pts = xs[:, None]
@@ -565,7 +562,7 @@ def _sampled_deviation(cone, surf, rng, max_edges=24):
         try:
             exact = np.linalg.norm(characteristic_point(cone, u))
             pl = surf.radial_value(u)
-        except Exception:
+        except GeometryError:
             continue
         worst = max(worst, abs(pl - exact))
     return float(worst)

@@ -10,9 +10,10 @@ region; the gradient and Hessian reduce to exact slice moments:
     grad W(v)  = -(n+1) V(v) mu(slice)
     hess W(v)  =  (n+1)(n+2) V(v) E[x x^T over slice]
 
-Polytope and radial-graph cones use exact simplex decompositions; ellipsoid
-cones use exact conic sections.  A fixed-seed Monte-Carlo estimator is kept
-as an independent cross-check.
+Polytope and radial-graph cones use exact simplex decompositions, whose
+slice moments come from the simplex-moment kernel that also gives the chart
+moments (domain._simplex_moments); ellipsoid cones use exact conic sections.
+A fixed-seed Monte-Carlo estimator is kept as an independent cross-check.
 """
 
 from dataclasses import dataclass
@@ -27,6 +28,8 @@ from .domain import (
     ConvexDomain,
     _ball_volume,
     _homogeneous_quadric,
+    _simplex_moments,
+    validate,
 )
 from .errors import (
     ConvergenceFailureError,
@@ -106,13 +109,7 @@ def _slice_exact(cone: ConvexCone, v) -> _SliceData:
         e = rv[:, 1:, :] - rv[:, :1, :]         # (k, n, n+1)
         gram = np.einsum("kij,klj->kil", e, e)
         areas = np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / factorial(n)
-        cents = rv.mean(axis=1)
-        s = rv.sum(axis=1)
-        seconds = (np.einsum("kiv,kiw->kvw", rv, rv)
-                   + np.einsum("kv,kw->kvw", s, s)) / ((n + 1) * (n + 2))
-        a_tot = float(areas.sum())
-        mu = (areas[:, None] * cents).sum(axis=0) / a_tot
-        e2 = (areas[:, None, None] * seconds).sum(axis=0) / a_tot
+        a_tot, mu, e2 = _simplex_moments(rv, areas)
         return _SliceData(vol, a_tot, mu, e2)
     # ellipsoid cone: exact conic section via the inverse quadric.
     # The section center is the pole of the slicing plane; the restricted
@@ -343,7 +340,6 @@ def spherical_center(dom: ConvexDomain, max_iter=60) -> SphericalCenter:
     chart-coordinate residual with a finite-difference Jacobian, damped to
     stay inside the domain.
     """
-    from .domain import validate
     validate(dom)
     cone = dom.cone()
     chart = dom.chart

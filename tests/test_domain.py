@@ -181,6 +181,36 @@ def test_boundary_flats(disk, triangle, square, polygon24):
     assert all(len(f["vertices"]) == 2 for f in flats)
 
 
+def test_square_backends_agree(rng):
+    v = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+    hpoly = dm.HPolyBackend([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                            [1.0, 1.0, 1.0, 1.0])
+    vpoly = dm.VPolyBackend(v)
+    radial = dm.RadialGraphBackend(np.zeros(2), v, np.linalg.norm(v, axis=1))
+    ref_vol, ref_mu, ref_q = hpoly.moments()
+    assert ref_vol == pytest.approx(4.0, rel=1e-14)
+    assert np.allclose(ref_mu, 0.0, atol=1e-15)
+    assert np.allclose(ref_q, np.eye(2) / 3.0, atol=1e-15)
+    xs = rng.uniform(-1.5, 1.5, size=(12, 2))
+    inner = rng.uniform(-0.9, 0.9, size=(12, 2))
+    us = rng.normal(size=(12, 2))
+    for b in (vpoly, radial):
+        for x, y, u in zip(xs, inner, us):
+            assert b.contains_margin(x) == pytest.approx(hpoly.contains_margin(x),
+                                                         abs=1e-14)
+            assert np.allclose(b.chord_params(y, u), hpoly.chord_params(y, u),
+                               rtol=1e-13, atol=0.0)
+            assert b.support(u) == pytest.approx(hpoly.support(u), abs=1e-14)
+            assert np.allclose(b.support_point(u), hpoly.support_point(u),
+                               rtol=0.0, atol=1e-14)
+        assert b.bounding_radius() == pytest.approx(np.sqrt(2.0), rel=1e-15)
+        vol, mu, q = b.moments()
+        assert vol == pytest.approx(ref_vol, rel=1e-14)
+        assert np.allclose(mu, ref_mu, atol=1e-15)
+        assert np.allclose(q, ref_q, atol=1e-15)
+        assert len(b.boundary_flats()) == len(hpoly.boundary_flats()) == 4
+
+
 def test_json_round_trip(any_domain):
     data = jsonio.loads(jsonio.dumps(any_domain.to_json()))
     dom2 = jsonio.domain_from_dict(data)

@@ -199,6 +199,20 @@ def test_geodesic_of_a_point_makes_no_chord_call(disk, monkeypatch):
     assert all(np.array_equal(p, x) for p in pts)
 
 
+def test_geodesic_makes_one_chord_call(square, monkeypatch):
+    calls = []
+    chord_params = square.backend.chord_params
+
+    def counted(x, d):
+        calls.append(1)
+        return chord_params(x, d)
+
+    monkeypatch.setattr(square.backend, "chord_params", counted)
+    pts = hb.geodesic(square, [0.3, -0.2], [-0.5, 0.6], 4)
+    assert len(pts) == 5
+    assert len(calls) == 1
+
+
 def test_metric_ball_radius(any_domain):
     c = any_domain.interior_point()
     for radius in (0.3, 1.0, 2.5):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from projconvex import domain as dm, normalize as nm
+from projconvex import domain as dm, normalize as nm, vinberg as vb
 from projconvex.errors import DegenerateDomainError, InvalidInputError
 from projconvex.projgeom import ProjTransform
 
@@ -31,6 +31,33 @@ def test_translation_invariance_of_central_moments(triangle):
     assert np.allclose(m1.centroid, m0.centroid + np.array([0.3, -0.2]),
                        atol=1e-12)
     assert np.max(np.abs(m1.second_moment - m0.second_moment)) < 1e-12
+
+
+def _assert_moments_are_unit_slice_moments(dom):
+    # the chart is the unit slice of the chart functional, so the chart
+    # moments are that slice's moments read through the chart frame
+    m = nm.moments(dom)
+    chart = dom.chart
+    data = vb._slice_exact(dom.cone(), chart.infinity)
+    mu = chart.frame.T @ data.centroid
+    q = chart.frame.T @ data.second_moment @ chart.frame - np.outer(mu, mu)
+    assert data.slice_area == pytest.approx(m.volume, rel=1e-12)
+    assert np.allclose(mu, m.centroid, rtol=0.0, atol=1e-12)
+    assert np.allclose(q, m.second_moment, rtol=0.0, atol=1e-12)
+
+
+def test_moments_are_unit_slice_moments(any_domain):
+    _assert_moments_are_unit_slice_moments(any_domain)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_orthant_moments_are_unit_slice_moments(n):
+    _assert_moments_are_unit_slice_moments(dm.orthant_domain(n))
+
+
+def test_segment_moments_are_unit_slice_moments():
+    _assert_moments_are_unit_slice_moments(
+        dm.ConvexDomain.from_vertices([[-0.5], [0.7]]))
 
 
 def test_isotropic_disk(disk):
