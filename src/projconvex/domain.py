@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from math import factorial, gamma, pi
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, Delaunay, HalfspaceIntersection, QhullError
 
 from .config import TOL
@@ -162,6 +161,8 @@ class HPolyBackend(_PolytopeBackend):
     # -- construction helpers
 
     def _chebyshev(self):
+        from scipy.optimize import linprog  # imported here: slow, rarely needed
+
         m, n = self.normals.shape
         c = np.zeros(n + 1)
         c[-1] = -1.0
@@ -178,6 +179,8 @@ class HPolyBackend(_PolytopeBackend):
         return res.x[:-1], res.x[-1]
 
     def _recession_direction(self):
+        from scipy.optimize import linprog
+
         n = self.dim
         for j in range(n):
             for sign in (1.0, -1.0):

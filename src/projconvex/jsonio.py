@@ -46,13 +46,18 @@ def _check_finite(obj):
 
 
 def sanitize(obj):
-    """Make an object JSON-serializable with deterministic ordering."""
+    """Make an object JSON-serializable with deterministic ordering.
+
+    Complex numbers become [re, im] pairs.
+    """
     if isinstance(obj, dict):
         return {str(k): sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [sanitize(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return sanitize(obj.tolist())
+    if isinstance(obj, (np.complexfloating, complex)):
+        return [sanitize(obj.real), sanitize(obj.imag)]
     if isinstance(obj, (np.floating, float)):
         f = float(obj)
         if not np.isfinite(f):
@@ -71,8 +76,9 @@ def dumps(obj) -> str:
 
 
 def dump_file(obj, path):
+    text = dumps(obj)   # before opening, so a failure leaves no empty file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
+        fh.write(text)
 
 
 def write_csv(rows, path):

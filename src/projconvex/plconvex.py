@@ -24,124 +24,183 @@ from .errors import (
 from .vinberg import characteristic_point
 
 
+# Elements (samples x simplices x vertices) of one block of cone coordinates
+# in the section check: its memory stays fixed however many simplices.
+_SECTION_CHUNK = 1 << 16
+
+
+class _Complex:
+    """Combinatorics of a simplex list, built once and shared by every surface
+    on it (`SimplicialHypersurface.with_vertices`).
+
+    Slot t*k + j of the flattened (T, k) index array stands for the facet of
+    simplex t opposite its vertex simplices[t, j].  `mate[slot]` is the slot
+    of the same facet in the neighbouring simplex (-1 on the boundary), so
+    `simplices.flat[mate[slot]]` is the vertex across that facet.
+    """
+
+    def __init__(self, simplices, n_vertices):
+        self.simplices = simplices
+        t_count, k = simplices.shape
+        drop = np.array([[c for c in range(k) if c != j] for j in range(k)], dtype=int)
+        keys = np.sort(simplices[:, drop].reshape(t_count * k, k - 1), axis=1)
+        # a facet is a vertex set: repeated indices collapse (their simplex is
+        # degenerate, which is reported after this check)
+        keys[:, 1:][keys[:, 1:] == keys[:, :-1]] = -1
+        keys.sort(axis=1)
+        facet = np.unique(keys, axis=0, return_inverse=True)[1].ravel()
+        order = np.argsort(facet, kind="stable")
+        same = facet[order[1:]] == facet[order[:-1]]
+        crowded = same[1:] & same[:-1]
+        if crowded.any():
+            slot = order[:-2][crowded].min()
+            raise NonManifoldComplexError(
+                "facet shared by more than two simplices",
+                facet=[int(i) for i in keys[slot] if i >= 0])
+        self.mate = np.full(t_count * k, -1)
+        self.mate[order[:-1][same]] = order[1:][same]
+        self.mate[order[1:][same]] = order[:-1][same]
+        flat = simplices.ravel()
+        self.across = np.where(self.mate >= 0, flat[self.mate], -1).reshape(t_count, k)
+        # adjacent pairs in order of their facet's first slot: (first simplex,
+        # second simplex, vertex of the second across the shared facet)
+        first = np.flatnonzero(self.mate > np.arange(self.mate.size))
+        self.pairs = (first // k, self.mate[first] // k, flat[self.mate[first]])
+        boundary = keys[self.mate < 0]
+        self.interior = np.zeros(n_vertices, dtype=bool)
+        self.interior[flat] = True
+        self.interior[boundary[boundary >= 0]] = False
+        self._checks = {}
+
+    def checks(self, scope):
+        """Rows (vertex, simplex, test vertex, adjacent) of the determinant
+        checks at interior vertices, sorted by vertex, simplex, test vertex.
+
+        Each star simplex is tested against the link vertices outside it or,
+        with scope "adjacent", against the vertices across its facets through
+        the vertex.  `adjacent` marks a test vertex across any facet of the
+        simplex: such a pair lying flat is a coplanar star.
+        """
+        scope = "adjacent" if scope == "adjacent" else "all"
+        if scope not in self._checks:
+            self._checks[scope] = self._build_checks(scope)
+        return self._checks[scope]
+
+    def _build_checks(self, scope):
+        simp = self.simplices
+        k = simp.shape[1]
+        n = self.interior.size
+        flat = simp.ravel()
+        slots = np.flatnonzero(self.interior[flat])
+        slots = slots[np.argsort(flat[slots], kind="stable")]
+        v, t = flat[slots], slots // k
+        if scope == "adjacent":
+            u = self.across[t]
+            u[np.arange(t.size), slots % k] = -1    # that facet misses v
+            u[(simp[t][:, :, None] == u[:, None, :]).any(axis=1)] = -1
+            u = np.sort(np.where(u < 0, n, u), axis=1)
+            u[:, 1:][u[:, 1:] == u[:, :-1]] = n
+            keep = (u < n).ravel()
+            v, t, u = np.repeat(v, k)[keep], np.repeat(t, k)[keep], u.ravel()[keep]
+        else:
+            a, b = np.nonzero(~np.eye(k, dtype=bool))
+            link_v, link_u = np.divmod(
+                np.unique(simp[:, a].ravel() * n + simp[:, b].ravel()), n)
+            lo = np.searchsorted(link_v, v)
+            count = np.searchsorted(link_v, v, side="right") - lo
+            row = np.repeat(np.arange(v.size), count)
+            u = link_u[np.repeat(lo - np.cumsum(count) + count, count)
+                       + np.arange(count.sum())]
+            v, t = v[row], t[row]
+            keep = ~(simp[t] == u[:, None]).any(axis=1)
+            v, t, u = v[keep], t[keep], u[keep]
+        return v, t, u, (self.across[t] == u[:, None]).any(axis=1)
+
+
 class SimplicialHypersurface:
-    """Flat-simplex hypersurface in R^{n+1}: vertices plus top-simplex tuples.
+    """Flat-simplex hypersurface in R^{n+1}: vertices plus top simplices, a
+    (T, n+1) index array.
 
     Every facet shared by at most two simplices; facets on one simplex form
     the marked boundary.
     """
 
     def __init__(self, vertices, simplices):
-        v = np.atleast_2d(np.asarray(vertices, dtype=float))
-        if not np.all(np.isfinite(v)):
-            raise InvalidInputError("non-finite vertex coordinates")
-        self.vertices = v
-        self.simplices = [tuple(int(i) for i in s) for s in simplices]
+        v = _finite_vertices(vertices)
         n1 = v.shape[1]
-        for s in self.simplices:
+        rows = [tuple(int(i) for i in s) for s in simplices]
+        for s in rows:
             if len(s) != n1:
                 raise InvalidInputError(
                     f"hypersurface simplices need {n1} vertices, got {len(s)}")
-        self._build_adjacency()
-        self._check_nondegenerate()
+        if not rows:
+            raise InvalidInputError("hypersurface needs at least one simplex")
+        simp = np.array(rows, dtype=int)
+        if simp.min() < 0 or simp.max() >= len(v):
+            raise InvalidInputError("simplex vertex index out of range")
+        self._complex = _Complex(simp, len(v))
+        self._set_vertices(v)
+
+    def with_vertices(self, vertices):
+        """The same complex on moved vertices, sharing its combinatorics."""
+        v = _finite_vertices(vertices)
+        if v.shape != self.vertices.shape:
+            raise InvalidInputError("vertex array does not match the complex")
+        surf = object.__new__(type(self))
+        surf._complex = self._complex
+        surf._set_vertices(v)
+        return surf
+
+    def _set_vertices(self, v):
+        self.vertices = v
+        self.simplices = self._complex.simplices
+        pts = v[self.simplices]
+        edges = pts[:, 1:] - pts[:, :1]
+        scale = np.maximum(np.linalg.norm(edges, axis=2).max(axis=1), 1e-300)
+        sv = np.linalg.svd(edges, compute_uv=False)
+        bad = np.flatnonzero(sv[:, -1] <= 1e-10 * scale)
+        if bad.size:
+            raise InvalidInputError(
+                "degenerate simplex: edge vectors nearly dependent",
+                simplex=int(bad[0]))
+        self._dets = np.linalg.det(np.swapaxes(pts, 1, 2))
         self._inv_stack = None
-        self._chirality = None
-
-    # -- combinatorics
-
-    def _build_adjacency(self):
-        facets = {}
-        for si, s in enumerate(self.simplices):
-            for drop in range(len(s)):
-                f = frozenset(s[:drop] + s[drop + 1:])
-                facets.setdefault(f, []).append(si)
-        for f, owners in facets.items():
-            if len(owners) > 2:
-                raise NonManifoldComplexError(
-                    "facet shared by more than two simplices",
-                    facet=sorted(f))
-        self.facet_owners = facets
-        self.boundary_facets = [f for f, o in facets.items() if len(o) == 1]
-        bverts = set()
-        for f in self.boundary_facets:
-            bverts.update(f)
-        self.boundary_vertices = bverts
-        self._star = {}
-        for si, s in enumerate(self.simplices):
-            for vi in s:
-                self._star.setdefault(vi, []).append(si)
 
     @property
     def closed(self):
-        return not self.boundary_facets
-
-    def star(self, v):
-        return self._star.get(v, [])
-
-    def link_vertices(self, v):
-        out = set()
-        for si in self.star(v):
-            out.update(self.simplices[si])
-        out.discard(v)
-        return out
+        return bool(np.all(self._complex.mate >= 0))
 
     def interior_vertices(self):
-        return [v for v in range(self.vertices.shape[0])
-                if v in self._star and v not in self.boundary_vertices]
-
-    def adjacent_pairs(self):
-        for f, owners in self.facet_owners.items():
-            if len(owners) == 2:
-                yield owners[0], owners[1], f
+        return np.flatnonzero(self._complex.interior).tolist()
 
     # -- geometry
 
-    def _check_nondegenerate(self):
-        for si, s in enumerate(self.simplices):
-            pts = self.vertices[list(s)]
-            edges = pts[1:] - pts[0]
-            scale = max(np.max(np.linalg.norm(edges, axis=1)), 1e-300)
-            sv = np.linalg.svd(edges, compute_uv=False)
-            if sv[-1] <= 1e-10 * scale:
-                raise InvalidInputError(
-                    "degenerate simplex: edge vectors nearly dependent",
-                    simplex=si)
-
-    def _vertex_matrix(self, si):
-        return self.vertices[list(self.simplices[si])].T
-
     def inv_stack(self):
         if self._inv_stack is None:
-            mats = np.stack([self._vertex_matrix(si)
-                             for si in range(len(self.simplices))])
-            self._inv_stack = np.linalg.inv(mats)
+            self._inv_stack = np.linalg.inv(
+                np.swapaxes(self.vertices[self.simplices], 1, 2))
         return self._inv_stack
 
     def radial_sign(self, si):
-        d = np.linalg.det(self._vertex_matrix(si))
-        return 0.0 if d == 0.0 else float(np.sign(d))
+        return float(np.sign(self._dets[si]))
 
     def chirality(self):
         """Sign relating the first simplex's stored order to the radial one."""
-        if self._chirality is None:
-            s = self.radial_sign(0)
-            if s == 0.0:
-                raise TransversalityError("first simplex has a degenerate ray cone")
-            self._chirality = s
-        return self._chirality
+        s = self.radial_sign(0)
+        if s == 0.0:
+            raise TransversalityError("first simplex has a degenerate ray cone")
+        return s
 
     def radial_values(self, dirs):
         """PL radius of the surface along each direction; nan when uncovered."""
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         lam = np.einsum("mij,kj->kmi", self.inv_stack(), dirs)
-        ok = np.all(lam >= -1e-12, axis=2)
         sums = lam.sum(axis=2)
-        valid = ok & (sums > 1e-300)
+        valid = (lam.min(axis=2) >= -1e-12) & (sums > 1e-300)
+        first = np.argmax(valid, axis=1)
+        rows = np.flatnonzero(valid[np.arange(dirs.shape[0]), first])
         out = np.full(dirs.shape[0], np.nan)
-        for k in range(dirs.shape[0]):
-            idx = np.nonzero(valid[k])[0]
-            if idx.size:
-                out[k] = 1.0 / sums[k, idx[0]]
+        out[rows] = 1.0 / sums[rows, first[rows]]
         return out
 
     def radial_value(self, u):
@@ -151,11 +210,18 @@ class SimplicialHypersurface:
         return float(r)
 
     def scaled(self, factor):
-        return SimplicialHypersurface(self.vertices * factor, self.simplices)
+        return self.with_vertices(self.vertices * factor)
 
     def to_json(self):
         return {"vertices": self.vertices.tolist(),
-                "simplices": [list(s) for s in self.simplices]}
+                "simplices": self.simplices.tolist()}
+
+
+def _finite_vertices(vertices):
+    v = np.atleast_2d(np.asarray(vertices, dtype=float))
+    if not np.all(np.isfinite(v)):
+        raise InvalidInputError("non-finite vertex coordinates")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -178,35 +244,35 @@ def radial_section_check(surf: SimplicialHypersurface,
     determinant) plus injectivity of the radial projection on seeded interior
     sample points with exact per-simplex cone membership.
     """
-    violations = []
-    min_trans = np.inf
-    mats = [surf._vertex_matrix(si) for si in range(len(surf.simplices))]
-    for si, m in enumerate(mats):
-        scale = np.prod(np.linalg.norm(m, axis=0))
-        d = abs(np.linalg.det(m)) / max(scale, 1e-300)
-        min_trans = min(min_trans, d)
-        if d <= 1e-10:
-            violations.append({"kind": "transversality", "simplex": si})
+    pts = surf.vertices[surf.simplices]
+    scale = np.prod(np.linalg.norm(pts, axis=2), axis=1)
+    trans = np.abs(surf._dets) / np.maximum(scale, 1e-300)
+    min_trans = float(trans.min())
+    violations = [{"kind": "transversality", "simplex": si}
+                  for si in np.flatnonzero(trans <= 1e-10).tolist()]
     if violations:
-        return RadialSectionResult(False, violations, float(min_trans))
+        return RadialSectionResult(False, violations, min_trans)
+    t_count, k = surf.simplices.shape
     rng = np.random.default_rng(seed)
+    weights = np.concatenate(
+        [np.full((t_count, 1, k), 1.0 / k),
+         rng.dirichlet(np.full(k, 4.0), size=(t_count, samples_per_simplex - 1))],
+        axis=1)
+    dirs = (weights @ pts).reshape(-1, pts.shape[2])
     inv = surf.inv_stack()
-    for si, s in enumerate(surf.simplices):
-        pts = surf.vertices[list(s)]
-        k = len(s)
-        weights = np.vstack([np.full(k, 1.0 / k),
-                             rng.dirichlet(np.full(k, 4.0), size=samples_per_simplex - 1)])
-        for w in weights:
-            d = w @ pts
-            lam = np.einsum("mij,j->mi", inv, d)
-            hits = np.nonzero(np.all(lam >= -1e-12, axis=1)
-                              & (lam.sum(axis=1) > 0))[0]
-            strict = [h for h in hits if np.all(lam[h] > 1e-9)]
-            if len(strict) > 1 or (not strict and len(hits) > 2):
-                violations.append({"kind": "multiplicity", "simplex": si,
-                                   "hits": [int(h) for h in hits]})
-                break
-    return RadialSectionResult(not violations, violations, float(min_trans))
+    step = max(1, _SECTION_CHUNK // (t_count * k))
+    for lo in range(0, len(dirs), step):
+        lam = np.einsum("mij,kj->kmi", inv, dirs[lo:lo + step])
+        low = lam.min(axis=2)
+        hits = (low >= -1e-12) & (lam.sum(axis=2) > 0)
+        strict = (low > 1e-9).sum(axis=1)
+        bad = (strict > 1) | ((strict == 0) & (hits.sum(axis=1) > 2))
+        for r in np.flatnonzero(bad):
+            si = (lo + r) // samples_per_simplex
+            if not violations or violations[-1]["simplex"] != si:
+                violations.append({"kind": "multiplicity", "simplex": int(si),
+                                   "hits": np.flatnonzero(hits[r]).tolist()})
+    return RadialSectionResult(not violations, violations, min_trans)
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +286,37 @@ class VertexConvexity:
     determinants: list  # (simplex index, test vertex index, value)
 
 
-def _oriented_det(surf, si, u_idx):
-    pts = surf.vertices[list(surf.simplices[si])]
-    u = surf.vertices[u_idx]
-    d = np.linalg.det((pts - u).T)
-    return surf.chirality() * surf.radial_sign(si) * d
+def _oriented_dets(surf, t, u):
+    """det(vertices of simplex t - vertex u) for stacked indices, times the
+    radial sign of t and the chirality."""
+    mats = surf.vertices[surf.simplices[t]] - surf.vertices[u][:, None, :]
+    return ((surf.chirality() * np.sign(surf._dets[t]))
+            * np.linalg.det(np.swapaxes(mats, 1, 2)))
+
+
+def _judge_stars(v, t, u, adjacent, vals):
+    """Per-vertex verdicts on stacked star checks sorted by vertex.
+
+    Returns the coplanar stars (error data of the first flat adjacent check
+    at each), the mask of checks at the other vertices, and for those the
+    start of each vertex's checks and its sign (+1 or -1 when every
+    determinant has it, else 0).
+    """
+    folded = (np.abs(vals) <= TOL.coplanarity) & adjacent
+    flat_v, first = np.unique(v[folded], return_index=True)
+    coplanar = [{"vertex": int(v[i]), "simplex": int(t[i]),
+                 "test_vertex": int(u[i]), "determinant": float(vals[i])}
+                for i in np.flatnonzero(folded)[first]]
+    keep = ~np.isin(v, flat_v)
+    signs = np.sign(vals[keep])
+    starts = np.flatnonzero(np.diff(v[keep], prepend=-1))
+    lo = np.minimum.reduceat(signs, starts)
+    hi = np.maximum.reduceat(signs, starts)
+    return coplanar, keep, starts, np.where(lo == hi, lo, 0.0).astype(int)
+
+
+def _determinant_list(t, u, vals):
+    return list(zip(t.tolist(), u.tolist(), vals.tolist()))
 
 
 def vertex_convexity(surf: SimplicialHypersurface, v: int,
@@ -235,46 +327,19 @@ def vertex_convexity(surf: SimplicialHypersurface, v: int,
     with link_scope="adjacent", only the vertices opposite its facets), the
     determinant of (simplex vertices - test vertex) must have one sign.
     """
-    if v in surf.boundary_vertices or v not in surf._star:
+    if not (0 <= v < len(surf.vertices) and surf._complex.interior[v]):
         raise InvalidInputError("vertex is not interior to the complex", vertex=v)
-    star = surf.star(v)
-    link = surf.link_vertices(v)
-    dets = []
-    for si in star:
-        simplex = set(surf.simplices[si])
-        if link_scope == "adjacent":
-            tests = set()
-            for sj, sk, f in surf.adjacent_pairs():
-                if si in (sj, sk) and v in f:
-                    other = sk if si == sj else sj
-                    tests.update(set(surf.simplices[other]) - simplex)
-            tests &= link
-        else:
-            tests = link - simplex
-        for u in sorted(tests):
-            val = _oriented_det(surf, si, u)
-            if abs(val) <= TOL.coplanarity and _is_adjacent(surf, si, u):
-                raise CoplanarStarError(
-                    "adjacent simplices are coplanar",
-                    simplex=si, vertex=u, determinant=val)
-            dets.append((si, u, float(val)))
-    if not dets:
+    vs, t, u, adjacent = surf._complex.checks(link_scope)
+    lo, hi = np.searchsorted(vs, [v, v + 1])
+    if lo == hi:
         return VertexConvexity(0, 0.0, [])
-    signs = {int(np.sign(d)) for _, _, d in dets}
-    if len(signs) != 1 or 0 in signs:
-        return VertexConvexity(0, float(min(abs(d) for _, _, d in dets)), dets)
-    return VertexConvexity(signs.pop(),
-                           float(min(abs(d) for _, _, d in dets)), dets)
-
-
-def _is_adjacent(surf, si, u_idx):
-    simplex = set(surf.simplices[si])
-    for sj, sk, f in surf.adjacent_pairs():
-        if si in (sj, sk):
-            other = sk if si == sj else sj
-            if u_idx in set(surf.simplices[other]) - simplex:
-                return True
-    return False
+    t, u = t[lo:hi], u[lo:hi]
+    vals = _oriented_dets(surf, t, u)
+    coplanar, _, _, sign = _judge_stars(vs[lo:hi], t, u, adjacent[lo:hi], vals)
+    if coplanar:
+        raise CoplanarStarError("adjacent simplices are coplanar", **coplanar[0])
+    return VertexConvexity(int(sign[0]), float(np.abs(vals).min()),
+                           _determinant_list(t, u, vals))
 
 
 @dataclass
@@ -293,44 +358,45 @@ class ConvexityCertificate:
 def certify_generic_convex(surf: SimplicialHypersurface,
                            link_scope: str = "all") -> ConvexityCertificate:
     """Global convexity certificate: radial section, a single determinant sign
-    across all interior vertex stars, and no coplanar adjacent pair."""
+    across all interior vertex stars, and no coplanar adjacent pair.
+
+    Every determinant (adjacent pairs, then star checks) is one stacked
+    evaluation over the complex's precomputed index arrays.
+    """
     rs = radial_section_check(surf)
     if not rs.ok:
         raise TransversalityError("surface is not a radial section",
                                   violations=rs.violations)
-    violations = []
-    for sj, sk, f in surf.adjacent_pairs():
-        u = next(iter(set(surf.simplices[sk]) - f))
-        val = _oriented_det(surf, sj, u)
-        if abs(val) <= TOL.coplanarity:
-            violations.append({"kind": "coplanarity", "simplices": [sj, sk],
-                               "determinant": float(val)})
-    per_vertex = {}
-    dets = []
-    for v in surf.interior_vertices():
-        try:
-            vc = vertex_convexity(surf, v, link_scope=link_scope)
-        except CoplanarStarError as exc:
-            violations.append({"kind": "coplanarity", "vertex": v, **exc.data})
-            continue
-        if vc.sign == 0 and vc.determinants:
-            violations.append({"kind": "vertex", "vertex": v,
-                               "determinants": vc.determinants})
-        per_vertex[v] = vc
-        dets.extend(vc.determinants)
+    pair_a, pair_b, pair_u = surf._complex.pairs
+    v, t, u, adjacent = surf._complex.checks(link_scope)
+    vals = _oriented_dets(surf, np.concatenate([pair_a, t]),
+                          np.concatenate([pair_u, u]))
+    pair_vals, vals = vals[:pair_a.size], vals[pair_a.size:]
+    flat = np.abs(pair_vals) <= TOL.coplanarity
+    violations = [{"kind": "coplanarity", "simplices": [a, b], "determinant": d}
+                  for a, b, d in zip(pair_a[flat].tolist(), pair_b[flat].tolist(),
+                                     pair_vals[flat].tolist())]
+    coplanar, keep, starts, signs = _judge_stars(v, t, u, adjacent, vals)
+    v, t, u, vals = v[keep], t[keep], u[keep], vals[keep]
+    ends = np.r_[starts[1:], v.size].astype(int)
+
+    def vertex_violation(i):
+        lo, hi = starts[i], ends[i]
+        return {"kind": "vertex", "vertex": int(v[lo]),
+                "determinants": _determinant_list(t[lo:hi], u[lo:hi], vals[lo:hi])}
+
+    per_vertex = [{"kind": "coplanarity", **data} for data in coplanar]
+    per_vertex += [vertex_violation(i) for i in np.flatnonzero(signs == 0)]
+    violations += sorted(per_vertex, key=lambda viol: viol["vertex"])
     # one orientation sign must work globally; minority vertices are flagged
-    pos = sum(1 for _, _, d in dets if d > 0)
-    neg = sum(1 for _, _, d in dets if d < 0)
-    majority = 1 if pos >= neg else -1
-    for v, vc in per_vertex.items():
-        if vc.sign != 0 and vc.sign != majority:
-            violations.append({"kind": "vertex", "vertex": v,
-                               "determinants": vc.determinants})
+    majority = 1 if np.sum(vals > 0) >= np.sum(vals < 0) else -1
+    violations += [vertex_violation(i)
+                   for i in np.flatnonzero((signs != 0) & (signs != majority))]
     if violations:
-        return ConvexityCertificate(False, 0, 0.0, len(dets), violations)
-    margin = float(min((abs(d) for _, _, d in dets), default=0.0))
-    return ConvexityCertificate(margin > 0, majority if dets else 0,
-                                margin, len(dets))
+        return ConvexityCertificate(False, 0, 0.0, vals.size, violations)
+    margin = float(np.abs(vals).min()) if vals.size else 0.0
+    return ConvexityCertificate(margin > 0, majority if vals.size else 0,
+                                margin, vals.size)
 
 
 @dataclass
@@ -350,52 +416,35 @@ def perturbation_radius(surf: SimplicialHypersurface, trials: int = 100,
     epsilon = margin / (2 B) where B bounds the derivative of every checked
     determinant under simultaneous vertex displacements (each column moves at
     most twice the displacement; Hadamard bounds the cofactors).  Verified by
-    re-certifying 100 random perturbations at 0.9 epsilon.
+    re-certifying 100 random perturbations at 0.9 epsilon; the perturbed
+    surfaces share this one's combinatorics.
     """
     cert = certify_generic_convex(surf, link_scope=link_scope)
     if not cert.ok:
         raise ApproximationFailureError("surface is not generic-convex",
                                         violations=cert.violations)
-    bound = 0.0
-    for v in surf.interior_vertices():
-        link = surf.link_vertices(v)
-        for si in surf.star(v):
-            simplex = set(surf.simplices[si])
-            for u in sorted(link - simplex):
-                cols = surf.vertices[list(surf.simplices[si])] - surf.vertices[u]
-                norms = np.linalg.norm(cols, axis=1)
-                prod = np.prod(norms)
-                b_det = 2.0 * sum(prod / max(norms[i], 1e-300)
-                                  for i in range(len(norms)))
-                bound = max(bound, b_det)
+    _, t, u, _ = surf._complex.checks("all")
+    cols = surf.vertices[surf.simplices[t]] - surf.vertices[u][:, None, :]
+    norms = np.linalg.norm(cols, axis=2)
+    prod = np.prod(norms, axis=1)
+    b_det = 2.0 * sum(prod / np.maximum(norms[:, i], 1e-300)
+                      for i in range(norms.shape[1]))
+    bound = float(b_det.max(initial=0.0))
     eps = cert.margin / (2.0 * bound)
     rng = np.random.default_rng(seed)
-    passes = 0
-    for _ in range(trials):
+
+    def recertified(scale):
         disp = rng.normal(size=surf.vertices.shape)
-        disp *= 0.9 * eps / np.linalg.norm(disp, axis=1)[:, None]
+        disp *= scale * eps / np.linalg.norm(disp, axis=1)[:, None]
         try:
-            c2 = certify_generic_convex(
-                SimplicialHypersurface(surf.vertices + disp, surf.simplices),
-                link_scope=link_scope)
-            if c2.ok and c2.sign == cert.sign:
-                passes += 1
+            c2 = certify_generic_convex(surf.with_vertices(surf.vertices + disp),
+                                        link_scope=link_scope)
         except (TransversalityError, InvalidInputError):
-            pass
-    failed_10x = False
-    for _ in range(20):
-        disp = rng.normal(size=surf.vertices.shape)
-        disp *= 10.0 * eps / np.linalg.norm(disp, axis=1)[:, None]
-        try:
-            c2 = certify_generic_convex(
-                SimplicialHypersurface(surf.vertices + disp, surf.simplices),
-                link_scope=link_scope)
-            if not (c2.ok and c2.sign == cert.sign):
-                failed_10x = True
-                break
-        except (TransversalityError, InvalidInputError, NonManifoldComplexError):
-            failed_10x = True
-            break
+            return False
+        return c2.ok and c2.sign == cert.sign
+
+    passes = sum(recertified(0.9) for _ in range(trials))
+    failed_10x = not all(recertified(10.0) for _ in range(20))
     return PerturbationResult(float(eps), float(bound), passes, trials,
                               failed_10x)
 

@@ -97,6 +97,21 @@ def test_malformed_file_exit_code(tmp_path, capsys):
     assert res.exit_code == 2
 
 
+def test_complex_error_data_reaches_the_report(disk_file, tmp_path, capsys):
+    mat = tmp_path / "rot90.json"
+    jsonio.dump_file({"matrix": [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
+                                 [0.0, 0.0, 1.0]]}, mat)
+    out = tmp_path / "r.json"
+    res = dispatch(["group", "dynamics", "--domain", disk_file,
+                    "--matrix", str(mat), "--out", str(out)])
+    assert res.exit_code == 1
+    assert "error[not-hyperbolic]" in capsys.readouterr().out
+    error = jsonio.load_file(out)["error"]
+    assert error["code"] == "not-hyperbolic"
+    eigs = sorted(map(tuple, error["data"]["eigenvalues"]))
+    assert np.allclose(eigs, [(0.0, -1.0), (0.0, 1.0), (1.0, 0.0)])
+
+
 def test_boxcheck_command(tmp_path, capsys):
     mat = tmp_path / "m.json"
     jsonio.dump_file({"matrix": np.eye(3).tolist()}, mat)

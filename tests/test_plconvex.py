@@ -1,10 +1,15 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
 from projconvex import domain as dm, plconvex as pl
+from projconvex.config import DEFAULT_SEED, TOL
 from projconvex.errors import (
     ApproximationFailureError,
+    CoplanarStarError,
+    GeometryError,
     InvalidInputError,
     NonManifoldComplexError,
 )
@@ -27,7 +32,6 @@ def dented_polyline():
 
 @pytest.fixture
 def cube_surface():
-    from itertools import product
     verts = np.array(list(product([-1.0, 1.0], repeat=3)))
     hull = ConvexHull(verts)
     return pl.SimplicialHypersurface(verts, [tuple(s) for s in hull.simplices])
@@ -132,6 +136,21 @@ def test_certify_rejects_cube_face_split(cube_surface):
     assert all(v["kind"] == "coplanarity" for v in cert.violations)
 
 
+def test_coplanar_star_names_star_and_test_vertex(cube_surface):
+    cert = pl.certify_generic_convex(cube_surface)
+    stars = [v for v in cert.violations if "vertex" in v]
+    assert stars
+    for viol in stars:
+        simplex = set(cube_surface.simplices[viol["simplex"]].tolist())
+        assert viol["vertex"] in simplex
+        assert viol["test_vertex"] not in simplex
+        assert type(viol["determinant"]) is float
+    assert len({v["vertex"] for v in stars}) == len(stars)
+    with pytest.raises(CoplanarStarError) as exc:
+        pl.vertex_convexity(cube_surface, stars[0]["vertex"])
+    assert exc.value.data == {k: v for k, v in stars[0].items() if k != "kind"}
+
+
 def test_perturbation_radius_polyline(polyline):
     res = pl.perturbation_radius(polyline, trials=100, seed=5)
     assert res.epsilon > 0
@@ -231,3 +250,229 @@ def test_non_manifold_rejected():
     verts = np.array([[1.0, 1.0], [-1.0, 1.0], [0.0, 2.0], [0.5, 1.8]])
     with pytest.raises(NonManifoldComplexError):
         pl.SimplicialHypersurface(verts, [(0, 1), (0, 1), (0, 1)])
+
+
+def test_non_manifold_names_the_first_crowded_facet():
+    verts = np.array([[1.0, 1.0], [-1.0, 1.0], [0.0, 2.0], [0.5, 1.8]])
+    with pytest.raises(NonManifoldComplexError) as exc:
+        pl.SimplicialHypersurface(verts, [(3, 1), (2, 1), (1, 0), (1, 2), (0, 2)])
+    assert exc.value.data == {"facet": [1]}
+
+
+@pytest.mark.parametrize("simplices", [[], [(0, 3)], [(-1, 0)]])
+def test_bad_simplex_lists_rejected(simplices):
+    verts = np.array([[1.0, 1.0], [-1.0, 1.0], [0.0, 2.0]])
+    with pytest.raises(InvalidInputError):
+        pl.SimplicialHypersurface(verts, simplices)
+
+
+def test_with_vertices_shares_the_complex(polyline):
+    moved = polyline.with_vertices(polyline.vertices * 3.0)
+    assert moved.simplices is polyline.simplices
+    assert abs(pl.certify_generic_convex(moved).margin - 9.0 * 2.0) < 1e-12
+    with pytest.raises(InvalidInputError):
+        polyline.with_vertices(polyline.vertices[:2])
+    with pytest.raises(InvalidInputError):   # still checked for degeneracy
+        polyline.with_vertices(np.array([[-1.0, 2.0], [-1.0, 2.0], [1.0, 2.0]]))
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernels against a loop reference (one determinant, one sample
+# at a time, adjacency from a facet dictionary)
+
+
+def _ref_oriented_det(surf, si, u):
+    def sign(pts):
+        return float(np.sign(np.linalg.det(pts.T)))
+    pts = surf.vertices[surf.simplices[si]]
+    return (sign(surf.vertices[surf.simplices[0]]) * sign(pts)
+            * np.linalg.det((pts - surf.vertices[u]).T))
+
+
+def _ref_complex(surf):
+    facets = {}
+    for si, s in enumerate(surf.simplices.tolist()):
+        for drop in range(len(s)):
+            facets.setdefault(frozenset(s[:drop] + s[drop + 1:]), []).append(si)
+    pairs = [(o[0], o[1], f) for f, o in facets.items() if len(o) == 2]
+    boundary = set().union(*[f for f, o in facets.items() if len(o) == 1])
+    return pairs, boundary
+
+
+def _ref_vertex_convexity(surf, v, link_scope):
+    pairs, _ = _ref_complex(surf)
+    simplices = [set(s) for s in surf.simplices.tolist()]
+    star = [si for si, s in enumerate(simplices) if v in s]
+    link = set().union(*[simplices[si] for si in star]) - {v}
+    across = {si: set() for si in range(len(simplices))}
+    for sj, sk, f in pairs:
+        across[sj] |= simplices[sk] - simplices[sj]
+        across[sk] |= simplices[sj] - simplices[sk]
+    dets = []
+    for si in star:
+        if link_scope == "adjacent":
+            tests = set()
+            for sj, sk, f in pairs:
+                if si in (sj, sk) and v in f:
+                    tests |= simplices[sk if si == sj else sj] - simplices[si]
+            tests &= link
+        else:
+            tests = link - simplices[si]
+        for u in sorted(tests):
+            val = _ref_oriented_det(surf, si, u)
+            if abs(val) <= TOL.coplanarity and u in across[si]:
+                raise CoplanarStarError("adjacent simplices are coplanar",
+                                        vertex=v, simplex=si, test_vertex=u,
+                                        determinant=float(val))
+            dets.append((si, u, float(val)))
+    if not dets:
+        return pl.VertexConvexity(0, 0.0, [])
+    signs = {int(np.sign(d)) for _, _, d in dets}
+    sign = signs.pop() if len(signs) == 1 and 0 not in signs else 0
+    return pl.VertexConvexity(sign, min(abs(d) for _, _, d in dets), dets)
+
+
+def _ref_section_check(surf, samples=3, seed=DEFAULT_SEED):
+    mats = [surf.vertices[s].T for s in surf.simplices]
+    trans = [abs(np.linalg.det(m)) / max(np.prod(np.linalg.norm(m, axis=0)),
+                                          1e-300) for m in mats]
+    violations = [{"kind": "transversality", "simplex": si}
+                  for si, d in enumerate(trans) if d <= 1e-10]
+    if violations:
+        return pl.RadialSectionResult(False, violations, float(min(trans)))
+    rng = np.random.default_rng(seed)
+    inv = np.linalg.inv(np.stack(mats))
+    for si, s in enumerate(surf.simplices):
+        pts = surf.vertices[s]
+        k = len(s)
+        weights = np.vstack([np.full(k, 1.0 / k),
+                             rng.dirichlet(np.full(k, 4.0), size=samples - 1)])
+        for w in weights:
+            lam = np.einsum("mij,j->mi", inv, w @ pts)
+            hits = np.nonzero(np.all(lam >= -1e-12, axis=1)
+                              & (lam.sum(axis=1) > 0))[0]
+            strict = [h for h in hits if np.all(lam[h] > 1e-9)]
+            if len(strict) > 1 or (not strict and len(hits) > 2):
+                violations.append({"kind": "multiplicity", "simplex": si,
+                                   "hits": hits.tolist()})
+                break
+    return pl.RadialSectionResult(not violations, violations, float(min(trans)))
+
+
+def _ref_certify(surf, link_scope):
+    rs = _ref_section_check(surf)
+    if not rs.ok:
+        return "TransversalityError", rs.violations
+    pairs, boundary = _ref_complex(surf)
+    violations = []
+    for sj, sk, f in pairs:
+        val = _ref_oriented_det(surf, sj, next(iter(set(surf.simplices[sk].tolist()) - f)))
+        if abs(val) <= TOL.coplanarity:
+            violations.append({"kind": "coplanarity", "simplices": [sj, sk],
+                               "determinant": float(val)})
+    per_vertex, dets = {}, []
+    for v in sorted(set(surf.simplices.ravel().tolist()) - boundary):
+        try:
+            vc = _ref_vertex_convexity(surf, v, link_scope)
+        except CoplanarStarError as exc:
+            violations.append({"kind": "coplanarity", **exc.data})
+            continue
+        if vc.sign == 0 and vc.determinants:
+            violations.append({"kind": "vertex", "vertex": v,
+                               "determinants": vc.determinants})
+        per_vertex[v] = vc
+        dets.extend(vc.determinants)
+    majority = 1 if (sum(d > 0 for _, _, d in dets)
+                     >= sum(d < 0 for _, _, d in dets)) else -1
+    violations += [{"kind": "vertex", "vertex": v, "determinants": vc.determinants}
+                   for v, vc in per_vertex.items() if vc.sign not in (0, majority)]
+    if violations:
+        return pl.ConvexityCertificate(False, 0, 0.0, len(dets), violations)
+    margin = min((abs(d) for _, _, d in dets), default=0.0)
+    return pl.ConvexityCertificate(margin > 0, majority if dets else 0,
+                                   margin, len(dets))
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except GeometryError as exc:
+        return type(exc).__name__, exc.data.get("violations", exc.data)
+
+
+def _ring_surface(budget, seed, dent=None, fold=None):
+    """Staggered ring mesh of the disk lifted to the hyperboloid, turned by a
+    seeded angle; `dent` scales one interior vertex, `fold` turns one vertex
+    about the axis (overlapping its neighbours)."""
+    rng = np.random.default_rng(seed)
+    pts, tris = pl._disk_mesh(dm.unit_disk(), budget, 0.85)
+    spin = rng.uniform(0, 2 * np.pi)
+    pts = pts @ np.array([[np.cos(spin), -np.sin(spin)],
+                          [np.sin(spin), np.cos(spin)]])
+    verts = np.hstack([pts, np.ones((len(pts), 1))])
+    verts /= np.sqrt(1.0 - (pts ** 2).sum(1))[:, None]
+    i = rng.integers(1, len(verts) // 2)
+    if dent is not None:
+        verts[i] *= dent
+    if fold is not None:
+        c, s = np.cos(fold), np.sin(fold)
+        verts[i, :2] = verts[i, :2] @ np.array([[c, s], [-s, c]])
+    return pl.SimplicialHypersurface(verts, tris)
+
+
+REFERENCE_MESHES = {
+    "ring48": lambda: _ring_surface(48, 1),
+    "ring96": lambda: _ring_surface(96, 2),
+    "dent": lambda: _ring_surface(64, 3, dent=0.9),
+    "bump": lambda: _ring_surface(64, 4, dent=1.1),
+    "fold": lambda: _ring_surface(64, 5, fold=0.6),
+    "cube": lambda: pl.SimplicialHypersurface(
+        np.array(list(product([-1.0, 1.0], repeat=3))),
+        ConvexHull(np.array(list(product([-1.0, 1.0], repeat=3)))).simplices),
+    "octahedron": lambda: pl.SimplicialHypersurface(
+        np.vstack([np.eye(3), -np.eye(3)]),
+        ConvexHull(np.vstack([np.eye(3), -np.eye(3)])).simplices),
+    "polyline": lambda: pl.SimplicialHypersurface(
+        np.array([[-1.0, 2.0], [0.0, 1.0], [1.0, 2.0]]), [(0, 1), (1, 2)]),
+    "dented_polyline": lambda: pl.SimplicialHypersurface(
+        np.array([[-1.0, 2.0], [-0.5, 1.25], [0.0, 2.2], [0.5, 1.25],
+                  [1.0, 2.0]]), [(i, i + 1) for i in range(4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MESHES))
+def test_stacked_kernels_match_loop_reference(name):
+    surf = REFERENCE_MESHES[name]()
+    assert pl.radial_section_check(surf) == _ref_section_check(surf)
+    for scope in ("all", "adjacent"):
+        assert (_outcome(pl.certify_generic_convex, surf, link_scope=scope)
+                == _ref_certify(surf, scope))
+        for v in surf.interior_vertices():
+            assert (_outcome(pl.vertex_convexity, surf, v, link_scope=scope)
+                    == _outcome(_ref_vertex_convexity, surf, v, scope))
+
+
+def test_reference_meshes_cover_every_verdict():
+    outcomes = [_ref_certify(REFERENCE_MESHES[n](), "all")
+                for n in ("ring48", "dent", "fold", "cube")]
+    assert outcomes[0].ok
+    assert {v["kind"] for v in outcomes[1].violations} == {"vertex"}
+    assert outcomes[2][0] == "TransversalityError"
+    assert any("test_vertex" in v for v in outcomes[3].violations)
+
+
+def test_section_check_across_chunks():
+    # an arc of 96 segments under a second arc of 32 longer ones: samples
+    # under the outer arc hit twice
+    inner = np.linspace(0.3, 2.8, 97)
+    outer = np.linspace(2.2, 2.7, 33)
+    verts = np.vstack([np.stack([np.cos(inner), np.sin(inner)], 1),
+                       2.0 * np.stack([np.cos(outer), np.sin(outer)], 1)])
+    segs = [(i, i + 1) for i in range(96)] + [(97 + i, 98 + i) for i in range(32)]
+    surf = pl.SimplicialHypersurface(verts, segs)
+    step = pl._SECTION_CHUNK // (len(segs) * 2)
+    res = pl.radial_section_check(surf)
+    assert res == _ref_section_check(surf)
+    split = {v["simplex"] for v in res.violations
+             if (3 * v["simplex"]) // step != (3 * v["simplex"] + 2) // step}
+    assert split   # a violating simplex has samples in two chunks
