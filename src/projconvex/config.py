@@ -15,7 +15,7 @@ class Tolerances:
     boundary_band: float = 1e-10  # |margin| below this classifies as boundary
     flatness: float = 1e-9
     coplanarity: float = 1e-12
-    fiber_gradient: float = 1e-12  # reduced-gradient stop for fiber Newton
+    fiber_gradient: float = 1e-12  # Newton-decrement stop of the vinberg solvers
     center_residual: float = 1e-10
 
 

@@ -871,6 +871,18 @@ def boundary_flats(dom: ConvexDomain):
     return [f for f in flats if len(f["vertices"]) >= 2]
 
 
+def _sphere_directions(n, count):
+    """Unit directions of the chart: +-1 in 1-d, `count` evenly spaced on the
+    circle in 2-d, `count` seeded normals above that."""
+    if n == 1:
+        return np.array([[1.0], [-1.0]])
+    if n == 2:
+        ang = 2 * np.pi * np.arange(count) / count
+        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    d = np.random.default_rng(0).normal(size=(count, n))
+    return d / np.linalg.norm(d, axis=1)[:, None]
+
+
 def support_residual(d1: ConvexDomain, d2: ConvexDomain, dirs):
     """Max support-function gap over unit directions, after matching charts."""
     if not d1.chart.same_as(d2.chart, tol=1e-9):

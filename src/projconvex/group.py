@@ -14,6 +14,7 @@ from .domain import (
     ConvexCone,
     ConvexDomain,
     _homogeneous_quadric,
+    _sphere_directions,
     support as dom_support,
 )
 from .errors import (
@@ -310,10 +311,9 @@ def dirichlet_domain(cone: ConvexCone, gens, x, max_len: int,
             rows.append(-(z.T @ c))
             offs.append(float(c @ x_s) - 1.0)
             labels.append(word_label(w))
-        rows_c, offs_c = _cone_constraints(cone, conic_samples)
-        for r, o in zip(rows_c, offs_c):
+        for r in _cone_constraints(cone, conic_samples):
             rows.append(-(z.T @ r))
-            offs.append(float(r @ x_s) + o)
+            offs.append(float(r @ x_s))
             labels.append("cone")
         a_ub = np.array(rows)
         b_ub = np.array(offs)
@@ -373,24 +373,8 @@ def _cone_constraints(cone: ConvexCone, conic_samples):
     b = dom.backend
     chart = dom.chart
     if b.kind == "ellipsoid":
-        rows, offs = [], []
-        n = dom.dim
-        if n == 1:
-            dirs = np.array([[1.0], [-1.0]])
-        elif n == 2:
-            ang = 2 * np.pi * np.arange(conic_samples) / conic_samples
-            dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        else:
-            rng = np.random.default_rng(0)
-            dirs = rng.normal(size=(conic_samples, n))
-            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        for u in dirs:
-            pt = b.support_point(u)
-            phi = dom_support(dom, pt)
-            rows.append(phi.coeffs)
-            offs.append(0.0)
-        return rows, offs
+        return [dom_support(dom, b.support_point(u)).coeffs
+                for u in _sphere_directions(dom.dim, conic_samples)]
     hp = b.as_hpoly()
-    rows = [float(bo) * chart.infinity - chart.frame @ ao
+    return [float(bo) * chart.infinity - chart.frame @ ao
             for ao, bo in zip(hp.normals, hp.offsets)]
-    return rows, [0.0] * len(rows)

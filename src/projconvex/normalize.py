@@ -9,7 +9,12 @@ from itertools import product
 import numpy as np
 
 from .config import DNORM_SLOPE_THRESHOLD, TOL
-from .domain import ConvexDomain, support_residual, validate
+from .domain import (
+    ConvexDomain,
+    _sphere_directions,
+    support_residual,
+    validate,
+)
 from .errors import (
     DegenerateDomainError,
     InvalidInputError,
@@ -342,7 +347,7 @@ def analyze_sequence(seq: RepSequence) -> DegenerationReport:
     for prev, cur in zip(tuples, tuples[1:]):
         residuals.append(max(float(np.max(np.abs(b - a)))
                              for a, b in zip(prev, cur)))
-    dirs = _residual_directions(n)
+    dirs = _sphere_directions(n, 32)
     domain_residuals = [support_residual(a, b, dirs)
                         for a, b in zip(iso_domains, iso_domains[1:])]
 
@@ -377,17 +382,6 @@ def analyze_sequence(seq: RepSequence) -> DegenerationReport:
         pattern_holds=pattern_holds,
         limit_matrices=list(tuples[-1]),
     )
-
-
-def _residual_directions(n, count=32):
-    if n == 1:
-        return np.array([[1.0], [-1.0]])
-    if n == 2:
-        ang = 2 * np.pi * np.arange(count) / count
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    rng = np.random.default_rng(0)
-    d = rng.normal(size=(count, n))
-    return d / np.linalg.norm(d, axis=1)[:, None]
 
 
 def _limit_pattern(steps, last_tuple):

@@ -24,8 +24,9 @@ from .errors import (
 from .vinberg import characteristic_point
 
 
-# Elements (samples x simplices x vertices) of one block of cone coordinates
-# in the section check: its memory stays fixed however many simplices.
+# Elements (directions x simplices x vertices) of one block of cone
+# coordinates (`SimplicialHypersurface._cone_blocks`, behind the section check
+# and `radial_values`): its memory stays fixed however many simplices.
 _SECTION_CHUNK = 1 << 16
 
 
@@ -81,7 +82,9 @@ class _Complex:
         the vertex.  `adjacent` marks a test vertex across any facet of the
         simplex: such a pair lying flat is a coplanar star.
         """
-        scope = "adjacent" if scope == "adjacent" else "all"
+        if scope not in ("all", "adjacent"):
+            raise InvalidInputError(
+                f'link scope must be "all" or "adjacent", got {scope!r}')
         if scope not in self._checks:
             self._checks[scope] = self._build_checks(scope)
         return self._checks[scope]
@@ -191,16 +194,25 @@ class SimplicialHypersurface:
             raise TransversalityError("first simplex has a degenerate ray cone")
         return s
 
+    def _cone_blocks(self, dirs):
+        """Blocks (first row, coordinates) of the directions in the vertex
+        basis of every simplex, each of shape (rows, T, n+1) and at most
+        _SECTION_CHUNK elements (one row when a row alone is larger)."""
+        inv = self.inv_stack()
+        step = max(1, _SECTION_CHUNK // (inv.shape[0] * inv.shape[1]))
+        for lo in range(0, len(dirs), step):
+            yield lo, np.einsum("mij,kj->kmi", inv, dirs[lo:lo + step])
+
     def radial_values(self, dirs):
         """PL radius of the surface along each direction; nan when uncovered."""
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-        lam = np.einsum("mij,kj->kmi", self.inv_stack(), dirs)
-        sums = lam.sum(axis=2)
-        valid = (lam.min(axis=2) >= -1e-12) & (sums > 1e-300)
-        first = np.argmax(valid, axis=1)
-        rows = np.flatnonzero(valid[np.arange(dirs.shape[0]), first])
         out = np.full(dirs.shape[0], np.nan)
-        out[rows] = 1.0 / sums[rows, first[rows]]
+        for lo, lam in self._cone_blocks(dirs):
+            sums = lam.sum(axis=2)
+            valid = (lam.min(axis=2) >= -1e-12) & (sums > 1e-300)
+            first = np.argmax(valid, axis=1)
+            rows = np.flatnonzero(valid[np.arange(len(lam)), first])
+            out[lo + rows] = 1.0 / sums[rows, first[rows]]
         return out
 
     def radial_value(self, u):
@@ -259,10 +271,7 @@ def radial_section_check(surf: SimplicialHypersurface,
          rng.dirichlet(np.full(k, 4.0), size=(t_count, samples_per_simplex - 1))],
         axis=1)
     dirs = (weights @ pts).reshape(-1, pts.shape[2])
-    inv = surf.inv_stack()
-    step = max(1, _SECTION_CHUNK // (t_count * k))
-    for lo in range(0, len(dirs), step):
-        lam = np.einsum("mij,kj->kmi", inv, dirs[lo:lo + step])
+    for lo, lam in surf._cone_blocks(dirs):
         low = lam.min(axis=2)
         hits = (low >= -1e-12) & (lam.sum(axis=2) > 0)
         strict = (low > 1e-9).sum(axis=1)

@@ -14,6 +14,14 @@ Polytope and radial-graph cones use exact simplex decompositions, whose
 slice moments come from the simplex-moment kernel that also gives the chart
 moments (domain._simplex_moments); ellipsoid cones use exact conic sections.
 A fixed-seed Monte-Carlo estimator is kept as an independent cross-check.
+
+V is a Laplace transform of the cone, so log V is strictly convex on the
+open dual cone (it is the cone's universal barrier).  Both solvers minimize
+a convex function built from it with one damped Newton loop on those exact
+moments: the fiber minimum minimizes log V on {phi(q) = 1}, and the
+spherical center minimizes log V(v) + (n+1)|v|^2/2, whose gradient
+(n+1)(v - mu(v)) vanishes exactly where a functional is its own slice
+centroid.
 """
 
 from dataclasses import dataclass
@@ -203,72 +211,72 @@ def slice_centroid(c, phi):
     return _slice_exact(cone, v).centroid
 
 
+def _newton(cone, v, basis, ridge, max_iter):
+    """Damped Newton on F(w) = log V(w) + ridge |w|^2 / 2 over v + span(basis).
+
+    log V is strictly convex on the open dual cone (it is the cone's
+    universal barrier), with gradient -(n+1) mu and Hessian
+    (n+1)[(n+2) E[x x^T] - (n+1) mu mu^T] from the moments of one slice.
+    Each step is damped by 1/(1 + lambda), lambda the Newton decrement, and
+    halved while it leaves the cone; the loop stops once lambda is at most
+    TOL.fiber_gradient.  `basis` has orthonormal columns.  Returns the last
+    iterate, its slice data and the iteration count.
+    """
+    n1 = v.size
+    data = _slice_exact(cone, v)
+    it = 0
+    for it in range(1, max_iter + 1):
+        mu = data.centroid
+        grad = basis.T @ (ridge * v - n1 * mu)
+        hess = n1 * ((n1 + 1.0) * data.second_moment - n1 * np.outer(mu, mu))
+        hess = basis.T @ hess @ basis + ridge * np.eye(basis.shape[1])
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            break
+        lam = np.sqrt(max(-float(grad @ step), 0.0))
+        if lam <= TOL.fiber_gradient:
+            break
+        direction = basis @ step
+        s = 1.0 / (1.0 + lam)
+        while s > 1e-14:
+            v_try = v + s * direction
+            try:
+                if cone.dual_margin(v_try) > 0:
+                    v, data = v_try, _slice_exact(cone, v_try)
+                    break
+            except OutsideDualConeError:
+                pass
+            s *= 0.5
+        else:
+            break
+    return v, data, it
+
+
 def min_volume_on_fiber(c, q, max_iter=80) -> FiberMinimum:
     """Minimize the truncated volume over functionals with phi(q) = 1.
 
-    Damped Newton with exact gradient and Hessian; the objective is smooth
-    and strictly convex on the open fiber and blows up at its frontier.
-    Certifies that the optimal slice centroid reproduces q.
+    Newton on log V restricted to the fiber (see `_newton`), started from the
+    chart functional scaled into the fiber.  Certifies that the optimal slice
+    centroid reproduces q.
     """
     cone = _as_cone(c)
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if cone.contains_vector(q) <= 0:
         raise InvalidInputError("base point is not strictly inside the cone")
-    n1 = q.size
-    n = n1 - 1
     v_inf = cone.domain.chart.infinity
-    v = v_inf / float(v_inf @ q)
     t_basis = null_space(q[None, :])
-
-    def full(vv):
-        d = _slice_exact(cone, vv)
-        grad = -(n + 1.0) * d.volume * d.centroid
-        hess = (n + 1.0) * (n + 2.0) * d.volume * d.second_moment
-        return d, grad, hess
-
-    data, grad, hess = full(v)
-    it = 0
-    for it in range(1, max_iter + 1):
-        g_red = t_basis.T @ grad
-        g_scale = (n + 1.0) * data.volume * np.linalg.norm(data.centroid)
-        if np.linalg.norm(g_red) <= TOL.fiber_gradient * g_scale:
-            break
-        h_red = t_basis.T @ hess @ t_basis
-        try:
-            step = np.linalg.solve(h_red, -g_red)
-        except np.linalg.LinAlgError:
-            step = -g_red / max(np.linalg.norm(g_red), 1e-300)
-        direction = t_basis @ step
-        s = 1.0
-        slope = float(g_red @ step)
-        accepted = False
-        while s > 1e-14:
-            v_try = v + s * direction
-            if cone.dual_margin(v_try) > 0:
-                try:
-                    d_try = _slice_exact(cone, v_try)
-                except OutsideDualConeError:
-                    d_try = None
-                if d_try is not None and \
-                        d_try.volume <= data.volume + 0.25 * s * slope:
-                    v = v_try
-                    data = d_try
-                    grad = -(n + 1.0) * data.volume * data.centroid
-                    hess = (n + 1.0) * (n + 2.0) * data.volume * data.second_moment
-                    accepted = True
-                    break
-            s *= 0.5
-        if not accepted:
-            break
-    g_red = t_basis.T @ grad
-    g_scale = (n + 1.0) * data.volume * np.linalg.norm(data.centroid)
-    residual = float(np.linalg.norm(g_red) / max(g_scale, 1e-300))
-    cert = np.linalg.norm(data.centroid - q) / max(np.linalg.norm(q), 1e-300)
+    v, data, it = _newton(cone, v_inf / float(v_inf @ q), t_basis, 0.0,
+                          max_iter)
+    mu = data.centroid
+    residual = float(np.linalg.norm(t_basis.T @ mu)
+                     / max(np.linalg.norm(mu), 1e-300))
+    cert = np.linalg.norm(mu - q) / max(np.linalg.norm(q), 1e-300)
     if residual > 1e-8 or cert > 1e-6:
         raise ConvergenceFailureError(
             "fiber minimization did not converge",
             residual=residual, centroid_error=cert, iterations=it)
-    return FiberMinimum(v, data.volume, data.centroid, residual, it)
+    return FiberMinimum(v, data.volume, mu, residual, it)
 
 
 def theta(c, phi) -> ProjPoint:
@@ -335,73 +343,27 @@ class SphericalCenter:
 def spherical_center(dom: ConvexDomain, max_iter=60) -> SphericalCenter:
     """Unique direction whose chart sees the domain centroid at the origin.
 
-    Solves the first-order condition: the fiber-minimizing functional at the
-    center is parallel to the center direction.  Newton iteration on the
-    chart-coordinate residual with a finite-difference Jacobian, damped to
-    stay inside the domain.
+    F(v) = log V(v) + (n+1)|v|^2/2 is strictly convex on the open dual cone
+    with gradient (n+1)(v - mu(v)), so its minimizer is the one functional
+    equal to its own slice centroid; it is a unit vector, and the
+    fiber-minimizing functional at its direction is parallel to it.  Newton
+    on F (see `_newton`) starts at the chart functional.  One fiber
+    minimization at the end measures the residual: the chart distance
+    between the center and the fiber minimizer's direction.
     """
     validate(dom)
     cone = dom.cone()
     chart = dom.chart
-    n = dom.dim
-
-    def residual(x):
-        if dom.backend.contains_margin(x) <= 0:
-            return None
-        q = chart.lift(x)
-        fm = min_volume_on_fiber(cone, q / np.linalg.norm(q))
-        vstar = fm.phi
-        h = chart.height(vstar)
-        if h <= 0:
-            return None
-        return (chart.frame.T @ vstar) / h - x
-
-    x = np.asarray(dom.backend.moments()[1], dtype=float)
-    g = residual(x)
-    if g is None:
-        raise ConvergenceFailureError("centroid start is infeasible", best=x)
-    it = 0
-    for it in range(1, max_iter + 1):
-        gn = np.linalg.norm(g)
-        if gn <= TOL.center_residual:
-            break
-        h_step = max(1e-7, 1e-7 * np.linalg.norm(x))
-        jac = np.empty((n, n))
-        ok = True
-        for j in range(n):
-            xp = x.copy()
-            xp[j] += h_step
-            gp = residual(xp)
-            if gp is None:
-                ok = False
-                break
-            jac[:, j] = (gp - g) / h_step
-        if not ok:
-            raise ConvergenceFailureError(
-                "center iteration left the domain", best=x, residual=gn)
-        try:
-            step = np.linalg.solve(jac, -g)
-        except np.linalg.LinAlgError:
-            step = g  # fixed-point fallback
-        s = 1.0
-        moved = False
-        while s > 1e-12:
-            g_try = residual(x + s * step)
-            if g_try is not None and np.linalg.norm(g_try) < gn:
-                x = x + s * step
-                g = g_try
-                moved = True
-                break
-            s *= 0.5
-        if not moved:
-            break
-    gn = float(np.linalg.norm(g))
+    v, _, it = _newton(cone, chart.infinity, np.eye(dom.dim + 1),
+                       dom.dim + 1.0, max_iter)
+    q = v / np.linalg.norm(v)
+    x = chart.to_chart(q)
+    vstar = min_volume_on_fiber(cone, q).phi
+    gn = float(np.linalg.norm(chart.to_chart(vstar) - x))
     if gn > 100 * TOL.center_residual:
         raise ConvergenceFailureError(
             "spherical center iteration did not converge",
             best=x, residual=gn, iterations=it)
-    q = chart.lift(x)
-    q = q / np.linalg.norm(q)
     rot = minimal_rotation(q, chart.infinity)
     return SphericalCenter(
         center=ProjPoint(q, canonicalize=False),

@@ -476,3 +476,28 @@ def test_section_check_across_chunks():
     split = {v["simplex"] for v in res.violations
              if (3 * v["simplex"]) // step != (3 * v["simplex"] + 2) // step}
     assert split   # a violating simplex has samples in two chunks
+
+
+def test_unknown_link_scope_rejected():
+    surf = _ring_surface(48, 1)
+    v = surf.interior_vertices()[0]
+    for call in (lambda s: pl.certify_generic_convex(surf, link_scope=s),
+                 lambda s: pl.vertex_convexity(surf, v, link_scope=s),
+                 lambda s: pl.perturbation_radius(surf, link_scope=s)):
+        with pytest.raises(InvalidInputError):
+            call("adjacnet")
+
+
+def test_radial_values_across_blocks():
+    surf = _ring_surface(96, 2)
+    t_count, k = surf.simplices.shape
+    step = pl._SECTION_CHUNK // (t_count * k)
+    rng = np.random.default_rng(7)
+    dirs = surf.vertices[surf.simplices[rng.integers(0, t_count, step + 40)]]
+    dirs = (rng.dirichlet(np.ones(k), size=len(dirs))[:, :, None] * dirs).sum(1)
+    dirs[-1] = [1.0, 0.0, 0.0]          # not covered by the surface
+    got = surf.radial_values(dirs)
+    one_by_one = np.array([surf.radial_values(d[None, :])[0] for d in dirs])
+    assert len(dirs) > step
+    np.testing.assert_array_equal(got, one_by_one)
+    assert np.isnan(got[-1]) and not np.isnan(got[:-1]).any()

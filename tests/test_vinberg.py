@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from projconvex import domain as dm, vinberg as vb
-from projconvex.errors import InvalidInputError, OutsideDualConeError
+from projconvex.config import TOL
+from projconvex.errors import (
+    ConvergenceFailureError,
+    InvalidInputError,
+    OutsideDualConeError,
+)
 from projconvex.projgeom import ProjPoint, ProjTransform
 
 from conftest import boost, random_orthogonal
@@ -283,3 +288,85 @@ def test_spherical_center_equivariance(rng):
         diff = min(np.linalg.norm(sc.center.coords - expect),
                    np.linalg.norm(sc.center.coords + expect))
         assert diff < 1e-7
+
+
+STALL_TRIANGLE = [[0.705249, 0.081278], [-0.385778, 1.123579],
+                  [-0.98361, -0.767561]]
+
+
+def test_fiber_minimum_without_stall():
+    # a backtracking search on V stalled here for 80 iterations at 7.9e-10
+    dom = dm.ConvexDomain.from_vertices(STALL_TRIANGLE)
+    q = np.array([-0.155531566706, 0.109017167016, 0.981796918438])
+    fm = vb.min_volume_on_fiber(dom, q)
+    assert fm.iterations <= 10
+    assert fm.residual < 1e-12
+    assert np.linalg.norm(fm.centroid - q) < 1e-12
+
+
+# Centers found by the earlier finite-difference Newton solver, whose
+# residuals were 1e-15 (triangle), 2e-16 (pentagon) and 9e-12 (ellipse).
+REFERENCE_CENTERS = {
+    "triangle": (
+        dm.ConvexDomain.from_vertices(STALL_TRIANGLE),
+        [-0.15553148846914033, 0.10901723095290425, 0.9817969237321611]),
+    "skewed pentagon": (
+        dm.ConvexDomain.from_vertices([[1.1, 0.2], [0.3, 0.9], [-0.8, 0.6],
+                                       [-0.7, -0.5], [0.4, -0.7]]),
+        [0.030086344928736714, 0.060471972620888624, 0.9977163687021315]),
+    "off-centre ellipse": (
+        dm.ConvexDomain.ellipsoid([0.3, -0.2], [[1.5, 0.4], [0.4, 0.8]]),
+        [0.15893031609061872, -0.05908720915881638, 0.9855200943365683]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CENTERS))
+def test_spherical_center_reference_values(name):
+    dom, expect = REFERENCE_CENTERS[name]
+    sc = vb.spherical_center(dom)
+    assert np.linalg.norm(sc.center.coords - expect) < 1e-10
+    assert sc.residual <= TOL.center_residual
+    assert sc.iterations <= 10      # an inexact Hessian takes about 50
+
+
+def _random_domains(rng):
+    """One random domain of each backend, in chart dimensions 1-3."""
+    ang = 2 * np.pi * (np.arange(6) + rng.uniform(-0.25, 0.25, 6)) / 6
+    hexagon = dm.ConvexDomain.from_halfspaces(
+        np.stack([np.cos(ang), np.sin(ang)], 1), rng.uniform(0.8, 1.2, 6))
+    cube = dm.ConvexDomain.from_halfspaces(
+        np.vstack([np.eye(3), -np.eye(3)]) @ random_orthogonal(rng, 3).T,
+        rng.uniform(0.6, 1.4, 6))
+    segment = dm.ConvexDomain.from_vertices(
+        [[rng.uniform(-1.0, -0.2)], [rng.uniform(0.3, 1.5)]])
+    triangle = dm.ConvexDomain.from_vertices(rng.uniform(-1, 1, (3, 2))
+                                             + [[3, 0], [0, 0], [0, 3]])
+    a = rng.normal(size=(3, 3))
+    ellipsoid = dm.ConvexDomain.ellipsoid(rng.uniform(-0.4, 0.4, 3),
+                                          a @ a.T + np.eye(3))
+    ang = np.sort(rng.uniform(0, 2 * np.pi, 9))
+    pts = np.stack([1.2 * np.cos(ang), 0.7 * np.sin(ang)], 1)
+    c = rng.uniform(-0.2, 0.2, 2)
+    r = np.linalg.norm(pts - c, axis=1)
+    radial = dm.ConvexDomain.radial_graph(c, (pts - c) / r[:, None], r)
+    return [hexagon, cube, segment, triangle, ellipsoid, radial]
+
+
+def test_spherical_center_is_its_own_fiber_direction(rng):
+    kinds = set()
+    for dom in _random_domains(rng):
+        kinds.add(dom.backend.kind)
+        sc = vb.spherical_center(dom)
+        assert sc.residual <= TOL.center_residual
+        q = sc.center.coords
+        fm = vb.min_volume_on_fiber(dom, q)
+        for w in (fm.phi, fm.centroid):
+            cos = abs(w @ q) / np.linalg.norm(w)
+            assert np.sqrt(max(1.0 - cos * cos, 0.0)) < 1e-9
+    assert kinds == {"hpoly", "vpoly", "ellipsoid", "radialgraph"}
+
+
+def test_spherical_center_unconverged_raises():
+    dom = REFERENCE_CENTERS["triangle"][0]
+    with pytest.raises(ConvergenceFailureError):
+        vb.spherical_center(dom, max_iter=1)
