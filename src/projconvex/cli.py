@@ -264,7 +264,7 @@ def _run(args):
         dom = jsonio.load_domain(args.domain)
         if op == "aut":
             chk = gp.is_automorphism(dom, jsonio.load_matrix(args.matrix),
-                                     tol=args.tol or 1e-8)
+                                     tol=1e-8 if args.tol is None else args.tol)
             return ({"is_automorphism": chk.is_automorphism,
                      "residual": chk.residual},
                     f"automorphism={chk.is_automorphism} "

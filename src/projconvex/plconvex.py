@@ -8,8 +8,10 @@ simplex so hand-computed values in the input ordering are reproduced.
 """
 
 from dataclasses import dataclass, field
+from math import asin, sin
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .config import DEFAULT_SEED, TOL
 from .domain import ConvexDomain, validate
@@ -24,10 +26,16 @@ from .errors import (
 from .vinberg import characteristic_point
 
 
-# Elements (directions x simplices x vertices) of one block of cone
-# coordinates (`SimplicialHypersurface._cone_blocks`, behind the section check
-# and `radial_values`): its memory stays fixed however many simplices.
+# Elements (candidate pairs x vertices x vertices) of one block of gathered
+# inverse vertex matrices (`SimplicialHypersurface._cone_pairs`, behind the
+# section check and `radial_values`): the temporaries of a block stay fixed
+# however many candidates the directions have.
 _SECTION_CHUNK = 1 << 16
+
+# Largest sine of the hit test's slack angle (see `radial_section_check`)
+# that the cap index folds into its query radius; simplices and directions
+# with more slack meet everything, so one of them cannot widen every query.
+_SLACK_BOUND = 1e-3
 
 
 class _Complex:
@@ -72,6 +80,20 @@ class _Complex:
         self.interior[flat] = True
         self.interior[boundary[boundary >= 0]] = False
         self._checks = {}
+        self._weights = {}
+
+    def sample_weights(self, samples, seed):
+        """Barycentric weights (T, samples, k) of the section check's sample
+        points: each simplex's centroid, then seeded Dirichlet draws.  They
+        depend on the complex alone, so surfaces sharing it draw them once."""
+        if (samples, seed) not in self._weights:
+            t_count, k = self.simplices.shape
+            rng = np.random.default_rng(seed)
+            self._weights[samples, seed] = np.concatenate(
+                [np.full((t_count, 1, k), 1.0 / k),
+                 rng.dirichlet(np.full(k, 4.0), size=(t_count, samples - 1))],
+                axis=1)
+        return self._weights[samples, seed]
 
     def checks(self, scope):
         """Rows (vertex, simplex, test vertex, adjacent) of the determinant
@@ -168,6 +190,7 @@ class SimplicialHypersurface:
                 simplex=int(bad[0]))
         self._dets = np.linalg.det(np.swapaxes(pts, 1, 2))
         self._inv_stack = None
+        self._caps = None
 
     @property
     def closed(self):
@@ -194,25 +217,93 @@ class SimplicialHypersurface:
             raise TransversalityError("first simplex has a degenerate ray cone")
         return s
 
-    def _cone_blocks(self, dirs):
-        """Blocks (first row, coordinates) of the directions in the vertex
-        basis of every simplex, each of shape (rows, T, n+1) and at most
-        _SECTION_CHUNK elements (one row when a row alone is larger)."""
+    def _cap_index(self):
+        """Spherical caps around the simplex cones, built once per surface.
+
+        Returns (tree, members, reach, everywhere, size_slack, cond_slack):
+        a cKDTree of the cap centres (normalized sums of the unit vertex
+        directions) of the simplices `members`, the largest chord radius of
+        their caps, the simplices whose cap would reach a hemisphere or whose
+        rounding allowance passes _SLACK_BOUND, and the two terms of the hit
+        test's slack (see `radial_section_check`).
+        """
+        if self._caps is None:
+            inv = self.inv_stack()
+            pts = self.vertices[self.simplices]
+            norms = np.sqrt(np.einsum("tkj,tkj->tk", pts, pts))
+            unit = pts / norms[:, :, None]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                centre = unit.sum(axis=1)
+                centre /= np.sqrt(np.einsum("tj,tj->t", centre, centre))[:, None]
+            gap = unit - centre[:, None, :]
+            chord = np.sqrt(np.einsum("tkj,tkj->tk", gap, gap).max(axis=1))
+            cond2 = (np.einsum("tij,tij->t", pts, pts)
+                     * np.einsum("tij,tij->t", inv, inv))
+            near = (chord < np.sqrt(2.0)) & (1e-12 * cond2 < _SLACK_BOUND)
+            members = np.flatnonzero(near)
+            self._caps = (cKDTree(centre[members]), members,
+                          float(chord.max(initial=0.0, where=near)),
+                          np.flatnonzero(~near),
+                          1e-12 * norms.shape[1] * float(norms.max()),
+                          1e-12 * float(cond2.max(initial=0.0, where=near)))
+        return self._caps
+
+    def _candidates(self, dirs):
+        """(row, simplex) pairs, sorted by row then simplex, that include
+        every pair the hit test can pass (see `radial_section_check`)."""
+        tree, members, reach, everywhere, size_slack, cond_slack = self._cap_index()
+        t_count = self.simplices.shape[0]
+        norms = np.sqrt(np.einsum("ij,ij->i", dirs, dirs))
+        bounded = (size_slack < _SLACK_BOUND * norms) & (norms < np.inf)
+        found = np.flatnonzero(bounded)
+        keys = [np.empty(0, dtype=np.intp)]
+        if everywhere.size:
+            # every row meets the simplices without a cap
+            keys.append(np.arange(len(dirs))[:, None] * t_count + everywhere)
+        if found.size and members.size:
+            # sine of the angle between a hit and its cone, at the shortest row
+            off = size_slack / norms[found].min() + cond_slack
+            angle = min(np.pi, 2.0 * asin(0.5 * reach) + asin(off))
+            close = cKDTree(dirs[found] / norms[found, None]).sparse_distance_matrix(
+                tree, 2.0 * sin(0.5 * angle) + 1e-9, output_type="ndarray")
+            keys.append(found[close["i"]] * t_count + members[close["j"]])
+        if found.size < len(dirs):
+            # rows too short for the slack bound (zero, say) or not finite
+            # meet every simplex that has a cap
+            lost = np.flatnonzero(~bounded)
+            keys.append(lost[:, None] * t_count + members)
+        return np.divmod(np.sort(np.concatenate(keys, axis=None)), t_count)
+
+    def _cone_pairs(self, dirs):
+        """Candidate pairs (rows, simplices) with the least and the sum of the
+        coordinates of each direction in its simplex's vertex basis, computed
+        in blocks of at most _SECTION_CHUNK gathered inverse entries.  Sums
+        run column by column: numpy sums fewer than eight terms in that
+        order, so each value equals the sum over that simplex alone."""
+        rows, simp = self._candidates(dirs)
         inv = self.inv_stack()
-        step = max(1, _SECTION_CHUNK // (inv.shape[0] * inv.shape[1]))
-        for lo in range(0, len(dirs), step):
-            yield lo, np.einsum("mij,kj->kmi", inv, dirs[lo:lo + step])
+        step = max(1, _SECTION_CHUNK // inv[0].size)
+        lam = np.empty((rows.size, inv.shape[1]))
+        for lo in range(0, rows.size, step):
+            lam[lo:lo + step] = np.einsum(
+                "pij,pj->pi", np.take(inv, simp[lo:lo + step], axis=0),
+                np.take(dirs, rows[lo:lo + step], axis=0))
+        low, total = lam[:, 0].copy(), lam[:, 0].copy()
+        for col in lam.T[1:]:
+            np.minimum(low, col, out=low)
+            total += col
+        return rows, simp, low, total
 
     def radial_values(self, dirs):
-        """PL radius of the surface along each direction; nan when uncovered."""
+        """PL radius of the surface along each direction; nan when uncovered.
+        The lowest-numbered simplex containing a direction gives its value."""
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         out = np.full(dirs.shape[0], np.nan)
-        for lo, lam in self._cone_blocks(dirs):
-            sums = lam.sum(axis=2)
-            valid = (lam.min(axis=2) >= -1e-12) & (sums > 1e-300)
-            first = np.argmax(valid, axis=1)
-            rows = np.flatnonzero(valid[np.arange(len(lam)), first])
-            out[lo + rows] = 1.0 / sums[rows, first[rows]]
+        rows, _, low, total = self._cone_pairs(dirs)
+        valid = (low >= -1e-12) & (total > 1e-300)
+        rows, total = rows[valid], total[valid]
+        first = _run_starts(rows)
+        out[rows[first]] = 1.0 / total[first]
         return out
 
     def radial_value(self, u):
@@ -227,6 +318,13 @@ class SimplicialHypersurface:
     def to_json(self):
         return {"vertices": self.vertices.tolist(),
                 "simplices": self.simplices.tolist()}
+
+
+def _run_starts(keys):
+    """Mask of the first entry of each run of equal keys."""
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return first
 
 
 def _finite_vertices(vertices):
@@ -255,6 +353,25 @@ def radial_section_check(surf: SimplicialHypersurface,
     Per-simplex transversality (origin off the affine hull, by the vertex
     determinant) plus injectivity of the radial projection on seeded interior
     sample points with exact per-simplex cone membership.
+
+    Membership is tested only on candidate (sample, simplex) pairs from the
+    surface's cap index, and every hit is a candidate, so the verdict is the
+    all-pairs one.  A sample d hits simplex t when its coordinates in the
+    vertex basis are all at least -1e-12; then d lies within
+    1e-12 * sum|p_i| of the cone, plus a rounding allowance of
+    1e-12 * cond(t)^2 * |d| for those coordinates (cond is the Frobenius
+    condition number of the vertex matrix), which bounds its angle to the
+    cone.  The cone lies in the cap around its normalized vertex centroid
+    whose chord radius reaches the farthest unit vertex direction: a cap
+    narrower than a hemisphere is convex, so holding the vertices it holds
+    the whole spherical simplex.  A kd-tree query of the centres within the
+    largest cap radius plus that angle (and 1e-9 for rounding in the
+    distances) returns every such simplex.  A simplex whose cap would reach
+    a hemisphere, or whose rounding allowance passes _SLACK_BOUND, is a
+    candidate for every sample, as is every simplex for a direction too
+    short for that bound (zero, say) or not finite.  Each sample meets about
+    as many candidates however fine the surface, so the check grows
+    near-linearly.
     """
     pts = surf.vertices[surf.simplices]
     scale = np.prod(np.linalg.norm(pts, axis=2), axis=1)
@@ -264,23 +381,19 @@ def radial_section_check(surf: SimplicialHypersurface,
                   for si in np.flatnonzero(trans <= 1e-10).tolist()]
     if violations:
         return RadialSectionResult(False, violations, min_trans)
-    t_count, k = surf.simplices.shape
-    rng = np.random.default_rng(seed)
-    weights = np.concatenate(
-        [np.full((t_count, 1, k), 1.0 / k),
-         rng.dirichlet(np.full(k, 4.0), size=(t_count, samples_per_simplex - 1))],
-        axis=1)
+    weights = surf._complex.sample_weights(samples_per_simplex, seed)
     dirs = (weights @ pts).reshape(-1, pts.shape[2])
-    for lo, lam in surf._cone_blocks(dirs):
-        low = lam.min(axis=2)
-        hits = (low >= -1e-12) & (lam.sum(axis=2) > 0)
-        strict = (low > 1e-9).sum(axis=1)
-        bad = (strict > 1) | ((strict == 0) & (hits.sum(axis=1) > 2))
-        for r in np.flatnonzero(bad):
-            si = (lo + r) // samples_per_simplex
-            if not violations or violations[-1]["simplex"] != si:
-                violations.append({"kind": "multiplicity", "simplex": int(si),
-                                   "hits": np.flatnonzero(hits[r]).tolist()})
+    rows, simp, low, total = surf._cone_pairs(dirs)
+    hit = (low >= -1e-12) & (total > 0)
+    strict = np.bincount(rows[low > 1e-9], minlength=len(dirs))
+    hits = np.bincount(rows[hit], minlength=len(dirs))
+    bad = (strict > 1) | ((strict == 0) & (hits > 2))
+    for r in np.flatnonzero(bad).tolist():
+        si = r // samples_per_simplex
+        if not violations or violations[-1]["simplex"] != si:
+            lo, hi = np.searchsorted(rows, [r, r + 1])
+            violations.append({"kind": "multiplicity", "simplex": si,
+                               "hits": simp[lo:hi][hit[lo:hi]].tolist()})
     return RadialSectionResult(not violations, violations, min_trans)
 
 
@@ -318,7 +431,7 @@ def _judge_stars(v, t, u, adjacent, vals):
                 for i in np.flatnonzero(folded)[first]]
     keep = ~np.isin(v, flat_v)
     signs = np.sign(vals[keep])
-    starts = np.flatnonzero(np.diff(v[keep], prepend=-1))
+    starts = np.flatnonzero(_run_starts(v[keep]))
     lo = np.minimum.reduceat(signs, starts)
     hi = np.maximum.reduceat(signs, starts)
     return coplanar, keep, starts, np.where(lo == hi, lo, 0.0).astype(int)
@@ -387,7 +500,7 @@ def certify_generic_convex(surf: SimplicialHypersurface,
                                      pair_vals[flat].tolist())]
     coplanar, keep, starts, signs = _judge_stars(v, t, u, adjacent, vals)
     v, t, u, vals = v[keep], t[keep], u[keep], vals[keep]
-    ends = np.r_[starts[1:], v.size].astype(int)
+    ends = np.append(starts[1:], v.size)
 
     def vertex_violation(i):
         lo, hi = starts[i], ends[i]
@@ -613,14 +726,16 @@ def _sampled_deviation(cone, surf, rng, max_edges=24):
     if len(edges) > max_edges:
         idx = rng.choice(len(edges), size=max_edges, replace=False)
         edges = [edges[i] for i in sorted(idx)]
-    worst = 0.0
+    dirs, exact = [], []
     for a, b in edges:
         mid = 0.5 * (surf.vertices[a] + surf.vertices[b])
         u = mid / np.linalg.norm(mid)
         try:
-            exact = np.linalg.norm(characteristic_point(cone, u))
-            pl = surf.radial_value(u)
+            exact.append(np.linalg.norm(characteristic_point(cone, u)))
         except GeometryError:
             continue
-        worst = max(worst, abs(pl - exact))
-    return float(worst)
+        dirs.append(u)
+    if not dirs:
+        return 0.0
+    gaps = np.abs(surf.radial_values(np.array(dirs)) - np.array(exact))
+    return float(gaps[~np.isnan(gaps)].max(initial=0.0))

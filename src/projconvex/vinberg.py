@@ -220,10 +220,12 @@ def _newton(cone, v, basis, ridge, max_iter):
     Each step is damped by 1/(1 + lambda), lambda the Newton decrement, and
     halved while it leaves the cone; the loop stops once lambda is at most
     TOL.fiber_gradient.  `basis` has orthonormal columns.  Returns the last
-    iterate, its slice data and the iteration count.
+    iterate, its slice data, the iteration count and the Newton step that
+    stop declined (zero when the loop ended otherwise).
     """
     n1 = v.size
     data = _slice_exact(cone, v)
+    declined = np.zeros(n1)
     it = 0
     for it in range(1, max_iter + 1):
         mu = data.centroid
@@ -235,9 +237,10 @@ def _newton(cone, v, basis, ridge, max_iter):
         except np.linalg.LinAlgError:
             break
         lam = np.sqrt(max(-float(grad @ step), 0.0))
-        if lam <= TOL.fiber_gradient:
-            break
         direction = basis @ step
+        if lam <= TOL.fiber_gradient:
+            declined = direction
+            break
         s = 1.0 / (1.0 + lam)
         while s > 1e-14:
             v_try = v + s * direction
@@ -250,7 +253,7 @@ def _newton(cone, v, basis, ridge, max_iter):
             s *= 0.5
         else:
             break
-    return v, data, it
+    return v, data, it, declined
 
 
 def min_volume_on_fiber(c, q, max_iter=80) -> FiberMinimum:
@@ -266,8 +269,8 @@ def min_volume_on_fiber(c, q, max_iter=80) -> FiberMinimum:
         raise InvalidInputError("base point is not strictly inside the cone")
     v_inf = cone.domain.chart.infinity
     t_basis = null_space(q[None, :])
-    v, data, it = _newton(cone, v_inf / float(v_inf @ q), t_basis, 0.0,
-                          max_iter)
+    v, data, it, _ = _newton(cone, v_inf / float(v_inf @ q), t_basis, 0.0,
+                             max_iter)
     mu = data.centroid
     residual = float(np.linalg.norm(t_basis.T @ mu)
                      / max(np.linalg.norm(mu), 1e-300))
@@ -347,19 +350,22 @@ def spherical_center(dom: ConvexDomain, max_iter=60) -> SphericalCenter:
     with gradient (n+1)(v - mu(v)), so its minimizer is the one functional
     equal to its own slice centroid; it is a unit vector, and the
     fiber-minimizing functional at its direction is parallel to it.  Newton
-    on F (see `_newton`) starts at the chart functional.  One fiber
-    minimization at the end measures the residual: the chart distance
-    between the center and the fiber minimizer's direction.
+    on F (see `_newton`) starts at the chart functional.  One Newton fiber
+    minimization at the end, started at the iterate (which is that
+    minimizer up to scale), measures the residual: the chart distance
+    between the center and the direction the fiber solve reaches, counting
+    the last step it declined, so a check that takes no step still reports
+    a measured length.
     """
     validate(dom)
     cone = dom.cone()
     chart = dom.chart
-    v, _, it = _newton(cone, chart.infinity, np.eye(dom.dim + 1),
-                       dom.dim + 1.0, max_iter)
+    v, _, it, _ = _newton(cone, chart.infinity, np.eye(dom.dim + 1),
+                          dom.dim + 1.0, max_iter)
     q = v / np.linalg.norm(v)
     x = chart.to_chart(q)
-    vstar = min_volume_on_fiber(cone, q).phi
-    gn = float(np.linalg.norm(chart.to_chart(vstar) - x))
+    w, _, _, declined = _newton(cone, q, null_space(q[None, :]), 0.0, max_iter)
+    gn = float(np.linalg.norm(chart.to_chart(w + declined) - x))
     if gn > 100 * TOL.center_residual:
         raise ConvergenceFailureError(
             "spherical center iteration did not converge",

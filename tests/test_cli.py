@@ -171,3 +171,21 @@ def test_tol_does_not_outlive_the_command(disk_file, monkeypatch):
                     "--x", "0,0", "--y", "0.5,0", "--tol", "1e-6"])
     assert res.exit_code == 0
     assert TOL.frontier == 1e-8
+
+
+def test_aut_tol_zero_is_exact(disk_file, tmp_path):
+    # a rotation of the disk by 0.3 rad leaves a rounding residual of about
+    # 1e-16: within the default tolerance, but not within --tol 0
+    c, s = np.cos(0.3), np.sin(0.3)
+    mat = tmp_path / "rot.json"
+    jsonio.dump_file({"matrix": [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]}, mat)
+    verdicts = []
+    for extra in ([], ["--tol", "0"]):
+        out = tmp_path / "aut.json"
+        res = dispatch(["group", "aut", "--domain", disk_file, "--matrix", str(mat),
+                        "--out", str(out), *extra])
+        assert res.exit_code == 0
+        report = jsonio.load_file(out)["report"]
+        assert 0.0 < report["residual"] < 1e-12
+        verdicts.append(report["is_automorphism"])
+    assert verdicts == [True, False]

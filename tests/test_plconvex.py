@@ -420,6 +420,9 @@ def _ring_surface(budget, seed, dent=None, fold=None):
     return pl.SimplicialHypersurface(verts, tris)
 
 
+WIDE_TETRAHEDRON = np.array([[1.0, 0.0, -0.1], [-0.9, 0.4, -0.1],
+                             [-0.9, -0.4, -0.1], [0.0, 0.0, 1.0]])
+
 REFERENCE_MESHES = {
     "ring48": lambda: _ring_surface(48, 1),
     "ring96": lambda: _ring_surface(96, 2),
@@ -437,6 +440,10 @@ REFERENCE_MESHES = {
     "dented_polyline": lambda: pl.SimplicialHypersurface(
         np.array([[-1.0, 2.0], [-0.5, 1.25], [0.0, 2.2], [0.5, 1.25],
                   [1.0, 2.0]]), [(i, i + 1) for i in range(4)]),
+    # a squashed tetrahedron whose bottom face's cone reaches more than 90
+    # degrees from its normalized vertex centroid
+    "wide_tetrahedron": lambda: pl.SimplicialHypersurface(
+        WIDE_TETRAHEDRON, ConvexHull(WIDE_TETRAHEDRON).simplices),
 }
 
 
@@ -501,3 +508,62 @@ def test_radial_values_across_blocks():
     assert len(dirs) > step
     np.testing.assert_array_equal(got, one_by_one)
     assert np.isnan(got[-1]) and not np.isnan(got[:-1]).any()
+
+
+def test_radial_values_on_a_cap_past_a_hemisphere():
+    # every vertex of this cone lies within 100 degrees of its normalized
+    # vertex centroid, but points of the cone lie 160 degrees from it: a cap
+    # wider than a hemisphere is not convex, so the simplex is a candidate
+    # for every direction
+    tri = np.array([[-0.384, -0.908, 0.17], [0.214, 0.974, 0.08],
+                    [0.409, -0.186, -0.894]])
+    unit = tri / np.linalg.norm(tri, axis=1)[:, None]
+    centre = unit.sum(0) / np.linalg.norm(unit.sum(0))
+    dirs = np.random.default_rng(3).dirichlet(np.ones(3), 400) @ tri
+    angles = np.degrees(np.arccos((dirs @ centre) / np.linalg.norm(dirs, axis=1)))
+    assert np.degrees(np.arccos(unit @ centre)).max() < 100.0 < 150.0 < angles.max()
+    rho = pl.SimplicialHypersurface(tri, [(0, 1, 2)]).radial_values(dirs)
+    np.testing.assert_allclose(rho, 1.0, rtol=1e-12)
+
+
+def test_section_check_matches_reference_at_scale():
+    surf = _ring_surface(512, 6, fold=0.5)
+    assert len(surf.simplices) == 987
+    res = pl.radial_section_check(surf)
+    assert res == _ref_section_check(surf)
+    assert any(v["kind"] == "multiplicity" for v in res.violations)
+
+
+@pytest.mark.parametrize("gap, kept", [(2e-12, True), (2e-11, False)])
+def test_hits_within_the_slack_are_kept(gap, kept):
+    # three stacked segments: the centroid direction (0, 1) of the lowest
+    # (simplex 1) is inside the highest and outside the middle one (simplex
+    # 0) by a cone coordinate of about -gap/4; the hit test keeps it when
+    # that is above -1e-12
+    verts = np.array([[gap, 2.0], [2.0, 2.0], [-1.0, 1.0], [1.0, 1.0],
+                      [-3.0, 3.0], [3.0, 3.0]])
+    surf = pl.SimplicialHypersurface(verts, [(0, 1), (2, 3), (4, 5)])
+    res = pl.radial_section_check(surf)
+    assert res == _ref_section_check(surf)
+    hits = {v["simplex"]: v["hits"] for v in res.violations}
+    assert hits[1] == ([0, 1, 2] if kept else [1, 2])
+    # the lowest-numbered simplex holding a direction gives its radius
+    rho = surf.radial_values(np.array([[0.0, 1.0], [0.0, 0.5]]))
+    np.testing.assert_allclose(rho, [2.0, 4.0] if kept else [1.0, 2.0], rtol=1e-12)
+    # the slack is absolute, so a short enough direction hits every simplex
+    tiny = surf.radial_values(np.array([[0.0, 1e-290]]))
+    np.testing.assert_allclose(tiny, [2e290], rtol=1e-12)
+
+
+def test_candidates_per_sample_stay_flat():
+    # the cap index tests each sample against a bounded number of simplices
+    sizes, per_sample = [], []
+    for budget in (128, 1024):
+        surf = _ring_surface(budget, 3)
+        pts = surf.vertices[surf.simplices]
+        dirs = (surf._complex.sample_weights(3, DEFAULT_SEED) @ pts).reshape(-1, 3)
+        rows, _ = surf._candidates(dirs)
+        sizes.append(len(pts))
+        per_sample.append(rows.size / len(dirs))
+    assert sizes == [242, 1984]
+    assert per_sample[1] <= 1.5 * per_sample[0]

@@ -23,9 +23,11 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 
 @pytest.mark.parametrize("demo", ["spherical_centers_and_boxes.py",
-                                  "degeneration_watch.py"])
+                                  "degeneration_watch.py",
+                                  "pl_certificates.py"])
 def test_solver_demos_run(demo, tmp_path):
-    # these two demos drive the spherical-center and fiber solvers
+    # the first two drive the spherical-center and fiber solvers; the third
+    # the section check, log contours, certificates and perturbation radii
     res = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
                          cwd=tmp_path, env=ENV, capture_output=True,
                          timeout=120)

@@ -329,6 +329,15 @@ def test_spherical_center_reference_values(name):
     assert sc.iterations <= 10      # an inexact Hessian takes about 50
 
 
+@pytest.mark.parametrize("name", sorted(REFERENCE_CENTERS))
+def test_center_check_measures_the_declined_step(name):
+    # the final fiber check starts at the center's own iterate and takes no
+    # step on these domains; its residual is the chart length of the Newton
+    # step it declined, a measured quantity, never a bare 0
+    sc = vb.spherical_center(REFERENCE_CENTERS[name][0])
+    assert 0.0 < sc.residual <= TOL.center_residual
+
+
 def _random_domains(rng):
     """One random domain of each backend, in chart dimensions 1-3."""
     ang = 2 * np.pi * (np.arange(6) + rng.uniform(-0.25, 0.25, 6)) / 6
