@@ -9,13 +9,14 @@ read the half-space form, supports and radii the vertex list (a radial
 graph's surface points), and moments the simplices of a triangulation, all
 exact.  Chart moments and the cone's slice moments (vinberg) use one kernel,
 `_simplex_moments`, since the chart is the unit slice of its own functional.
+scipy is imported inside the calls that use it: it would be most of a cold
+start, and ellipsoids need none of it.
 """
 
 from dataclasses import dataclass
 from math import factorial, gamma, pi
 
 import numpy as np
-from scipy.spatial import ConvexHull, Delaunay, HalfspaceIntersection, QhullError
 
 from .config import TOL
 from .errors import (
@@ -161,7 +162,7 @@ class HPolyBackend(_PolytopeBackend):
     # -- construction helpers
 
     def _chebyshev(self):
-        from scipy.optimize import linprog  # imported here: slow, rarely needed
+        from scipy.optimize import linprog
 
         m, n = self.normals.shape
         c = np.zeros(n + 1)
@@ -208,6 +209,8 @@ class HPolyBackend(_PolytopeBackend):
                     )
                 self._vertices = np.array([[lo], [hi]])
             else:
+                from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
+
                 try:
                     hs = HalfspaceIntersection(
                         np.hstack([self.normals, -self.offsets[:, None]]), center
@@ -281,6 +284,8 @@ class VPolyBackend(_PolytopeBackend):
             return
         if v.shape[0] < self.dim + 1:
             raise NotProperlyConvexError("too few vertices for an open set", witness=v)
+        from scipy.spatial import ConvexHull, QhullError
+
         try:
             hull = ConvexHull(v)
         except (QhullError, ValueError) as exc:
@@ -298,6 +303,8 @@ class VPolyBackend(_PolytopeBackend):
                 lo, hi = float(np.min(v)), float(np.max(v))
                 self._hpoly = HPolyBackend([[1.0], [-1.0]], [hi, -lo], prune=False)
             else:
+                from scipy.spatial import ConvexHull
+
                 hull = ConvexHull(v)
                 a = hull.equations[:, :-1]
                 b = -hull.equations[:, -1]
@@ -454,6 +461,8 @@ class RadialGraphBackend(_PolytopeBackend):
         pts = self.surface_points()
         if self.dim == 1:
             return
+        from scipy.spatial import ConvexHull
+
         hull = ConvexHull(pts)
         if len(hull.vertices) != pts.shape[0]:
             inner = sorted(set(range(pts.shape[0])) - set(hull.vertices))
@@ -501,6 +510,8 @@ def _triangulate(vertices):
         pts = v[order]
         simps = np.array([[i, i + 1] for i in range(pts.shape[0] - 1)], dtype=int)
         return pts, simps
+    from scipy.spatial import Delaunay
+
     tri = Delaunay(v)
     return v, tri.simplices
 
@@ -587,9 +598,6 @@ class ConvexDomain:
 
     def interior_point(self):
         return self.backend.interior_point()
-
-    def interior_projpoint(self):
-        return self.chart.from_chart(self.backend.interior_point())
 
     def chart_coords(self, p):
         if isinstance(p, ProjPoint):
@@ -705,10 +713,6 @@ class ConvexCone:
 
     def __init__(self, domain: ConvexDomain):
         self.domain = domain
-
-    @property
-    def ambient_dim(self):
-        return self.domain.dim + 1
 
     def lift_extremes(self):
         """Lifted generators of extreme rays for polytope-like backends."""

@@ -5,8 +5,6 @@ translation lengths, orbit enumeration, and polyhedral fundamental domains.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .config import TOL
 from .domain import (
@@ -25,7 +23,7 @@ from .errors import (
     NotHyperbolicError,
 )
 from .hilbert import _distance_chart, _golden_min
-from .projgeom import ProjPoint, ProjTransform
+from .projgeom import ProjPoint, ProjTransform, null_space
 from .vinberg import characteristic_point, min_volume_on_fiber
 
 
@@ -278,6 +276,8 @@ def dirichlet_domain(cone: ConvexCone, gens, x, max_len: int,
     the characteristic surface there; intersecting its translates over all
     reduced words up to max_len and the cone itself yields the polytope.
     """
+    from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
+
     dom = cone.domain
     for g in gens:
         gt = g if isinstance(g, ProjTransform) else ProjTransform(g)

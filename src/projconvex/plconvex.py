@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from math import asin, sin
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .config import DEFAULT_SEED, TOL
 from .domain import ConvexDomain, validate
@@ -203,8 +202,14 @@ class SimplicialHypersurface:
 
     def inv_stack(self):
         if self._inv_stack is None:
-            self._inv_stack = np.linalg.inv(
-                np.swapaxes(self.vertices[self.simplices], 1, 2))
+            try:
+                self._inv_stack = np.linalg.inv(
+                    np.swapaxes(self.vertices[self.simplices], 1, 2))
+            except np.linalg.LinAlgError as exc:
+                # a zero pivot: that simplex's determinant is exactly 0
+                raise TransversalityError(
+                    "simplex has a degenerate ray cone",
+                    simplex=int(np.argmin(np.abs(self._dets)))) from exc
         return self._inv_stack
 
     def radial_sign(self, si):
@@ -228,6 +233,8 @@ class SimplicialHypersurface:
         test's slack (see `radial_section_check`).
         """
         if self._caps is None:
+            from scipy.spatial import cKDTree  # imported here: slow to load
+
             inv = self.inv_stack()
             pts = self.vertices[self.simplices]
             norms = np.sqrt(np.einsum("tkj,tkj->tk", pts, pts))
@@ -261,6 +268,8 @@ class SimplicialHypersurface:
             # every row meets the simplices without a cap
             keys.append(np.arange(len(dirs))[:, None] * t_count + everywhere)
         if found.size and members.size:
+            from scipy.spatial import cKDTree
+
             # sine of the angle between a hit and its cone, at the shortest row
             off = size_slack / norms[found].min() + cond_slack
             angle = min(np.pi, 2.0 * asin(0.5 * reach) + asin(off))

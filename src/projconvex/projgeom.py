@@ -6,7 +6,6 @@ nonzero coordinate positive; constructors that know a cone side override it.
 """
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .config import TOL
 from .errors import (
@@ -21,6 +20,20 @@ def _as_vector(v):
     if a.ndim != 1:
         raise InvalidInputError(f"expected a vector, got shape {a.shape}")
     return a
+
+
+def null_space(a):
+    """Orthonormal basis (columns) of the kernel of a, as scipy.linalg.null_space.
+
+    Same SVD and rank rule (singular values above max(s) * eps * max(a.shape)),
+    without importing scipy.linalg.  vh is laid out column-major as scipy's
+    LAPACK wrapper returns it, so BLAS products with the basis sum in the
+    same order and every later result matches bit for bit.
+    """
+    a = np.asarray(a, dtype=float)
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(a.shape)
+    return np.asfortranarray(vh)[np.sum(s > tol, dtype=int):].T.conj()
 
 
 def _canonical_sign(u):
@@ -155,18 +168,10 @@ class ProjSubspace:
         self.basis = b
         self.codim = b.shape[1] - b.shape[0]
 
-    @property
-    def dim_ambient(self):
-        return self.basis.shape[1]
-
     def project(self, v):
         """Orthogonal projection of a raw vector onto the linear span."""
         v = np.asarray(v, dtype=float)
         return self.basis.T @ (self.basis @ v)
-
-    def contains_class(self, p: ProjPoint, tol=None):
-        tol = TOL.exact if tol is None else tol
-        return np.linalg.norm(p.coords - self.project(p.coords)) <= tol
 
 
 def normalize_point(v) -> ProjPoint:

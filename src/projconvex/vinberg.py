@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .config import DEFAULT_SEED, TOL
 from .domain import (
@@ -44,7 +43,13 @@ from .errors import (
     InvalidInputError,
     OutsideDualConeError,
 )
-from .projgeom import DualFunctional, ProjPoint, ProjTransform, minimal_rotation
+from .projgeom import (
+    DualFunctional,
+    ProjPoint,
+    ProjTransform,
+    minimal_rotation,
+    null_space,
+)
 
 
 @dataclass

@@ -12,6 +12,7 @@ from projconvex.errors import (
     GeometryError,
     InvalidInputError,
     NonManifoldComplexError,
+    TransversalityError,
 )
 
 
@@ -468,21 +469,35 @@ def test_reference_meshes_cover_every_verdict():
     assert any("test_vertex" in v for v in outcomes[3].violations)
 
 
+def _block_straddlers(surf, dirs):
+    """Candidate-pair count of dirs and the rows whose pairs fall in two
+    blocks of the pair kernel (blocks of _SECTION_CHUNK gathered inverse
+    entries, so _SECTION_CHUNK // k^2 pairs each)."""
+    rows, _ = surf._candidates(dirs)
+    step = pl._SECTION_CHUNK // surf.inv_stack()[0].size
+    return rows.size, [int(rows[b]) for b in range(step, rows.size, step)
+                       if rows[b - 1] == rows[b]]
+
+
 def test_section_check_across_chunks():
-    # an arc of 96 segments under a second arc of 32 longer ones: samples
-    # under the outer arc hit twice
-    inner = np.linspace(0.3, 2.8, 97)
-    outer = np.linspace(2.2, 2.7, 33)
+    # an arc of 200 short segments under an arc of 4 long ones: samples
+    # under the outer arc hit twice, and the long segments' wide caps give
+    # every sample dozens of candidate simplices, so the candidate pairs fill
+    # more than one block of the pair kernel
+    inner = np.linspace(0.3, 2.8, 201)
+    outer = np.linspace(1.0, 2.6, 5)
     verts = np.vstack([np.stack([np.cos(inner), np.sin(inner)], 1),
                        2.0 * np.stack([np.cos(outer), np.sin(outer)], 1)])
-    segs = [(i, i + 1) for i in range(96)] + [(97 + i, 98 + i) for i in range(32)]
+    segs = [(i, i + 1) for i in range(200)] + [(201 + i, 202 + i) for i in range(4)]
     surf = pl.SimplicialHypersurface(verts, segs)
-    step = pl._SECTION_CHUNK // (len(segs) * 2)
+    weights = surf._complex.sample_weights(3, DEFAULT_SEED)
+    samples = (weights @ surf.vertices[surf.simplices]).reshape(-1, 2)
+    pairs, split = _block_straddlers(surf, samples)
+    assert pairs * surf.inv_stack()[0].size > pl._SECTION_CHUNK
     res = pl.radial_section_check(surf)
     assert res == _ref_section_check(surf)
-    split = {v["simplex"] for v in res.violations
-             if (3 * v["simplex"]) // step != (3 * v["simplex"] + 2) // step}
-    assert split   # a violating simplex has samples in two chunks
+    # a sample of a violating simplex has its pairs in two blocks
+    assert {r // 3 for r in split} & {v["simplex"] for v in res.violations}
 
 
 def test_unknown_link_scope_rejected():
@@ -496,18 +511,38 @@ def test_unknown_link_scope_rejected():
 
 
 def test_radial_values_across_blocks():
+    # 2000 directions with about five candidate simplices each fill more
+    # than one block of the pair kernel, and one direction's pairs fall in two
     surf = _ring_surface(96, 2)
     t_count, k = surf.simplices.shape
-    step = pl._SECTION_CHUNK // (t_count * k)
     rng = np.random.default_rng(7)
-    dirs = surf.vertices[surf.simplices[rng.integers(0, t_count, step + 40)]]
+    dirs = surf.vertices[surf.simplices[rng.integers(0, t_count, 2000)]]
     dirs = (rng.dirichlet(np.ones(k), size=len(dirs))[:, :, None] * dirs).sum(1)
     dirs[-1] = [1.0, 0.0, 0.0]          # not covered by the surface
+    pairs, split = _block_straddlers(surf, dirs)
+    assert pairs * surf.inv_stack()[0].size > pl._SECTION_CHUNK
+    assert split
     got = surf.radial_values(dirs)
     one_by_one = np.array([surf.radial_values(d[None, :])[0] for d in dirs])
-    assert len(dirs) > step
     np.testing.assert_array_equal(got, one_by_one)
     assert np.isnan(got[-1]) and not np.isnan(got[:-1]).any()
+
+
+def test_singular_simplex_raises_transversality():
+    # the first segment's cone is flat (its vertices are opposite rays), so
+    # its vertex matrix has no inverse
+    surf = pl.SimplicialHypersurface([[1, 0], [-1, 0], [0, 1]], [(0, 1), (1, 2)])
+    for call in (lambda: surf.radial_values([[0.0, 1.0]]),
+                 lambda: surf.radial_value([0.0, 1.0]),
+                 lambda: pl.log_contour_values(surf, [[0.0, 2.0]]),
+                 lambda: pl.log_contour_value(surf, [0.0, 2.0])):
+        with pytest.raises(TransversalityError) as err:
+            call()
+        assert err.value.data["simplex"] == 0
+    res = pl.radial_section_check(surf)
+    assert not res.ok
+    assert res.violations == [{"kind": "transversality", "simplex": 0}]
+    assert res.min_transversality == 0.0
 
 
 def test_radial_values_on_a_cap_past_a_hemisphere():

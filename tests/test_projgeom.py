@@ -134,3 +134,28 @@ def test_minimal_rotation(rng):
         r = pg.minimal_rotation(u, w)
         assert np.allclose(r @ u, w, atol=1e-12)
         assert np.allclose(r @ r.T, np.eye(4), atol=1e-12)
+
+
+def test_null_space_matches_scipy():
+    # the numpy helper replaces scipy.linalg.null_space bit for bit: same
+    # SVD, same rank rule, same sign and column order, and the same memory
+    # layout (BLAS sums products with a transposed operand in another order)
+    from scipy.linalg import null_space as scipy_null_space
+
+    rng = np.random.default_rng(20)
+    cases = []
+    for n in (2, 3, 4):
+        for _ in range(50):
+            cases.append(rng.normal(size=(1, n)))
+            cases.append(rng.normal(size=(2, n)))
+        v = rng.normal(size=n)
+        cases.append(np.zeros((1, n)))                      # zero row
+        cases.append(np.vstack([v, np.zeros(n)]))           # zero second row
+        cases.append(np.vstack([v, -2.5 * v]))              # parallel rows
+        cases.append(1e-300 * v[None, :])                   # tiny scale
+        cases.append(np.vstack([v, 1e-300 * rng.normal(size=n)]))
+    for a in cases:
+        ours = pg.null_space(a)
+        ref = scipy_null_space(a)
+        assert ours.shape == ref.shape and ours.strides == ref.strides
+        assert np.array_equal(ours, ref), a

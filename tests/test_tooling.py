@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from projconvex import domain as dm, hilbert as hb, jsonio
+
 ROOT = Path(__file__).resolve().parents[1]
 ENV = {**os.environ,
        "PYTHONPATH": os.pathsep.join(
@@ -20,6 +22,50 @@ def test_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c",
          "import projconvex, sys; assert 'scipy.optimize' not in sys.modules"],
         env=ENV, check=True, timeout=60)
+
+
+def test_import_leaves_scipy_unloaded():
+    # hulls, LPs and kd-trees import scipy at their first call, and null
+    # spaces come from numpy, so start-up loads no scipy module at all
+    subprocess.run(
+        [sys.executable, "-c",
+         "import projconvex, projconvex.cli, sys; "
+         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']"],
+        env=ENV, check=True, timeout=60)
+
+
+def _cli(args, tmp_path):
+    """Run `python -m projconvex.cli args`; return stdout and the set of
+    modules it imported (from -X importtime, which reports every import)."""
+    res = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "projconvex.cli", *args],
+        cwd=tmp_path, env=ENV, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stdout + res.stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in res.stderr.splitlines()
+              if line.startswith("import time:") and "|" in line}
+    return res.stdout, loaded
+
+
+def test_ellipsoid_command_runs_without_scipy(tmp_path):
+    jsonio.dump_file(dm.unit_disk().to_json(), tmp_path / "disk.json")
+    out, loaded = _cli(["vinberg", "center", "--domain", "disk.json"], tmp_path)
+    assert out.strip()
+    assert "projconvex.vinberg" in loaded
+    assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+
+
+def test_hull_and_mesh_commands_load_scipy_at_first_use(tmp_path):
+    jsonio.dump_file(dm.triangle_domain().to_json(), tmp_path / "tri.json")
+    out, loaded = _cli(["hilbert", "dist", "--domain", "tri.json",
+                        "--x", "0.2,0.2", "--y", "0.3,0.4"], tmp_path)
+    expected = hb.distance(dm.triangle_domain(), [0.2, 0.2], [0.3, 0.4])
+    assert out.strip() == f"{expected:.6f}"
+    assert "scipy.spatial" in loaded
+    jsonio.dump_file({"vertices": [[-1, 2], [0, 1], [1, 2]],
+                      "simplices": [[0, 1], [1, 2]]}, tmp_path / "polyline.json")
+    out, loaded = _cli(["plconvex", "check", "--mesh", "polyline.json"], tmp_path)
+    assert "radial section: True" in out
+    assert "scipy.spatial" in loaded
 
 
 @pytest.mark.parametrize("demo", ["spherical_centers_and_boxes.py",
