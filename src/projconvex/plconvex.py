@@ -36,6 +36,11 @@ _SECTION_CHUNK = 1 << 16
 # with more slack meet everything, so one of them cannot widen every query.
 _SLACK_BOUND = 1e-3
 
+# Jitter rounds of a characteristic-surface build, and how far towards the
+# chart boundary its outermost samples sit.
+_JITTER_ROUNDS = 8
+_INSET = 0.85
+
 
 class _Complex:
     """Combinatorics of a simplex list, built once and shared by every surface
@@ -630,40 +635,39 @@ class PLSurfaceResult:
     jitter_rounds: int
 
 
-def pl_characteristic_surface(cone, budget: int, seed: int = DEFAULT_SEED,
-                              max_jitter_rounds: int = 8,
-                              inset: float = 0.85) -> PLSurfaceResult:
-    """Sample directions inside the cone, lift each to the characteristic
-    surface, triangulate, and certify; on coplanarity failures jitter the
-    radii within the certified perturbation freedom until the certificate
-    passes or the rounds run out."""
+def pl_characteristic_surface(cone, budget: int,
+                              seed: int = DEFAULT_SEED) -> PLSurfaceResult:
+    """Lift about `budget` sample directions of the cone to its characteristic
+    surface, span them by their hull's origin-facing faces (`_origin_faces`)
+    and certify.  The surface is a level set of Vinberg's characteristic
+    function, which is log-convex and homogeneous, so the region above it is
+    convex and those faces form the convex radial section the certificate
+    accepts.  Where the hull splits a coplanar quad, the radii are jittered
+    and re-hulled."""
     if isinstance(cone, ConvexDomain):
         cone = cone.cone()
     dom = cone.domain
     validate(dom)
     n = dom.dim
-    chart = dom.chart
+    least = 2 if n == 1 else 1
+    if budget < least:
+        raise InvalidInputError(f"budget must be at least {least}", budget=budget)
     if n == 1:
-        lo = -dom.backend.support(np.array([-1.0]))
-        hi = dom.backend.support(np.array([1.0]))
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        xs = mid + half * inset * np.linspace(-1.0, 1.0, budget)
+        lo, hi = -dom.backend.support(-np.ones(1)), dom.backend.support(np.ones(1))
+        xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _INSET * np.linspace(-1.0, 1.0, budget)
         chart_pts = xs[:, None]
-        simplices = [(i, i + 1) for i in range(budget - 1)]
     elif n == 2:
-        chart_pts, simplices = _disk_mesh(dom, budget, inset)
+        chart_pts = _disk_mesh(dom, budget)
     else:
         raise InvalidInputError("PL characteristic surfaces support chart dim <= 2")
-    lifts = chart.lift_many(chart_pts)
+    lifts = dom.chart.lift_many(chart_pts)
     dirs = lifts / np.linalg.norm(lifts, axis=1)[:, None]
     radii = np.array([np.linalg.norm(characteristic_point(cone, q)) for q in dirs])
 
     rng = np.random.default_rng(seed)
-    rounds = 0
-    cert = None
-    surf = None
-    for rounds in range(max_jitter_rounds + 1):
-        surf = SimplicialHypersurface(radii[:, None] * dirs, simplices)
+    for rounds in range(_JITTER_ROUNDS + 1):
+        pts = radii[:, None] * dirs
+        surf = SimplicialHypersurface(pts, _origin_faces(pts))
         try:
             cert = certify_generic_convex(surf)
         except TransversalityError as exc:
@@ -677,61 +681,56 @@ def pl_characteristic_surface(cone, budget: int, seed: int = DEFAULT_SEED,
                 "surface failed convexity certification",
                 violations=cert.violations)
         radii = radii * (1.0 + 1e-9 * 2.0 ** rounds * rng.uniform(-1, 1, radii.size))
-    if cert is None or not cert.ok:
+    if not cert.ok:
         raise ApproximationFailureError(
             "jitter budget exhausted without a certificate",
-            violations=cert.violations if cert else [])
+            violations=cert.violations)
     deviation = _sampled_deviation(cone, surf, rng)
     return PLSurfaceResult(surf, cert, deviation, rounds)
 
 
-def _disk_mesh(dom, budget, inset):
-    """Staggered ring mesh of the chart region around its centroid.
+def _origin_faces(pts):
+    """The faces of the hull of the rows of `pts` that face the origin: with
+    copies 1e3 * pts added, the faces of original points alone whose plane
+    has the origin strictly outside.  Each face is ascending but for its last
+    two indices, swapped where that makes its radial determinant positive;
+    the faces are sorted."""
+    from scipy.spatial import ConvexHull, QhullError  # imported here: slow to load
 
-    Consecutive rings are rotated by half an angular step (antiprism strips);
-    aligned rings would make every quad a planar trapezoid, which adjacent
-    coplanarity forbids.
-    """
+    m = len(pts)
+    try:
+        hull = ConvexHull(np.vstack([pts, 1e3 * pts]))
+    except QhullError as exc:
+        raise ApproximationFailureError("samples span no hull") from exc
+    reach = np.linalg.norm(pts, axis=1).max()
+    faces = np.sort(hull.simplices[(hull.simplices < m).all(axis=1)
+                                   & (hull.equations[:, -1] > 1e-9 * reach)], axis=1)
+    flip = np.linalg.det(pts[faces]) < 0
+    faces[flip, -2:] = faces[flip, -2:][:, ::-1]
+    return faces[np.lexsort(faces.T[::-1])]
+
+
+def _disk_mesh(dom, budget):
+    """Sample points of the chart region, a sampler only: its centroid and
+    rings around it up to _INSET of the way to the boundary.  Consecutive
+    rings are rotated by half an angular step: aligned rings lift to planar
+    quads, which the hull splits arbitrarily, costing a jitter round."""
     _, centroid, _ = dom.backend.moments()
     rings = max(1, int(round(np.sqrt(budget / 4.0))))
     angles = max(6, int(np.ceil((budget - 1) / rings)))
-
-    def ring_dirs(j):
-        ang = 2 * np.pi * (np.arange(angles) + 0.5 * (j % 2)) / angles
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-
     pts = [centroid]
     for j in range(1, rings + 1):
-        dirs = ring_dirs(j)
-        frac = inset * j / rings
-        for u in dirs:
+        ang = 2 * np.pi * (np.arange(angles) + 0.5 * (j % 2)) / angles
+        frac = _INSET * j / rings
+        for u in np.stack([np.cos(ang), np.sin(ang)], axis=1):
             _, t_hi = dom.backend.chord_params(centroid, u)
             pts.append(centroid + frac * t_hi * u)
-    pts = np.array(pts)
-    tris = []
-    for i in range(angles):
-        tris.append((0, 1 + i, 1 + (i + 1) % angles))
-    for j in range(rings - 1):
-        base0 = 1 + j * angles       # lower ring j+1
-        base1 = 1 + (j + 1) * angles
-        for i in range(angles):
-            i2 = (i + 1) % angles
-            if j % 2 == 0:  # lower ring staggered by half a step
-                tris.append((base0 + i, base1 + i2, base0 + i2))
-                tris.append((base1 + i, base0 + i, base1 + i2))
-            else:           # upper ring staggered
-                tris.append((base0 + i, base1 + i, base0 + i2))
-                tris.append((base1 + i, base1 + i2, base0 + i2))
-    return pts, tris
+    return np.array(pts)
 
 
 def _sampled_deviation(cone, surf, rng, max_edges=24):
-    edges = set()
-    for s in surf.simplices:
-        for a in range(len(s)):
-            for b in range(a + 1, len(s)):
-                edges.add((min(s[a], s[b]), max(s[a], s[b])))
-    edges = sorted(edges)
+    pairs = surf.simplices[:, np.transpose(np.triu_indices(surf.simplices.shape[1], 1))]
+    edges = np.unique(np.sort(pairs.reshape(-1, 2), axis=1), axis=0).tolist()
     if len(edges) > max_edges:
         idx = rng.choice(len(edges), size=max_edges, replace=False)
         edges = [edges[i] for i in sorted(idx)]

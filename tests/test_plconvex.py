@@ -228,8 +228,55 @@ def test_pl_surface_coarse_budget_deterministic():
     assert run() == run()
 
 
-def test_h_convexity_sampling():
-    res = pl.pl_characteristic_surface(dm.unit_disk(), 48)
+# (checks, sign, margin, deviation bound) of builds with the default seed,
+# as the staggered ring triangulation gave them before the hull step took
+# its place: the hull finds the same complexes where that one certified.
+RING_BUILDS = {
+    "disk": (lambda: dm.unit_disk(), 48,
+             (848, -1, 0.0002074956270848198, 0.11230431729581358)),
+    "ellipse": (lambda: dm.ConvexDomain.ellipsoid(np.array([0.1, -0.2]),
+                                                  np.diag([1.0, 2.5])), 48,
+                (848, -1, 6.317261712252204e-05, 0.29754787760502044)),
+    "gon24": (lambda: dm.disk_polygon(24), 48,
+              (848, -1, 0.00020684314862308903, 0.11159655842754201)),
+    "square": (lambda: dm.square_domain(), 48,
+               (848, -1, 1.816180536785121e-05, 0.2157300165334406)),
+    "orthant1": (lambda: dm.orthant_domain(1), 16,
+                 (28, -1, 0.0014940384832202852, 0.02621808039866158)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RING_BUILDS))
+def test_pl_surface_matches_ring_builds(name):
+    make, budget, (checks, sign, margin, deviation) = RING_BUILDS[name]
+    res = pl.pl_characteristic_surface(make(), budget)
+    assert (res.certificate.ok, res.certificate.checks, res.certificate.sign) == (
+        True, checks, sign)
+    assert res.certificate.margin == pytest.approx(margin, rel=1e-12)
+    assert res.deviation_bound == pytest.approx(deviation, rel=0, abs=1e-12)
+
+
+def test_pl_surface_rejects_bad_budgets():
+    for dom, budget in ((dm.unit_disk(), -3), (dm.unit_disk(), 0),
+                        (dm.orthant_domain(1), 1), (dm.orthant_domain(1), -3)):
+        with pytest.raises(InvalidInputError):
+            pl.pl_characteristic_surface(dom, budget)
+    # the smallest ring sampler still spans six triangles
+    assert len(pl.pl_characteristic_surface(dm.unit_disk(), 1).surface.simplices) == 6
+
+
+def test_origin_faces_of_flat_samples_fail():
+    # samples on one ray span no hull: a build failure, not a Qhull error
+    with pytest.raises(ApproximationFailureError):
+        pl._origin_faces(np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
+
+
+@pytest.mark.parametrize("make,budget", [
+    (dm.unit_disk, 48), (dm.triangle_domain, 48),
+    (lambda: dm.orthant_domain(2), 48), (dm.square_domain, 32)],
+    ids=["disk", "triangle", "orthant2", "square"])
+def test_h_convexity_sampling(make, budget):
+    res = pl.pl_characteristic_surface(make(), budget)
     surf = res.surface
     rng = np.random.default_rng(9)
     m = surf.vertices.shape[0]
@@ -402,16 +449,18 @@ def _outcome(fn, *args, **kwargs):
 
 
 def _ring_surface(budget, seed, dent=None, fold=None):
-    """Staggered ring mesh of the disk lifted to the hyperboloid, turned by a
-    seeded angle; `dent` scales one interior vertex, `fold` turns one vertex
-    about the axis (overlapping its neighbours)."""
+    """Staggered ring samples of the disk lifted to the hyperboloid, turned by
+    a seeded angle and spanned by their origin-facing hull faces; `dent` then
+    scales one interior vertex, `fold` turns one vertex about the axis
+    (overlapping its neighbours)."""
     rng = np.random.default_rng(seed)
-    pts, tris = pl._disk_mesh(dm.unit_disk(), budget, 0.85)
+    pts = pl._disk_mesh(dm.unit_disk(), budget)
     spin = rng.uniform(0, 2 * np.pi)
     pts = pts @ np.array([[np.cos(spin), -np.sin(spin)],
                           [np.sin(spin), np.cos(spin)]])
     verts = np.hstack([pts, np.ones((len(pts), 1))])
     verts /= np.sqrt(1.0 - (pts ** 2).sum(1))[:, None]
+    tris = pl._origin_faces(verts)
     i = rng.integers(1, len(verts) // 2)
     if dent is not None:
         verts[i] *= dent

@@ -68,6 +68,22 @@ def test_hull_and_mesh_commands_load_scipy_at_first_use(tmp_path):
     assert "scipy.spatial" in loaded
 
 
+def test_surface_build_commands(tmp_path):
+    # a corner domain builds and certifies; a negative budget is a reported
+    # input error, not a numpy failure
+    jsonio.dump_file(dm.triangle_domain().to_json(), tmp_path / "tri.json")
+    out, _ = _cli(["plconvex", "build", "--domain", "tri.json", "--budget", "24"],
+                  tmp_path)
+    assert "certified=True" in out
+    jsonio.dump_file(dm.orthant_domain(1).to_json(), tmp_path / "ray.json")
+    res = subprocess.run(
+        [sys.executable, "-m", "projconvex.cli", "vinberg", "surface",
+         "--domain", "ray.json", "--budget=-3"],
+        cwd=tmp_path, env=ENV, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 1 and "error[invalid-input]" in res.stdout
+    assert "Traceback" not in res.stderr and "RuntimeWarning" not in res.stderr
+
+
 @pytest.mark.parametrize("demo", ["spherical_centers_and_boxes.py",
                                   "degeneration_watch.py",
                                   "pl_certificates.py"])
