@@ -34,12 +34,14 @@ def _parse_triangle(text):
     return [_parse_point(part) for part in text.split(":")]
 
 
+def _tolerance(text):
+    if not float(text) >= 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be >= 0, got {text!r}")
+    return float(text)
+
+
 def _add_common(p, svg=False):
     p.add_argument("--out", help="report path (.json, or .csv where supported)")
-    p.add_argument("--seed", type=int, default=config.DEFAULT_SEED)
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the frontier-membership tolerance")
-    p.add_argument("--threads", type=int, default=1)
     if svg:
         p.add_argument("--svg", help="figure path (2-d charts only)")
 
@@ -81,6 +83,7 @@ def build_parser():
     q = p.add_parser("surface")
     q.add_argument("--domain", required=True)
     q.add_argument("--budget", type=int, default=32)
+    q.add_argument("--seed", type=int, default=config.DEFAULT_SEED)
     _add_common(q, svg=True)
 
     p = top.add_parser("normalize").add_subparsers(dest="op", required=True)
@@ -98,10 +101,13 @@ def build_parser():
     q = p.add_parser("aut")
     q.add_argument("--domain", required=True)
     q.add_argument("--matrix", required=True)
+    q.add_argument("--tol", type=_tolerance, default=1e-8,
+                   help="largest automorphism residual")
     _add_common(q)
     q = p.add_parser("dynamics")
     q.add_argument("--domain", required=True)
     q.add_argument("--matrix", required=True)
+    q.add_argument("--tol", type=_tolerance, help="frontier-membership tolerance")
     _add_common(q)
     q = p.add_parser("orbit")
     q.add_argument("--domain", required=True)
@@ -114,12 +120,16 @@ def build_parser():
     q.add_argument("--gens", required=True)
     q.add_argument("--x", required=True, help="base point, raw cone coordinates")
     q.add_argument("--L", type=int, default=3)
+    q.add_argument("--tol", type=_tolerance, help="frontier-membership tolerance")
     _add_common(q)
 
     p = top.add_parser("plconvex").add_subparsers(dest="op", required=True)
-    q = p.add_parser("check"); q.add_argument("--mesh", required=True); _add_common(q)
-    q = p.add_parser("certify"); q.add_argument("--mesh", required=True); _add_common(q)
-    q = p.add_parser("radius"); q.add_argument("--mesh", required=True); _add_common(q)
+    for name in ("check", "certify", "radius"):
+        q = p.add_parser(name)
+        q.add_argument("--mesh", required=True)
+        if name != "certify":
+            q.add_argument("--seed", type=int, default=config.DEFAULT_SEED)
+        _add_common(q)
     q = p.add_parser("outward")
     q.add_argument("--mesh", required=True)
     q.add_argument("--t", type=float, required=True)
@@ -127,7 +137,8 @@ def build_parser():
     q = p.add_parser("build")
     q.add_argument("--domain", required=True)
     q.add_argument("--budget", type=int, default=32)
-    _add_common(q, svg=True)
+    q.add_argument("--seed", type=int, default=config.DEFAULT_SEED)
+    _add_common(q)
     return ap
 
 
@@ -135,8 +146,6 @@ def _run(args):
     """Execute the parsed command; returns (report dict, summary, warnings)."""
     warnings = []
     mod, op = args.module, args.op
-    if args.tol is not None:
-        config.TOL.frontier = args.tol
 
     if mod == "domain":
         dom = jsonio.load_domain(args.domain)
@@ -181,8 +190,7 @@ def _run(args):
             return ({"points": [p.tolist() for p in pts]},
                     f"{len(pts)} geodesic points", warnings)
         if op == "delta":
-            res = hb.thin_triangle_delta(dom, _parse_triangle(args.tri),
-                                         m=args.m, threads=args.threads)
+            res = hb.thin_triangle_delta(dom, _parse_triangle(args.tri), m=args.m)
             if res.degenerate:
                 warnings.append("degenerate (collinear) triangle")
             return ({"delta": res.delta, "degenerate": res.degenerate,
@@ -262,9 +270,11 @@ def _run(args):
 
     if mod == "group":
         dom = jsonio.load_domain(args.domain)
+        if op in ("dynamics", "dirichlet") and args.tol is not None:
+            config.TOL.frontier = args.tol      # dispatch restores it
         if op == "aut":
             chk = gp.is_automorphism(dom, jsonio.load_matrix(args.matrix),
-                                     tol=1e-8 if args.tol is None else args.tol)
+                                     tol=args.tol)
             return ({"is_automorphism": chk.is_automorphism,
                      "residual": chk.residual},
                     f"automorphism={chk.is_automorphism} "

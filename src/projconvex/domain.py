@@ -35,6 +35,9 @@ from .projgeom import (
     standard_chart,
 )
 
+# Rejection rounds of `ConvexDomain.random_interior` before it gives up.
+_SAMPLE_ROUNDS = 1000
+
 
 # ---------------------------------------------------------------------------
 # simplex moment formulas (exact)
@@ -614,8 +617,13 @@ class ConvexDomain:
     def random_interior(self, rng, size=1, margin=0.0):
         r = self.backend.bounding_radius()
         out = np.empty((size, self.dim))
-        got = 0
+        got = rounds = 0
         while got < size:
+            if rounds == _SAMPLE_ROUNDS:
+                raise InvalidInputError(
+                    "no interior point with this margin found",
+                    margin=margin, rounds=rounds)
+            rounds += 1
             cand = rng.uniform(-r, r, size=(4 * (size - got) + 8, self.dim))
             for x in cand:
                 if self.backend.contains_margin(x) > margin:

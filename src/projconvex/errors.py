@@ -11,23 +11,8 @@ class GeometryError(Exception):
         self.data = data
 
     def report(self):
-        return {"code": self.code, "message": str(self), "data": _plain(self.data)}
-
-
-def _plain(obj):
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover
-        return obj
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+        """The error as report data; `jsonio.sanitize` makes it JSON-ready."""
+        return {"code": self.code, "message": str(self), "data": self.data}
 
 
 class InvalidInputError(GeometryError):

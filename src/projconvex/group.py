@@ -26,6 +26,11 @@ from .hilbert import _distance_chart, _golden_min
 from .projgeom import ProjPoint, ProjTransform, null_space
 from .vinberg import characteristic_point, min_volume_on_fiber
 
+# Iterates `attractor_convergence` tries, and sampled support functionals
+# standing in for an ellipsoid cone's boundary in `dirichlet_domain`.
+_ATTRACTOR_STEPS = 2000
+_CONIC_SAMPLES = 64
+
 
 @dataclass
 class AutoCheck:
@@ -171,12 +176,12 @@ def fixed_point_dynamics(dom: ConvexDomain, a: ProjTransform) -> HyperbolicData:
 
 
 def attractor_convergence(dom: ConvexDomain, a: ProjTransform, x,
-                          tol: float = 1e-6, kmax: int = 2000) -> int:
+                          tol: float = 1e-6) -> int:
     """Smallest k with the k-th iterate within chart distance tol of a_plus."""
     hd = fixed_point_dynamics(dom, a)
     target = dom.chart.to_chart(hd.a_plus)
     vec = dom.chart.lift(dom.chart_coords(x))
-    for k in range(1, kmax + 1):
+    for k in range(1, _ATTRACTOR_STEPS + 1):
         vec = a.matrix @ vec
         vec = vec / np.linalg.norm(vec)
         if abs(dom.chart.height(vec)) <= TOL.exact:
@@ -184,7 +189,7 @@ def attractor_convergence(dom: ConvexDomain, a: ProjTransform, x,
         if np.linalg.norm(dom.chart.to_chart(vec * np.sign(dom.chart.height(vec))) - target) < tol:
             return k
     raise NotHyperbolicError("iterates did not reach the attracting point",
-                             kmax=kmax)
+                             kmax=_ATTRACTOR_STEPS)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +273,7 @@ class DirichletDomain:
     word_depth: int
 
 
-def dirichlet_domain(cone: ConvexCone, gens, x, max_len: int,
-                     conic_samples: int = 64) -> DirichletDomain:
+def dirichlet_domain(cone: ConvexCone, gens, x, max_len: int) -> DirichletDomain:
     """Fundamental polytope in the tangent slice of the characteristic surface.
 
     The halfspace at the base point is bounded by the tangent hyperplane of
@@ -311,7 +315,7 @@ def dirichlet_domain(cone: ConvexCone, gens, x, max_len: int,
             rows.append(-(z.T @ c))
             offs.append(float(c @ x_s) - 1.0)
             labels.append(word_label(w))
-        for r in _cone_constraints(cone, conic_samples):
+        for r in _cone_constraints(cone):
             rows.append(-(z.T @ r))
             offs.append(float(r @ x_s))
             labels.append("cone")
@@ -367,14 +371,14 @@ def dirichlet_domain(cone: ConvexCone, gens, x, max_len: int,
     )
 
 
-def _cone_constraints(cone: ConvexCone, conic_samples):
+def _cone_constraints(cone: ConvexCone):
     """Functionals nonnegative on the cone: exact facets or sampled supports."""
     dom = cone.domain
     b = dom.backend
     chart = dom.chart
     if b.kind == "ellipsoid":
         return [dom_support(dom, b.support_point(u)).coeffs
-                for u in _sphere_directions(dom.dim, conic_samples)]
+                for u in _sphere_directions(dom.dim, _CONIC_SAMPLES)]
     hp = b.as_hpoly()
     return [float(bo) * chart.infinity - chart.frame @ ao
             for ao, bo in zip(hp.normals, hp.offsets)]

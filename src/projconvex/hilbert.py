@@ -175,9 +175,11 @@ def thin_triangle_delta(dom: ConvexDomain, triangle, m: int = 64,
     For m+1 points (endpoints included) on each side, measures the Hilbert
     distance to the union of the other two sides by golden-section search
     along each of them; returns the max.  A sampled lower bound of the true
-    sup, nondecreasing when m doubles.  `threads` is accepted and ignored:
-    the search holds the GIL, so threads cannot speed it up.
+    sup, nondecreasing when m doubles.  `threads` is ignored (the search holds
+    the GIL); it stays because `perfbench/workload_metric.py` passes it.
     """
+    if m < 1:
+        raise InvalidInputError("need at least one segment per side", m=m)
     verts = [dom.chart_coords(p) for p in triangle]
     if len(verts) != 3:
         raise InvalidInputError("triangle needs exactly three vertices")

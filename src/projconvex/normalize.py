@@ -23,6 +23,9 @@ from .group import _reduced_word_matrices, word_label
 from .projgeom import ProjTransform, minimal_rotation, standard_chart
 from .vinberg import spherical_center
 
+# Interior sample points per box edge in `box_bound_check`.
+_EDGE_SAMPLES = 5
+
 
 @dataclass
 class MomentData:
@@ -149,7 +152,7 @@ class BoxCheckResult:
     bound: float                  # 2K|corner|
 
 
-def box_bound_check(a, k: float, edge_samples: int = 5) -> BoxCheckResult:
+def box_bound_check(a, k: float) -> BoxCheckResult:
     """Test the entrywise bound |A_ij| <= 2K |A_{n+1,n+1}| and its hypothesis.
 
     The hypothesis, that the projective image of the unit box lies in the K
@@ -161,21 +164,10 @@ def box_bound_check(a, k: float, edge_samples: int = 5) -> BoxCheckResult:
     n1 = mat.shape[0]
     n = n1 - 1
     corners = np.array(list(product((-1.0, 1.0), repeat=n)))
-    pts = [corners]
-    if edge_samples > 0:
-        edges = []
-        ts = np.linspace(-1.0, 1.0, edge_samples + 2)[1:-1]
-        for c in corners:
-            for j in range(n):
-                if c[j] == 1.0:  # each edge once
-                    continue
-                for t in ts:
-                    e = c.copy()
-                    e[j] = t
-                    edges.append(e)
-        if edges:
-            pts.append(np.array(edges))
-    pts = np.vstack(pts)
+    ts = np.linspace(-1.0, 1.0, _EDGE_SAMPLES + 2)[1:-1]
+    # each edge once: from its corner at -1 in the varying coordinate
+    pts = np.vstack([corners, *(np.where(np.arange(n) == j, t, c) for c in corners
+                                for j in np.flatnonzero(c < 0) for t in ts)])
     lifts = np.hstack([pts, np.ones((pts.shape[0], 1))])
     images = lifts @ mat.T
     heights = images[:, -1]

@@ -36,10 +36,13 @@ _SECTION_CHUNK = 1 << 16
 # with more slack meet everything, so one of them cannot widen every query.
 _SLACK_BOUND = 1e-3
 
-# Jitter rounds of a characteristic-surface build, and how far towards the
-# chart boundary its outermost samples sit.
+# Sample points per simplex of the radial section check; jitter rounds of a
+# characteristic-surface build, how far towards the chart boundary its
+# outermost samples sit, and how many of its edges the deviation bound samples.
+_SECTION_SAMPLES = 3
 _JITTER_ROUNDS = 8
 _INSET = 0.85
+_DEVIATION_EDGES = 24
 
 
 class _Complex:
@@ -83,55 +86,37 @@ class _Complex:
         self.interior = np.zeros(n_vertices, dtype=bool)
         self.interior[flat] = True
         self.interior[boundary[boundary >= 0]] = False
-        self._checks = {}
+        self._checks = None
         self._weights = {}
 
-    def sample_weights(self, samples, seed):
-        """Barycentric weights (T, samples, k) of the section check's sample
-        points: each simplex's centroid, then seeded Dirichlet draws.  They
+    def sample_weights(self, seed):
+        """Barycentric weights (T, _SECTION_SAMPLES, k) of the section check's
+        samples: each simplex's centroid, then seeded Dirichlet draws.  They
         depend on the complex alone, so surfaces sharing it draw them once."""
-        if (samples, seed) not in self._weights:
+        if seed not in self._weights:
             t_count, k = self.simplices.shape
-            rng = np.random.default_rng(seed)
-            self._weights[samples, seed] = np.concatenate(
-                [np.full((t_count, 1, k), 1.0 / k),
-                 rng.dirichlet(np.full(k, 4.0), size=(t_count, samples - 1))],
-                axis=1)
-        return self._weights[samples, seed]
+            draws = np.random.default_rng(seed).dirichlet(
+                np.full(k, 4.0), size=(t_count, _SECTION_SAMPLES - 1))
+            self._weights[seed] = np.concatenate(
+                [np.full((t_count, 1, k), 1.0 / k), draws], axis=1)
+        return self._weights[seed]
 
-    def checks(self, scope):
+    def checks(self):
         """Rows (vertex, simplex, test vertex, adjacent) of the determinant
         checks at interior vertices, sorted by vertex, simplex, test vertex.
 
-        Each star simplex is tested against the link vertices outside it or,
-        with scope "adjacent", against the vertices across its facets through
-        the vertex.  `adjacent` marks a test vertex across any facet of the
-        simplex: such a pair lying flat is a coplanar star.
+        Each star simplex is tested against the link vertices outside it.
+        `adjacent` marks a test vertex across any facet of the simplex: such
+        a pair lying flat is a coplanar star.
         """
-        if scope not in ("all", "adjacent"):
-            raise InvalidInputError(
-                f'link scope must be "all" or "adjacent", got {scope!r}')
-        if scope not in self._checks:
-            self._checks[scope] = self._build_checks(scope)
-        return self._checks[scope]
-
-    def _build_checks(self, scope):
-        simp = self.simplices
-        k = simp.shape[1]
-        n = self.interior.size
-        flat = simp.ravel()
-        slots = np.flatnonzero(self.interior[flat])
-        slots = slots[np.argsort(flat[slots], kind="stable")]
-        v, t = flat[slots], slots // k
-        if scope == "adjacent":
-            u = self.across[t]
-            u[np.arange(t.size), slots % k] = -1    # that facet misses v
-            u[(simp[t][:, :, None] == u[:, None, :]).any(axis=1)] = -1
-            u = np.sort(np.where(u < 0, n, u), axis=1)
-            u[:, 1:][u[:, 1:] == u[:, :-1]] = n
-            keep = (u < n).ravel()
-            v, t, u = np.repeat(v, k)[keep], np.repeat(t, k)[keep], u.ravel()[keep]
-        else:
+        if self._checks is None:
+            simp = self.simplices
+            k = simp.shape[1]
+            n = self.interior.size
+            flat = simp.ravel()
+            slots = np.flatnonzero(self.interior[flat])
+            slots = slots[np.argsort(flat[slots], kind="stable")]
+            v, t = flat[slots], slots // k
             a, b = np.nonzero(~np.eye(k, dtype=bool))
             link_v, link_u = np.divmod(
                 np.unique(simp[:, a].ravel() * n + simp[:, b].ravel()), n)
@@ -143,7 +128,8 @@ class _Complex:
             v, t = v[row], t[row]
             keep = ~(simp[t] == u[:, None]).any(axis=1)
             v, t, u = v[keep], t[keep], u[keep]
-        return v, t, u, (self.across[t] == u[:, None]).any(axis=1)
+            self._checks = v, t, u, (self.across[t] == u[:, None]).any(axis=1)
+        return self._checks
 
 
 class SimplicialHypersurface:
@@ -360,7 +346,6 @@ class RadialSectionResult:
 
 
 def radial_section_check(surf: SimplicialHypersurface,
-                         samples_per_simplex: int = 3,
                          seed: int = DEFAULT_SEED) -> RadialSectionResult:
     """Does every ray from the origin meet the surface exactly once?
 
@@ -395,7 +380,7 @@ def radial_section_check(surf: SimplicialHypersurface,
                   for si in np.flatnonzero(trans <= 1e-10).tolist()]
     if violations:
         return RadialSectionResult(False, violations, min_trans)
-    weights = surf._complex.sample_weights(samples_per_simplex, seed)
+    weights = surf._complex.sample_weights(seed)
     dirs = (weights @ pts).reshape(-1, pts.shape[2])
     rows, simp, low, total = surf._cone_pairs(dirs)
     hit = (low >= -1e-12) & (total > 0)
@@ -403,7 +388,7 @@ def radial_section_check(surf: SimplicialHypersurface,
     hits = np.bincount(rows[hit], minlength=len(dirs))
     bad = (strict > 1) | ((strict == 0) & (hits > 2))
     for r in np.flatnonzero(bad).tolist():
-        si = r // samples_per_simplex
+        si = r // _SECTION_SAMPLES
         if not violations or violations[-1]["simplex"] != si:
             lo, hi = np.searchsorted(rows, [r, r + 1])
             violations.append({"kind": "multiplicity", "simplex": si,
@@ -455,17 +440,15 @@ def _determinant_list(t, u, vals):
     return list(zip(t.tolist(), u.tolist(), vals.tolist()))
 
 
-def vertex_convexity(surf: SimplicialHypersurface, v: int,
-                     link_scope: str = "all") -> VertexConvexity:
+def vertex_convexity(surf: SimplicialHypersurface, v: int) -> VertexConvexity:
     """Sign-consistency of the star determinants at an interior vertex.
 
-    For every top simplex in the star and every link vertex outside it (or,
-    with link_scope="adjacent", only the vertices opposite its facets), the
+    For every top simplex in the star and every link vertex outside it, the
     determinant of (simplex vertices - test vertex) must have one sign.
     """
     if not (0 <= v < len(surf.vertices) and surf._complex.interior[v]):
         raise InvalidInputError("vertex is not interior to the complex", vertex=v)
-    vs, t, u, adjacent = surf._complex.checks(link_scope)
+    vs, t, u, adjacent = surf._complex.checks()
     lo, hi = np.searchsorted(vs, [v, v + 1])
     if lo == hi:
         return VertexConvexity(0, 0.0, [])
@@ -491,27 +474,32 @@ class ConvexityCertificate:
                 "checks": self.checks, "violations": self.violations}
 
 
-def certify_generic_convex(surf: SimplicialHypersurface,
-                           link_scope: str = "all") -> ConvexityCertificate:
+def certify_generic_convex(surf: SimplicialHypersurface) -> ConvexityCertificate:
     """Global convexity certificate: radial section, a single determinant sign
     across all interior vertex stars, and no coplanar adjacent pair.
 
     Every determinant (adjacent pairs, then star checks) is one stacked
-    evaluation over the complex's precomputed index arrays.
+    evaluation over the complex's precomputed index arrays.  Without an
+    interior vertex the adjacent-pair determinants must share one sign; a
+    lone simplex has none and passes with an infinite margin.
     """
     rs = radial_section_check(surf)
     if not rs.ok:
         raise TransversalityError("surface is not a radial section",
                                   violations=rs.violations)
     pair_a, pair_b, pair_u = surf._complex.pairs
-    v, t, u, adjacent = surf._complex.checks(link_scope)
+    v, t, u, adjacent = surf._complex.checks()
     vals = _oriented_dets(surf, np.concatenate([pair_a, t]),
                           np.concatenate([pair_u, u]))
     pair_vals, vals = vals[:pair_a.size], vals[pair_a.size:]
+
+    def pair_violations(kind, mask):
+        return [{"kind": kind, "simplices": [a, b], "determinant": d}
+                for a, b, d in zip(pair_a[mask].tolist(), pair_b[mask].tolist(),
+                                   pair_vals[mask].tolist())]
+
     flat = np.abs(pair_vals) <= TOL.coplanarity
-    violations = [{"kind": "coplanarity", "simplices": [a, b], "determinant": d}
-                  for a, b, d in zip(pair_a[flat].tolist(), pair_b[flat].tolist(),
-                                     pair_vals[flat].tolist())]
+    violations = pair_violations("coplanarity", flat)
     coplanar, keep, starts, signs = _judge_stars(v, t, u, adjacent, vals)
     v, t, u, vals = v[keep], t[keep], u[keep], vals[keep]
     ends = np.append(starts[1:], v.size)
@@ -524,15 +512,18 @@ def certify_generic_convex(surf: SimplicialHypersurface,
     per_vertex = [{"kind": "coplanarity", **data} for data in coplanar]
     per_vertex += [vertex_violation(i) for i in np.flatnonzero(signs == 0)]
     violations += sorted(per_vertex, key=lambda viol: viol["vertex"])
-    # one orientation sign must work globally; minority vertices are flagged
-    majority = 1 if np.sum(vals > 0) >= np.sum(vals < 0) else -1
+    # one orientation sign must work globally; minority vertices are flagged,
+    # or without an interior vertex, minority adjacent pairs
+    checked = vals if adjacent.size else pair_vals
+    majority = 1 if np.sum(checked > 0) >= np.sum(checked < 0) else -1
     violations += [vertex_violation(i)
                    for i in np.flatnonzero((signs != 0) & (signs != majority))]
+    if not adjacent.size:
+        violations += pair_violations("fold", ~flat & (np.sign(pair_vals) != majority))
     if violations:
-        return ConvexityCertificate(False, 0, 0.0, vals.size, violations)
-    margin = float(np.abs(vals).min()) if vals.size else 0.0
-    return ConvexityCertificate(margin > 0, majority if vals.size else 0,
-                                margin, vals.size)
+        return ConvexityCertificate(False, 0, 0.0, checked.size, violations)
+    return ConvexityCertificate(True, majority,
+                                float(np.abs(checked).min(initial=np.inf)), checked.size)
 
 
 @dataclass
@@ -545,21 +536,27 @@ class PerturbationResult:
 
 
 def perturbation_radius(surf: SimplicialHypersurface, trials: int = 100,
-                        seed: int = DEFAULT_SEED,
-                        link_scope: str = "all") -> PerturbationResult:
+                        seed: int = DEFAULT_SEED) -> PerturbationResult:
     """Certified displacement radius keeping the convexity certificate valid.
 
     epsilon = margin / (2 B) where B bounds the derivative of every checked
     determinant under simultaneous vertex displacements (each column moves at
     most twice the displacement; Hadamard bounds the cofactors).  Verified by
     re-certifying 100 random perturbations at 0.9 epsilon; the perturbed
-    surfaces share this one's combinatorics.
+    surfaces share this one's combinatorics.  Without an interior vertex B
+    bounds the adjacent-pair determinants; without those, nothing is checked
+    and InvalidInputError is raised.
     """
-    cert = certify_generic_convex(surf, link_scope=link_scope)
+    cert = certify_generic_convex(surf)
     if not cert.ok:
         raise ApproximationFailureError("surface is not generic-convex",
                                         violations=cert.violations)
-    _, t, u, _ = surf._complex.checks("all")
+    _, t, u, _ = surf._complex.checks()
+    if not t.size:
+        t, _, u = surf._complex.pairs
+    if not t.size:
+        raise InvalidInputError(
+            "no adjacent simplices: no determinant bounds a perturbation radius")
     cols = surf.vertices[surf.simplices[t]] - surf.vertices[u][:, None, :]
     norms = np.linalg.norm(cols, axis=2)
     prod = np.prod(norms, axis=1)
@@ -573,8 +570,7 @@ def perturbation_radius(surf: SimplicialHypersurface, trials: int = 100,
         disp = rng.normal(size=surf.vertices.shape)
         disp *= scale * eps / np.linalg.norm(disp, axis=1)[:, None]
         try:
-            c2 = certify_generic_convex(surf.with_vertices(surf.vertices + disp),
-                                        link_scope=link_scope)
+            c2 = certify_generic_convex(surf.with_vertices(surf.vertices + disp))
         except (TransversalityError, InvalidInputError):
             return False
         return c2.ok and c2.sign == cert.sign
@@ -728,11 +724,11 @@ def _disk_mesh(dom, budget):
     return np.array(pts)
 
 
-def _sampled_deviation(cone, surf, rng, max_edges=24):
+def _sampled_deviation(cone, surf, rng):
     pairs = surf.simplices[:, np.transpose(np.triu_indices(surf.simplices.shape[1], 1))]
     edges = np.unique(np.sort(pairs.reshape(-1, 2), axis=1), axis=0).tolist()
-    if len(edges) > max_edges:
-        idx = rng.choice(len(edges), size=max_edges, replace=False)
+    if len(edges) > _DEVIATION_EDGES:
+        idx = rng.choice(len(edges), size=_DEVIATION_EDGES, replace=False)
         edges = [edges[i] for i in sorted(idx)]
     dirs, exact = [], []
     for a, b in edges:

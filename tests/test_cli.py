@@ -165,12 +165,29 @@ def test_domain_dual_and_flats(tmp_path, capsys):
     assert "4 maximal flat pieces" in capsys.readouterr().out
 
 
-def test_tol_does_not_outlive_the_command(disk_file, monkeypatch):
+def test_tol_does_not_outlive_the_command(disk_file, tmp_path, monkeypatch):
     monkeypatch.setattr(TOL, "frontier", 1e-8)
-    res = dispatch(["hilbert", "dist", "--domain", disk_file,
-                    "--x", "0,0", "--y", "0.5,0", "--tol", "1e-6"])
+    mat = tmp_path / "boost.json"
+    jsonio.dump_file({"matrix": boost(0.6).tolist()}, mat)
+    res = dispatch(["group", "dynamics", "--domain", disk_file,
+                    "--matrix", str(mat), "--tol", "1e-6"])
     assert res.exit_code == 0
     assert TOL.frontier == 1e-8
+
+
+def test_bad_numbers_are_rejected(disk_file, tmp_path, capsys):
+    mat = tmp_path / "eye.json"
+    jsonio.dump_file({"matrix": np.eye(3).tolist()}, mat)
+    for op in ("aut", "dynamics"):
+        for tol in ("-1", "nan"):
+            res = dispatch(["group", op, "--domain", disk_file,
+                            "--matrix", str(mat), "--tol", tol])
+            assert res.exit_code == 2
+    capsys.readouterr()
+    res = dispatch(["hilbert", "delta", "--domain", disk_file,
+                    "--tri", "0,0:0.5,0:0,0.5", "--m", "-1"])
+    assert res.exit_code == 1
+    assert "error[invalid-input]" in capsys.readouterr().out
 
 
 def test_aut_tol_zero_is_exact(disk_file, tmp_path):

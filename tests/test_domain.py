@@ -78,6 +78,33 @@ def test_chord_classification(any_domain, rng):
             assert any_domain.backend.contains_margin(c.point_at(t)) > -1e-12
 
 
+def _rejection_draws(dom, rng, size, margin):
+    """The sampler's draw loop written out without a bound on its rounds."""
+    r = dom.backend.bounding_radius()
+    out = []
+    while len(out) < size:
+        for x in rng.uniform(-r, r, size=(4 * (size - len(out)) + 8, dom.dim)):
+            if dom.backend.contains_margin(x) > margin:
+                out.append(x)
+                if len(out) == size:
+                    break
+    return np.array(out)
+
+
+def test_random_interior_draws_and_gives_up(any_domain):
+    # where points are found, the bounded sampler returns the same points
+    # and leaves the generator in the same state as the unbounded loop
+    for size, margin in ((1, 0.0), (5, 0.05)):
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        got = any_domain.random_interior(a, size=size, margin=margin)
+        assert np.array_equal(np.atleast_2d(got),
+                              _rejection_draws(any_domain, b, size, margin))
+        assert a.random() == b.random()
+    # a margin no point reaches is an error, not an endless loop
+    with pytest.raises(InvalidInputError):
+        any_domain.random_interior(np.random.default_rng(1), size=2, margin=1.0)
+
+
 def test_support_disk_tangent(disk):
     phi = dm.support(disk, [1.0, 0.0])
     # the tangent line x = 1, oriented into the disk

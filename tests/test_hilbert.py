@@ -181,6 +181,14 @@ def test_thin_triangle_monotone_in_m(disk):
     assert d2 >= d1 - 1e-12
 
 
+def test_thin_triangle_needs_a_segment_per_side(disk):
+    tri = [[0.7, 0.0], [-0.35, 0.6], [-0.35, -0.6]]
+    for m in (0, -1):
+        with pytest.raises(InvalidInputError):
+            hb.thin_triangle_delta(disk, tri, m=m)
+    assert hb.thin_triangle_delta(disk, tri, m=1).delta >= 0.0
+
+
 def test_thin_triangle_threads_match(disk):
     tri = [[0.7, 0.0], [-0.35, 0.6], [-0.35, -0.6]]
     a = hb.thin_triangle_delta(disk, tri, m=8, threads=1).delta

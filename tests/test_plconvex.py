@@ -85,13 +85,6 @@ def test_vertex_convexity_needs_interior(polyline):
         pl.vertex_convexity(polyline, 0)
 
 
-def test_vertex_convexity_link_scopes(polyline):
-    full = pl.vertex_convexity(polyline, 1, link_scope="all")
-    adj = pl.vertex_convexity(polyline, 1, link_scope="adjacent")
-    assert full.sign == adj.sign == 1
-    assert len(adj.determinants) <= len(full.determinants)
-
-
 def test_certify_polyline(polyline):
     cert = pl.certify_generic_convex(polyline)
     assert cert.ok and cert.sign == 1 and abs(cert.margin - 2.0) < 1e-12
@@ -347,7 +340,7 @@ def _ref_complex(surf):
     return pairs, boundary
 
 
-def _ref_vertex_convexity(surf, v, link_scope):
+def _ref_vertex_convexity(surf, v):
     pairs, _ = _ref_complex(surf)
     simplices = [set(s) for s in surf.simplices.tolist()]
     star = [si for si, s in enumerate(simplices) if v in s]
@@ -358,15 +351,7 @@ def _ref_vertex_convexity(surf, v, link_scope):
         across[sk] |= simplices[sj] - simplices[sk]
     dets = []
     for si in star:
-        if link_scope == "adjacent":
-            tests = set()
-            for sj, sk, f in pairs:
-                if si in (sj, sk) and v in f:
-                    tests |= simplices[sk if si == sj else sj] - simplices[si]
-            tests &= link
-        else:
-            tests = link - simplices[si]
-        for u in sorted(tests):
+        for u in sorted(link - simplices[si]):
             val = _ref_oriented_det(surf, si, u)
             if abs(val) <= TOL.coplanarity and u in across[si]:
                 raise CoplanarStarError("adjacent simplices are coplanar",
@@ -407,21 +392,23 @@ def _ref_section_check(surf, samples=3, seed=DEFAULT_SEED):
     return pl.RadialSectionResult(not violations, violations, float(min(trans)))
 
 
-def _ref_certify(surf, link_scope):
+def _ref_certify(surf):
     rs = _ref_section_check(surf)
     if not rs.ok:
         return "TransversalityError", rs.violations
     pairs, boundary = _ref_complex(surf)
-    violations = []
+    violations, pair_dets = [], []
     for sj, sk, f in pairs:
         val = _ref_oriented_det(surf, sj, next(iter(set(surf.simplices[sk].tolist()) - f)))
+        pair_dets.append((sj, sk, float(val)))
         if abs(val) <= TOL.coplanarity:
             violations.append({"kind": "coplanarity", "simplices": [sj, sk],
                                "determinant": float(val)})
     per_vertex, dets = {}, []
-    for v in sorted(set(surf.simplices.ravel().tolist()) - boundary):
+    interior = sorted(set(surf.simplices.ravel().tolist()) - boundary)
+    for v in interior:
         try:
-            vc = _ref_vertex_convexity(surf, v, link_scope)
+            vc = _ref_vertex_convexity(surf, v)
         except CoplanarStarError as exc:
             violations.append({"kind": "coplanarity", **exc.data})
             continue
@@ -430,15 +417,22 @@ def _ref_certify(surf, link_scope):
                                "determinants": vc.determinants})
         per_vertex[v] = vc
         dets.extend(vc.determinants)
+    if not interior:
+        # no star to check: the adjacent pairs must share one sign
+        dets = pair_dets
     majority = 1 if (sum(d > 0 for _, _, d in dets)
                      >= sum(d < 0 for _, _, d in dets)) else -1
     violations += [{"kind": "vertex", "vertex": v, "determinants": vc.determinants}
                    for v, vc in per_vertex.items() if vc.sign not in (0, majority)]
+    if not interior:
+        violations += [{"kind": "fold", "simplices": [sj, sk], "determinant": d}
+                       for sj, sk, d in pair_dets
+                       if abs(d) > TOL.coplanarity and np.sign(d) != majority]
     if violations:
         return pl.ConvexityCertificate(False, 0, 0.0, len(dets), violations)
-    margin = min((abs(d) for _, _, d in dets), default=0.0)
-    return pl.ConvexityCertificate(margin > 0, majority if dets else 0,
-                                   margin, len(dets))
+    return pl.ConvexityCertificate(True, majority,
+                                   min((abs(d) for _, _, d in dets), default=np.inf),
+                                   len(dets))
 
 
 def _outcome(fn, *args, **kwargs):
@@ -446,6 +440,16 @@ def _outcome(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except GeometryError as exc:
         return type(exc).__name__, exc.data.get("violations", exc.data)
+
+
+def _strip(lift=1.0):
+    """Three hyperboloid triangles in a row, every vertex on the boundary;
+    `lift` scales the middle vertex outward, creasing the first pair the
+    wrong way."""
+    pts = np.array([[-0.6, -0.1], [-0.3, 0.15], [0.0, -0.12], [0.3, 0.1], [0.6, -0.1]])
+    verts = np.hstack([pts, np.ones((5, 1))]) / np.sqrt(1.0 - (pts ** 2).sum(1))[:, None]
+    verts[2] *= lift
+    return pl.SimplicialHypersurface(verts, [(0, 1, 2), (1, 2, 3), (2, 3, 4)])
 
 
 def _ring_surface(budget, seed, dent=None, fold=None):
@@ -494,6 +498,10 @@ REFERENCE_MESHES = {
     # degrees from its normalized vertex centroid
     "wide_tetrahedron": lambda: pl.SimplicialHypersurface(
         WIDE_TETRAHEDRON, ConvexHull(WIDE_TETRAHEDRON).simplices),
+    # no interior vertex: a lone segment, and strips of three triangles
+    "segment": lambda: pl.SimplicialHypersurface([[-1.0, 2.0], [1.0, 2.0]], [(0, 1)]),
+    "strip": _strip,
+    "folded_strip": lambda: _strip(lift=1.3),
 }
 
 
@@ -501,21 +509,43 @@ REFERENCE_MESHES = {
 def test_stacked_kernels_match_loop_reference(name):
     surf = REFERENCE_MESHES[name]()
     assert pl.radial_section_check(surf) == _ref_section_check(surf)
-    for scope in ("all", "adjacent"):
-        assert (_outcome(pl.certify_generic_convex, surf, link_scope=scope)
-                == _ref_certify(surf, scope))
-        for v in surf.interior_vertices():
-            assert (_outcome(pl.vertex_convexity, surf, v, link_scope=scope)
-                    == _outcome(_ref_vertex_convexity, surf, v, scope))
+    cert = _outcome(pl.certify_generic_convex, surf)
+    assert cert == _ref_certify(surf)
+    # a failed certificate always names what failed
+    assert not isinstance(cert, pl.ConvexityCertificate) or cert.ok or cert.violations
+    for v in surf.interior_vertices():
+        assert (_outcome(pl.vertex_convexity, surf, v)
+                == _outcome(_ref_vertex_convexity, surf, v))
 
 
 def test_reference_meshes_cover_every_verdict():
-    outcomes = [_ref_certify(REFERENCE_MESHES[n](), "all")
-                for n in ("ring48", "dent", "fold", "cube")]
+    outcomes = [_ref_certify(REFERENCE_MESHES[n]())
+                for n in ("ring48", "dent", "fold", "cube", "folded_strip")]
     assert outcomes[0].ok
     assert {v["kind"] for v in outcomes[1].violations} == {"vertex"}
     assert outcomes[2][0] == "TransversalityError"
     assert any("test_vertex" in v for v in outcomes[3].violations)
+    assert [v["kind"] for v in outcomes[4].violations] == ["fold"]
+
+
+def test_surfaces_without_interior_vertices_certify():
+    # a lone simplex passes vacuously; a strip is judged by its adjacent
+    # pairs, and both sides of a crease are bounded by the perturbation radius
+    seg = REFERENCE_MESHES["segment"]()
+    assert pl.certify_generic_convex(seg) == pl.ConvexityCertificate(True, 1, np.inf, 0)
+    with pytest.raises(InvalidInputError):
+        pl.perturbation_radius(seg)
+    strip = _strip()
+    cert = pl.certify_generic_convex(strip)
+    assert cert.ok and cert.sign == 1 and cert.checks == 2 and 0 < cert.margin < np.inf
+    res = pl.perturbation_radius(strip, trials=10)
+    assert 0 < res.epsilon < np.inf and res.reverify_passes == 10
+    bad = pl.certify_generic_convex(_strip(lift=1.3))
+    assert not bad.ok and [v["simplices"] for v in bad.violations] == [[0, 1]]
+    # a two-sample 1-d characteristic surface is one segment
+    res = pl.pl_characteristic_surface(dm.orthant_domain(1), 2)
+    assert res.certificate.ok and res.certificate.checks == 0
+    assert len(res.surface.simplices) == 1
 
 
 def _block_straddlers(surf, dirs):
@@ -539,7 +569,7 @@ def test_section_check_across_chunks():
                        2.0 * np.stack([np.cos(outer), np.sin(outer)], 1)])
     segs = [(i, i + 1) for i in range(200)] + [(201 + i, 202 + i) for i in range(4)]
     surf = pl.SimplicialHypersurface(verts, segs)
-    weights = surf._complex.sample_weights(3, DEFAULT_SEED)
+    weights = surf._complex.sample_weights(DEFAULT_SEED)
     samples = (weights @ surf.vertices[surf.simplices]).reshape(-1, 2)
     pairs, split = _block_straddlers(surf, samples)
     assert pairs * surf.inv_stack()[0].size > pl._SECTION_CHUNK
@@ -547,16 +577,6 @@ def test_section_check_across_chunks():
     assert res == _ref_section_check(surf)
     # a sample of a violating simplex has its pairs in two blocks
     assert {r // 3 for r in split} & {v["simplex"] for v in res.violations}
-
-
-def test_unknown_link_scope_rejected():
-    surf = _ring_surface(48, 1)
-    v = surf.interior_vertices()[0]
-    for call in (lambda s: pl.certify_generic_convex(surf, link_scope=s),
-                 lambda s: pl.vertex_convexity(surf, v, link_scope=s),
-                 lambda s: pl.perturbation_radius(surf, link_scope=s)):
-        with pytest.raises(InvalidInputError):
-            call("adjacnet")
 
 
 def test_radial_values_across_blocks():
@@ -645,7 +665,7 @@ def test_candidates_per_sample_stay_flat():
     for budget in (128, 1024):
         surf = _ring_surface(budget, 3)
         pts = surf.vertices[surf.simplices]
-        dirs = (surf._complex.sample_weights(3, DEFAULT_SEED) @ pts).reshape(-1, 3)
+        dirs = (surf._complex.sample_weights(DEFAULT_SEED) @ pts).reshape(-1, 3)
         rows, _ = surf._candidates(dirs)
         sizes.append(len(pts))
         per_sample.append(rows.size / len(dirs))

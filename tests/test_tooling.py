@@ -7,12 +7,34 @@ from pathlib import Path
 
 import pytest
 
-from projconvex import domain as dm, hilbert as hb, jsonio
+from projconvex import cli, domain as dm, hilbert as hb, jsonio
 
 ROOT = Path(__file__).resolve().parents[1]
 ENV = {**os.environ,
        "PYTHONPATH": os.pathsep.join(
            [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+
+
+def _flags_by_command():
+    """{"module op": set of option strings} over every CLI subcommand."""
+    out = {}
+    for mod, sub in cli.build_parser()._subparsers._group_actions[0].choices.items():
+        for op, parser in sub._subparsers._group_actions[0].choices.items():
+            out[f"{mod} {op}"] = {s for a in parser._actions for s in a.option_strings}
+    return out
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    # --seed and --tol belong to the commands that pass them on, so a shared
+    # helper cannot spread them over every command again
+    flags = _flags_by_command()
+    assert len(flags) == 24
+    assert {c for c, f in flags.items() if "--seed" in f} == {
+        "vinberg surface", "plconvex build", "plconvex check", "plconvex radius"}
+    assert {c for c, f in flags.items() if "--tol" in f} == {
+        "group aut", "group dynamics", "group dirichlet"}
+    assert not [c for c, f in flags.items() if "--threads" in f]
+    assert all("--out" in f for f in flags.values())
 
 
 def test_import_leaves_scipy_optimize_unloaded():
