@@ -31,6 +31,7 @@ from .hilbert import (
     ChordProjection,
     chord_projection,
     distance,
+    distances,
     geodesic,
     metric_ball,
     project_to_chord,

@@ -14,7 +14,7 @@ start, and ellipsoids need none of it.
 """
 
 from dataclasses import dataclass
-from math import factorial, gamma, pi
+from math import factorial, gamma, inf, isfinite, pi
 
 import numpy as np
 
@@ -71,6 +71,38 @@ def _triangulated_moments(backend):
 
 
 # ---------------------------------------------------------------------------
+# row-wise products
+#
+# Chord and membership queries take one point or an (N, n) stack of points.
+# A stack goes through numpy's batched matmul, which makes the same BLAS call
+# per row as a single vector does, so each row is bit-identical to the
+# one-point query (a plain `X @ A.T` sums in another order).  One vector
+# takes the plain product: the batched form costs it about 1 us more.
+
+
+def _matvec(a, x):
+    """a @ x for a vector x, or for each row of a stack x."""
+    return a @ x if x.ndim == 1 else (a @ x[..., None])[..., 0]
+
+
+def _dot(u, v):
+    """u . v for vectors, or row by row for stacks (either may be one vector)."""
+    if u.ndim == 1 and v.ndim == 1:
+        return u @ v
+    return (u[..., None, :] @ v[..., None])[..., 0, 0]
+
+
+def _vecmat(u, m):
+    """u @ m for a vector u, or for each row of a stack u."""
+    return u @ m if u.ndim == 1 else (u[..., None, :] @ m)[..., 0, :]
+
+
+def _any(mask):
+    """Whether a boolean scalar or array is true anywhere."""
+    return mask.any() if mask.ndim else mask
+
+
+# ---------------------------------------------------------------------------
 # backends
 
 
@@ -86,22 +118,49 @@ class _PolytopeBackend:
 
     def contains_margin(self, x):
         hp = self.as_hpoly()
-        return float(np.min(hp.offsets - hp.normals @ np.asarray(x, dtype=float)))
+        x = np.asarray(x, dtype=float)
+        slack = hp.offsets - _matvec(hp.normals, x)
+        return slack.min(axis=-1) if x.ndim > 1 else float(slack.min())
 
     def chord_params(self, x, d):
+        """Parameters (t_lo, t_hi) of the frontier points of the line x + t d.
+
+        x and d are one point and one direction, or (N, n) stacks of them
+        (one point or direction broadcasts); stacks give arrays that are, row
+        by row, the one-line values.
+        A facet with |a . d| <= cut is parallel to the line; the cut scales
+        with |d| so that a short direction keeps its facets.
+        """
         hp = self.as_hpoly()
-        num = hp.offsets - hp.normals @ x
-        den = hp.normals @ d
-        # a facet with |a . d| <= cut is parallel to the line; the cut scales
-        # with |d| so that a short direction keeps its facets
-        cut = TOL.exact * np.sqrt(np.dot(d, d))
-        t_hi, t_lo = np.inf, -np.inf
-        for ni, di in zip(num, den):
-            if di > cut:
-                t_hi = min(t_hi, ni / di)
-            elif di < -cut:
-                t_lo = max(t_lo, ni / di)
-        if not np.isfinite(t_hi) or not np.isfinite(t_lo):
+        x = np.asarray(x, dtype=float)
+        d = np.asarray(d, dtype=float)
+        if x.ndim == 1 and d.ndim == 1:
+            # one line: a loop over Python floats beats the masked reduction
+            # on the few facets of a typical polytope
+            num = (hp.offsets - hp.normals @ x).tolist()
+            den = (hp.normals @ d).tolist()
+            cut = float(TOL.exact * np.sqrt(np.dot(d, d)))
+            t_hi, t_lo = inf, -inf
+            for ni, di in zip(num, den):
+                if di > cut:
+                    r = ni / di
+                    if r < t_hi:
+                        t_hi = r
+                elif di < -cut:
+                    r = ni / di
+                    if r > t_lo:
+                        t_lo = r
+            if not (isfinite(t_hi) and isfinite(t_lo)):
+                raise NotProperlyConvexError("line does not exit the region")
+            return t_lo, t_hi
+        num = hp.offsets - _matvec(hp.normals, x)
+        den = _matvec(hp.normals, d)
+        cut = TOL.exact * np.sqrt(_dot(d, d))[..., None]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            t = num / den
+        t_hi = np.where(den > cut, t, np.inf).min(axis=-1)
+        t_lo = np.where(den < -cut, t, -np.inf).max(axis=-1)
+        if not (np.isfinite(t_hi).all() and np.isfinite(t_lo).all()):
             raise NotProperlyConvexError("line does not exit the region")
         return t_lo, t_hi
 
@@ -355,12 +414,12 @@ class EllipsoidBackend:
     def interior_point(self):
         return self.center
 
-    def _gauge(self, x):
-        u = np.asarray(x, dtype=float) - self.center
-        return float(np.sqrt(max(u @ self.shape_matrix @ u, 0.0)))
-
     def contains_margin(self, x):
-        return 1.0 - self._gauge(x)
+        u = np.asarray(x, dtype=float) - self.center
+        q = _dot(_vecmat(u, self.shape_matrix), u)
+        if u.ndim > 1:
+            return 1.0 - np.sqrt(np.maximum(q, 0.0))
+        return 1.0 - float(np.sqrt(max(q, 0.0)))
 
     def support(self, u):
         u = np.asarray(u, dtype=float)
@@ -372,13 +431,15 @@ class EllipsoidBackend:
         return self.center + w / np.sqrt(u @ w)
 
     def chord_params(self, x, d):
+        """As `_PolytopeBackend.chord_params`: one line or (N, n) stacks."""
         u = np.asarray(x, dtype=float) - self.center
         d = np.asarray(d, dtype=float)
-        alpha = d @ self.shape_matrix @ d
-        beta = u @ self.shape_matrix @ d
-        gamma = u @ self.shape_matrix @ u - 1.0
+        um = _vecmat(u, self.shape_matrix)
+        alpha = _dot(_vecmat(d, self.shape_matrix), d)
+        beta = _dot(um, d)
+        gamma = _dot(um, u) - 1.0
         disc = beta * beta - alpha * gamma
-        if disc <= 0:
+        if _any(disc <= 0):
             raise DegenerateChordError("line misses the ellipsoid")
         root = np.sqrt(disc)
         return (-beta - root) / alpha, (-beta + root) / alpha
@@ -615,6 +676,8 @@ class ConvexDomain:
         return np.array([self.backend.support(u) for u in dirs])
 
     def random_interior(self, rng, size=1, margin=0.0):
+        if size < 1:
+            raise InvalidInputError("need at least one point", size=size)
         r = self.backend.bounding_radius()
         out = np.empty((size, self.dim))
         got = rounds = 0

@@ -158,9 +158,12 @@ def fixed_point_dynamics(dom: ConvexDomain, a: ProjTransform) -> HyperbolicData:
         y = dom.chart.to_chart(ProjPoint(a.matrix @ lift, canonicalize=False))
         return _distance_chart(dom, x, y)
 
+    def displacements(_, s):
+        return [displacement(v) for v in s]
+
     length_inf = np.nan
     try:
-        _, length_inf = _golden_min(displacement, 0.05, 0.95, tol=1e-12)
+        length_inf = _golden_min(displacements, [0.05], [0.95], tol=1e-12)[1][0]
     except GeometryError:
         pass  # axis may touch the frontier for non-strictly-convex backends
     primary = length_inf if np.isfinite(length_inf) else length_eigen

@@ -79,3 +79,26 @@ def any_domain(request):
 
 def proj(a):
     return ProjTransform(a)
+
+
+def scalar_golden_min(fn, lo, hi, tol=1e-10, max_iter=200):
+    """One golden-section search on [lo, hi], one scalar evaluation at a
+    time: the reference for the lockstep search of `hilbert._golden_min`."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(max_iter):
+        if b - a <= tol:
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    xm = 0.5 * (a + b)
+    return xm, fn(xm)

@@ -5,6 +5,7 @@ from projconvex import domain as dm
 from projconvex import jsonio
 from projconvex.errors import (
     DegenerateChordError,
+    GeometryError,
     InputFormatError,
     InvalidInputError,
     NotOnFrontierError,
@@ -65,6 +66,37 @@ def test_chord_degenerate_and_outside(disk):
         dm.chord(disk, [0.0, 0.0], [3.0, 0.0])
 
 
+@pytest.mark.parametrize("make", [
+    dm.unit_disk, dm.square_domain, dm.triangle_domain,
+    lambda: dm.disk_polygon(24),
+    lambda: dm.ConvexDomain.ellipsoid(np.zeros(3), np.diag([1.0, 2.0, 0.5])),
+    lambda: dm.ConvexDomain.from_halfspaces(
+        np.vstack([np.eye(3), -np.eye(3)]), np.ones(6)),
+    lambda: dm.orthant_domain(1), lambda: dm.orthant_domain(3)])
+def test_stacked_chord_and_margin_match_rows(make, rng):
+    # an (N, n) stack gives, row by row, the one-line floats
+    dom = make()
+    b = dom.backend
+    xs = dom.random_interior(rng, size=40)
+    us = rng.normal(size=xs.shape)
+    lo, hi = b.chord_params(xs, us)
+    rows = np.array([b.chord_params(x, u) for x, u in zip(xs, us)])
+    assert np.array_equal(np.stack([lo, hi], axis=1), rows)
+    # one point against many directions, and points outside
+    lo, hi = b.chord_params(xs[0], us)
+    assert np.array_equal(np.stack([lo, hi], axis=1),
+                          [b.chord_params(xs[0], u) for u in us])
+    pts = np.vstack([xs, 3.0 * us])
+    assert np.array_equal(b.contains_margin(pts),
+                          [b.contains_margin(p) for p in pts])
+    # a stack with one failing line raises as that line does alone
+    us[7] = 0.0
+    with pytest.raises(GeometryError) as alone:
+        b.chord_params(xs[7], us[7])
+    with pytest.raises(alone.type):
+        b.chord_params(xs, us)
+
+
 def test_chord_classification(any_domain, rng):
     for _ in range(30):
         x = any_domain.random_interior(rng)
@@ -103,6 +135,10 @@ def test_random_interior_draws_and_gives_up(any_domain):
     # a margin no point reaches is an error, not an endless loop
     with pytest.raises(InvalidInputError):
         any_domain.random_interior(np.random.default_rng(1), size=2, margin=1.0)
+    # so is a request for no points
+    for size in (0, -1):
+        with pytest.raises(InvalidInputError):
+            any_domain.random_interior(np.random.default_rng(1), size=size)
 
 
 def test_support_disk_tangent(disk):

@@ -5,7 +5,7 @@ from projconvex import domain as dm, group as gp, hilbert as hb
 from projconvex.errors import InvalidInputError, NotHyperbolicError
 from projconvex.projgeom import ProjPoint, ProjTransform
 
-from conftest import boost, rotation, so21_element
+from conftest import boost, rotation, scalar_golden_min, so21_element
 
 
 def test_is_automorphism_klein_boost(disk):
@@ -50,6 +50,28 @@ def test_dynamics_boost_length(disk):
         assert abs(hd.length_eigen - t) < 1e-10
         assert abs(hd.length_infimum - t) < 1e-7
         assert abs(hd.length_infimum - hd.length_eigen) < 1e-6
+
+
+def _displacement_infimum(dom, a, hd):
+    """The axis search of `fixed_point_dynamics`, one scalar distance at a time."""
+    def displacement(s):
+        x = hd.axis.point_at(s)
+        y = dom.chart.to_chart(ProjPoint(a.matrix @ dom.chart.lift(x),
+                                         canonicalize=False))
+        return hb.distance(dom, x, y)
+
+    return scalar_golden_min(displacement, 0.05, 0.95, tol=1e-12)[1]
+
+
+def test_dynamics_length_infimum_matches_scalar_search(disk):
+    # the single-bracket case of the lockstep search takes the same steps
+    cases = [(dm.orthant_domain(1), ProjTransform(np.diag([np.e, 1.0 / np.e])))]
+    cases += [(disk, ProjTransform(boost(t))) for t in (0.3, 0.6, 0.9, 1.7)]
+    cases += [(disk, ProjTransform(boost(0.8) @ rotation(0.4)))]
+    cases += [(disk, ProjTransform(boost(0.8) @ rotation(0.4)).inverse())]
+    for dom, a in cases:
+        hd = gp.fixed_point_dynamics(dom, a)
+        assert hd.length_infimum == _displacement_infimum(dom, a, hd)
 
 
 def test_dynamics_inverse_swaps_fixed_points(disk):

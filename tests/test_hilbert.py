@@ -1,11 +1,18 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from projconvex import domain as dm, hilbert as hb
-from projconvex.errors import InfiniteDistanceError, InvalidInputError
+from projconvex.errors import (
+    GeometryError,
+    InfiniteDistanceError,
+    InvalidInputError,
+)
 from projconvex.projgeom import ProjPoint, ProjTransform
 
-from conftest import boost
+from conftest import boost, scalar_golden_min
 
 
 def test_disk_distance_value(disk):
@@ -86,6 +93,99 @@ def test_distance_guard_near_frontier(disk):
         hb.distance(disk, [1.0 - 1e-14, 0.0], [0.5, 0.0])
     with pytest.raises(InvalidInputError):
         hb.distance(disk, [2.0, 0.0], [0.0, 0.0])
+
+
+@lru_cache(maxsize=None)
+def _domain(name):
+    """The `any_domain` backends and the orthants of dims 1-3, built once."""
+    if name.startswith("orthant"):
+        return dm.orthant_domain(int(name[-1]))
+    return {"disk": dm.unit_disk, "square": dm.square_domain,
+            "triangle": dm.triangle_domain,
+            "radial": lambda: dm.disk_polygon(24)}[name]()
+
+
+def _loop_or_error(fn, dom, xs, ys):
+    """fn's distances, or the type and message of the error it raises."""
+    try:
+        return fn(dom, xs, ys)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+
+
+def _loop(dom, xs, ys):
+    return np.array([hb.distance(dom, x, y) for x, y in zip(xs, ys)])
+
+
+def _same(a, b):
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return a == b
+    return a.shape == b.shape and np.array_equal(a, b)
+
+
+@st.composite
+def _point_pairs(draw, dom):
+    """Rows of point pairs: mostly interior, some coincident, and now and
+    then a point on the frontier or outside."""
+    c = dom.interior_point()
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+    def point(frac):
+        w = np.array(draw(st.lists(unit, min_size=dom.dim, max_size=dom.dim)))
+        if np.linalg.norm(w) < 1e-3:
+            w[0] = 1.0
+        return c + frac * dom.backend.chord_params(c, w)[1] * w
+
+    inside = st.floats(0.0, 0.999)
+    xs, ys = [], []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.integers(0, 19))
+        x = point(draw(inside))
+        if kind == 0:
+            y = point(1.0)
+        elif kind == 1:
+            y = point(draw(st.floats(1.01, 2.0)))
+        elif kind < 5:
+            y = x.copy()
+        else:
+            y = point(draw(inside))
+        if draw(st.booleans()):
+            x, y = y, x
+        xs.append(x)
+        ys.append(y)
+    return np.array(xs), np.array(ys)
+
+
+@pytest.mark.parametrize("name", ["disk", "square", "triangle", "radial",
+                                  "orthant1", "orthant2", "orthant3"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_distances_match_distance_row_by_row(name, data):
+    # bit for bit, and a failing row raises what a loop of `distance` raises
+    dom = _domain(name)
+    xs, ys = data.draw(_point_pairs(dom))
+    assert _same(_loop_or_error(hb.distances, dom, xs, ys),
+                 _loop_or_error(_loop, dom, xs, ys))
+
+
+def test_distances_checks(disk, square):
+    x, y = np.array([0.1, -0.2]), np.array([-0.5, 0.3])
+    far = np.array([2.0, 0.0])                # outside
+    edge = np.array([1.0 - 1e-14, 0.0])       # a chord endpoint at x
+    got = hb.distances(disk, [x, x, y], [x, y, y])
+    assert got[0] == 0.0 and got[2] == 0.0
+    assert got[1] == hb.distance(disk, x, y)
+    assert hb.distances(disk, [x, x], [x, x]).tolist() == [0.0, 0.0]
+    assert hb.distances(disk, np.empty((0, 2)), np.empty((0, 2))).shape == (0,)
+    with pytest.raises(InvalidInputError, match="point y is not inside"):
+        hb.distances(square, [x, x], [y, far])
+    with pytest.raises(InfiniteDistanceError):
+        hb.distances(disk, [x, edge], [y, x])
+    # the first failing row decides, as in a loop of `distance` calls
+    with pytest.raises(InfiniteDistanceError):
+        hb.distances(disk, [x, edge, far], [y, x, x])
+    with pytest.raises(InvalidInputError, match="point x is not inside"):
+        hb.distances(disk, [x, far, edge], [y, x, x])
 
 
 def test_geodesic_midpoint_symmetry(disk):
@@ -187,6 +287,54 @@ def test_thin_triangle_needs_a_segment_per_side(disk):
         with pytest.raises(InvalidInputError):
             hb.thin_triangle_delta(disk, tri, m=m)
     assert hb.thin_triangle_delta(disk, tri, m=1).delta >= 0.0
+
+
+def _thin_reference(dom, tri, m):
+    """Side maxima of the thin-triangle gaps, one scalar golden-section
+    search and one `distance` call at a time."""
+    verts = [np.asarray(v, dtype=float) for v in tri]
+    sides = [(verts[0], verts[1]), (verts[1], verts[2]), (verts[2], verts[0])]
+
+    def dist_to_side(p, side):
+        a, b = side
+        return scalar_golden_min(
+            lambda s: hb.distance(dom, p, (1 - s) * a + s * b), 0.0, 1.0)[1]
+
+    maxima = []
+    for i, (a, b) in enumerate(sides):
+        others = [sides[(i + 1) % 3], sides[(i + 2) % 3]]
+        maxima.append(max(min(dist_to_side((1 - t) * a + t * b, s) for s in others)
+                          for t in np.linspace(0.0, 1.0, m + 1)))
+    return maxima
+
+
+def test_lockstep_search_stops_each_bracket_on_its_own():
+    # brackets of different widths take different numbers of steps; each
+    # must take exactly those of a search of its own
+    lo, hi = [0.0, -2.0, 2.4, -1e-3], [1.0, 3.0, 2.6, 1e-3]
+    centers = [0.3, -1.2, 2.5, 0.0]
+
+    def fn(k, s):
+        return [(v - centers[i]) ** 2 for i, v in zip(k, s)]
+
+    xm, vals = hb._golden_min(fn, lo, hi)
+    for i, c in enumerate(centers):
+        ref = scalar_golden_min(lambda v: (v - c) ** 2, lo[i], hi[i])
+        assert (xm[i], vals[i]) == ref
+
+
+@pytest.mark.parametrize("name", ["disk", "ellipse", "triangle", "gon24"])
+def test_thin_triangle_matches_scalar_search(name):
+    dom = {"disk": dm.unit_disk(),
+           "ellipse": dm.ConvexDomain.ellipsoid([0.1, -0.2], [[2.0, 0.3], [0.3, 0.7]]),
+           "triangle": dm.triangle_domain(),
+           "gon24": dm.disk_polygon(24)}[name]
+    tri = dom.random_interior(np.random.default_rng(11), size=3, margin=0.05)
+    for m in (8, 16):
+        res = hb.thin_triangle_delta(dom, tri, m=m)
+        ref = _thin_reference(dom, tri, m)
+        assert res.side_maxima == ref
+        assert res.delta == max(ref)
 
 
 def test_thin_triangle_threads_match(disk):

@@ -1,5 +1,6 @@
 """Checks on how the package loads and runs, standing in for CI steps."""
 
+import math
 import os
 import subprocess
 import sys
@@ -104,6 +105,26 @@ def test_surface_build_commands(tmp_path):
         cwd=tmp_path, env=ENV, capture_output=True, text=True, timeout=120)
     assert res.returncode == 1 and "error[invalid-input]" in res.stdout
     assert "Traceback" not in res.stderr and "RuntimeWarning" not in res.stderr
+
+
+def test_thin_triangle_makes_one_chord_call_per_search_step(monkeypatch):
+    # the 6(m+1) golden-section searches advance in lockstep with one array
+    # chord query per step; a query per distance evaluation makes about 5,200
+    square = dm.square_domain()
+    chord_params = square.backend.chord_params
+    calls = []
+
+    def counted(x, d):
+        calls.append(1)
+        return chord_params(x, d)
+
+    monkeypatch.setattr(square.backend, "chord_params", counted)
+    res = hb.thin_triangle_delta(
+        square, [[0.5, 0.1], [-0.4, 0.6], [-0.2, -0.7]], m=16)
+    assert res.delta > 0
+    # steps that shrink a unit bracket below the search's 1e-10 tolerance
+    steps = math.ceil(math.log(1e-10) / math.log((math.sqrt(5.0) - 1.0) / 2.0))
+    assert len(calls) <= steps + 3
 
 
 @pytest.mark.parametrize("demo", ["spherical_centers_and_boxes.py",
