@@ -46,7 +46,7 @@ for a in (0.2, 0.5, 0.8):
 disk = dm.unit_disk()
 t_ax = (3 / np.pi) ** (1 / 3)
 print("\nround cone: surface radius on the axis =",
-      vb.characteristic_radius(disk, np.array([0.0, 0.0, 1.0])),
+      np.linalg.norm(vb.characteristic_point(disk, np.array([0.0, 0.0, 1.0]))),
       "= (3/pi)^(1/3) =", t_ax)
 cp = vb.characteristic_point(disk, np.array([0.3, -0.2, 1.0]))
 print("off axis, x^2+y^2-z^2 =", cp[0] ** 2 + cp[1] ** 2 - cp[2] ** 2,

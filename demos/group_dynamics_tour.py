@@ -32,8 +32,8 @@ print("boost(0.8) preserves the Klein disk:",
       gp.is_automorphism(disk, b).is_automorphism)
 hd = gp.fixed_point_dynamics(disk, b)
 print("attracting / repelling points:", hd.a_plus.coords, hd.a_minus.coords)
-print(f"translation length: displacement infimum {hd.length_infimum:.12f},"
-      f" eigenvalue ratio {hd.length_eigen:.12f}")
+print(f"translation length {hd.translation_length:.12f}"
+      f" = half the log eigenvalue ratio {hd.length_eigen:.12f}")
 print("iterates reach the attractor (1e-6) by k =",
       gp.attractor_convergence(disk, b, [0.2, -0.3], tol=1e-6))
 

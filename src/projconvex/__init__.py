@@ -70,14 +70,11 @@ from .projgeom import (
     ProjSubspace,
     ProjTransform,
     affine_chart,
-    apply,
-    dual_apply,
     normalize_point,
     pencil_core,
     standard_chart,
 )
 from .vinberg import (
-    CharacteristicSurface,
     VolumeResult,
     characteristic_point,
     grad_volume,

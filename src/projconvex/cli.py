@@ -283,7 +283,6 @@ def _run(args):
             hd = gp.fixed_point_dynamics(dom, jsonio.load_matrix(args.matrix))
             return ({"a_plus": hd.a_plus.coords, "a_minus": hd.a_minus.coords,
                      "translation_length": hd.translation_length,
-                     "length_infimum": hd.length_infimum,
                      "length_eigen": hd.length_eigen,
                      "eigenvalue_gap": hd.eigenvalue_gap},
                     f"length={hd.translation_length:.6f}", warnings)

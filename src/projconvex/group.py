@@ -22,7 +22,6 @@ from .errors import (
     InvalidInputError,
     NotHyperbolicError,
 )
-from .hilbert import _distance_chart, _golden_min
 from .projgeom import ProjPoint, ProjTransform, null_space
 from .vinberg import characteristic_point, min_volume_on_fiber
 
@@ -41,9 +40,9 @@ class AutoCheck:
 def is_automorphism(dom: ConvexDomain, a: ProjTransform, tol: float = 1e-8) -> AutoCheck:
     """Does the transform preserve the domain?
 
-    Polytopes: the vertex set must map to itself (combinatorial matching).
     Ellipsoids: the defining quadric must be preserved up to scale.
-    Radial graphs: support functions must agree on the direction set.
+    Polytopes, radial graphs among them: the vertex set must map to itself
+    (combinatorial matching); a vertex sent to infinity fails the test.
     """
     b = dom.backend
     if b.kind == "ellipsoid":
@@ -52,15 +51,6 @@ def is_automorphism(dom: ConvexDomain, a: ProjTransform, tol: float = 1e-8) -> A
         q2 = minv.T @ q @ minv
         lam = float(np.tensordot(q2, q) / np.tensordot(q, q))
         res = float(np.linalg.norm(q2 - lam * q) / (abs(lam) * np.linalg.norm(q)))
-        return AutoCheck(res <= tol, res)
-    if b.kind == "radialgraph":
-        try:
-            image = dom.transform(a, chart=dom.chart)
-        except GeometryError:
-            return AutoCheck(False, np.inf)
-        hs_old = np.array([b.support(u) for u in b.directions])
-        hs_new = np.array([image.backend.support(u) for u in b.directions])
-        res = float(np.max(np.abs(hs_old - hs_new)))
         return AutoCheck(res <= tol, res)
     verts = b.vertices()
     lifts = dom.chart.lift_many(verts) @ a.matrix.T
@@ -87,28 +77,20 @@ class HyperbolicData:
     a_minus: ProjPoint
     axis: Chord
     translation_length: float
-    length_infimum: float    # golden-section minimum of the displacement
-    length_eigen: float      # half the log-ratio of extreme eigenvalue moduli
+    length_eigen: float      # equals translation_length (the eigenvalue closed form)
     eigenvalue_gap: float    # |lambda_1| / |lambda_2|
-
-
-def _power_iterate(mat, steps=500, tol=1e-13):
-    v = np.ones(mat.shape[0]) / np.sqrt(mat.shape[0])
-    for _ in range(steps):
-        w = mat @ v
-        w = w / np.linalg.norm(w)
-        if np.linalg.norm(w - v) < tol or np.linalg.norm(w + v) < tol:
-            return w
-        v = w
-    return v
 
 
 def fixed_point_dynamics(dom: ConvexDomain, a: ProjTransform) -> HyperbolicData:
     """Attracting and repelling fixed points, axis, and translation length.
 
-    Requires a biproximal transform preserving the domain; the length is
-    reported both as the displacement infimum along the axis and as half the
-    log-ratio of the extreme eigenvalue moduli.
+    Requires a biproximal transform preserving the domain: its eigenvalues
+    of largest and smallest modulus are simple and real, and their
+    eigenvectors are the attracting and repelling fixed points on the
+    frontier.  The Hilbert translation length is the closed form
+    1/2 log(|lambda_1| / |lambda_n|) (Cooper-Long-Tillmann 2015), reached
+    on the axis joining the two fixed points.  Both eigenpairs must have a
+    residual |A v - lambda v| of at most 1e-9 |A| |v|.
     """
     chk = is_automorphism(dom, a, tol=1e-6)
     if not chk.is_automorphism:
@@ -129,11 +111,13 @@ def fixed_point_dynamics(dom: ConvexDomain, a: ProjTransform) -> HyperbolicData:
                                  eigenvalues=vals)
     vec_plus = np.real(vecs[:, top])
     vec_minus = np.real(vecs[:, bottom])
-    # cross-check the eigensolver with plain power iteration
-    pw = _power_iterate(a.matrix)
-    if min(np.linalg.norm(pw - vec_plus / np.linalg.norm(vec_plus)),
-           np.linalg.norm(pw + vec_plus / np.linalg.norm(vec_plus))) > 1e-6:
-        raise NotHyperbolicError("power iteration disagrees with eigensolver")
+    # relative to |A|: a long translation's e^-t is below A v's rounding
+    scale = 1e-9 * np.linalg.norm(a.matrix)
+    for lam, vec in ((vals[top].real, vec_plus), (vals[bottom].real, vec_minus)):
+        res = np.linalg.norm(a.matrix @ vec - lam * vec)
+        if res > scale * np.linalg.norm(vec):
+            raise NotHyperbolicError("eigenpair residual is too large",
+                                     eigenvalue=float(lam), residual=float(res))
 
     def _frontier_point(vec):
         if dom.chart.height(vec) < 0:
@@ -148,32 +132,13 @@ def fixed_point_dynamics(dom: ConvexDomain, a: ProjTransform) -> HyperbolicData:
 
     p_plus, x_plus = _frontier_point(vec_plus)
     p_minus, x_minus = _frontier_point(vec_minus)
-    axis = Chord(dom, x_minus, x_plus, check=False)
-
-    length_eigen = 0.5 * float(np.log(moduli[top] / moduli[bottom]))
-
-    def displacement(s):
-        x = axis.point_at(s)
-        lift = dom.chart.lift(x)
-        y = dom.chart.to_chart(ProjPoint(a.matrix @ lift, canonicalize=False))
-        return _distance_chart(dom, x, y)
-
-    def displacements(_, s):
-        return [displacement(v) for v in s]
-
-    length_inf = np.nan
-    try:
-        length_inf = _golden_min(displacements, [0.05], [0.95], tol=1e-12)[1][0]
-    except GeometryError:
-        pass  # axis may touch the frontier for non-strictly-convex backends
-    primary = length_inf if np.isfinite(length_inf) else length_eigen
+    length = 0.5 * float(np.log(moduli[top] / moduli[bottom]))
     return HyperbolicData(
         a_plus=p_plus,
         a_minus=p_minus,
-        axis=axis,
-        translation_length=float(primary),
-        length_infimum=float(length_inf),
-        length_eigen=length_eigen,
+        axis=Chord(dom, x_minus, x_plus, check=False),
+        translation_length=length,
+        length_eigen=length,
         eigenvalue_gap=float(moduli[top] / moduli[second]),
     )
 
@@ -253,6 +218,13 @@ def orbit(gens, seed: ProjPoint, max_len: int):
     return pts
 
 
+def _class_key(m):
+    """Hashable projective class of a matrix: the unit-norm matrix rounded
+    at 1e-10, its first nonzero entry made positive."""
+    k = np.round(m.ravel() / np.linalg.norm(m), 10)
+    return tuple(-k if k[np.flatnonzero(k)[0]] < 0 else k)
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet-style fundamental domains
 
@@ -280,8 +252,9 @@ def dirichlet_domain(cone: ConvexCone, gens, x, max_len: int) -> DirichletDomain
     """Fundamental polytope in the tangent slice of the characteristic surface.
 
     The halfspace at the base point is bounded by the tangent hyperplane of
-    the characteristic surface there; intersecting its translates over all
-    reduced words up to max_len and the cone itself yields the polytope.
+    the characteristic surface there; intersecting its translates over the
+    reduced words up to max_len, one per group element, and the cone itself
+    yields the polytope.
     """
     from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
@@ -296,9 +269,13 @@ def dirichlet_domain(cone: ConvexCone, gens, x, max_len: int) -> DirichletDomain
     if cone.contains_vector(x) <= 0:
         raise InvalidInputError("base point is not inside the cone")
     ref = x / np.linalg.norm(x)
-    for w, m in _reduced_word_matrices(gens, max_len, dim=x.size):
-        if not w:
-            continue
+    # one word per group element, the first (shortest) of its projective
+    # class: relators such as a^3 = 1 make distinct reduced words equal
+    words = _reduced_word_matrices(gens, max_len, dim=x.size)
+    keys = {w: _class_key(m) for w, m in words}
+    first = {keys[w]: w for w, _ in reversed(words)}
+    words = [(w, m) for w, m in words if w and first[keys[w]] == w]
+    for w, m in words:
         y = m @ ref
         y = y / np.linalg.norm(y)
         if min(np.linalg.norm(y - ref), np.linalg.norm(y + ref)) < 1e-10:
@@ -308,12 +285,12 @@ def dirichlet_domain(cone: ConvexCone, gens, x, max_len: int) -> DirichletDomain
     vstar = min_volume_on_fiber(cone, x_s).phi
 
     def _solve(depth):
-        words = [(w, m) for w, m in _reduced_word_matrices(gens, depth, dim=x_s.size)
-                 if w]
         z = null_space(vstar[None, :])
         n = z.shape[1]
         rows, offs, labels = [], [], []
         for w, m in words:
+            if len(w) > depth:
+                break
             c = np.linalg.solve(m.T, vstar)
             rows.append(-(z.T @ c))
             offs.append(float(c @ x_s) - 1.0)
@@ -356,12 +333,10 @@ def dirichlet_domain(cone: ConvexCone, gens, x, max_len: int) -> DirichletDomain
             stable = False
     pairings = {}
     label_set = set(active)
-    for w, _ in _reduced_word_matrices(gens, max_len, dim=x_s.size):
-        if not w:
-            continue
+    for w, _ in words:
         lab = word_label(w)
         if lab in label_set:
-            inv = word_label(tuple((i, -s) for i, s in reversed(w)))
+            inv = word_label(first[keys[tuple((i, -s) for i, s in reversed(w))]])
             pairings[lab] = inv if inv in label_set else None
     return DirichletDomain(
         base_point=x_s,

@@ -179,8 +179,7 @@ def _golden_min(fn, lo, hi, tol=1e-10, max_iter=200):
     One call evaluates both interior points of every bracket, then one call
     per step the new points of the brackets still wider than tol, and a last
     call the midpoints: each bracket takes the steps of a search of its own.
-    The bookkeeping is on Python floats, so a single search pays no array
-    overhead per step.  Returns the midpoints and the values there.
+    Returns the midpoints and the values there.
     """
     a, b = [float(v) for v in lo], [float(v) for v in hi]
     every = list(range(len(a)))

@@ -179,14 +179,6 @@ def normalize_point(v) -> ProjPoint:
     return ProjPoint(v)
 
 
-def apply(a: ProjTransform, p: ProjPoint) -> ProjPoint:
-    return a.apply(p)
-
-
-def dual_apply(a: ProjTransform, phi: DualFunctional) -> DualFunctional:
-    return a.dual_apply(phi)
-
-
 def pencil_core(h1: DualFunctional, h2: DualFunctional) -> ProjSubspace:
     """Codimension-2 intersection of the kernels of two independent functionals."""
     if abs(abs(float(h1.coeffs @ h2.coeffs)) - 1.0) <= TOL.exact:

@@ -317,29 +317,6 @@ def characteristic_point(c, q) -> np.ndarray:
     return t * qhat
 
 
-def characteristic_radius(c, q) -> float:
-    """Distance from the apex to the characteristic surface along the ray of q."""
-    return float(np.linalg.norm(characteristic_point(c, q)))
-
-
-class CharacteristicSurface:
-    """Radial evaluator of the surface where the fiber-minimal volume is one."""
-
-    def __init__(self, cone):
-        self.cone = _as_cone(cone)
-
-    def radius(self, q) -> float:
-        return characteristic_radius(self.cone, q)
-
-    def point(self, q) -> np.ndarray:
-        return characteristic_point(self.cone, q)
-
-    def consistency_gap(self, q) -> float:
-        """|V(fiber minimum at the surface point) - 1|; small by homogeneity."""
-        fm = min_volume_on_fiber(self.cone, self.point(q))
-        return abs(fm.value - 1.0)
-
-
 @dataclass
 class SphericalCenter:
     center: ProjPoint

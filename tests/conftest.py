@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from projconvex import domain as dm
-from projconvex.projgeom import ProjTransform
+from projconvex import domain as dm, hilbert as hb
+from projconvex.projgeom import ProjPoint, ProjTransform
 
 
 def boost(t):
@@ -33,6 +33,24 @@ def so21_hyperbolic(rng):
     t = rng.uniform(0.2, 1.8)
     conj = rotation(rng.uniform(0, 2 * np.pi)) @ boost(rng.uniform(0.0, 1.0))
     return conj @ boost(t) @ np.linalg.inv(conj), t
+
+
+def triangle_group(p, q, r):
+    """Reflections generating the (p, q, r) triangle group, conjugated into
+    the Klein disk (needs 1/p + 1/q + 1/r < 1).
+
+    The Cartan matrix a_ij = -2 cos(pi / m_ij) is symmetric with signature
+    (2, 1), and r_i = I - e_i (x) A[i, :] preserves x^T A x (Vinberg 1971,
+    Discrete linear groups generated by reflections).  r_1 r_2, r_2 r_3 and
+    r_1 r_3 are rotations of orders p, q and r.
+    """
+    m = np.array([[1.0, p, r], [p, 1.0, q], [r, q, 1.0]])
+    cartan = -2.0 * np.cos(np.pi / m)
+    lam, vecs = np.linalg.eigh(cartan)
+    order = np.argsort(-lam)   # the negative eigenvalue last, as in x^2+y^2-z^2
+    conj = np.sqrt(np.abs(lam[order]))[:, None] * vecs[:, order].T
+    return [conj @ (np.eye(3) - np.outer(np.eye(3)[i], cartan[i]))
+            @ np.linalg.inv(conj) for i in range(3)]
 
 
 def random_orthogonal(rng, n):
@@ -102,3 +120,16 @@ def scalar_golden_min(fn, lo, hi, tol=1e-10, max_iter=200):
             fd = fn(d)
     xm = 0.5 * (a + b)
     return xm, fn(xm)
+
+
+def displacement_infimum(dom, a, hd):
+    """Golden-section minimum of the displacement d(x, a x) along the axis of
+    `fixed_point_dynamics`, one scalar distance at a time: the oracle for
+    its closed-form translation length."""
+    def displacement(s):
+        x = hd.axis.point_at(s)
+        y = dom.chart.to_chart(ProjPoint(a.matrix @ dom.chart.lift(x),
+                                         canonicalize=False))
+        return hb.distance(dom, x, y)
+
+    return scalar_golden_min(displacement, 0.05, 0.95, tol=1e-12)[1]

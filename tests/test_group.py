@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from projconvex import domain as dm, group as gp, hilbert as hb
-from projconvex.errors import InvalidInputError, NotHyperbolicError
+from projconvex.errors import (InvalidBasepointError, InvalidInputError,
+                               NotHyperbolicError)
 from projconvex.projgeom import ProjPoint, ProjTransform
 
-from conftest import boost, rotation, scalar_golden_min, so21_element
+from conftest import (boost, displacement_infimum, rotation, so21_element,
+                      triangle_group)
 
 
 def test_is_automorphism_klein_boost(disk):
@@ -34,44 +36,68 @@ def test_is_automorphism_radial(polygon24):
         polygon24, ProjTransform(np.diag([1.3, 1.0, 1.0]))).is_automorphism
 
 
+def test_is_automorphism_radial_matches_vertex_polygon(polygon24):
+    # a radial graph is decided by the vertex matching of its hull vertices
+    vpoly = dm.ConvexDomain.from_vertices(polygon24.backend.vertices())
+    step = rotation(2 * np.pi / 24)
+    for mat, want in ((step, True), (np.diag([1.3, 1.0, 1.0]), False),
+                      (boost(0.5), False)):
+        a = ProjTransform(mat)
+        radial = gp.is_automorphism(polygon24, a)
+        flat = gp.is_automorphism(vpoly, a)
+        assert radial.is_automorphism == flat.is_automorphism == want
+        assert radial.residual == flat.residual
+
+
 def test_dynamics_orthant_rp1():
     dom = dm.orthant_domain(1)
     a = ProjTransform(np.diag([np.e, 1.0 / np.e]))
     hd = gp.fixed_point_dynamics(dom, a)
     assert abs(hd.length_eigen - 1.0) < 1e-12
-    assert abs(hd.length_infimum - 1.0) < 1e-9
+    assert hd.translation_length == hd.length_eigen
+    assert abs(displacement_infimum(dom, a, hd) - 1.0) < 1e-9
     assert hd.a_plus.same_class(ProjPoint([1.0, 0.0]), tol=1e-9)
     assert hd.a_minus.same_class(ProjPoint([0.0, 1.0]), tol=1e-9)
 
 
 def test_dynamics_boost_length(disk):
     for t in (0.3, 0.9, 1.7):
-        hd = gp.fixed_point_dynamics(disk, ProjTransform(boost(t)))
+        a = ProjTransform(boost(t))
+        hd = gp.fixed_point_dynamics(disk, a)
+        infimum = displacement_infimum(disk, a, hd)
         assert abs(hd.length_eigen - t) < 1e-10
-        assert abs(hd.length_infimum - t) < 1e-7
-        assert abs(hd.length_infimum - hd.length_eigen) < 1e-6
+        assert abs(infimum - t) < 1e-7
+        assert abs(infimum - hd.translation_length) < 1e-6
 
 
-def _displacement_infimum(dom, a, hd):
-    """The axis search of `fixed_point_dynamics`, one scalar distance at a time."""
-    def displacement(s):
-        x = hd.axis.point_at(s)
-        y = dom.chart.to_chart(ProjPoint(a.matrix @ dom.chart.lift(x),
-                                         canonicalize=False))
-        return hb.distance(dom, x, y)
+def test_dynamics_long_translations(disk):
+    # the smallest eigenvalue, e^-t, is below the rounding error of A v
+    for t in (8.0, 10.0, 12.0):
+        a = ProjTransform(rotation(0.4) @ boost(t) @ rotation(-0.4))
+        assert abs(gp.fixed_point_dynamics(disk, a).translation_length - t) < 1e-6
 
-    return scalar_golden_min(displacement, 0.05, 0.95, tol=1e-12)[1]
+
+def test_dynamics_rejects_a_wrong_eigenvector(disk, monkeypatch):
+    eig = np.linalg.eig
+
+    def skewed(m):
+        vals, vecs = eig(m)
+        return vals, vecs + 1e-6
+
+    monkeypatch.setattr(np.linalg, "eig", skewed)
+    with pytest.raises(NotHyperbolicError, match="residual"):
+        gp.fixed_point_dynamics(disk, ProjTransform(boost(0.7)))
 
 
 def test_dynamics_length_infimum_matches_scalar_search(disk):
-    # the single-bracket case of the lockstep search takes the same steps
+    # the closed form is the infimum of the displacement along the axis
     cases = [(dm.orthant_domain(1), ProjTransform(np.diag([np.e, 1.0 / np.e])))]
     cases += [(disk, ProjTransform(boost(t))) for t in (0.3, 0.6, 0.9, 1.7)]
     cases += [(disk, ProjTransform(boost(0.8) @ rotation(0.4)))]
     cases += [(disk, ProjTransform(boost(0.8) @ rotation(0.4)).inverse())]
     for dom, a in cases:
         hd = gp.fixed_point_dynamics(dom, a)
-        assert hd.length_infimum == _displacement_infimum(dom, a, hd)
+        assert abs(hd.translation_length - displacement_infimum(dom, a, hd)) < 1e-12
 
 
 def test_dynamics_inverse_swaps_fixed_points(disk):
@@ -179,10 +205,28 @@ def test_dirichlet_equivariance():
 def test_dirichlet_fixed_basepoint_rejected():
     dom = dm.orthant_domain(1)
     a = ProjTransform(np.diag([np.e, 1.0 / np.e]))
-    from projconvex.errors import InvalidBasepointError
     with pytest.raises(InvalidBasepointError):
         # the barycentric ray is not fixed, but an eigen-ray is
         gp.dirichlet_domain(dom.cone(), [a], np.array([1.0, 1e-12]), 1)
+
+
+def test_dirichlet_triangle_group_relators():
+    # the rotation subgroup of the (3,3,4) triangle group: a^3 = b^3 = 1, so
+    # distinct reduced words give one element and a^3 fixes every point
+    r1, r2, r3 = triangle_group(3, 3, 4)
+    gens = [ProjTransform(r1 @ r2), ProjTransform(r2 @ r3)]
+    cone = dm.klein_disk().cone()
+    x = np.array([0.05, 0.03, 1.0])
+    dds = [gp.dirichlet_domain(cone, gens, x, depth) for depth in (2, 3, 4)]
+    for dd in dds:
+        assert np.allclose(dd.vertices, dds[0].vertices, rtol=0.0, atol=1e-9)
+        labels = {f.label for f in dd.facets if f.label != "cone"}
+        assert labels and all(dd.pairings[w] in labels for w in labels)
+    assert dds[1].stable and dds[2].stable
+    vals, vecs = np.linalg.eig(gens[0].matrix)
+    vertex = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
+    with pytest.raises(InvalidBasepointError):
+        gp.dirichlet_domain(cone, gens, vertex * np.sign(vertex[2]), 2)
 
 
 def test_dirichlet_two_generators_disk():

@@ -129,10 +129,13 @@ def test_thin_triangle_makes_one_chord_call_per_search_step(monkeypatch):
 
 @pytest.mark.parametrize("demo", ["spherical_centers_and_boxes.py",
                                   "degeneration_watch.py",
-                                  "pl_certificates.py"])
+                                  "pl_certificates.py",
+                                  "group_dynamics_tour.py",
+                                  "cone_duality_and_theta.py"])
 def test_solver_demos_run(demo, tmp_path):
     # the first two drive the spherical-center and fiber solvers; the third
-    # the section check, log contours, certificates and perturbation radii
+    # the section check, log contours, certificates and perturbation radii;
+    # the last two the group dynamics and the characteristic surface
     res = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
                          cwd=tmp_path, env=ENV, capture_output=True,
                          timeout=120)
