@@ -77,6 +77,7 @@ from .projgeom import (
 from .vinberg import (
     VolumeResult,
     characteristic_point,
+    characteristic_points,
     grad_volume,
     min_volume_on_fiber,
     slice_centroid,

@@ -14,6 +14,7 @@ start, and ellipsoids need none of it.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial, gamma, inf, isfinite, pi
 
 import numpy as np
@@ -37,6 +38,8 @@ from .projgeom import (
 
 # Rejection rounds of `ConvexDomain.random_interior` before it gives up.
 _SAMPLE_ROUNDS = 1000
+# Simplices from which `_simplex_moments` sums vertex by vertex.
+_VERTEX_LOOP_MIN = 64
 
 
 # ---------------------------------------------------------------------------
@@ -46,16 +49,31 @@ def _simplex_moments(rv, measures):
     """Total measure, centroid and E[x x^T] of stacked simplices.
 
     rv is (k, m+1, d): the m+1 vertices of each of k m-simplices in R^d;
-    measures holds their m-dimensional volumes.
+    measures holds their m-dimensional volumes.  A leading stack axis,
+    rv (K, k, m+1, d) with measures (K, k), gives K independent sets; the
+    per-simplex terms come from one flat (K*k, m+1, d) array, so each set's
+    moments are, bit for bit, those of the set alone.
     """
-    m1 = rv.shape[1]
-    cents = rv.mean(axis=1)
-    s = rv.sum(axis=1)
-    seconds = (np.einsum("kiv,kiw->kvw", rv, rv)
-               + np.einsum("kv,kw->kvw", s, s)) / (m1 * (m1 + 1))
-    total = float(measures.sum())
-    mu = (measures[:, None] * cents).sum(axis=0) / total
-    e2 = (measures[:, None, None] * seconds).sum(axis=0) / total
+    m1, d = rv.shape[-2:]
+    flat = rv.reshape(-1, m1, d)
+    if len(flat) > _VERTEX_LOOP_MIN:
+        # vertex sums and sums of vertex outer products added vertex by
+        # vertex, the order of `sum` and `einsum` in the other branch: a
+        # fraction of their cost on long stacks, more on a few simplices
+        s = flat[:, 0] + flat[:, 1]
+        sq = _outer(flat[:, 0]) + _outer(flat[:, 1])
+        for i in range(2, m1):
+            s += flat[:, i]
+            sq += _outer(flat[:, i])
+    else:
+        s = flat.sum(axis=1)
+        sq = np.einsum("kiv,kiw->kvw", flat, flat)
+    cents = (s / m1).reshape(rv.shape[:-2] + (d,))   # flat.mean(axis=1)
+    seconds = ((sq + np.einsum("kv,kw->kvw", s, s))
+               / (m1 * (m1 + 1))).reshape(rv.shape[:-2] + (d, d))
+    total = measures.sum(axis=-1)
+    mu = (measures[..., None] * cents).sum(axis=-2) / total[..., None]
+    e2 = (measures[..., None, None] * seconds).sum(axis=-3) / total[..., None, None]
     return total, mu, e2
 
 
@@ -67,7 +85,7 @@ def _triangulated_moments(backend):
     if vols.sum() <= 0:
         raise DegenerateDomainError("zero volume region")
     vol, mu, e2 = _simplex_moments(rv, vols)
-    return vol, mu, e2 - np.outer(mu, mu)
+    return float(vol), mu, e2 - np.outer(mu, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +108,16 @@ def _dot(u, v):
     if u.ndim == 1 and v.ndim == 1:
         return u @ v
     return (u[..., None, :] @ v[..., None])[..., 0, 0]
+
+
+def _norm(x):
+    """np.linalg.norm of a vector, or of each row of a stack."""
+    return np.sqrt(_dot(x, x))
+
+
+def _outer(u):
+    """np.outer(u, u) of a vector, or of each row of a stack."""
+    return u[..., :, None] * u[..., None, :]
 
 
 def _vecmat(u, m):
@@ -780,42 +808,78 @@ def _ellipsoid_from_quadric(q, chart: AffineChart, interior_vec):
 
 
 class ConvexCone:
-    """Cone over a domain, with apex at the origin of R^{n+1}."""
+    """Cone over a domain, with apex at the origin of R^{n+1}.
+
+    The constants of its queries are computed once per cone: the lifted
+    extreme rays and their norms, the ellipsoid's Cholesky factor and bound,
+    and the lifted chart triangulation that the slice kernel reads.
+    """
 
     def __init__(self, domain: ConvexDomain):
         self.domain = domain
 
+    @cached_property
+    def _extremes(self):
+        lifts = self.domain.chart.lift_many(self.domain.backend.vertices())
+        return lifts, np.linalg.norm(lifts, axis=1)
+
+    @cached_property
+    def _ellipsoid_terms(self):
+        b = self.domain.backend
+        return (np.linalg.cholesky(b._minv).T,
+                np.sqrt(1.0 + b.bounding_radius() ** 2))
+
+    @cached_property
+    def triangulation(self):
+        """Chart triangulation (points, simplices) with the points lifted;
+        None for ellipsoids."""
+        tri = self.domain.backend.chart_triangulation()
+        if tri is None:
+            return None
+        pts, simps = tri
+        return pts, simps, self.domain.chart.lift_many(pts)
+
     def lift_extremes(self):
         """Lifted generators of extreme rays for polytope-like backends."""
-        b = self.domain.backend
-        if b.kind == "ellipsoid":
+        if self.domain.backend.kind == "ellipsoid":
             return None
-        return self.domain.chart.lift_many(b.vertices())
+        return self._extremes[0]
 
     def dual_margin(self, v):
-        """min of <v, .> over the lifted closure; positive iff v is in the dual cone."""
+        """min of <v, .> over the lifted closure; positive iff v is in the dual cone.
+
+        v is one functional or a (K, n+1) stack; a stack gives one margin per
+        row, each the one-functional value.
+        """
         v = np.asarray(v, dtype=float)
         b = self.domain.backend
-        chart = self.domain.chart
-        alpha = float(chart.infinity @ v)
-        beta = chart.frame.T @ v
         if b.kind == "ellipsoid":
-            mhalf = np.linalg.cholesky(b._minv)
-            lo = alpha + float(beta @ b.center) - float(np.linalg.norm(mhalf.T @ beta))
-            scale = np.sqrt(1.0 + b.bounding_radius() ** 2)
+            chart = self.domain.chart
+            mhalf_t, scale = self._ellipsoid_terms
+            beta = _matvec(chart.frame.T, v)
+            lo = (_dot(chart.infinity, v) + _dot(beta, b.center)
+                  - _norm(_matvec(mhalf_t, beta)))
             return lo / scale
-        lifts = self.lift_extremes()
-        vals = lifts @ v
-        return float(np.min(vals / np.linalg.norm(lifts, axis=1)))
+        lifts, norms = self._extremes
+        m = (_matvec(lifts, v) / norms).min(axis=-1)
+        return float(m) if v.ndim == 1 else m
 
     def contains_vector(self, w):
-        """Signed chart margin of a raw vector's ray; negative outside the cone."""
+        """Signed chart margin of a raw vector's ray; negative outside the cone.
+
+        A (K, n+1) stack gives one margin per row, each the one-vector value.
+        """
         w = np.asarray(w, dtype=float)
-        h = self.domain.chart.height(w)
-        if h <= TOL.exact * np.linalg.norm(w):
-            return -np.inf
-        x = (self.domain.chart.frame.T @ w) / h
-        return self.domain.backend.contains_margin(x)
+        chart = self.domain.chart
+        h = _dot(chart.infinity, w)
+        far = h <= TOL.exact * _norm(w)
+        if w.ndim == 1:
+            if far:
+                return -np.inf
+            return self.domain.backend.contains_margin(_matvec(chart.frame.T, w) / h)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = _matvec(chart.frame.T, w) / h[:, None]
+            return np.where(far, -np.inf, self.domain.backend.contains_margin(x))
 
 
 # ---------------------------------------------------------------------------

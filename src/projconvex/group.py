@@ -12,6 +12,7 @@ from .domain import (
     ConvexCone,
     ConvexDomain,
     _homogeneous_quadric,
+    _norm,
     _sphere_directions,
     support as dom_support,
 )
@@ -41,8 +42,9 @@ def is_automorphism(dom: ConvexDomain, a: ProjTransform, tol: float = 1e-8) -> A
     """Does the transform preserve the domain?
 
     Ellipsoids: the defining quadric must be preserved up to scale.
-    Polytopes, radial graphs among them: the vertex set must map to itself
-    (combinatorial matching); a vertex sent to infinity fails the test.
+    Polytopes, radial graphs among them: the vertex set must map to itself;
+    the residual is the Hausdorff distance between the mapped vertices and
+    the vertices, and a vertex sent to infinity fails the test.
     """
     b = dom.backend
     if b.kind == "ellipsoid":
@@ -59,15 +61,7 @@ def is_automorphism(dom: ConvexDomain, a: ProjTransform, tol: float = 1e-8) -> A
         return AutoCheck(False, np.inf)
     images = (lifts @ dom.chart.frame) / h[:, None]
     dists = np.linalg.norm(images[:, None, :] - verts[None, :, :], axis=2)
-    res = 0.0
-    used = set()
-    for i in range(images.shape[0]):
-        order = np.argsort(dists[i])
-        j = next((j for j in order if j not in used), None)
-        if j is None:
-            return AutoCheck(False, np.inf)
-        used.add(int(j))
-        res = max(res, float(dists[i, j]))
+    res = float(max(dists.min(axis=1).max(), dists.min(axis=0).max()))
     return AutoCheck(res <= tol, res)
 
 
@@ -206,23 +200,28 @@ def orbit(gens, seed: ProjPoint, max_len: int):
     else:
         vec = np.asarray(seed, dtype=float)
         vec = vec / np.linalg.norm(vec)
+    images = np.array([m @ vec for _, m in
+                       _reduced_word_matrices(gens, max_len, dim=vec.size)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keys = _class_keys(images / _norm(images)[:, None])
     pts = []
     seen = set()
-    for _, m in _reduced_word_matrices(gens, max_len, dim=vec.size):
-        p = ProjPoint(m @ vec)
-        key = tuple(np.round(p.coords, 10))
+    for image, key in zip(images, keys):
         if key in seen:
             continue
         seen.add(key)
-        pts.append(p)
+        pts.append(ProjPoint(image))
     return pts
 
 
-def _class_key(m):
-    """Hashable projective class of a matrix: the unit-norm matrix rounded
-    at 1e-10, its first nonzero entry made positive."""
-    k = np.round(m.ravel() / np.linalg.norm(m), 10)
-    return tuple(-k if k[np.flatnonzero(k)[0]] < 0 else k)
+def _class_keys(x):
+    """Hashable projective classes of the rows of x, unit vectors (points or
+    raveled matrices): entries rounded at 1e-10, the first nonzero entry of
+    a row made positive (a sign taken from rounding residue would split one
+    class in two)."""
+    k = np.round(x, 10)
+    k[k[np.arange(len(k)), (k != 0).argmax(axis=1)] < 0] *= -1.0
+    return [tuple(r) for r in k.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +271,8 @@ def dirichlet_domain(cone: ConvexCone, gens, x, max_len: int) -> DirichletDomain
     # one word per group element, the first (shortest) of its projective
     # class: relators such as a^3 = 1 make distinct reduced words equal
     words = _reduced_word_matrices(gens, max_len, dim=x.size)
-    keys = {w: _class_key(m) for w, m in words}
+    flat = np.array([m.ravel() for _, m in words])
+    keys = dict(zip((w for w, _ in words), _class_keys(flat / _norm(flat)[:, None])))
     first = {keys[w]: w for w, _ in reversed(words)}
     words = [(w, m) for w, m in words if w and first[keys[w]] == w]
     for w, m in words:

@@ -13,16 +13,15 @@ from math import asin, sin
 import numpy as np
 
 from .config import DEFAULT_SEED, TOL
-from .domain import ConvexDomain, validate
+from .domain import ConvexDomain, _norm, validate
 from .errors import (
     ApproximationFailureError,
     CoplanarStarError,
-    GeometryError,
     InvalidInputError,
     NonManifoldComplexError,
     TransversalityError,
 )
-from .vinberg import characteristic_point
+from .vinberg import _characteristic_rows, characteristic_points
 
 
 # Elements (candidate pairs x vertices x vertices) of one block of gathered
@@ -658,7 +657,7 @@ def pl_characteristic_surface(cone, budget: int,
         raise InvalidInputError("PL characteristic surfaces support chart dim <= 2")
     lifts = dom.chart.lift_many(chart_pts)
     dirs = lifts / np.linalg.norm(lifts, axis=1)[:, None]
-    radii = np.array([np.linalg.norm(characteristic_point(cone, q)) for q in dirs])
+    radii = _norm(characteristic_points(cone, dirs))
 
     rng = np.random.default_rng(seed)
     for rounds in range(_JITTER_ROUNDS + 1):
@@ -714,32 +713,28 @@ def _disk_mesh(dom, budget):
     _, centroid, _ = dom.backend.moments()
     rings = max(1, int(round(np.sqrt(budget / 4.0))))
     angles = max(6, int(np.ceil((budget - 1) / rings)))
-    pts = [centroid]
-    for j in range(1, rings + 1):
-        ang = 2 * np.pi * (np.arange(angles) + 0.5 * (j % 2)) / angles
-        frac = _INSET * j / rings
-        for u in np.stack([np.cos(ang), np.sin(ang)], axis=1):
-            _, t_hi = dom.backend.chord_params(centroid, u)
-            pts.append(centroid + frac * t_hi * u)
-    return np.array(pts)
+    j = np.arange(1, rings + 1)[:, None]
+    ang = 2 * np.pi * (np.arange(angles) + 0.5 * (j % 2)) / angles
+    u = np.stack([np.cos(ang), np.sin(ang)], axis=-1).reshape(-1, 2)
+    _, t_hi = dom.backend.chord_params(centroid, u)
+    frac = np.repeat(_INSET * j[:, 0] / rings, angles)
+    return np.vstack([centroid, centroid + (frac * t_hi)[:, None] * u])
 
 
 def _sampled_deviation(cone, surf, rng):
+    """Largest radial gap between the surface and the characteristic surface
+    over the midpoints of up to _DEVIATION_EDGES sampled edges; a midpoint
+    whose fiber solve fails is skipped."""
     pairs = surf.simplices[:, np.transpose(np.triu_indices(surf.simplices.shape[1], 1))]
-    edges = np.unique(np.sort(pairs.reshape(-1, 2), axis=1), axis=0).tolist()
+    edges = np.unique(np.sort(pairs.reshape(-1, 2), axis=1), axis=0)
     if len(edges) > _DEVIATION_EDGES:
-        idx = rng.choice(len(edges), size=_DEVIATION_EDGES, replace=False)
-        edges = [edges[i] for i in sorted(idx)]
-    dirs, exact = [], []
-    for a, b in edges:
-        mid = 0.5 * (surf.vertices[a] + surf.vertices[b])
-        u = mid / np.linalg.norm(mid)
-        try:
-            exact.append(np.linalg.norm(characteristic_point(cone, u)))
-        except GeometryError:
-            continue
-        dirs.append(u)
-    if not dirs:
+        edges = edges[np.sort(rng.choice(len(edges), size=_DEVIATION_EDGES,
+                                         replace=False))]
+    mids = 0.5 * (surf.vertices[edges[:, 0]] + surf.vertices[edges[:, 1]])
+    u = mids / _norm(mids)[:, None]
+    pts, ok = _characteristic_rows(cone, u)
+    if not ok.any():
         return 0.0
-    gaps = np.abs(surf.radial_values(np.array(dirs)) - np.array(exact))
+    dirs, exact = u[ok], _norm(pts[ok])
+    gaps = np.abs(surf.radial_values(dirs) - exact)
     return float(gaps[~np.isnan(gaps)].max(initial=0.0))

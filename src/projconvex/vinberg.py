@@ -22,6 +22,13 @@ moments: the fiber minimum minimizes log V on {phi(q) = 1}, and the
 spherical center minimizes log V(v) + (n+1)|v|^2/2, whose gradient
 (n+1)(v - mu(v)) vanishes exactly where a functional is its own slice
 centroid.
+
+The slice kernel and the Newton loop also take a stack: a (K, n+1) array
+whose row i is the functional (or the problem) i, independent of the other
+rows.  A stack of K fiber problems advances in lockstep, one slice call per
+step for all rows still moving, and every output row is bit for bit what
+the one-functional call returns for that row; `characteristic_points` is
+built on it.  One 1-d functional takes the plain one-vector operations.
 """
 
 from dataclasses import dataclass
@@ -34,7 +41,11 @@ from .domain import (
     ConvexCone,
     ConvexDomain,
     _ball_volume,
+    _dot,
     _homogeneous_quadric,
+    _matvec,
+    _norm,
+    _outer,
     _simplex_moments,
     validate,
 )
@@ -50,6 +61,9 @@ from .projgeom import (
     minimal_rotation,
     null_space,
 )
+
+# Newton iterations a fiber minimization may take.
+_FIBER_ITERATIONS = 80
 
 
 @dataclass
@@ -93,7 +107,8 @@ def _require_dual(cone: ConvexCone, v):
 
 
 class _SliceData:
-    """Volume of the truncated cone plus exact moments of the unit slice."""
+    """Volume of the truncated cone plus exact moments of the unit slice,
+    for one functional or for each row of a stack."""
 
     __slots__ = ("volume", "slice_area", "centroid", "second_moment")
 
@@ -103,43 +118,83 @@ class _SliceData:
         self.centroid = centroid
         self.second_moment = second_moment
 
+    def set_rows(self, idx, other):
+        for name in self.__slots__:
+            getattr(self, name)[idx] = getattr(other, name)
+
+
+def _pow(x, e):
+    """x ** e for each entry of an array, by the scalar pow: numpy's
+    vectorized power may round otherwise than one functional's pow."""
+    return np.array([xi ** e for xi in x.tolist()])
+
+
+def _raise_rows(bad):
+    """Raise OutsideDualConeError if a stack has failing rows; `rows` lists them."""
+    if bad.any():
+        raise OutsideDualConeError("functional rows outside the dual cone",
+                                   rows=np.flatnonzero(bad).tolist())
+
 
 def _slice_exact(cone: ConvexCone, v) -> _SliceData:
-    dom = cone.domain
-    n = dom.dim
-    tri = dom.backend.chart_triangulation()
+    """Slice data of one functional v, or of each row of a (K, n+1) stack.
+
+    A stack's rows are bit-identical to one-functional calls.  A functional
+    outside the open dual cone raises OutsideDualConeError; for a stack, its
+    data `rows` lists every failing row.
+    """
+    n = cone.domain.dim
+    tri = cone.triangulation
     if tri is not None:
-        pts, simps = tri
-        lifts = dom.chart.lift_many(pts)
-        g = lifts @ v
-        if np.min(g) <= 0:
+        pts, simps, lifts = tri
+        g = _matvec(lifts, v)
+        if v.ndim > 1:
+            _raise_rows(g.min(axis=1) <= 0)
+        elif np.min(g) <= 0:
             raise OutsideDualConeError(
                 "functional vanishes on the cone closure",
                 witness=pts[int(np.argmin(g))])
-        roofs = lifts / g[:, None]
-        rv = roofs[simps]                       # (k, n+1, n+1)
-        vol = float(np.abs(np.linalg.det(rv)).sum()) / factorial(n + 1)
-        e = rv[:, 1:, :] - rv[:, :1, :]         # (k, n, n+1)
+        roofs = lifts / g[..., None]
+        # (..., k, n+1, n+1), C-ordered (an index array mid-way would
+        # not be), so that sums over k run as in the one-functional case
+        rv = np.take(roofs, simps, axis=-2)
+        vol = np.abs(np.linalg.det(rv)).sum(axis=-1) / factorial(n + 1)
+        e = rv.reshape(-1, n + 1, n + 1)
+        e = e[:, 1:, :] - e[:, :1, :]           # (K*k, n, n+1)
         gram = np.einsum("kij,klj->kil", e, e)
         areas = np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / factorial(n)
-        a_tot, mu, e2 = _simplex_moments(rv, areas)
+        a_tot, mu, e2 = _simplex_moments(rv, areas.reshape(rv.shape[:-2]))
         return _SliceData(vol, a_tot, mu, e2)
     # ellipsoid cone: exact conic section via the inverse quadric.
     # The section center is the pole of the slicing plane; the restricted
     # inverse form is Qinv minus its rank-one part along the pole.
     qinv, qdet = _cone_quadric_inverse(cone)
-    u = qinv @ v
-    s = float(v @ u)           # negative iff v is interior to the dual cone
-    if s >= 0:
-        raise OutsideDualConeError("slice of the cone is unbounded", pairing=s)
-    mu = u / s
-    c0 = -1.0 / s              # section level, positive
-    vv = float(v @ v)
-    det_restricted = qdet * s / vv   # det of the form on the plane directions
-    if det_restricted <= 0:
-        raise OutsideDualConeError("slice of the cone is degenerate")
-    area = _ball_volume(n) * c0 ** (n / 2.0) / np.sqrt(det_restricted)
-    e2 = np.outer(mu, mu) + c0 / (n + 2.0) * (qinv - np.outer(u, u) / s)
+    if v.ndim == 1:
+        u = qinv @ v
+        s = float(v @ u)           # negative iff v is interior to the dual cone
+        if s >= 0:
+            raise OutsideDualConeError("slice of the cone is unbounded", pairing=s)
+        mu = u / s
+        c0 = -1.0 / s              # section level, positive
+        vv = float(v @ v)
+        det_restricted = qdet * s / vv   # det of the form on the plane directions
+        if det_restricted <= 0:
+            raise OutsideDualConeError("slice of the cone is degenerate")
+        area = _ball_volume(n) * c0 ** (n / 2.0) / np.sqrt(det_restricted)
+        e2 = np.outer(mu, mu) + c0 / (n + 2.0) * (qinv - np.outer(u, u) / s)
+        h = 1.0 / np.sqrt(vv)
+        return _SliceData(area * h / (n + 1.0), area, mu, e2)
+    # a stack: the same formulas, row by row
+    u = _matvec(qinv, v)
+    s = _dot(v, u)
+    vv = _dot(v, v)
+    det_restricted = qdet * s / vv
+    _raise_rows((s >= 0) | (det_restricted <= 0))
+    mu = u / s[:, None]
+    c0 = -1.0 / s
+    area = _ball_volume(n) * _pow(c0, n / 2.0) / np.sqrt(det_restricted)
+    e2 = _outer(mu) + (c0 / (n + 2.0))[:, None, None] * (
+        qinv - _outer(u) / s[:, None, None])
     h = 1.0 / np.sqrt(vv)
     return _SliceData(area * h / (n + 1.0), area, mu, e2)
 
@@ -216,6 +271,29 @@ def slice_centroid(c, phi):
     return _slice_exact(cone, v).centroid
 
 
+def _newton_step(v, data, basis, ridge):
+    """Newton decrement and step of F at v, for one problem or a stack."""
+    n1 = v.shape[-1]
+    mu = data.centroid
+    bt = basis.swapaxes(-1, -2)
+    grad = _matvec(bt, ridge * v - n1 * mu)
+    hess = n1 * ((n1 + 1.0) * data.second_moment - n1 * _outer(mu))
+    hess = bt @ hess @ basis + ridge * np.eye(basis.shape[-1])
+    if v.ndim == 1:
+        step = np.linalg.solve(hess, -grad)
+        return np.sqrt(max(-float(grad @ step), 0.0)), basis @ step
+    try:
+        step = np.linalg.solve(hess, -grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:   # a singular row: its step stays nan
+        step = np.full_like(grad, np.nan)
+        for i in range(len(grad)):
+            try:
+                step[i] = np.linalg.solve(hess[i], -grad[i])
+            except np.linalg.LinAlgError:
+                pass
+    return np.sqrt(np.maximum(-_dot(grad, step), 0.0)), _matvec(basis, step)
+
+
 def _newton(cone, v, basis, ridge, max_iter):
     """Damped Newton on F(w) = log V(w) + ridge |w|^2 / 2 over v + span(basis).
 
@@ -227,22 +305,25 @@ def _newton(cone, v, basis, ridge, max_iter):
     TOL.fiber_gradient.  `basis` has orthonormal columns.  Returns the last
     iterate, its slice data, the iteration count and the Newton step that
     stop declined (zero when the loop ended otherwise).
+
+    A stack is K independent problems advanced in lockstep: v is (K, n+1),
+    basis (K, n+1, d), and row i of every input and output is problem i.
+    Each step makes one `_slice_exact` call for all rows still moving; a
+    row that stops drops out, a row halves its own step, and each row ends
+    with its own iterate, iteration count and declined step, bit-identical
+    to the one-problem run.  If the starting slice fails, the stack raises
+    the OutsideDualConeError of `_slice_exact`, which lists the rows.
     """
-    n1 = v.size
     data = _slice_exact(cone, v)
-    declined = np.zeros(n1)
+    if v.ndim > 1:
+        return _lockstep_newton(cone, v, data, basis, ridge, max_iter)
+    declined = np.zeros(v.size)
     it = 0
     for it in range(1, max_iter + 1):
-        mu = data.centroid
-        grad = basis.T @ (ridge * v - n1 * mu)
-        hess = n1 * ((n1 + 1.0) * data.second_moment - n1 * np.outer(mu, mu))
-        hess = basis.T @ hess @ basis + ridge * np.eye(basis.shape[1])
         try:
-            step = np.linalg.solve(hess, -grad)
+            lam, direction = _newton_step(v, data, basis, ridge)
         except np.linalg.LinAlgError:
             break
-        lam = np.sqrt(max(-float(grad @ step), 0.0))
-        direction = basis @ step
         if lam <= TOL.fiber_gradient:
             declined = direction
             break
@@ -261,7 +342,69 @@ def _newton(cone, v, basis, ridge, max_iter):
     return v, data, it, declined
 
 
-def min_volume_on_fiber(c, q, max_iter=80) -> FiberMinimum:
+def _lockstep_newton(cone, v, data, basis, ridge, max_iter):
+    """The stacked loop of `_newton`; `live` holds the rows still moving."""
+    v = v.copy()
+    its = np.zeros(len(v), dtype=int)
+    declined = np.zeros_like(v)
+    live = np.arange(len(v))
+    for it in range(1, max_iter + 1):
+        if not live.size:
+            break
+        its[live] = it
+        # the step of every row: a copy of live rows would compact each
+        # row's basis, and BLAS sums a compacted matrix in another order
+        lam, direction = _newton_step(v, data, basis, ridge)
+        lam, direction = lam[live], direction[live]
+        done = lam <= TOL.fiber_gradient
+        declined[live[done]] = direction[done]
+        s = 1.0 / (1.0 + lam)
+        # rows that take a step: not converged, and a step size to try
+        # (a singular Hessian leaves lam nan, which stops the row here)
+        go = ~done & (s > 1e-14)
+        rows, direction, s = live[go], direction[go], s[go]
+        moved = np.zeros(rows.size, dtype=bool)
+        trial = np.arange(rows.size)
+        while trial.size:
+            v_try = v[rows[trial]] + s[trial, None] * direction[trial]
+            ok = cone.dual_margin(v_try) > 0
+            while ok.any():
+                try:
+                    new = _slice_exact(cone, v_try[ok])
+                    break
+                except OutsideDualConeError as exc:
+                    ok[np.flatnonzero(ok)[exc.data["rows"]]] = False
+            if ok.any():
+                idx = rows[trial[ok]]
+                v[idx] = v_try[ok]
+                data.set_rows(idx, new)
+                moved[trial[ok]] = True
+            trial = trial[~ok]
+            s[trial] *= 0.5
+            trial = trial[s[trial] > 1e-14]
+        live = rows[moved]
+    return v, data, its, declined
+
+
+def _fiber_bases(q):
+    """null_space(row[None, :]) for each nonzero row of q, from one batched
+    SVD and in that function's layout: the basis of a row is a column slice
+    of a C-ordered square matrix, so BLAS products with it sum as they do
+    with the one-row basis."""
+    _, _, vh = np.linalg.svd(q[:, None, :], full_matrices=True)
+    return np.ascontiguousarray(np.swapaxes(vh, 1, 2))[:, :, 1:]
+
+
+def _fiber_certificate(q, basis, mu):
+    """Tangential gradient fraction and centroid error of a fiber solve, and
+    whether they certify it (at most 1e-8 and 1e-6)."""
+    residual = (_norm(_matvec(basis.swapaxes(-1, -2), mu))
+                / np.maximum(_norm(mu), 1e-300))
+    cert = _norm(mu - q) / np.maximum(_norm(q), 1e-300)
+    return residual, cert, ~((residual > 1e-8) | (cert > 1e-6))
+
+
+def min_volume_on_fiber(c, q, max_iter=_FIBER_ITERATIONS) -> FiberMinimum:
     """Minimize the truncated volume over functionals with phi(q) = 1.
 
     Newton on log V restricted to the fiber (see `_newton`), started from the
@@ -270,21 +413,19 @@ def min_volume_on_fiber(c, q, max_iter=80) -> FiberMinimum:
     """
     cone = _as_cone(c)
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    if cone.contains_vector(q) <= 0:
+    if not cone.contains_vector(q) > 0:
         raise InvalidInputError("base point is not strictly inside the cone")
     v_inf = cone.domain.chart.infinity
     t_basis = null_space(q[None, :])
     v, data, it, _ = _newton(cone, v_inf / float(v_inf @ q), t_basis, 0.0,
                              max_iter)
     mu = data.centroid
-    residual = float(np.linalg.norm(t_basis.T @ mu)
-                     / max(np.linalg.norm(mu), 1e-300))
-    cert = np.linalg.norm(mu - q) / max(np.linalg.norm(q), 1e-300)
-    if residual > 1e-8 or cert > 1e-6:
+    residual, cert, ok = _fiber_certificate(q, t_basis, mu)
+    if not ok:
         raise ConvergenceFailureError(
             "fiber minimization did not converge",
-            residual=residual, centroid_error=cert, iterations=it)
-    return FiberMinimum(v, data.volume, mu, residual, it)
+            residual=float(residual), centroid_error=cert, iterations=it)
+    return FiberMinimum(v, data.volume, mu, float(residual), it)
 
 
 def theta(c, phi) -> ProjPoint:
@@ -315,6 +456,45 @@ def characteristic_point(c, q) -> np.ndarray:
     fm = min_volume_on_fiber(cone, qhat)
     t = fm.value ** (-1.0 / qhat.size)
     return t * qhat
+
+
+def _characteristic_rows(cone, qs):
+    """`characteristic_point` at each row of a (K, n+1) array, all fiber
+    solves in one lockstep Newton: the points, bit-identical to that call,
+    nan where it raises, and the mask of rows that succeed."""
+    q = qs / _norm(qs)[:, None]
+    v_inf = cone.domain.chart.infinity
+    rows = np.flatnonzero(cone.contains_vector(q) > 0)
+    while True:
+        basis = _fiber_bases(q[rows])
+        try:
+            _, data, _, _ = _newton(cone, v_inf / _dot(v_inf, q[rows])[:, None],
+                                    basis, 0.0, _FIBER_ITERATIONS)
+            break
+        except OutsideDualConeError as exc:   # starting slices that fail
+            rows = np.delete(rows, exc.data["rows"])
+    good = _fiber_certificate(q[rows], basis, data.centroid)[2]
+    rows = rows[good]
+    pts = np.full_like(q, np.nan)
+    pts[rows] = _pow(data.volume[good], -1.0 / q.shape[1])[:, None] * q[rows]
+    ok = np.zeros(len(q), dtype=bool)
+    ok[rows] = True
+    return pts, ok
+
+
+def characteristic_points(c, qs) -> np.ndarray:
+    """Points of the radial characteristic surface on the rays through the
+    rows of a (K, n+1) array, all fiber solves in one lockstep Newton.
+
+    Row by row bit-identical to `characteristic_point`; if a row fails, the
+    error is the one a loop of `characteristic_point` calls raises first.
+    """
+    cone = _as_cone(c)
+    qs = np.atleast_2d(np.asarray(qs, dtype=float))
+    pts, ok = _characteristic_rows(cone, qs)
+    for i in np.flatnonzero(~ok):   # raises at the first failing row
+        pts[i] = characteristic_point(cone, qs[i])
+    return pts
 
 
 @dataclass

@@ -36,6 +36,15 @@ def test_is_automorphism_radial(polygon24):
         polygon24, ProjTransform(np.diag([1.3, 1.0, 1.0]))).is_automorphism
 
 
+def test_is_automorphism_residual_is_the_vertex_hausdorff_distance(polygon24):
+    # every mapped vertex lies within 0.112 of some vertex, and the two
+    # vertex sets are 0.165 apart; a greedy matching in vertex order
+    # reported 1.956
+    chk = gp.is_automorphism(polygon24, ProjTransform(boost(0.5)))
+    assert not chk.is_automorphism
+    assert chk.residual == pytest.approx(0.1655, abs=1e-3)
+
+
 def test_is_automorphism_radial_matches_vertex_polygon(polygon24):
     # a radial graph is decided by the vertex matching of its hull vertices
     vpoly = dm.ConvexDomain.from_vertices(polygon24.backend.vertices())
@@ -153,6 +162,18 @@ def test_orbit_sizes():
     seed = ProjPoint([1.0, 1.0])
     assert len(gp.orbit([a], seed, 0)) == 1
     assert len(gp.orbit([a], seed, 3)) == 7
+
+
+def test_orbit_keeps_one_point_per_class():
+    # rotation(pi) sends [1, 0, 0] to [-1, 4e-16, 0], the same point: a key
+    # signed by that rounding residue counted it twice
+    a = ProjTransform(rotation(np.pi / 3))
+    for depth in range(1, 6):
+        assert len(gp.orbit([a], ProjPoint([1.0, 0.0, 0.0]), depth)) == 3
+    # the two boosts of demos/group_dynamics_tour.py, seeded on their axis
+    g1 = ProjTransform(boost(1.1))
+    g2 = ProjTransform(rotation(np.pi / 2) @ boost(1.1) @ rotation(-np.pi / 2))
+    assert len(gp.orbit([g1, g2], ProjPoint([1.0, 0.0, 0.0]), 5)) == 243
 
 
 def test_orbit_accumulates_on_frontier(disk):

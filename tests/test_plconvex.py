@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from projconvex import domain as dm, plconvex as pl
+from projconvex import domain as dm, plconvex as pl, vinberg as vb
 from projconvex.config import DEFAULT_SEED, TOL
 from projconvex.errors import (
     ApproximationFailureError,
@@ -671,3 +671,71 @@ def test_candidates_per_sample_stay_flat():
         per_sample.append(rows.size / len(dirs))
     assert sizes == [242, 1984]
     assert per_sample[1] <= 1.5 * per_sample[0]
+
+
+def _disk_mesh_loop(dom, budget):
+    """The ring sampler with one chord query per direction."""
+    _, centroid, _ = dom.backend.moments()
+    rings = max(1, int(round(np.sqrt(budget / 4.0))))
+    angles = max(6, int(np.ceil((budget - 1) / rings)))
+    pts = [centroid]
+    for j in range(1, rings + 1):
+        ang = 2 * np.pi * (np.arange(angles) + 0.5 * (j % 2)) / angles
+        frac = pl._INSET * j / rings
+        for u in np.stack([np.cos(ang), np.sin(ang)], axis=1):
+            _, t_hi = dom.backend.chord_params(centroid, u)
+            pts.append(centroid + frac * t_hi * u)
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("make", [
+    dm.unit_disk, dm.square_domain, dm.triangle_domain,
+    lambda: dm.disk_polygon(24),
+    lambda: dm.ConvexDomain.ellipsoid([0.1, -0.2], [[1.0, 0.3], [0.3, 2.5]])],
+    ids=["disk", "square", "triangle", "gon24", "ellipse"])
+def test_disk_mesh_is_the_per_direction_sampler(make):
+    # one array chord query gives, bit for bit, the per-direction samples
+    dom = make()
+    for budget in (1, 9, 48, 200, 1000):
+        assert np.array_equal(pl._disk_mesh(dom, budget),
+                              _disk_mesh_loop(dom, budget))
+
+
+def _deviation_loop(cone, surf, rng):
+    """`_sampled_deviation` with one fiber solve per sampled edge, skipping
+    the edges whose solve raises."""
+    pairs = surf.simplices[:, np.transpose(np.triu_indices(surf.simplices.shape[1], 1))]
+    edges = np.unique(np.sort(pairs.reshape(-1, 2), axis=1), axis=0).tolist()
+    if len(edges) > pl._DEVIATION_EDGES:
+        idx = rng.choice(len(edges), size=pl._DEVIATION_EDGES, replace=False)
+        edges = [edges[i] for i in sorted(idx)]
+    dirs, exact = [], []
+    for a, b in edges:
+        mid = 0.5 * (surf.vertices[a] + surf.vertices[b])
+        u = mid / np.linalg.norm(mid)
+        try:
+            exact.append(np.linalg.norm(vb.characteristic_point(cone, u)))
+        except GeometryError:
+            continue
+        dirs.append(u)
+    if not dirs:
+        return 0.0, len(edges), len(edges)
+    gaps = np.abs(surf.radial_values(np.array(dirs)) - np.array(exact))
+    return (float(gaps[~np.isnan(gaps)].max(initial=0.0)),
+            len(edges) - len(dirs), len(edges))
+
+
+@pytest.mark.parametrize("small", [
+    lambda: dm.square_domain(0.45), lambda: dm.disk_polygon(7, radius=0.5),
+    lambda: dm.ConvexDomain.ellipsoid([0.2, 0.0], [[4.0, 0.0], [0.0, 6.0]])],
+    ids=["square", "heptagon", "ellipse"])
+def test_sampled_deviation_skips_the_loop_rows(small):
+    # a disk surface measured against a smaller cone: the outer edge
+    # midpoints leave it and their solves fail; the lockstep pass drops
+    # exactly those rows
+    cone = small().cone()
+    for budget in (9, 48):
+        surf = pl.pl_characteristic_surface(dm.unit_disk(), budget).surface
+        want, skipped, edges = _deviation_loop(cone, surf, np.random.default_rng(4))
+        assert 0 < skipped < edges
+        assert pl._sampled_deviation(cone, surf, np.random.default_rng(4)) == want

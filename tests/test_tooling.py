@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from projconvex import cli, domain as dm, hilbert as hb, jsonio
+from projconvex import plconvex as pl, vinberg as vb
 
 ROOT = Path(__file__).resolve().parents[1]
 ENV = {**os.environ,
@@ -125,6 +126,23 @@ def test_thin_triangle_makes_one_chord_call_per_search_step(monkeypatch):
     # steps that shrink a unit bracket below the search's 1e-10 tolerance
     steps = math.ceil(math.log(1e-10) / math.log((math.sqrt(5.0) - 1.0) / 2.0))
     assert len(calls) <= steps + 3
+
+
+def test_surface_build_makes_one_slice_call_per_newton_step(monkeypatch):
+    # all fiber solves of a build advance in lockstep, one stacked slice
+    # call per Newton step or halving; a solve per direction makes about 600
+    slice_exact = vb._slice_exact
+    calls = []
+
+    def counted(cone, v):
+        calls.append(len(v) if v.ndim > 1 else 1)
+        return slice_exact(cone, v)
+
+    monkeypatch.setattr(vb, "_slice_exact", counted)
+    res = pl.pl_characteristic_surface(dm.unit_disk(), 48)
+    assert res.certificate.ok
+    assert len(calls) <= 40
+    assert max(calls) >= 48        # the sample pass solves every direction at once
 
 
 @pytest.mark.parametrize("demo", ["spherical_centers_and_boxes.py",

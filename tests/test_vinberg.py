@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from projconvex import domain as dm, vinberg as vb
 from projconvex.config import TOL
 from projconvex.errors import (
     ConvergenceFailureError,
+    GeometryError,
     InvalidInputError,
     OutsideDualConeError,
 )
-from projconvex.projgeom import ProjPoint, ProjTransform
+from projconvex.projgeom import ProjPoint, ProjTransform, null_space
 
 from conftest import boost, random_orthogonal
 
@@ -380,3 +382,130 @@ def test_spherical_center_unconverged_raises():
     dom = REFERENCE_CENTERS["triangle"][0]
     with pytest.raises(ConvergenceFailureError):
         vb.spherical_center(dom, max_iter=1)
+
+
+# ---------------------------------------------------------------------------
+# lockstep fiber solves and the cached cone constants
+
+STACK_DOMAINS = _random_domains(np.random.default_rng(2024))
+STACK_KINDS = ["hexagon", "cube", "segment", "triangle", "ellipsoid", "radial"]
+
+
+@st.composite
+def _interior_rays(draw, dom, k_max=8):
+    """Raw vectors of random length over interior chart points: each a
+    fraction of the way from the interior point to the frontier."""
+    c = dom.interior_point()
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    rays = []
+    for _ in range(draw(st.integers(1, k_max))):
+        u = np.array(draw(st.lists(unit, min_size=dom.dim, max_size=dom.dim)))
+        if np.linalg.norm(u) < 1e-3:
+            u = np.eye(dom.dim)[0]
+        _, t_hi = dom.backend.chord_params(c, u)
+        x = c + draw(st.floats(0.0, 0.95)) * t_hi * u
+        rays.append(draw(st.floats(0.2, 5.0)) * dom.chart.lift(x))
+    return np.array(rays)
+
+
+@pytest.mark.parametrize("index", range(len(STACK_DOMAINS)), ids=STACK_KINDS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_characteristic_points_match_loop(index, data):
+    # every row bit for bit the one-point solve, in chart dimensions 1-3
+    dom = STACK_DOMAINS[index]
+    qs = data.draw(_interior_rays(dom))
+    pts = vb.characteristic_points(dom, qs)
+    for q, p in zip(qs, pts):
+        assert np.array_equal(p, vb.characteristic_point(dom, q))
+
+
+def test_characteristic_points_raise_the_first_failing_row(disk):
+    good = disk.chart.lift([0.2, -0.1])
+    outside = disk.chart.lift([1.5, 0.0])                     # invalid input
+    stalls = disk.chart.lift((1.0 - 1e-9) * np.array([0.6, 0.8]))   # no convergence
+    with pytest.raises(ConvergenceFailureError):
+        vb.characteristic_point(disk, stalls)
+    with pytest.raises(InvalidInputError):
+        vb.characteristic_points(disk, [good, outside, stalls])
+    with pytest.raises(ConvergenceFailureError):
+        vb.characteristic_points(disk, [good, stalls, outside])
+    pts, ok = vb._characteristic_rows(disk.cone(), np.array([stalls, good, outside]))
+    assert ok.tolist() == [False, True, False]
+    assert np.isnan(pts[[0, 2]]).all()
+    assert np.array_equal(pts[1], vb.characteristic_point(disk, good))
+
+
+def test_lockstep_newton_rows_match_one_problem_runs(rng):
+    # iterates, slice data, iteration counts and declined steps, row by row,
+    # with rows that stop at different iterations (max_iter cuts some)
+    dom = STACK_DOMAINS[3]
+    cone = dom.cone()
+    qs = dom.chart.lift_many(dom.random_interior(rng, size=7))
+    qs = qs / np.linalg.norm(qs, axis=1)[:, None]
+    v0 = dom.chart.infinity / (qs @ dom.chart.infinity)[:, None]
+    for max_iter in (0, 3, 80):
+        basis = vb._fiber_bases(qs)
+        v, data, its, declined = vb._newton(cone, v0, basis, 0.0, max_iter)
+        for i, q in enumerate(qs):
+            v1, d1, it1, dec1 = vb._newton(cone, v0[i], null_space(q[None, :]),
+                                           0.0, max_iter)
+            assert np.array_equal(v[i], v1) and its[i] == it1
+            assert np.array_equal(declined[i], dec1)
+            assert data.volume[i] == d1.volume
+            assert np.array_equal(data.centroid[i], d1.centroid)
+            assert np.array_equal(data.second_moment[i], d1.second_moment)
+
+
+def test_slice_stack_lists_failing_rows(disk, square):
+    # on the disk a functional with an unbounded slice, on the square one
+    # negative at the cone's extreme rays
+    for dom, bad in ((disk, [1.0, 0.0, 0.0]), (square, -square.chart.infinity)):
+        cone = dom.cone()
+        good = dom.chart.infinity
+        with pytest.raises(OutsideDualConeError):
+            vb._slice_exact(cone, np.asarray(bad))
+        with pytest.raises(OutsideDualConeError) as exc:
+            vb._slice_exact(cone, np.array([good, bad, good, bad]))
+        assert exc.value.data["rows"] == [1, 3]
+
+
+def _reference_margin(cone, v):
+    """dual_margin as computed before its constants were cached."""
+    b, chart = cone.domain.backend, cone.domain.chart
+    if b.kind == "ellipsoid":
+        mhalf = np.linalg.cholesky(b._minv)
+        beta = chart.frame.T @ v
+        lo = (float(chart.infinity @ v) + float(beta @ b.center)
+              - float(np.linalg.norm(mhalf.T @ beta)))
+        return lo / np.sqrt(1.0 + b.bounding_radius() ** 2)
+    lifts = chart.lift_many(b.vertices())
+    return float(np.min((lifts @ v) / np.linalg.norm(lifts, axis=1)))
+
+
+@pytest.mark.parametrize("index", range(len(STACK_DOMAINS)), ids=STACK_KINDS)
+def test_cached_cone_constants_change_no_result(index, rng):
+    # a fresh cone computes its constants on the call, a warm one reuses them
+    dom = STACK_DOMAINS[index]
+    warm = dom.cone()
+    vs = dom.chart.infinity + 0.1 * rng.normal(size=(6, dom.dim + 1))
+    stack = warm.dual_margin(vs)
+    for v, m in zip(vs, stack):
+        assert dom.cone().dual_margin(v) == warm.dual_margin(v) == m \
+            == _reference_margin(dom.cone(), v)
+        if m > 0:
+            a, b = vb._slice_exact(dom.cone(), v), vb._slice_exact(warm, v)
+            assert a.volume == b.volume and a.slice_area == b.slice_area
+            assert np.array_equal(a.centroid, b.centroid)
+            assert np.array_equal(a.second_moment, b.second_moment)
+
+
+def test_contains_vector_stack_matches_rows(rng):
+    for dom in STACK_DOMAINS:
+        cone = dom.cone()
+        ws = rng.normal(size=(9, dom.dim + 1))
+        ws[0] = 0.0                            # no chart point at all
+        ws[1] = dom.chart.lift(dom.interior_point())
+        got = cone.contains_vector(ws)
+        assert [cone.contains_vector(w) for w in ws] == got.tolist()
+        assert got[0] == -np.inf and got[1] > 0
