@@ -38,8 +38,6 @@ from .projgeom import (
 
 # Rejection rounds of `ConvexDomain.random_interior` before it gives up.
 _SAMPLE_ROUNDS = 1000
-# Simplices from which `_simplex_moments` sums vertex by vertex.
-_VERTEX_LOOP_MIN = 64
 
 
 # ---------------------------------------------------------------------------
@@ -56,18 +54,8 @@ def _simplex_moments(rv, measures):
     """
     m1, d = rv.shape[-2:]
     flat = rv.reshape(-1, m1, d)
-    if len(flat) > _VERTEX_LOOP_MIN:
-        # vertex sums and sums of vertex outer products added vertex by
-        # vertex, the order of `sum` and `einsum` in the other branch: a
-        # fraction of their cost on long stacks, more on a few simplices
-        s = flat[:, 0] + flat[:, 1]
-        sq = _outer(flat[:, 0]) + _outer(flat[:, 1])
-        for i in range(2, m1):
-            s += flat[:, i]
-            sq += _outer(flat[:, i])
-    else:
-        s = flat.sum(axis=1)
-        sq = np.einsum("kiv,kiw->kvw", flat, flat)
+    s = flat.sum(axis=1)
+    sq = np.einsum("kiv,kiw->kvw", flat, flat)
     cents = (s / m1).reshape(rv.shape[:-2] + (d,))   # flat.mean(axis=1)
     seconds = ((sq + np.einsum("kv,kw->kvw", s, s))
                / (m1 * (m1 + 1))).reshape(rv.shape[:-2] + (d, d))

@@ -169,32 +169,22 @@ def _slice_exact(cone: ConvexCone, v) -> _SliceData:
     # The section center is the pole of the slicing plane; the restricted
     # inverse form is Qinv minus its rank-one part along the pole.
     qinv, qdet = _cone_quadric_inverse(cone)
-    if v.ndim == 1:
-        u = qinv @ v
-        s = float(v @ u)           # negative iff v is interior to the dual cone
-        if s >= 0:
-            raise OutsideDualConeError("slice of the cone is unbounded", pairing=s)
-        mu = u / s
-        c0 = -1.0 / s              # section level, positive
-        vv = float(v @ v)
-        det_restricted = qdet * s / vv   # det of the form on the plane directions
-        if det_restricted <= 0:
-            raise OutsideDualConeError("slice of the cone is degenerate")
-        area = _ball_volume(n) * c0 ** (n / 2.0) / np.sqrt(det_restricted)
-        e2 = np.outer(mu, mu) + c0 / (n + 2.0) * (qinv - np.outer(u, u) / s)
-        h = 1.0 / np.sqrt(vv)
-        return _SliceData(area * h / (n + 1.0), area, mu, e2)
-    # a stack: the same formulas, row by row
     u = _matvec(qinv, v)
-    s = _dot(v, u)
+    s = _dot(v, u)                 # negative iff v is interior to the dual cone
+    if v.ndim == 1 and s >= 0:
+        raise OutsideDualConeError("slice of the cone is unbounded", pairing=float(s))
     vv = _dot(v, v)
-    det_restricted = qdet * s / vv
-    _raise_rows((s >= 0) | (det_restricted <= 0))
-    mu = u / s[:, None]
-    c0 = -1.0 / s
-    area = _ball_volume(n) * _pow(c0, n / 2.0) / np.sqrt(det_restricted)
-    e2 = _outer(mu) + (c0 / (n + 2.0))[:, None, None] * (
-        qinv - _outer(u) / s[:, None, None])
+    det_restricted = qdet * s / vv   # det of the form on the plane directions
+    if v.ndim > 1:
+        _raise_rows((s >= 0) | (det_restricted <= 0))
+    elif det_restricted <= 0:
+        raise OutsideDualConeError("slice of the cone is degenerate")
+    mu = u / s[..., None]
+    c0 = -1.0 / s                  # section level, positive
+    root = _pow(c0, n / 2.0) if v.ndim > 1 else c0 ** (n / 2.0)
+    area = _ball_volume(n) * root / np.sqrt(det_restricted)
+    e2 = _outer(mu) + (c0 / (n + 2.0))[..., None, None] * (
+        qinv - _outer(u) / s[..., None, None])
     h = 1.0 / np.sqrt(vv)
     return _SliceData(area * h / (n + 1.0), area, mu, e2)
 
