@@ -79,11 +79,15 @@ def _triangulated_moments(backend):
 # ---------------------------------------------------------------------------
 # row-wise products
 #
-# Chord and membership queries take one point or an (N, n) stack of points.
-# A stack goes through numpy's batched matmul, which makes the same BLAS call
-# per row as a single vector does, so each row is bit-identical to the
-# one-point query (a plain `X @ A.T` sums in another order).  One vector
-# takes the plain product: the batched form costs it about 1 us more.
+# Membership, chord and support queries take one point (direction) or an
+# (N, n) stack.  A stack goes through numpy's batched matmul, which makes the
+# same BLAS call per row as a single vector does, so each row is bit-identical
+# to the one-point query (a plain `X @ A.T` sums in another order).  One
+# vector takes the plain product: the batched form costs it about 1 us more.
+# The chord of the line through two points to be checked is one query,
+# `segment_chord`: the base point's facet slack (or quadric form) is computed
+# once for its membership test and the chord, by the same products as the
+# separate queries, so it returns their floats and raises their errors.
 
 
 def _matvec(a, x):
@@ -114,8 +118,62 @@ def _vecmat(u, m):
 
 
 def _any(mask):
-    """Whether a boolean scalar or array is true anywhere."""
-    return mask.any() if mask.ndim else mask
+    """Whether a boolean, numpy scalar or array is true anywhere."""
+    return mask.any() if isinstance(mask, np.ndarray) else mask
+
+
+# ---------------------------------------------------------------------------
+# chord kernels, one per backend family
+
+
+def _facet_chord(normals, num, d):
+    """Chord parameters (t_lo, t_hi) of the line x + t d in a polytope, from
+    the facet slack num = b - A x of its base point.
+
+    A facet with |a . d| <= cut is parallel to the line; the cut scales with
+    |d| so that a short direction keeps its facets.
+    """
+    d = np.asarray(d, dtype=float)
+    if num.ndim == 1 and d.ndim == 1:
+        # one line: a loop over Python floats beats the masked reduction on
+        # the few facets of a typical polytope
+        den = (normals @ d).tolist()
+        cut = float(TOL.exact * np.sqrt(np.dot(d, d)))
+        t_hi, t_lo = inf, -inf
+        for ni, di in zip(num.tolist(), den):
+            if di > cut:
+                r = ni / di
+                if r < t_hi:
+                    t_hi = r
+            elif di < -cut:
+                r = ni / di
+                if r > t_lo:
+                    t_lo = r
+        if not (isfinite(t_hi) and isfinite(t_lo)):
+            raise NotProperlyConvexError("line does not exit the region")
+        return t_lo, t_hi
+    den = _matvec(normals, d)
+    cut = TOL.exact * np.sqrt(_dot(d, d))[..., None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = num / den
+    t_hi = np.where(den > cut, t, np.inf).min(axis=-1)
+    t_lo = np.where(den < -cut, t, -np.inf).max(axis=-1)
+    if not (np.isfinite(t_hi).all() and np.isfinite(t_lo).all()):
+        raise NotProperlyConvexError("line does not exit the region")
+    return t_lo, t_hi
+
+
+def _conic_chord(um, gamma, d, m):
+    """Chord parameters of the line x + t d in the ellipsoid
+    (x-c)^T m (x-c) < 1, from um = (x-c)^T m and gamma = um . (x-c) - 1."""
+    d = np.asarray(d, dtype=float)
+    alpha = _dot(_vecmat(d, m), d)
+    beta = _dot(um, d)
+    disc = beta * beta - alpha * gamma
+    if _any(disc <= 0):
+        raise DegenerateChordError("line misses the ellipsoid")
+    root = np.sqrt(disc)
+    return (-beta - root) / alpha, (-beta + root) / alpha
 
 
 # ---------------------------------------------------------------------------
@@ -143,42 +201,29 @@ class _PolytopeBackend:
 
         x and d are one point and one direction, or (N, n) stacks of them
         (one point or direction broadcasts); stacks give arrays that are, row
-        by row, the one-line values.
-        A facet with |a . d| <= cut is parallel to the line; the cut scales
-        with |d| so that a short direction keeps its facets.
+        by row, the one-line values.  x need not be inside: this is the query
+        for rays from a known interior point (metric balls, box sandwiches,
+        mesh radii); a line through two points to be checked takes
+        `segment_chord`.
         """
         hp = self.as_hpoly()
         x = np.asarray(x, dtype=float)
-        d = np.asarray(d, dtype=float)
-        if x.ndim == 1 and d.ndim == 1:
-            # one line: a loop over Python floats beats the masked reduction
-            # on the few facets of a typical polytope
-            num = (hp.offsets - hp.normals @ x).tolist()
-            den = (hp.normals @ d).tolist()
-            cut = float(TOL.exact * np.sqrt(np.dot(d, d)))
-            t_hi, t_lo = inf, -inf
-            for ni, di in zip(num, den):
-                if di > cut:
-                    r = ni / di
-                    if r < t_hi:
-                        t_hi = r
-                elif di < -cut:
-                    r = ni / di
-                    if r > t_lo:
-                        t_lo = r
-            if not (isfinite(t_hi) and isfinite(t_lo)):
-                raise NotProperlyConvexError("line does not exit the region")
-            return t_lo, t_hi
-        num = hp.offsets - _matvec(hp.normals, x)
-        den = _matvec(hp.normals, d)
-        cut = TOL.exact * np.sqrt(_dot(d, d))[..., None]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            t = num / den
-        t_hi = np.where(den > cut, t, np.inf).min(axis=-1)
-        t_lo = np.where(den < -cut, t, -np.inf).max(axis=-1)
-        if not (np.isfinite(t_hi).all() and np.isfinite(t_lo).all()):
-            raise NotProperlyConvexError("line does not exit the region")
-        return t_lo, t_hi
+        return _facet_chord(hp.normals, hp.offsets - _matvec(hp.normals, x), d)
+
+    def segment_chord(self, x, y, d):
+        """`chord_params(x, d)` for the line through x and y = x + d, after
+        checking that x and then y are inside (InvalidInputError naming the
+        point).  x's facet slack serves both its check and the chord.
+        One pair or (N, n) stacks, row by row the one-pair values.
+        """
+        hp = self.as_hpoly()
+        x = np.asarray(x, dtype=float)
+        slack = hp.offsets - _matvec(hp.normals, x)
+        if _any(slack.min(axis=-1) <= 0):
+            raise InvalidInputError("point x is not inside the domain")
+        if _any(self.contains_margin(y) <= 0):
+            raise InvalidInputError("point y is not inside the domain")
+        return _facet_chord(hp.normals, slack, d)
 
     def supporting_facets(self, x, tol):
         hp = self.as_hpoly()
@@ -196,7 +241,10 @@ class _PolytopeBackend:
         return flats
 
     def support(self, u):
-        return float(np.max(self.vertices() @ np.asarray(u, dtype=float)))
+        """Support function at one direction, or at each row of a stack."""
+        u = np.asarray(u, dtype=float)
+        h = _matvec(self.vertices(), u)
+        return h.max(axis=-1) if u.ndim > 1 else float(h.max())
 
     def support_point(self, u):
         v = self.vertices()
@@ -430,16 +478,27 @@ class EllipsoidBackend:
     def interior_point(self):
         return self.center
 
-    def contains_margin(self, x):
+    def _quadric(self, x):
+        """u^T M and the form u^T M u of u = x - c, for one point or a stack."""
         u = np.asarray(x, dtype=float) - self.center
-        q = _dot(_vecmat(u, self.shape_matrix), u)
-        if u.ndim > 1:
+        um = _vecmat(u, self.shape_matrix)
+        return um, _dot(um, u)
+
+    @staticmethod
+    def _margin(q):
+        """Chart margin 1 - sqrt(q) of a point of quadric form q."""
+        if q.ndim:
             return 1.0 - np.sqrt(np.maximum(q, 0.0))
         return 1.0 - float(np.sqrt(max(q, 0.0)))
 
+    def contains_margin(self, x):
+        return self._margin(self._quadric(x)[1])
+
     def support(self, u):
+        """Support function at one direction, or at each row of a stack."""
         u = np.asarray(u, dtype=float)
-        return float(self.center @ u + np.sqrt(u @ self._minv @ u))
+        h = _dot(self.center, u) + np.sqrt(_dot(_vecmat(u, self._minv), u))
+        return h if u.ndim > 1 else float(h)
 
     def support_point(self, u):
         u = np.asarray(u, dtype=float)
@@ -448,17 +507,18 @@ class EllipsoidBackend:
 
     def chord_params(self, x, d):
         """As `_PolytopeBackend.chord_params`: one line or (N, n) stacks."""
-        u = np.asarray(x, dtype=float) - self.center
-        d = np.asarray(d, dtype=float)
-        um = _vecmat(u, self.shape_matrix)
-        alpha = _dot(_vecmat(d, self.shape_matrix), d)
-        beta = _dot(um, d)
-        gamma = _dot(um, u) - 1.0
-        disc = beta * beta - alpha * gamma
-        if _any(disc <= 0):
-            raise DegenerateChordError("line misses the ellipsoid")
-        root = np.sqrt(disc)
-        return (-beta - root) / alpha, (-beta + root) / alpha
+        um, q = self._quadric(x)
+        return _conic_chord(um, q - 1.0, d, self.shape_matrix)
+
+    def segment_chord(self, x, y, d):
+        """As `_PolytopeBackend.segment_chord`; x's quadric form serves both
+        its check and the chord."""
+        um, q = self._quadric(x)
+        if _any(self._margin(q) <= 0):
+            raise InvalidInputError("point x is not inside the domain")
+        if _any(self.contains_margin(y) <= 0):
+            raise InvalidInputError("point y is not inside the domain")
+        return _conic_chord(um, q - 1.0, d, self.shape_matrix)
 
     def supporting_facets(self, x, tol):
         n = self.shape_matrix @ (np.asarray(x, dtype=float) - self.center)
@@ -680,6 +740,8 @@ class ConvexDomain:
         return self.backend.interior_point()
 
     def chart_coords(self, p):
+        if type(p) is np.ndarray and p.ndim == 1 and p.dtype == np.float64:
+            return p
         if isinstance(p, ProjPoint):
             return self.chart.to_chart(p)
         return np.atleast_1d(np.asarray(p, dtype=float))
@@ -688,8 +750,7 @@ class ConvexDomain:
         return ConvexCone(self)
 
     def support_function(self, dirs):
-        dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-        return np.array([self.backend.support(u) for u in dirs])
+        return self.backend.support(np.atleast_2d(np.asarray(dirs, dtype=float)))
 
     def random_interior(self, rng, size=1, margin=0.0):
         if size < 1:
@@ -918,11 +979,8 @@ def chord(dom: ConvexDomain, x, y) -> Chord:
     yc = dom.chart_coords(y)
     if np.linalg.norm(yc - xc) <= TOL.exact:
         raise DegenerateChordError("chord endpoints coincide")
-    for name, c in (("x", xc), ("y", yc)):
-        if dom.backend.contains_margin(c) <= 0:
-            raise InvalidInputError(f"point {name} is not inside the domain")
     d = yc - xc
-    t_lo, t_hi = dom.backend.chord_params(xc, d)
+    t_lo, t_hi = dom.backend.segment_chord(xc, yc, d)
     return Chord(dom, xc + t_lo * d, xc + t_hi * d)
 
 

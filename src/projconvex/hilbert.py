@@ -3,9 +3,11 @@ and thin-triangle measurement.
 
 Distances are half the log of the cross-ratio of the chord endpoints with the
 two points, computed in chart coordinates; the half makes the Klein-model
-value agree with the hyperbolic metric.  `distances` takes many pairs at once
-through one array chord query, which the lockstep thin-triangle searches use;
-a metric ball queries the chords of all its rays at once.
+value agree with the hyperbolic metric.  A distance asks the backend one
+query, `segment_chord`, which checks both points and returns the chord;
+`distances` asks it once for many pairs, which the lockstep thin-triangle
+searches use.  A metric ball queries the chords of all its rays at once with
+`chord_params`.
 """
 
 from dataclasses import dataclass
@@ -23,25 +25,24 @@ from .errors import (
 from .projgeom import DualFunctional, ProjPoint, ProjSubspace, pencil_core
 
 
-def _chart_pair(dom, x, y):
-    xc = dom.chart_coords(x)
-    yc = dom.chart_coords(y)
-    return xc, yc
-
-
 def _cross_ratio(t_lo, t_hi, step):
     """Hilbert distance of x and y: half the log cross-ratio of x, y and the
     chord endpoints at t_lo and t_hi on the line x + t (y - x), step = |y - x|.
 
     Scalars or arrays, elementwise; raises InfiniteDistanceError if an
-    endpoint coincides with x or y anywhere.
+    endpoint coincides with x or y anywhere.  One pair is worked in Python
+    floats, which make the same roundings as numpy scalars, only faster.
     """
+    one = not isinstance(step, np.ndarray)
+    if one:
+        t_lo, t_hi, step = float(t_lo), float(t_hi), float(step)
     ax = -t_lo * step          # |a_minus - x|
     ay = (1.0 - t_lo) * step   # |a_minus - y|
     bx = t_hi * step           # |a_plus - x|
     by = (t_hi - 1.0) * step   # |a_plus - y|
-    near = TOL.exact * np.maximum(1.0, step)
-    if _any((ax <= near) | (ay <= near) | (bx <= near) | (by <= near)):
+    near = TOL.exact * (max(1.0, step) if one else np.maximum(1.0, step))
+    hit = (ax <= near) | (ay <= near) | (bx <= near) | (by <= near)
+    if _any(hit):
         raise InfiniteDistanceError(
             "chord endpoint coincides with an argument point")
     return 0.5 * abs(np.log((bx * ay) / (by * ax)))
@@ -55,10 +56,7 @@ def _distance_and_chord(dom: ConvexDomain, xc, yc):
     step = np.sqrt(d.dot(d))  # np.linalg.norm(d), without its overhead
     if step <= TOL.exact:
         return 0.0, None, None
-    for name, c in (("x", xc), ("y", yc)):
-        if dom.backend.contains_margin(c) <= 0:
-            raise InvalidInputError(f"point {name} is not inside the domain")
-    t_lo, t_hi = dom.backend.chord_params(xc, d)
+    t_lo, t_hi = dom.backend.segment_chord(xc, yc, d)
     return _cross_ratio(t_lo, t_hi, step), t_lo, t_hi
 
 
@@ -68,8 +66,7 @@ def _distance_chart(dom: ConvexDomain, xc, yc):
 
 def distance(dom: ConvexDomain, x, y) -> float:
     """Hilbert distance between two interior points."""
-    xc, yc = _chart_pair(dom, x, y)
-    return _distance_chart(dom, xc, yc)
+    return _distance_chart(dom, dom.chart_coords(x), dom.chart_coords(y))
 
 
 def distances(dom: ConvexDomain, xs, ys):
@@ -87,12 +84,8 @@ def distances(dom: ConvexDomain, xs, ys):
     live = step > TOL.exact
     if not live.any():
         return out
-    b = dom.backend
     try:
-        if (_any(b.contains_margin(xs[live]) <= 0)
-                or _any(b.contains_margin(ys[live]) <= 0)):
-            raise InvalidInputError("point is not inside the domain")
-        t_lo, t_hi = b.chord_params(xs[live], d[live])
+        t_lo, t_hi = dom.backend.segment_chord(xs[live], ys[live], d[live])
         out[live] = _cross_ratio(t_lo, t_hi, step[live])
     except GeometryError:
         for x, y in zip(xs, ys):  # raises at the first failing row
@@ -115,7 +108,7 @@ def geodesic(dom: ConvexDomain, x, y, k: int):
     """k+1 points on the segment from x to y, equally spaced in arclength."""
     if k < 1:
         raise InvalidInputError("need at least one segment")
-    xc, yc = _chart_pair(dom, x, y)
+    xc, yc = dom.chart_coords(x), dom.chart_coords(y)
     total, t_lo, t_hi = _distance_and_chord(dom, xc, yc)
     if t_lo is None:
         ts = np.zeros(k - 1)

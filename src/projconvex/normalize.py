@@ -65,13 +65,8 @@ def box_sandwich(dom: ConvexDomain) -> BoxSandwich:
     b = dom.backend
     if b.contains_margin(np.zeros(n)) <= 0:
         raise InvalidInputError("box sandwich requires the origin inside")
-    outer = 0.0
-    for i in range(n):
-        e = np.zeros(n)
-        for s in (1.0, -1.0):
-            e[i] = s
-            outer = max(outer, b.support(e))
-        e[i] = 0.0
+    axes = np.vstack([np.eye(n), np.diag(np.full(n, -1.0))])
+    outer = max(0.0, float(b.support(axes).max()))
     inner_scale = np.inf
     for corner in product((-1.0, 1.0), repeat=n):
         c = np.array(corner)

@@ -131,6 +131,13 @@ class _Complex:
         return self._checks
 
 
+def _check_widths(simplices, width):
+    for s in simplices:
+        if len(s) != width:
+            raise InvalidInputError(
+                f"hypersurface simplices need {width} vertices, got {len(s)}")
+
+
 class SimplicialHypersurface:
     """Flat-simplex hypersurface in R^{n+1}: vertices plus top simplices, a
     (T, n+1) index array.
@@ -142,14 +149,16 @@ class SimplicialHypersurface:
     def __init__(self, vertices, simplices):
         v = _finite_vertices(vertices)
         n1 = v.shape[1]
-        rows = [tuple(int(i) for i in s) for s in simplices]
-        for s in rows:
-            if len(s) != n1:
-                raise InvalidInputError(
-                    f"hypersurface simplices need {n1} vertices, got {len(s)}")
-        if not rows:
+        try:
+            simp = np.array(simplices, dtype=int)
+        except ValueError:  # ragged rows: name the first of the wrong width
+            _check_widths(simplices, n1)
+            raise
+        if len(simp) and (simp.ndim != 2 or simp.shape[1] != n1):
+            _check_widths(simplices, n1)
+            raise TypeError("hypersurface simplices must be rows of indices")
+        if not len(simp):
             raise InvalidInputError("hypersurface needs at least one simplex")
-        simp = np.array(rows, dtype=int)
         if simp.min() < 0 or simp.max() >= len(v):
             raise InvalidInputError("simplex vertex index out of range")
         self._complex = _Complex(simp, len(v))

@@ -66,13 +66,16 @@ def test_chord_degenerate_and_outside(disk):
         dm.chord(disk, [0.0, 0.0], [3.0, 0.0])
 
 
-@pytest.mark.parametrize("make", [
+STACK_DOMAINS = [
     dm.unit_disk, dm.square_domain, dm.triangle_domain,
     lambda: dm.disk_polygon(24),
     lambda: dm.ConvexDomain.ellipsoid(np.zeros(3), np.diag([1.0, 2.0, 0.5])),
     lambda: dm.ConvexDomain.from_halfspaces(
         np.vstack([np.eye(3), -np.eye(3)]), np.ones(6)),
-    lambda: dm.orthant_domain(1), lambda: dm.orthant_domain(3)])
+    lambda: dm.orthant_domain(1), lambda: dm.orthant_domain(3)]
+
+
+@pytest.mark.parametrize("make", STACK_DOMAINS)
 def test_stacked_chord_and_margin_match_rows(make, rng):
     # an (N, n) stack gives, row by row, the one-line floats
     dom = make()
@@ -95,6 +98,40 @@ def test_stacked_chord_and_margin_match_rows(make, rng):
         b.chord_params(xs[7], us[7])
     with pytest.raises(alone.type):
         b.chord_params(xs, us)
+
+
+@pytest.mark.parametrize("make", STACK_DOMAINS)
+def test_segment_chord_is_the_checked_chord_query(make, rng):
+    # one pair or a stack: the chord_params floats, after checking x and
+    # then y with the contains_margin test
+    dom = make()
+    b = dom.backend
+    xs = dom.random_interior(rng, size=40)
+    ys = dom.random_interior(rng, size=40)
+    lo, hi = b.segment_chord(xs, ys, ys - xs)
+    rows = [b.segment_chord(x, y, y - x) for x, y in zip(xs, ys)]
+    assert np.array_equal(np.stack([lo, hi], axis=1), rows)
+    assert rows == [b.chord_params(x, y - x) for x, y in zip(xs, ys)]
+    far = 3.0 * b.bounding_radius() * np.ones(dom.dim)
+    for x, y, name in ((far, xs[0], "x"), (far, far, "x"), (xs[0], far, "y")):
+        with pytest.raises(InvalidInputError, match=f"point {name} is not"):
+            b.segment_chord(x, y, y - x)
+    ys[5] = far
+    xs[9] = far
+    with pytest.raises(InvalidInputError, match="point x is not"):
+        b.segment_chord(xs, ys, ys - xs)
+
+
+@pytest.mark.parametrize("make", STACK_DOMAINS)
+def test_stacked_support_matches_rows(make, rng):
+    dom = make()
+    b = dom.backend
+    us = rng.normal(size=(30, dom.dim))
+    rows = [b.support(u) for u in us]
+    assert all(type(h) is float for h in rows)
+    assert b.support(us).tolist() == rows
+    assert dom.support_function(us).tolist() == rows
+    assert dom.support_function(us[3]).tolist() == [rows[3]]
 
 
 def test_chord_classification(any_domain, rng):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from projconvex import domain as dm, hilbert as hb
+from projconvex.config import TOL
 from projconvex.errors import (
+    DegenerateChordError,
     GeometryError,
     InfiniteDistanceError,
     InvalidInputError,
@@ -95,14 +97,29 @@ def test_distance_guard_near_frontier(disk):
         hb.distance(disk, [2.0, 0.0], [0.0, 0.0])
 
 
+def _hexagon():
+    ang = 2 * np.pi * (np.arange(6) + 0.2) / 6
+    return dm.ConvexDomain.from_halfspaces(
+        np.stack([np.cos(ang), np.sin(ang)], axis=1),
+        [0.9, 1.1, 1.0, 0.8, 1.2, 1.0])
+
+
 @lru_cache(maxsize=None)
 def _domain(name):
-    """The `any_domain` backends and the orthants of dims 1-3, built once."""
+    """The `any_domain` backends, the orthants of dims 1-3, a 3-ball and a
+    half-space hexagon, built once."""
     if name.startswith("orthant"):
         return dm.orthant_domain(int(name[-1]))
     return {"disk": dm.unit_disk, "square": dm.square_domain,
             "triangle": dm.triangle_domain,
-            "radial": lambda: dm.disk_polygon(24)}[name]()
+            "radial": lambda: dm.disk_polygon(24),
+            "ball3": lambda: dm.ConvexDomain.ellipsoid(
+                [0.1, -0.2, 0.0], np.diag([1.0, 2.0, 0.5])),
+            "hexagon": _hexagon}[name]()
+
+
+DOMAINS = ["disk", "square", "triangle", "radial", "orthant1", "orthant2",
+           "orthant3", "ball3", "hexagon"]
 
 
 def _loop_or_error(fn, dom, xs, ys):
@@ -156,8 +173,7 @@ def _point_pairs(draw, dom):
     return np.array(xs), np.array(ys)
 
 
-@pytest.mark.parametrize("name", ["disk", "square", "triangle", "radial",
-                                  "orthant1", "orthant2", "orthant3"])
+@pytest.mark.parametrize("name", DOMAINS)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_distances_match_distance_row_by_row(name, data):
@@ -166,6 +182,70 @@ def test_distances_match_distance_row_by_row(name, data):
     xs, ys = data.draw(_point_pairs(dom))
     assert _same(_loop_or_error(hb.distances, dom, xs, ys),
                  _loop_or_error(_loop, dom, xs, ys))
+
+
+def _reference_chord(dom, x, y):
+    """Chord parameters of the line through x and y by separate queries:
+    contains(x), contains(y), then `chord_params`."""
+    b = dom.backend
+    for name, c in (("x", x), ("y", y)):
+        if b.contains_margin(c) <= 0:
+            raise InvalidInputError(f"point {name} is not inside the domain")
+    return b.chord_params(x, y - x)
+
+
+def _reference_distance(dom, x, y):
+    """Hilbert distance by separate queries, the cross-ratio worked in numpy
+    scalars (its array branch, on a 0-d step)."""
+    d = y - x
+    step = np.sqrt(d.dot(d))
+    if step <= TOL.exact:
+        return 0.0
+    t_lo, t_hi = _reference_chord(dom, x, y)
+    return hb._cross_ratio(t_lo, t_hi, np.asarray(step))
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+
+
+def _reference_segment(dom, x, y):
+    if np.linalg.norm(y - x) <= TOL.exact:
+        raise DegenerateChordError("chord endpoints coincide")
+    t_lo, t_hi = _reference_chord(dom, x, y)
+    return dm.Chord(dom, x + t_lo * (y - x), x + t_hi * (y - x))
+
+
+def _ends(fn, dom, x, y):
+    got = _outcome(fn, dom, x, y)
+    return got if isinstance(got, tuple) else (got.x_minus.tolist(),
+                                               got.x_plus.tolist())
+
+
+@pytest.mark.parametrize("name", DOMAINS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_chord_query_matches_the_reference(name, data):
+    # `distance`, `distances` and `chord` ask one segment query where the
+    # reference asks contains, contains and chord_params: the same floats
+    # and the same first error, type and message
+    dom = _domain(name)
+    xs, ys = data.draw(_point_pairs(dom))
+    ref = [_outcome(_reference_distance, dom, x, y) for x, y in zip(xs, ys)]
+    for (x, y), want in zip(zip(xs, ys), ref):
+        got = _outcome(hb.distance, dom, x, y)
+        assert type(got) is type(want) and got == want
+        assert _ends(dm.chord, dom, x, y) == _ends(_reference_segment, dom, x, y)
+    first_error = next((r for r in ref if isinstance(r, tuple)), None)
+    stacked = _outcome(hb.distances, dom, xs, ys)
+    if first_error is None:
+        assert stacked.tolist() == ref
+    else:
+        assert stacked == first_error
 
 
 def test_distances_checks(disk, square):
@@ -345,10 +425,10 @@ def test_thin_triangle_threads_match(disk):
 
 
 def test_geodesic_of_a_point_makes_no_chord_call(disk, monkeypatch):
-    def no_chord(x, d):
-        raise AssertionError("chord_params called on a zero direction")
+    def no_chord(x, y, d):
+        raise AssertionError("segment_chord called on a zero direction")
 
-    monkeypatch.setattr(disk.backend, "chord_params", no_chord)
+    monkeypatch.setattr(disk.backend, "segment_chord", no_chord)
     x = np.array([0.2, -0.3])
     pts = hb.geodesic(disk, x, x.copy(), 4)
     assert len(pts) == 5
@@ -357,13 +437,13 @@ def test_geodesic_of_a_point_makes_no_chord_call(disk, monkeypatch):
 
 def test_geodesic_makes_one_chord_call(square, monkeypatch):
     calls = []
-    chord_params = square.backend.chord_params
+    segment_chord = square.backend.segment_chord
 
-    def counted(x, d):
+    def counted(x, y, d):
         calls.append(1)
-        return chord_params(x, d)
+        return segment_chord(x, y, d)
 
-    monkeypatch.setattr(square.backend, "chord_params", counted)
+    monkeypatch.setattr(square.backend, "segment_chord", counted)
     pts = hb.geodesic(square, [0.3, -0.2], [-0.5, 0.6], 4)
     assert len(pts) == 5
     assert len(calls) == 1

@@ -104,6 +104,19 @@ def test_isotropic_corpus_post_conditions(any_domain):
         assert b.contains_margin(np.array(corner) / sw.inner_K) > -1e-9
 
 
+@pytest.mark.parametrize("make", [
+    dm.unit_disk, dm.square_domain, lambda: dm.disk_polygon(24),
+    lambda: dm.ConvexDomain.ellipsoid([0.1, 0.0, -0.2], np.diag([1.0, 2.0, 0.5])),
+    lambda: dm.ConvexDomain.from_halfspaces([[1.0], [-1.0]], [0.7, 1.3])])
+def test_box_sandwich_takes_the_axis_supports_at_once(make):
+    # one stacked support query gives the max of the 2n one-axis values
+    dom = make()
+    n = dom.dim
+    axes = [s * e for e in np.eye(n) for s in (1.0, -1.0)]
+    want = max([0.0] + [dom.backend.support(e) for e in axes])
+    assert nm.box_sandwich(dom).outer_tight == want
+
+
 def test_flat_domain_rejected():
     thin = dm.ConvexDomain.ellipsoid([0, 0], np.diag([1.0, 1e30]))
     with pytest.raises(DegenerateDomainError):

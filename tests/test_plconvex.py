@@ -307,6 +307,25 @@ def test_bad_simplex_lists_rejected(simplices):
         pl.SimplicialHypersurface(verts, simplices)
 
 
+def test_simplex_checks_name_the_first_bad_row():
+    verts = np.array([[1.0, 1.0], [-1.0, 1.0], [0.0, 2.0]])
+    for simplices, got in (([(0, 1), (1, 2, 0), (1,)], 3), ([[]], 0),
+                           (np.array([[0, 1, 2]]), 3), ([(0, 1), [2]], 1)):
+        with pytest.raises(InvalidInputError,
+                           match=f"need 2 vertices, got {got}$"):
+            pl.SimplicialHypersurface(verts, simplices)
+    for simplices in ([], np.empty((0, 2), dtype=int), np.empty((0, 3))):
+        with pytest.raises(InvalidInputError, match="at least one simplex"):
+            pl.SimplicialHypersurface(verts, simplices)
+    with pytest.raises(InvalidInputError, match="out of range"):
+        pl.SimplicialHypersurface(verts, np.array([[0, 1], [1, 3]]))
+    # an index array and a list of tuples give the same complex
+    a = pl.SimplicialHypersurface(verts, np.array([[0, 1], [1, 2]]))
+    b = pl.SimplicialHypersurface(verts, [(0, 1), (1, 2)])
+    assert a.simplices.dtype == b.simplices.dtype
+    assert np.array_equal(a.simplices, b.simplices)
+
+
 def test_with_vertices_shares_the_complex(polyline):
     moved = polyline.with_vertices(polyline.vertices * 3.0)
     assert moved.simplices is polyline.simplices

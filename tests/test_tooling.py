@@ -112,17 +112,17 @@ def test_thin_triangle_makes_one_chord_call_per_search_step(monkeypatch):
     # the 6(m+1) golden-section searches advance in lockstep with one array
     # chord query per step; a query per distance evaluation makes about 5,200
     square = dm.square_domain()
-    chord_params = square.backend.chord_params
+    segment_chord = square.backend.segment_chord
     calls = []
 
-    def counted(x, d):
+    def counted(x, y, d):
         calls.append(1)
-        return chord_params(x, d)
+        return segment_chord(x, y, d)
 
-    monkeypatch.setattr(square.backend, "chord_params", counted)
+    monkeypatch.setattr(square.backend, "segment_chord", counted)
     res = hb.thin_triangle_delta(
         square, [[0.5, 0.1], [-0.4, 0.6], [-0.2, -0.7]], m=16)
-    assert res.delta > 0
+    assert res.delta > 0 and calls
     # steps that shrink a unit bracket below the search's 1e-10 tolerance
     steps = math.ceil(math.log(1e-10) / math.log((math.sqrt(5.0) - 1.0) / 2.0))
     assert len(calls) <= steps + 3
