@@ -9,8 +9,12 @@ read the half-space form, supports and radii the vertex list (a radial
 graph's surface points), and moments the simplices of a triangulation, all
 exact.  Chart moments and the cone's slice moments (vinberg) use one kernel,
 `_simplex_moments`, since the chart is the unit slice of its own functional.
-scipy is imported inside the calls that use it: it would be most of a cold
-start, and ellipsoids need none of it.
+Projective maps (`transform`, `in_chart`, `dual_domain`, and group's
+automorphism test and Dirichlet constraints) share two kernels: facets move as
+the functionals of `_facet_functionals`, points as raw vectors charted by
+`_chart_images`.  A target chart whose hyperplane cuts the image raises
+instead of returning a wrong domain.  scipy is imported inside the calls
+that use it: it would be most of a cold start, and ellipsoids need none of it.
 """
 
 from dataclasses import dataclass
@@ -120,6 +124,42 @@ def _vecmat(u, m):
 def _any(mask):
     """Whether a boolean, numpy scalar or array is true anywhere."""
     return mask.any() if isinstance(mask, np.ndarray) else mask
+
+
+# ---------------------------------------------------------------------------
+# map kernels: facets move as functionals, points as raw vectors
+
+
+def _facet_functionals(chart, normals, offsets):
+    """Functionals b e_inf - F a of the chart facets a . x < b, positive on
+    the domain: one facet, or one row per row of an (m, n) normal stack."""
+    return (np.asarray(offsets)[..., None] * chart.infinity
+            - _matvec(chart.frame, normals))
+
+
+def _chart_images(chart, w):
+    """Chart points (w F) / h and heights h = w . e_inf of the rays of an
+    (N, n+1) stack of raw vectors; a row on the chart hyperplane raises
+    AtInfinityError.  A row of negative height gives its ray's point too."""
+    h = w @ chart.infinity
+    if np.any(np.abs(h) <= TOL.exact):
+        raise AtInfinityError("image vertex on the target chart hyperplane")
+    return (w @ chart.frame) / h[:, None], h
+
+
+def _check_convex_position(pts, message):
+    """NotProperlyConvexError unless every point is a vertex of their hull;
+    the witness lists the others."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        hull = ConvexHull(pts)
+    except (QhullError, ValueError) as exc:
+        raise NotProperlyConvexError(f"degenerate vertex data: {exc}") from exc
+    if len(hull.vertices) != pts.shape[0]:
+        inner = sorted(set(range(pts.shape[0])) - set(hull.vertices))
+        raise NotProperlyConvexError(
+            message, witness={"non_extreme_indices": inner})
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +450,7 @@ class VPolyBackend(_PolytopeBackend):
             return
         if v.shape[0] < self.dim + 1:
             raise NotProperlyConvexError("too few vertices for an open set", witness=v)
-        from scipy.spatial import ConvexHull, QhullError
-
-        try:
-            hull = ConvexHull(v)
-        except (QhullError, ValueError) as exc:
-            raise NotProperlyConvexError(f"degenerate vertex data: {exc}") from exc
-        if len(hull.vertices) != v.shape[0]:
-            inner = sorted(set(range(v.shape[0])) - set(hull.vertices))
-            raise NotProperlyConvexError(
-                "vertex list is not in convex position",
-                witness={"non_extreme_indices": inner})
+        _check_convex_position(v, "vertex list is not in convex position")
 
     def as_hpoly(self):
         if self._hpoly is None:
@@ -576,8 +606,9 @@ class RadialGraphBackend(_PolytopeBackend):
             simplices = self._default_simplices()
         self.simplices = [tuple(int(i) for i in s) for s in simplices]
         self._hull_backend = None
-        if check:
-            self._check_convex()
+        if check and self.dim > 1:
+            _check_convex_position(self.surface_points(),
+                                   "radial graph surface is not convex")
 
     def _default_simplices(self):
         if self.dim != 2:
@@ -596,19 +627,6 @@ class RadialGraphBackend(_PolytopeBackend):
     def vertices(self):
         """The surface points, all hull vertices (checked at construction)."""
         return self.surface_points()
-
-    def _check_convex(self):
-        pts = self.surface_points()
-        if self.dim == 1:
-            return
-        from scipy.spatial import ConvexHull
-
-        hull = ConvexHull(pts)
-        if len(hull.vertices) != pts.shape[0]:
-            inner = sorted(set(range(pts.shape[0])) - set(hull.vertices))
-            raise NotProperlyConvexError(
-                "radial graph surface is not convex",
-                witness={"non_extreme_indices": inner})
 
     def as_hpoly(self):
         if self._hull_backend is None:
@@ -685,12 +703,13 @@ class Chord:
         self.a_minus = domain.chart.from_chart(self.x_minus)
         self.a_plus = domain.chart.from_chart(self.x_plus)
         if check:
-            for t in np.linspace(0.0, 1.0, 18)[1:-1]:
-                x = (1 - t) * self.x_minus + t * self.x_plus
-                if domain.backend.contains_margin(x) < -TOL.matrix:
-                    raise DegenerateChordError(
-                        "interior sample of chord left the domain",
-                        parameter=t)
+            t = np.linspace(0.0, 1.0, 18)[1:-1, None]
+            x = (1 - t) * self.x_minus + t * self.x_plus
+            out = np.flatnonzero(domain.backend.contains_margin(x) < -TOL.matrix)
+            if out.size:
+                raise DegenerateChordError(
+                    "interior sample of chord left the domain",
+                    parameter=t[out[0], 0])
 
     def point_at(self, t):
         return (1 - t) * self.x_minus + t * self.x_plus
@@ -765,12 +784,9 @@ class ConvexDomain:
                     margin=margin, rounds=rounds)
             rounds += 1
             cand = rng.uniform(-r, r, size=(4 * (size - got) + 8, self.dim))
-            for x in cand:
-                if self.backend.contains_margin(x) > margin:
-                    out[got] = x
-                    got += 1
-                    if got == size:
-                        break
+            new = cand[self.backend.contains_margin(cand) > margin][:size - got]
+            out[got:got + len(new)] = new
+            got += len(new)
         return out if size > 1 else out[0]
 
     def in_chart(self, chart: AffineChart):
@@ -790,41 +806,36 @@ class ConvexDomain:
 
 
 def _remap(dom, matrix, chart):
-    """Map dom through the projective matrix and re-chart the image."""
+    """Map dom through the projective matrix and re-chart the image.
+
+    A chart hyperplane that cuts the image raises: AtInfinityError where the
+    heights of vertices (a radial graph's center and surface points) change
+    sign, NotProperlyConvexError from an ellipsoid's section or, on first
+    use, from a half-space image's vertices.
+    """
     old = dom.chart
     b = dom.backend
     if b.kind == "hpoly":
-        # half-space functionals move by the inverse transpose
-        gs = np.array([bo * old.infinity - old.frame @ ao
-                       for ao, bo in zip(b.normals, b.offsets)])
-        gs = np.linalg.solve(matrix.T, gs.T).T
+        gs = np.linalg.solve(matrix.T, _facet_functionals(old, b.normals, b.offsets).T).T
         offs = gs @ chart.infinity
         norms = -(gs @ chart.frame)
         return ConvexDomain(chart, HPolyBackend(norms, offs, prune=False))
-    if b.kind == "vpoly":
-        lifted = old.lift_many(b.verts) @ matrix.T
-        h = lifted @ chart.infinity
-        if np.any(h <= 0):
-            lifted[h < 0] *= -1.0
-            h = np.abs(h)
-        if np.any(h <= TOL.exact):
-            raise AtInfinityError("image vertex on the target chart hyperplane")
-        return ConvexDomain(chart, VPolyBackend((lifted @ chart.frame) / h[:, None],
-                                                check=False))
     if b.kind == "ellipsoid":
         q = _homogeneous_quadric(b, old)
         minv = np.linalg.inv(matrix)
         q = minv.T @ q @ minv
         interior = matrix @ old.lift(b.interior_point())
         return ConvexDomain(chart, _ellipsoid_from_quadric(q, chart, interior))
-    if b.kind == "radialgraph":
-        lifted = old.lift_many(b.surface_points()) @ matrix.T
-        hc = chart.to_chart_many(lifted)
-        c0 = chart.to_chart(ProjPoint(matrix @ old.lift(b.center), canonicalize=False))
-        rel = hc - c0
-        return ConvexDomain(chart, RadialGraphBackend(
-            c0, rel, np.linalg.norm(rel, axis=1), b.simplices, check=False))
-    raise InvalidInputError(f"unknown backend kind {b.kind}")
+    # vertex polygons, and radial graphs with their center as row 0
+    pts = b.verts if b.kind == "vpoly" else np.vstack([b.center, b.surface_points()])
+    images, h = _chart_images(chart, old.lift_many(pts) @ matrix.T)
+    if h.min() < 0 < h.max():
+        raise AtInfinityError("the target chart hyperplane cuts the image")
+    if b.kind == "vpoly":
+        return ConvexDomain(chart, VPolyBackend(images, check=False))
+    rel = images[1:] - images[0]
+    return ConvexDomain(chart, RadialGraphBackend(
+        images[0], rel, np.linalg.norm(rel, axis=1), b.simplices, check=False))
 
 
 def _homogeneous_quadric(b: EllipsoidBackend, chart: AffineChart):
@@ -833,10 +844,14 @@ def _homogeneous_quadric(b: EllipsoidBackend, chart: AffineChart):
     return t.T @ b.shape_matrix @ t - np.outer(chart.infinity, chart.infinity)
 
 
+def _oriented_quadric(q, interior_vec):
+    """The sign of the quadric q that is negative on the cone's interior."""
+    return -q if interior_vec @ q @ interior_vec > 0 else q
+
+
 def _ellipsoid_from_quadric(q, chart: AffineChart, interior_vec):
     """Chart section of a signature-(n,1) quadratic cone as an ellipsoid."""
-    if interior_vec @ q @ interior_vec > 0:
-        q = -q
+    q = _oriented_quadric(q, interior_vec)
     a = chart.frame.T @ q @ chart.frame
     bb = chart.frame.T @ q @ chart.infinity
     cc = chart.infinity @ q @ chart.infinity
@@ -861,7 +876,8 @@ class ConvexCone:
 
     The constants of its queries are computed once per cone: the lifted
     extreme rays and their norms, the ellipsoid's Cholesky factor and bound,
-    and the lifted chart triangulation that the slice kernel reads.
+    its oriented quadric's inverse and determinant, and the lifted chart
+    triangulation that the slice kernel reads.
     """
 
     def __init__(self, domain: ConvexDomain):
@@ -879,6 +895,14 @@ class ConvexCone:
                 np.sqrt(1.0 + b.bounding_radius() ** 2))
 
     @cached_property
+    def _quadric_inverse(self):
+        """Q^-1 and det Q of the ellipsoid's quadric Q, negative inside."""
+        chart, b = self.domain.chart, self.domain.backend
+        q = _oriented_quadric(_homogeneous_quadric(b, chart),
+                              chart.lift(b.interior_point()))
+        return np.linalg.inv(q), float(np.linalg.det(q))
+
+    @cached_property
     def triangulation(self):
         """Chart triangulation (points, simplices) with the points lifted;
         None for ellipsoids."""
@@ -887,12 +911,6 @@ class ConvexCone:
             return None
         pts, simps = tri
         return pts, simps, self.domain.chart.lift_many(pts)
-
-    def lift_extremes(self):
-        """Lifted generators of extreme rays for polytope-like backends."""
-        if self.domain.backend.kind == "ellipsoid":
-            return None
-        return self._extremes[0]
 
     def dual_margin(self, v):
         """min of <v, .> over the lifted closure; positive iff v is in the dual cone.
@@ -1010,43 +1028,33 @@ def supporting_facets(dom: ConvexDomain, b_pt):
 
 
 def _chart_hyperplane(chart: AffineChart, normal, offset) -> DualFunctional:
-    phi = offset * chart.infinity - chart.frame @ np.asarray(normal, dtype=float)
-    return DualFunctional(phi, canonicalize=False)
+    return DualFunctional(_facet_functionals(chart, np.asarray(normal, dtype=float),
+                                             offset), canonicalize=False)
 
 
 def dual_domain(dom: ConvexDomain) -> ConvexDomain:
-    """Domain of functionals strictly positive on the closed cone minus the apex."""
+    """Domain of functionals strictly positive on the closed cone minus the
+    apex, charted at the lifted interior point p0: the vertex polytope of a
+    half-space domain's facet functionals, the inverse quadric of an
+    ellipsoid, one half-space per vertex of the other polytopes."""
     validate(dom)
     b = dom.backend
     p0 = dom.chart.lift(b.interior_point())
     p0 = p0 / np.linalg.norm(p0)
     dchart = AffineChart(p0)
     if b.kind == "hpoly":
-        gs = np.array([bo * dom.chart.infinity - dom.chart.frame @ ao
-                       for ao, bo in zip(b.normals, b.offsets)])
-        h = gs @ p0
-        return ConvexDomain(dchart, VPolyBackend((gs @ dchart.frame) / h[:, None],
+        gs = _facet_functionals(dom.chart, b.normals, b.offsets)
+        return ConvexDomain(dchart, VPolyBackend(_chart_images(dchart, gs)[0],
                                                  check=False))
     if b.kind == "ellipsoid":
-        q = np.linalg.inv(_homogeneous_quadric(b, dom.chart))
-        return ConvexDomain(dchart, _ellipsoid_from_quadric(q, dchart, p0))
-    lifts = dom.cone().lift_extremes()
-    if b.kind == "radialgraph":
-        offs = lifts @ p0
-        grads = lifts @ dchart.frame
-        radii = np.empty(len(b.directions))
-        for i, u in enumerate(b.directions):
-            den = grads @ u
-            mask = den < -TOL.exact
-            if not np.any(mask):
-                raise NotProperlyConvexError("dual radial graph unbounded")
-            radii[i] = np.min(-offs[mask] / den[mask])
-        return ConvexDomain(dchart, RadialGraphBackend(
-            np.zeros(b.dim), b.directions, radii, b.simplices, check=False))
-    # vpoly: one half-space per vertex
-    offs = lifts @ p0
-    norms = -(lifts @ dchart.frame)
-    return ConvexDomain(dchart, HPolyBackend(norms, offs, prune=False))
+        # Q is Lorentzian and negative on the cone, so the functional -Q p0
+        # is positive on it: an interior vector of the dual cone
+        q = _homogeneous_quadric(b, dom.chart)
+        return ConvexDomain(dchart, _ellipsoid_from_quadric(np.linalg.inv(q), dchart,
+                                                            -q @ p0))
+    lifts = dom.chart.lift_many(b.vertices())
+    return ConvexDomain(dchart, HPolyBackend(-(lifts @ dchart.frame), lifts @ p0,
+                                             prune=False))
 
 
 def boundary_flats(dom: ConvexDomain):
@@ -1069,8 +1077,9 @@ def _sphere_directions(n, count):
 
 
 def support_residual(d1: ConvexDomain, d2: ConvexDomain, dirs):
-    """Max support-function gap over unit directions, after matching charts."""
-    if not d1.chart.same_as(d2.chart, tol=1e-9):
+    """Max support-function gap over unit directions, with d2 re-charted
+    into d1's chart unless the two charts are equal."""
+    if not d1.chart.same_as(d2.chart, tol=0.0):
         d2 = d2.in_chart(d1.chart)
     h1 = d1.support_function(dirs)
     h2 = d2.support_function(dirs)

@@ -11,12 +11,15 @@ from .domain import (
     Chord,
     ConvexCone,
     ConvexDomain,
+    _chart_images,
+    _facet_functionals,
     _homogeneous_quadric,
     _norm,
     _sphere_directions,
     support as dom_support,
 )
 from .errors import (
+    AtInfinityError,
     AutomorphismInconsistencyError,
     GeometryError,
     InvalidBasepointError,
@@ -55,11 +58,10 @@ def is_automorphism(dom: ConvexDomain, a: ProjTransform, tol: float = 1e-8) -> A
         res = float(np.linalg.norm(q2 - lam * q) / (abs(lam) * np.linalg.norm(q)))
         return AutoCheck(res <= tol, res)
     verts = b.vertices()
-    lifts = dom.chart.lift_many(verts) @ a.matrix.T
-    h = lifts @ dom.chart.infinity
-    if np.any(np.abs(h) <= TOL.exact):
+    try:
+        images, _ = _chart_images(dom.chart, dom.chart.lift_many(verts) @ a.matrix.T)
+    except AtInfinityError:
         return AutoCheck(False, np.inf)
-    images = (lifts @ dom.chart.frame) / h[:, None]
     dists = np.linalg.norm(images[:, None, :] - verts[None, :, :], axis=2)
     res = float(max(dists.min(axis=1).max(), dists.min(axis=0).max()))
     return AutoCheck(res <= tol, res)
@@ -353,10 +355,8 @@ def _cone_constraints(cone: ConvexCone):
     """Functionals nonnegative on the cone: exact facets or sampled supports."""
     dom = cone.domain
     b = dom.backend
-    chart = dom.chart
     if b.kind == "ellipsoid":
         return [dom_support(dom, b.support_point(u)).coeffs
                 for u in _sphere_directions(dom.dim, _CONIC_SAMPLES)]
     hp = b.as_hpoly()
-    return [float(bo) * chart.infinity - chart.frame @ ao
-            for ao, bo in zip(hp.normals, hp.offsets)]
+    return _facet_functionals(dom.chart, hp.normals, hp.offsets)

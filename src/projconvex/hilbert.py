@@ -168,40 +168,35 @@ def _golden_min(fn, lo, hi, tol=1e-10, max_iter=200):
     """Golden-section minima of quasiconvex functions, one per bracket
     [lo[i], hi[i]], searched in lockstep.
 
-    fn(k, s) returns the values of functions k[j] at s[j] for lists k and s.
-    One call evaluates both interior points of every bracket, then one call
-    per step the new points of the brackets still wider than tol, and a last
-    call the midpoints: each bracket takes the steps of a search of its own.
-    Returns the midpoints and the values there.
+    fn(k, s) returns the values of functions k[j] at s[j] for index and
+    point arrays k and s.  One call evaluates both interior points of every
+    bracket, then one call per step the new points of the brackets still
+    wider than tol, and a last call the midpoints: each bracket takes the
+    steps of a search of its own, in the same floats.  Returns the midpoints
+    and the values there.
     """
-    a, b = [float(v) for v in lo], [float(v) for v in hi]
-    every = list(range(len(a)))
-    c = [bi - _INVPHI * (bi - ai) for ai, bi in zip(a, b)]
-    d = [ai + _INVPHI * (bi - ai) for ai, bi in zip(a, b)]
-    f = list(fn(every + every, c + d))
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    every = np.arange(len(a))
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    f = np.asarray(fn(np.concatenate([every, every]), np.concatenate([c, d])), dtype=float)
     fc, fd = f[:len(a)], f[len(a):]
     for _ in range(max_iter):
-        k = [i for i in every if b[i] - a[i] > tol]
-        if not k:
+        k = np.flatnonzero(b - a > tol)
+        if not k.size:
             break
-        left = [fc[i] < fd[i] for i in k]
-        s = []
-        for i, lft in zip(k, left):
-            if lft:  # the minimum is in [a, d]; c moves up to d
-                b[i], d[i], fd[i] = d[i], c[i], fc[i]
-                c[i] = b[i] - _INVPHI * (b[i] - a[i])
-                s.append(c[i])
-            else:    # it is in [c, b]; d moves down to c
-                a[i], c[i], fc[i] = c[i], d[i], fd[i]
-                d[i] = a[i] + _INVPHI * (b[i] - a[i])
-                s.append(d[i])
-        for i, lft, v in zip(k, left, fn(k, s)):
-            if lft:
-                fc[i] = v
-            else:
-                fd[i] = v
-    xm = [0.5 * (ai + bi) for ai, bi in zip(a, b)]
-    return xm, fn(every, xm)
+        left = fc[k] < fd[k]
+        kl, kr = k[left], k[~left]
+        # in [a, d]: c moves up to d; in [c, b]: d moves down to c
+        b[kl], d[kl], fd[kl] = d[kl], c[kl], fc[kl]
+        c[kl] = b[kl] - _INVPHI * (b[kl] - a[kl])
+        a[kr], c[kr], fc[kr] = c[kr], d[kr], fd[kr]
+        d[kr] = a[kr] + _INVPHI * (b[kr] - a[kr])
+        v = np.asarray(fn(k, np.where(left, c[k], d[k])), dtype=float)
+        fc[kl], fd[kr] = v[left], v[~left]
+    xm = 0.5 * (a + b)
+    return xm, np.asarray(fn(every, xm), dtype=float)
 
 
 def metric_ball(dom: ConvexDomain, center, radius, samples=64):
@@ -262,8 +257,8 @@ def thin_triangle_delta(dom: ConvexDomain, triangle, m: int = 64,
     qa, qb = a[other], b[other]
 
     def gap(k, s):
-        s = np.array(s)[:, None]
-        return distances(dom, p[k], (1 - s) * qa[k] + s * qb[k]).tolist()
+        s = s[:, None]
+        return distances(dom, p[k], (1 - s) * qa[k] + s * qb[k])
 
     _, gaps = _golden_min(gap, np.zeros(len(p)), np.ones(len(p)))
     side_maxima = np.reshape(gaps, (3, m + 1, 2)).min(axis=2).max(axis=1)

@@ -67,16 +67,12 @@ def box_sandwich(dom: ConvexDomain) -> BoxSandwich:
         raise InvalidInputError("box sandwich requires the origin inside")
     axes = np.vstack([np.eye(n), np.diag(np.full(n, -1.0))])
     outer = max(0.0, float(b.support(axes).max()))
-    inner_scale = np.inf
-    for corner in product((-1.0, 1.0), repeat=n):
-        c = np.array(corner)
-        _, t_hi = b.chord_params(np.zeros(n), c)
-        inner_scale = min(inner_scale, t_hi)
+    corners = np.array(list(product((-1.0, 1.0), repeat=n)))
+    inner_scale = float(b.chord_params(np.zeros(n), corners)[1].min())
     k = max(outer, 1.0 / inner_scale, 1.0)
     # certify both containments at the returned constant
-    for corner in product((-1.0, 1.0), repeat=n):
-        if b.contains_margin(np.array(corner) / k) < -TOL.matrix:
-            raise DegenerateDomainError("inner box certification failed")
+    if b.contains_margin(corners / k).min() < -TOL.matrix:
+        raise DegenerateDomainError("inner box certification failed")
     if outer > k * (1.0 + 1e-12):
         raise DegenerateDomainError("outer box certification failed")
     return BoxSandwich(k, k, float(outer), float(inner_scale))

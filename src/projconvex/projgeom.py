@@ -191,7 +191,9 @@ def canonical_frame(infinity_vec):
     """Deterministic orthonormal basis of the kernel of a unit functional.
 
     Coordinate-axis functionals get the remaining identity columns so the
-    standard chart uses standard coordinates.
+    standard chart uses standard coordinates.  A functional within 1e-14 of
+    an axis gets those columns made orthogonal to it: as they are, they
+    would be off the kernel by its other entries, up to about 1e-7.
     """
     v = _as_vector(infinity_vec)
     n = v.size
@@ -201,7 +203,10 @@ def canonical_frame(infinity_vec):
         frame = np.zeros((n, n - 1))
         for j, i in enumerate(cols):
             frame[i, j] = 1.0
-        return frame
+        if np.count_nonzero(v) == 1:
+            return frame
+        q, r = np.linalg.qr(frame - np.outer(v, v @ frame))
+        return q * np.sign(np.diag(r))
     return null_space(v[None, :])
 
 
@@ -260,11 +265,6 @@ class AffineChart:
     def lift_many(self, xs):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         return self.infinity[None, :] + xs @ self.frame.T
-
-    def to_chart_many(self, ws):
-        ws = np.atleast_2d(np.asarray(ws, dtype=float))
-        h = ws @ self.infinity
-        return (ws @ self.frame) / h[:, None]
 
     def same_as(self, other, tol=None):
         tol = TOL.exact if tol is None else tol

@@ -42,7 +42,6 @@ from .domain import (
     ConvexDomain,
     _ball_volume,
     _dot,
-    _homogeneous_quadric,
     _matvec,
     _norm,
     _outer,
@@ -168,7 +167,7 @@ def _slice_exact(cone: ConvexCone, v) -> _SliceData:
     # ellipsoid cone: exact conic section via the inverse quadric.
     # The section center is the pole of the slicing plane; the restricted
     # inverse form is Qinv minus its rank-one part along the pole.
-    qinv, qdet = _cone_quadric_inverse(cone)
+    qinv, qdet = cone._quadric_inverse
     u = _matvec(qinv, v)
     s = _dot(v, u)                 # negative iff v is interior to the dual cone
     if v.ndim == 1 and s >= 0:
@@ -187,27 +186,6 @@ def _slice_exact(cone: ConvexCone, v) -> _SliceData:
         qinv - _outer(u) / s[..., None, None])
     h = 1.0 / np.sqrt(vv)
     return _SliceData(area * h / (n + 1.0), area, mu, e2)
-
-
-def _cone_quadric(cone: ConvexCone):
-    q = getattr(cone, "_quadric", None)
-    if q is None:
-        dom = cone.domain
-        q = _homogeneous_quadric(dom.backend, dom.chart)
-        p_int = dom.chart.lift(dom.backend.interior_point())
-        if p_int @ q @ p_int > 0:
-            q = -q
-        cone._quadric = q
-    return q
-
-
-def _cone_quadric_inverse(cone: ConvexCone):
-    cached = getattr(cone, "_quadric_inverse", None)
-    if cached is None:
-        q = _cone_quadric(cone)
-        cached = (np.linalg.inv(q), float(np.linalg.det(q)))
-        cone._quadric_inverse = cached
-    return cached
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from projconvex import domain as dm
+from projconvex import hilbert as hb
 from projconvex import jsonio
 from projconvex.errors import (
+    AtInfinityError,
     DegenerateChordError,
     GeometryError,
     InputFormatError,
@@ -11,7 +14,7 @@ from projconvex.errors import (
     NotOnFrontierError,
     NotProperlyConvexError,
 )
-from projconvex.projgeom import ProjTransform
+from projconvex.projgeom import AffineChart, ProjPoint, ProjTransform
 
 
 def test_validate_disk(disk):
@@ -262,11 +265,7 @@ def test_dual_equivariance(square, rng):
         if abs(np.linalg.det(m)) < 1e-2:
             continue
         a = ProjTransform(m)
-        try:
-            moved = square.transform(a)
-            d1 = dm.dual_domain(moved)
-        except (NotProperlyConvexError, Exception):
-            continue
+        d1 = dm.dual_domain(square.transform(a))
         d2 = dm.dual_domain(square).transform(
             ProjTransform(np.linalg.inv(a.matrix).T))
         assert dm.support_residual(d1, d2.in_chart(d1.chart), dirs) < 1e-8
@@ -339,6 +338,108 @@ def test_transform_chart_equivariance(square, rng):
 def _circle(k):
     ang = 2 * np.pi * np.arange(k) / k
     return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# projective maps as properties: every backend, chart dimensions 1-3
+
+
+def _oval(rng, k):
+    """k points in convex position on an ellipse, at jittered angles."""
+    ang = 2 * np.pi * (np.arange(k) + rng.uniform(-0.3, 0.3, k)) / k
+    return np.stack([rng.uniform(0.6, 1.4) * np.cos(ang),
+                     rng.uniform(0.6, 1.4) * np.sin(ang)], axis=1)
+
+
+def _random_domain(kind, n, rng):
+    if kind == "hpoly":
+        normals = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(3 * (n > 1), n))])
+        return dm.ConvexDomain.from_halfspaces(
+            normals, rng.uniform(0.5, 1.5, len(normals)) * np.linalg.norm(normals, axis=1))
+    if kind == "vpoly":
+        if n == 1:
+            return dm.ConvexDomain.from_vertices([[-rng.uniform(0.3, 1.5)],
+                                                  [rng.uniform(0.3, 1.5)]])
+        if n == 2:
+            return dm.ConvexDomain.from_vertices(_oval(rng, int(rng.integers(3, 9))))
+        pts = rng.normal(size=(int(rng.integers(5, 10)), 3))
+        return dm.ConvexDomain.from_vertices(
+            pts / np.linalg.norm(pts, axis=1)[:, None] * rng.uniform(0.6, 1.4, 3))
+    if kind == "ellipsoid":
+        b = rng.normal(size=(n, n))
+        return dm.ConvexDomain.ellipsoid(rng.uniform(-0.3, 0.3, n),
+                                         b @ b.T + 0.5 * np.eye(n))
+    pts = _oval(rng, int(rng.integers(3, 13)))
+    c = 0.5 * pts.mean(axis=0) + 0.5 * rng.dirichlet(np.ones(len(pts))) @ pts
+    return dm.ConvexDomain.radial_graph(c, pts - c, np.linalg.norm(pts - c, axis=1))
+
+
+@st.composite
+def _mapped_domains(draw):
+    """A domain of any backend and a projective map near the identity."""
+    kind = draw(st.sampled_from(["hpoly", "vpoly", "ellipsoid", "radialgraph"]))
+    n = 2 if kind == "radialgraph" else draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dom = _random_domain(kind, n, rng)
+    m = np.eye(n + 1) + draw(st.floats(0.0, 0.4)) * rng.normal(size=(n + 1, n + 1))
+    assume(abs(np.linalg.det(m)) > 0.05)
+    return dom, ProjTransform(m), rng
+
+
+def _directions(n):
+    return dm._sphere_directions(n, 24)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mapped_domains())
+def test_transform_then_inverse_is_the_domain(case):
+    dom, g, _ = case
+    back = dom.transform(g).transform(g.inverse(), chart=dom.chart)
+    assert back.backend.kind == dom.backend.kind
+    assert dm.support_residual(dom, back, _directions(dom.dim)) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mapped_domains())
+def test_hilbert_distance_is_projectively_invariant(case):
+    dom, g, rng = case
+    c = dom.interior_point()
+    x, y = c + 0.8 * (dom.random_interior(rng, size=2) - c)
+    moved = dom.transform(g)
+
+    def image(p):
+        return ProjPoint(g.matrix @ dom.chart.lift(p), canonicalize=False)
+
+    d = hb.distance(dom, x, y)
+    assert hb.distance(moved, image(x), image(y)) == pytest.approx(d, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mapped_domains())
+def test_dual_of_the_image_is_the_image_of_the_dual(case):
+    # dual(g Omega) = g^-T dual(Omega), compared in the chart of the first
+    dom, g, _ = case
+    d1 = dm.dual_domain(dom.transform(g))
+    d2 = dm.dual_domain(dom).transform(ProjTransform(np.linalg.inv(g.matrix).T))
+    scale = 1.0 + dm.validate(d1).bounding_radius
+    assert dm.support_residual(d1, d2, _directions(dom.dim)) < 1e-9 * scale
+
+
+@pytest.mark.parametrize("form", ["vpoly", "radialgraph"])
+def test_chart_that_cuts_the_domain_raises(form):
+    # a chart hyperplane through a regular polygon splits its vertices
+    # between the two sides of the chart: there is no image domain
+    rng = np.random.default_rng(17)
+    for k in range(3, 9):
+        dom = dm.disk_polygon(k)
+        if form == "vpoly":
+            dom = dm.ConvexDomain.from_vertices(dom.backend.vertices())
+        for _ in range(4):
+            phi = rng.uniform(0.0, 2 * np.pi)
+            offset = rng.uniform(-0.9, 0.9) * np.cos(np.pi / k)   # inside the inradius
+            chart = AffineChart([np.cos(phi), np.sin(phi), -offset])
+            with pytest.raises(AtInfinityError):
+                dom.in_chart(chart)
 
 
 @pytest.mark.parametrize("m1", [2, 3, 4])

@@ -250,6 +250,41 @@ def test_dirichlet_triangle_group_relators():
         gp.dirichlet_domain(cone, gens, vertex * np.sign(vertex[2]), 2)
 
 
+def _klein_area(vertices):
+    """Hyperbolic area of a compact convex polygon of the Klein disk
+    x^2 + y^2 < z^2, from its angle sum (Gauss-Bonnet), with raw vertex
+    vectors; the angles are those of the Minkowski form's tangent vectors."""
+    j = np.diag([1.0, 1.0, -1.0])
+    v = vertices * np.sign(vertices[:, 2:])
+    form = np.einsum("ki,ij,kj->k", v, j, v)
+    assert (form < 0).all()
+    v = v / np.sqrt(-form)[:, None]
+    x = v[:, :2] / v[:, 2:] - (v[:, :2] / v[:, 2:]).mean(axis=0)
+    v = v[np.argsort(np.arctan2(x[:, 1], x[:, 0]))]
+    angles = 0.0
+    for a, p, b in zip(np.roll(v, 1, axis=0), v, np.roll(v, -1, axis=0)):
+        ta = a + (a @ j @ p) * p   # projections on the tangent plane at p
+        tb = b + (b @ j @ p) * p
+        angles += np.arccos((ta @ j @ tb) / np.sqrt((ta @ j @ ta) * (tb @ j @ tb)))
+    return (len(v) - 2) * np.pi - angles
+
+
+@pytest.mark.parametrize("pqr", [(3, 3, 4), (4, 4, 4), (2, 3, 7)])
+def test_dirichlet_gauss_bonnet_area(pqr):
+    # the rotation subgroup has index 2 in the (p, q, r) triangle group, so
+    # its fundamental polygon has twice the triangle's area
+    p, q, r = pqr
+    r1, r2, r3 = triangle_group(p, q, r)
+    gens = [ProjTransform(r1 @ r2), ProjTransform(r2 @ r3)]
+    cone = dm.klein_disk().cone()
+    want = 2.0 * np.pi * (1.0 - 1.0 / p - 1.0 / q - 1.0 / r)
+    for depth in (2, 3, 4):
+        dd = gp.dirichlet_domain(cone, gens, np.array([0.05, 0.03, 1.0]), depth)
+        assert all(f.label != "cone" for f in dd.facets)
+        assert abs(_klein_area(dd.vertices) - want) <= 1e-12
+        assert dd.stable or depth == 2
+
+
 def test_dirichlet_two_generators_disk():
     disk = dm.klein_disk()
     g1 = ProjTransform(boost(1.2))

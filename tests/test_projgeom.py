@@ -125,6 +125,22 @@ def test_affine_chart_round_trip(rng):
         assert np.allclose(chart.to_chart(chart.from_chart(x)), x, atol=1e-12)
 
 
+def test_chart_near_a_coordinate_axis(rng):
+    # a functional within 1e-14 of an axis keeps the identity columns, made
+    # orthogonal to it; an exact axis keeps them as they are
+    assert np.array_equal(pg.AffineChart([0.0, 0.0, 1.0]).frame, np.eye(3)[:, :2])
+    for v in ([3e-8, 1.0], [1e-8, -2e-8, 1.0], [0.0, 1e-7, -1.0, 0.0]):
+        chart = pg.AffineChart(v)
+        n = len(v) - 1
+        assert np.abs(chart.frame.T @ chart.infinity).max() < 1e-20
+        assert np.allclose(chart.frame.T @ chart.frame, np.eye(n), rtol=0.0, atol=1e-15)
+        assert np.allclose(chart.frame, np.delete(np.eye(n + 1), np.argmax(np.abs(v)),
+                                                  axis=1), rtol=0.0, atol=1e-6)
+        for _ in range(10):
+            x = rng.normal(size=n)
+            assert np.allclose(chart.to_chart(chart.from_chart(x)), x, rtol=0.0, atol=1e-14)
+
+
 def test_minimal_rotation(rng):
     for _ in range(50):
         u = rng.normal(size=4)

@@ -149,11 +149,13 @@ def test_surface_build_makes_one_slice_call_per_newton_step(monkeypatch):
                                   "degeneration_watch.py",
                                   "pl_certificates.py",
                                   "group_dynamics_tour.py",
-                                  "cone_duality_and_theta.py"])
+                                  "cone_duality_and_theta.py",
+                                  "hilbert_metric_tour.py"])
 def test_solver_demos_run(demo, tmp_path):
     # the first two drive the spherical-center and fiber solvers; the third
     # the section check, log contours, certificates and perturbation radii;
-    # the last two the group dynamics and the characteristic surface
+    # the next two the group dynamics and the characteristic surface; the
+    # last the Hilbert metric, geodesics, metric balls and thin triangles
     res = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
                          cwd=tmp_path, env=ENV, capture_output=True,
                          timeout=120)
