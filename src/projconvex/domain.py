@@ -9,12 +9,15 @@ read the half-space form, supports and radii the vertex list (a radial
 graph's surface points), and moments the simplices of a triangulation, all
 exact.  Chart moments and the cone's slice moments (vinberg) use one kernel,
 `_simplex_moments`, since the chart is the unit slice of its own functional.
-Projective maps (`transform`, `in_chart`, `dual_domain`, and group's
-automorphism test and Dirichlet constraints) share two kernels: facets move as
-the functionals of `_facet_functionals`, points as raw vectors charted by
-`_chart_images`.  A target chart whose hyperplane cuts the image raises
-instead of returning a wrong domain.  scipy is imported inside the calls
-that use it: it would be most of a cold start, and ellipsoids need none of it.
+Projective maps (`transform`, `in_chart`, normalize's affine maps and box
+check, `dual_domain`, and group's automorphism test and Dirichlet
+constraints) share two kernels: facets move as the functionals of
+`_facet_functionals`, points as raw vectors charted by `_chart_images`.  A
+target chart whose hyperplane cuts the image raises instead of returning a
+wrong domain.  Half-space domains and group's Dirichlet polytopes take their
+vertices from one kernel, `_halfspace_vertices`.  scipy is imported inside
+the calls that use it: it would be most of a cold start, and ellipsoids need
+none of it.
 """
 
 from dataclasses import dataclass
@@ -145,6 +148,30 @@ def _chart_images(chart, w):
     if np.any(np.abs(h) <= TOL.exact):
         raise AtInfinityError("image vertex on the target chart hyperplane")
     return (w @ chart.frame) / h[:, None], h
+
+
+def _halfspace_vertices(normals, offsets, interior):
+    """Vertices of the bounded intersection of the half-spaces a . x <= b
+    around a strictly interior point.  In 1-d they are the min and max of
+    b / a over the normals beyond +-TOL.exact; an unbounded intersection or
+    a qhull failure raises NotProperlyConvexError."""
+    if normals.shape[1] == 1:
+        a = normals[:, 0]
+        up, down = a > TOL.exact, a < -TOL.exact
+        if not (up.any() and down.any()):
+            raise NotProperlyConvexError("half-space data is unbounded")
+        return np.array([[np.max(offsets[down] / a[down])],
+                         [np.min(offsets[up] / a[up])]])
+    from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
+
+    try:
+        pts = HalfspaceIntersection(np.hstack([normals, -offsets[:, None]]),
+                                    interior).intersections
+        if not np.all(np.isfinite(pts)):
+            raise NotProperlyConvexError("half-space data is unbounded")
+        return pts[ConvexHull(pts).vertices]
+    except (QhullError, ValueError) as exc:
+        raise NotProperlyConvexError(f"half-space intersection failed: {exc}") from exc
 
 
 def _check_convex_position(pts, message):
@@ -343,7 +370,7 @@ class HPolyBackend(_PolytopeBackend):
             )
         if not res.success or res.x[-1] <= 0:
             raise NotProperlyConvexError("empty or flat half-space intersection")
-        return res.x[:-1], res.x[-1]
+        return res.x[:-1]
 
     def _recession_direction(self):
         from scipy.optimize import linprog
@@ -361,39 +388,13 @@ class HPolyBackend(_PolytopeBackend):
 
     def vertices(self):
         if self._vertices is None:
-            center, radius = self._chebyshev()
-            self._interior = center
-            if self.dim == 1:
-                a = self.normals[:, 0]
-                b = self.offsets
-                hi = np.min(b[a > 0] / a[a > 0]) if np.any(a > 0) else None
-                lo = np.max(b[a < 0] / a[a < 0]) if np.any(a < 0) else None
-                if hi is None or lo is None:
-                    raise NotProperlyConvexError(
-                        "half-space data is unbounded",
-                        witness=self._recession_direction(),
-                    )
-                self._vertices = np.array([[lo], [hi]])
-            else:
-                from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
-
-                try:
-                    hs = HalfspaceIntersection(
-                        np.hstack([self.normals, -self.offsets[:, None]]), center
-                    )
-                except (QhullError, ValueError) as exc:
-                    raise NotProperlyConvexError(
-                        f"half-space intersection failed: {exc}",
-                        witness=self._recession_direction(),
-                    ) from exc
-                pts = hs.intersections
-                if not np.all(np.isfinite(pts)):
-                    raise NotProperlyConvexError(
-                        "half-space data is unbounded",
-                        witness=self._recession_direction(),
-                    )
-                hull = ConvexHull(pts)
-                self._vertices = pts[hull.vertices]
+            self._interior = self._chebyshev()
+            try:
+                self._vertices = _halfspace_vertices(self.normals, self.offsets,
+                                                     self._interior)
+            except NotProperlyConvexError as exc:
+                exc.data["witness"] = self._recession_direction()
+                raise
         return self._vertices
 
     def _prune_inactive(self):
@@ -413,12 +414,6 @@ class HPolyBackend(_PolytopeBackend):
 
     def as_hpoly(self):
         return self
-
-    def transform_affine(self, lin, shift):
-        linv = np.linalg.inv(lin)
-        a = self.normals @ linv
-        b = self.offsets + a @ np.asarray(shift, dtype=float)
-        return HPolyBackend(a, b, prune=False)
 
     def to_json(self):
         return {"type": "hpoly", "normals": self.normals.tolist(),
@@ -476,10 +471,6 @@ class VPolyBackend(_PolytopeBackend):
 
     def interior_point(self):
         return self.verts.mean(axis=0)
-
-    def transform_affine(self, lin, shift):
-        return VPolyBackend(self.verts @ np.asarray(lin, dtype=float).T
-                            + np.asarray(shift, dtype=float), check=False)
 
     def to_json(self):
         return {"type": "vpoly", "vertices": self.verts.tolist()}
@@ -574,12 +565,6 @@ class EllipsoidBackend:
         w = np.linalg.eigvalsh(self.shape_matrix)
         return float(np.linalg.norm(self.center) + 1.0 / np.sqrt(w[0]))
 
-    def transform_affine(self, lin, shift):
-        lin = np.asarray(lin, dtype=float)
-        linv = np.linalg.inv(lin)
-        return EllipsoidBackend(lin @ self.center + np.asarray(shift, dtype=float),
-                                linv.T @ self.shape_matrix @ linv)
-
     def to_json(self):
         return {"type": "ellipsoid", "center": self.center.tolist(),
                 "shape": self.shape_matrix.tolist()}
@@ -606,9 +591,14 @@ class RadialGraphBackend(_PolytopeBackend):
             simplices = self._default_simplices()
         self.simplices = [tuple(int(i) for i in s) for s in simplices]
         self._hull_backend = None
-        if check and self.dim > 1:
-            _check_convex_position(self.surface_points(),
-                                   "radial graph surface is not convex")
+        if check:
+            if self.dim > 1:
+                _check_convex_position(self.surface_points(),
+                                       "radial graph surface is not convex")
+            margin = self.contains_margin(self.center)
+            if margin <= 0:
+                raise NotProperlyConvexError(
+                    "radial graph center is not inside its surface", margin=margin)
 
     def _default_simplices(self):
         if self.dim != 2:
@@ -640,15 +630,6 @@ class RadialGraphBackend(_PolytopeBackend):
         pts = np.vstack([self.center[None, :], self.surface_points()])
         simps = np.array([[0] + [i + 1 for i in s] for s in self.simplices], dtype=int)
         return pts, simps
-
-    def transform_affine(self, lin, shift):
-        lin = np.asarray(lin, dtype=float)
-        shift = np.asarray(shift, dtype=float)
-        new_center = lin @ self.center + shift
-        new_pts = self.surface_points() @ lin.T + shift
-        rel = new_pts - new_center
-        radii = np.linalg.norm(rel, axis=1)
-        return RadialGraphBackend(new_center, rel, radii, self.simplices, check=False)
 
     def to_json(self):
         return {"type": "radialgraph", "center": self.center.tolist(),
@@ -860,11 +841,11 @@ def _ellipsoid_from_quadric(q, chart: AffineChart, interior_vec):
         raise NotProperlyConvexError(
             "quadric section is unbounded in this chart",
             witness={"eigenvalues": w})
-    center = -np.linalg.solve(a, bb)
-    rho2 = float(bb @ np.linalg.solve(a, bb) - cc)
+    x = np.linalg.solve(a, bb)    # minus the center
+    rho2 = float(bb @ x - cc)
     if rho2 <= 0:
         raise NotProperlyConvexError("quadric section is empty")
-    return EllipsoidBackend(center, a / rho2)
+    return EllipsoidBackend(-x, a / rho2)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from .domain import (
     ConvexDomain,
     _chart_images,
     _facet_functionals,
+    _halfspace_vertices,
     _homogeneous_quadric,
     _norm,
     _sphere_directions,
@@ -257,8 +258,6 @@ def dirichlet_domain(cone: ConvexCone, gens, x, max_len: int) -> DirichletDomain
     reduced words up to max_len, one per group element, and the cone itself
     yields the polytope.
     """
-    from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
-
     dom = cone.domain
     for g in gens:
         gt = g if isinstance(g, ProjTransform) else ProjTransform(g)
@@ -303,15 +302,7 @@ def dirichlet_domain(cone: ConvexCone, gens, x, max_len: int) -> DirichletDomain
             labels.append("cone")
         a_ub = np.array(rows)
         b_ub = np.array(offs)
-        if n == 1:
-            av = a_ub[:, 0]
-            hi = np.min(b_ub[av > TOL.exact] / av[av > TOL.exact])
-            lo = np.max(-b_ub[av < -TOL.exact] / (-av[av < -TOL.exact]))
-            verts_s = np.array([[lo], [hi]])
-        else:
-            hs = HalfspaceIntersection(np.hstack([a_ub, -b_ub[:, None]]),
-                                       np.zeros(n))
-            verts_s = hs.intersections[ConvexHull(hs.intersections).vertices]
+        verts_s = _halfspace_vertices(a_ub, b_ub, np.zeros(n))
         verts = x_s[None, :] + verts_s @ z.T
         facets = []
         active = []
@@ -331,7 +322,7 @@ def dirichlet_domain(cone: ConvexCone, gens, x, max_len: int) -> DirichletDomain
         try:
             _, _, active_prev = _solve(max_len - 1)
             stable = active_prev == active
-        except (GeometryError, QhullError, ValueError):
+        except GeometryError:
             stable = False
     pairings = {}
     label_set = set(active)

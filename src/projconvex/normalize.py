@@ -11,11 +11,14 @@ import numpy as np
 from .config import DNORM_SLOPE_THRESHOLD, TOL
 from .domain import (
     ConvexDomain,
+    _chart_images,
+    _remap,
     _sphere_directions,
     support_residual,
     validate,
 )
 from .errors import (
+    AtInfinityError,
     DegenerateDomainError,
     InvalidInputError,
 )
@@ -108,6 +111,20 @@ def _ordered_eig(q):
     return w, v
 
 
+def _affine_image(dom: ConvexDomain, lin, shift):
+    """Image of dom under the chart map x -> lin x + shift, in its own chart.
+
+    With B = [F | e_inf] (orthogonal) the map is B A B^T on raw vectors,
+    A = [[lin, shift], [0, 1]]; it is passed to `_remap` unscaled, so the
+    standard chart (B = I) moves vertices by A itself.
+    """
+    a = np.eye(dom.dim + 1)
+    a[:-1, :-1] = lin
+    a[:-1, -1] = shift
+    b = np.column_stack([dom.chart.frame, dom.chart.infinity])
+    return _remap(dom, b @ a @ b.T, dom.chart)
+
+
 def isotropic_normalize(dom: ConvexDomain):
     """Move the centroid to the origin and make the second moment the identity.
 
@@ -124,7 +141,7 @@ def isotropic_normalize(dom: ConvexDomain):
     scales = 1.0 / np.sqrt(w)
     lin = np.diag(scales) @ rot
     shift = -lin @ m.centroid
-    dom2 = ConvexDomain(dom.chart, dom.backend.transform_affine(lin, shift))
+    dom2 = _affine_image(dom, lin, shift)
     return IsotropicResult(rot, scales, m.centroid, dom2, box_sandwich(dom2))
 
 
@@ -149,28 +166,29 @@ def box_bound_check(a, k: float) -> BoxCheckResult:
     The hypothesis, that the projective image of the unit box lies in the K
     box, is checked on the box vertices and on sampled edge points; the chart
     denominator is affine so a consistent sign at the vertices certifies it
-    on the whole box.
+    on the whole box.  A point sent to the chart hyperplane, or heights of
+    both signs, fail it with margin -inf.
     """
     mat = a.matrix if isinstance(a, ProjTransform) else np.asarray(a, dtype=float)
-    n1 = mat.shape[0]
-    n = n1 - 1
+    n = mat.shape[0] - 1
     corners = np.array(list(product((-1.0, 1.0), repeat=n)))
     ts = np.linspace(-1.0, 1.0, _EDGE_SAMPLES + 2)[1:-1]
     # each edge once: from its corner at -1 in the varying coordinate
     pts = np.vstack([corners, *(np.where(np.arange(n) == j, t, c) for c in corners
                                 for j in np.flatnonzero(c < 0) for t in ts)])
-    lifts = np.hstack([pts, np.ones((pts.shape[0], 1))])
-    images = lifts @ mat.T
-    heights = images[:, -1]
-    sign_ok = np.all(heights > TOL.exact) or np.all(heights < -TOL.exact)
-    if sign_ok:
-        coords = images[:, :-1] / heights[:, None]
+    std = standard_chart(n)
+    try:
+        coords, heights = _chart_images(std, std.lift_many(pts) @ mat.T)
+        straddles = heights.min() < 0 < heights.max()
+    except AtInfinityError:
+        straddles = True
+    if straddles:
+        hypothesis = False
+        margin = -np.inf
+    else:
         worst = float(np.max(np.abs(coords)))
         hypothesis = worst <= k * (1.0 + 1e-12)
         margin = k - worst
-    else:
-        hypothesis = False
-        margin = -np.inf
     alpha = abs(mat[-1, -1])
     bound = 2.0 * k * alpha
     margins = bound - np.abs(mat)
@@ -190,21 +208,13 @@ class RepSequence:
     domains: list = None             # optional ConvexDomain per k
 
     def __post_init__(self):
-        self.terms = [[_unit_det(np.asarray(m, dtype=float)) for m in tup]
-                      for tup in self.terms]
+        self.terms = [[ProjTransform(m).matrix for m in tup] for tup in self.terms]
         shapes = {m.shape for tup in self.terms for m in tup}
         if len(shapes) > 1:
             raise InvalidInputError(f"matrices of mixed sizes: {sorted(shapes)}")
         for tup in self.terms:
             if len(tup) != len(self.generators):
                 raise InvalidInputError("each term needs one matrix per generator")
-
-
-def _unit_det(m):
-    det = np.linalg.det(m)
-    if abs(det) < 1e-300:
-        raise InvalidInputError("singular matrix in sequence")
-    return m / abs(det) ** (1.0 / m.shape[0])
 
 
 @dataclass
@@ -302,9 +312,7 @@ def analyze_sequence(seq: RepSequence) -> DegenerationReport:
         q_diag = np.diag(m2.second_moment)
         d = 1.0 / np.sqrt(q_diag)
         d_full = np.append(d, 1.0)
-        iso = ConvexDomain(std, dom2.backend.transform_affine(np.diag(d),
-                                                              np.zeros(n)))
-        iso_domains.append(iso)
+        iso_domains.append(_affine_image(dom2, np.diag(d), np.zeros(n)))
         b_tup = []
         raw_max = 0.0
         corner_dev = 0.0
@@ -413,8 +421,8 @@ def invariant_subspace_search(gens, tol=1e-8, max_word_len=4):
 
     A returned witness is certified within tol; none-found is not a proof.
     """
-    mats = [g.matrix if isinstance(g, ProjTransform) else
-            _unit_det(np.asarray(g, dtype=float)) for g in gens]
+    mats = [(g if isinstance(g, ProjTransform) else ProjTransform(g)).matrix
+            for g in gens]
     if not mats:
         raise InvalidInputError("need at least one generator")
     n1 = mats[0].shape[0]

@@ -60,6 +60,39 @@ def random_orthogonal(rng, n):
     return q
 
 
+def oval(rng, k):
+    """k points in convex position on an ellipse, at jittered angles."""
+    ang = 2 * np.pi * (np.arange(k) + rng.uniform(-0.3, 0.3, k)) / k
+    return np.stack([rng.uniform(0.6, 1.4) * np.cos(ang),
+                     rng.uniform(0.6, 1.4) * np.sin(ang)], axis=1)
+
+
+def random_domain(kind, n, rng):
+    """A seeded domain of one backend kind in the standard chart of
+    dimension n: half-spaces and vertex polytopes around the origin, an
+    ellipsoid, or (n = 2) a radial graph of an oval about an inner center."""
+    if kind == "hpoly":
+        normals = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(3 * (n > 1), n))])
+        return dm.ConvexDomain.from_halfspaces(
+            normals, rng.uniform(0.5, 1.5, len(normals)) * np.linalg.norm(normals, axis=1))
+    if kind == "vpoly":
+        if n == 1:
+            return dm.ConvexDomain.from_vertices([[-rng.uniform(0.3, 1.5)],
+                                                  [rng.uniform(0.3, 1.5)]])
+        if n == 2:
+            return dm.ConvexDomain.from_vertices(oval(rng, int(rng.integers(3, 9))))
+        pts = rng.normal(size=(int(rng.integers(5, 10)), 3))
+        return dm.ConvexDomain.from_vertices(
+            pts / np.linalg.norm(pts, axis=1)[:, None] * rng.uniform(0.6, 1.4, 3))
+    if kind == "ellipsoid":
+        b = rng.normal(size=(n, n))
+        return dm.ConvexDomain.ellipsoid(rng.uniform(-0.3, 0.3, n),
+                                         b @ b.T + 0.5 * np.eye(n))
+    pts = oval(rng, int(rng.integers(3, 13)))
+    c = 0.5 * pts.mean(axis=0) + 0.5 * rng.dirichlet(np.ones(len(pts))) @ pts
+    return dm.ConvexDomain.radial_graph(c, pts - c, np.linalg.norm(pts - c, axis=1))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250810)

@@ -16,6 +16,8 @@ from projconvex.errors import (
 )
 from projconvex.projgeom import AffineChart, ProjPoint, ProjTransform
 
+from conftest import random_domain
+
 
 def test_validate_disk(disk):
     cert = dm.validate(disk)
@@ -344,43 +346,13 @@ def _circle(k):
 # projective maps as properties: every backend, chart dimensions 1-3
 
 
-def _oval(rng, k):
-    """k points in convex position on an ellipse, at jittered angles."""
-    ang = 2 * np.pi * (np.arange(k) + rng.uniform(-0.3, 0.3, k)) / k
-    return np.stack([rng.uniform(0.6, 1.4) * np.cos(ang),
-                     rng.uniform(0.6, 1.4) * np.sin(ang)], axis=1)
-
-
-def _random_domain(kind, n, rng):
-    if kind == "hpoly":
-        normals = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(3 * (n > 1), n))])
-        return dm.ConvexDomain.from_halfspaces(
-            normals, rng.uniform(0.5, 1.5, len(normals)) * np.linalg.norm(normals, axis=1))
-    if kind == "vpoly":
-        if n == 1:
-            return dm.ConvexDomain.from_vertices([[-rng.uniform(0.3, 1.5)],
-                                                  [rng.uniform(0.3, 1.5)]])
-        if n == 2:
-            return dm.ConvexDomain.from_vertices(_oval(rng, int(rng.integers(3, 9))))
-        pts = rng.normal(size=(int(rng.integers(5, 10)), 3))
-        return dm.ConvexDomain.from_vertices(
-            pts / np.linalg.norm(pts, axis=1)[:, None] * rng.uniform(0.6, 1.4, 3))
-    if kind == "ellipsoid":
-        b = rng.normal(size=(n, n))
-        return dm.ConvexDomain.ellipsoid(rng.uniform(-0.3, 0.3, n),
-                                         b @ b.T + 0.5 * np.eye(n))
-    pts = _oval(rng, int(rng.integers(3, 13)))
-    c = 0.5 * pts.mean(axis=0) + 0.5 * rng.dirichlet(np.ones(len(pts))) @ pts
-    return dm.ConvexDomain.radial_graph(c, pts - c, np.linalg.norm(pts - c, axis=1))
-
-
 @st.composite
 def _mapped_domains(draw):
     """A domain of any backend and a projective map near the identity."""
     kind = draw(st.sampled_from(["hpoly", "vpoly", "ellipsoid", "radialgraph"]))
     n = 2 if kind == "radialgraph" else draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    dom = _random_domain(kind, n, rng)
+    dom = random_domain(kind, n, rng)
     m = np.eye(n + 1) + draw(st.floats(0.0, 0.4)) * rng.normal(size=(n + 1, n + 1))
     assume(abs(np.linalg.det(m)) > 0.05)
     return dom, ProjTransform(m), rng
@@ -423,6 +395,17 @@ def test_dual_of_the_image_is_the_image_of_the_dual(case):
     d2 = dm.dual_domain(dom).transform(ProjTransform(np.linalg.inv(g.matrix).T))
     scale = 1.0 + dm.validate(d1).bounding_radius
     assert dm.support_residual(d1, d2, _directions(dom.dim)) < 1e-9 * scale
+
+
+def test_radial_graph_center_outside_its_surface_is_refused():
+    # three points of the oval x^2 + 4y^2 = 1 whose triangle misses (0.6, 0),
+    # by a margin of about -0.017 there
+    ang = np.array([0.3, 2.2, 4.1])
+    pts = np.stack([np.cos(ang), 0.5 * np.sin(ang)], axis=1)
+    c = np.array([0.6, 0.0])
+    with pytest.raises(NotProperlyConvexError, match="center") as err:
+        dm.ConvexDomain.radial_graph(c, pts - c, np.linalg.norm(pts - c, axis=1))
+    assert err.value.data["margin"] == pytest.approx(-0.017, abs=1e-3)
 
 
 @pytest.mark.parametrize("form", ["vpoly", "radialgraph"])

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from projconvex import domain as dm, normalize as nm, vinberg as vb
 from projconvex.errors import DegenerateDomainError, InvalidInputError
-from projconvex.projgeom import ProjTransform
+from projconvex.projgeom import AffineChart, ProjTransform
 
-from conftest import boost, random_orthogonal, so21_element
+from conftest import boost, random_domain, random_orthogonal, so21_element
 
 
 def test_triangle_moments_closed_form(triangle):
@@ -23,9 +24,7 @@ def test_disk_moments(disk):
 
 
 def test_translation_invariance_of_central_moments(triangle):
-    shifted = dm.ConvexDomain(
-        triangle.chart,
-        triangle.backend.transform_affine(np.eye(2), np.array([0.3, -0.2])))
+    shifted = nm._affine_image(triangle, np.eye(2), np.array([0.3, -0.2]))
     m0 = nm.moments(triangle)
     m1 = nm.moments(shifted)
     assert np.allclose(m1.centroid, m0.centroid + np.array([0.3, -0.2]),
@@ -102,6 +101,31 @@ def test_isotropic_corpus_post_conditions(any_domain):
         e[i] = 0.0
     for corner in ([1, 1], [1, -1], [-1, 1], [-1, -1]):
         assert b.contains_margin(np.array(corner) / sw.inner_K) > -1e-9
+
+
+@st.composite
+def _charted_domains(draw):
+    """A domain of any backend, chart dimensions 1-3 (radial graphs in 2),
+    in a random chart."""
+    kind = draw(st.sampled_from(["hpoly", "vpoly", "ellipsoid", "radialgraph"]))
+    n = 2 if kind == "radialgraph" else draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pole = np.eye(n + 1)[-1] + draw(st.floats(0.0, 0.6)) * rng.normal(size=n + 1)
+    return dm.ConvexDomain(AffineChart(pole), random_domain(kind, n, rng).backend)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_charted_domains())
+def test_isotropic_image_is_the_affine_image(dom):
+    # the normalized domain is L dom + s: h(u) = h_dom(L^T u) + u . s
+    iso = nm.isotropic_normalize(dom)
+    lin, shift = iso.chart_affine()
+    u = dm._sphere_directions(dom.dim, 24)
+    want = dom.support_function(u @ lin) + u @ shift
+    assert np.max(np.abs(iso.domain.support_function(u) - want)) < 1e-12
+    m = nm.moments(iso.domain)
+    assert np.max(np.abs(m.centroid)) < 1e-12
+    assert np.max(np.abs(m.second_moment - np.eye(dom.dim))) < 1e-12
 
 
 @pytest.mark.parametrize("make", [
@@ -221,6 +245,12 @@ def test_analyze_requires_domains():
     seq = nm.RepSequence(["a"], [[np.eye(3)]], None)
     with pytest.raises(InvalidInputError):
         nm.analyze_sequence(seq)
+
+
+def test_sequence_terms_must_be_square_matrices():
+    # terms are normalized as projective transforms, which check their shape
+    with pytest.raises(InvalidInputError, match="square"):
+        nm.RepSequence(["a"], [[np.ones((3, 2))]], None)
 
 
 def test_csv_rows_shape():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from projconvex import cli, domain as dm, hilbert as hb, jsonio
@@ -70,11 +71,23 @@ def _cli(args, tmp_path):
     return res.stdout, loaded
 
 
-def test_ellipsoid_command_runs_without_scipy(tmp_path):
+@pytest.mark.parametrize("command", [
+    ["vinberg", "center", "--domain", "disk.json"],
+    ["normalize", "isotropic", "--domain", "disk.json"],
+    ["normalize", "sequence", "--seq", "ellipses.json"],
+], ids=["vinberg-center", "normalize-isotropic", "normalize-sequence"])
+def test_ellipsoid_command_runs_without_scipy(tmp_path, command):
+    # ellipsoids have closed forms, and their affine and projective maps go
+    # through the quadric, so none of these commands may load scipy
     jsonio.dump_file(dm.unit_disk().to_json(), tmp_path / "disk.json")
-    out, loaded = _cli(["vinberg", "center", "--domain", "disk.json"], tmp_path)
+    ellipses = [dm.ConvexDomain.ellipsoid([0.0, 0.0], [[1.0, 0.0], [0.0, k * k]])
+                for k in (1, 2, 3)]
+    jsonio.dump_file({"generators": ["a"], "terms": [[np.eye(3).tolist()]] * 3,
+                      "domains": [e.to_json() for e in ellipses]},
+                     tmp_path / "ellipses.json")
+    out, loaded = _cli(command, tmp_path)
     assert out.strip()
-    assert "projconvex.vinberg" in loaded
+    assert f"projconvex.{command[0]}" in loaded
     assert not [m for m in loaded if m.split(".")[0] == "scipy"]
 
 
