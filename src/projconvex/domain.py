@@ -1,13 +1,17 @@
 """Properly-convex domains in an affine patch, their cones, and duality.
 
 A domain is a chart (hyperplane at infinity plus cached frame) and a backend
-holding the set in chart coordinates.  Backends: half-space intersections,
-vertex polytopes, ellipsoids, and radial graphs (PL star-shaped regions used
-for numerically computed hypersurfaces).  Ellipsoids have closed forms.  The
-three polytope backends share one copy of every query: predicates and chords
-read the half-space form, supports and radii the vertex list (a radial
-graph's surface points), and moments the simplices of a triangulation, all
-exact.  Chart moments and the cone's slice moments (vinberg) use one kernel,
+holding the set in chart coordinates: an ellipsoid, with closed forms, or a
+polytope.  One class holds a polytope in two forms, unit-normal half-spaces
+and a vertex array, and computes the form its constructor did not set on
+first use: a vertex list's facets from the one qhull run that also checks
+its convex position, a half-space list's vertices around its Chebyshev
+center.  Its constructors keep the input kinds: half-space lists, vertex
+lists and radial graphs (PL star-shaped regions used for numerically
+computed hypersurfaces, whose surface points are the vertices).  Every
+polytope query is exact: predicates and chords read the facets, supports
+and radii the vertices, and moments the simplices of a triangulation.
+Chart moments and the cone's slice moments (vinberg) use one kernel,
 `_simplex_moments`, since the chart is the unit slice of its own functional.
 Projective maps (`transform`, `in_chart`, normalize's affine maps and box
 check, `dual_domain`, and group's automorphism test and Dirichlet
@@ -43,8 +47,10 @@ from .projgeom import (
     standard_chart,
 )
 
-# Rejection rounds of `ConvexDomain.random_interior` before it gives up.
-_SAMPLE_ROUNDS = 1000
+# Rejection rounds of `ConvexDomain.random_interior` before it gives up: two
+# points of a 3-d polytope that fills 1.5e-4 of its sampling box still come
+# out, and a margin no point reaches raises within about 0.1 s.
+_SAMPLE_ROUNDS = 5000
 
 
 # ---------------------------------------------------------------------------
@@ -174,19 +180,31 @@ def _halfspace_vertices(normals, offsets, interior):
         raise NotProperlyConvexError(f"half-space intersection failed: {exc}") from exc
 
 
-def _check_convex_position(pts, message):
-    """NotProperlyConvexError unless every point is a vertex of their hull;
-    the witness lists the others."""
+def _unit_halfspaces(normals, offsets):
+    """The half-spaces a . x < b rescaled to unit normals; a zero normal
+    raises InvalidInputError."""
+    norms = np.linalg.norm(normals, axis=1)
+    if np.any(norms <= 0):
+        raise InvalidInputError("zero normal vector")
+    return normals / norms[:, None], offsets / norms
+
+
+def _vertex_hull(verts):
+    """Unit facets (normals, offsets) of the hull of a vertex list and the
+    indices of its extreme points, from one qhull run; in 1-d the facets of
+    the min and the max (extreme indices None)."""
+    if verts.shape[1] == 1:
+        lo, hi = float(np.min(verts)), float(np.max(verts))
+        return (*_unit_halfspaces(np.array([[1.0], [-1.0]]), np.array([hi, -lo])),
+                None)
     from scipy.spatial import ConvexHull, QhullError
 
     try:
-        hull = ConvexHull(pts)
+        hull = ConvexHull(verts)
     except (QhullError, ValueError) as exc:
         raise NotProperlyConvexError(f"degenerate vertex data: {exc}") from exc
-    if len(hull.vertices) != pts.shape[0]:
-        inner = sorted(set(range(pts.shape[0])) - set(hull.vertices))
-        raise NotProperlyConvexError(
-            message, witness={"non_extreme_indices": inner})
+    eq = hull.equations
+    return (*_unit_halfspaces(eq[:, :-1], -eq[:, -1]), hull.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -248,19 +266,66 @@ def _conic_chord(um, gamma, d, m):
 
 
 class _PolytopeBackend:
-    """Queries shared by the polytope backends.
+    """A polytope held in two forms: the unit-normal half-spaces
+    a_i . x < b_i (`normals`, `offsets`) and the vertex array `verts`.
 
-    Predicates and chords read the half-space form `as_hpoly()`; supports and
-    radii read the vertex list `vertices()`; moments come from the cached
-    triangulation of the vertices (radial graphs supply their own fan).
+    Each constructor sets one form; the other is computed on first use.
+    The facets of a vertex list come from the one qhull run that also checks
+    its convex position (`_hull`, the min and max in 1-d); the vertices of a
+    half-space list from their intersection around its Chebyshev center.
+    Predicates and chords read the facets, supports and radii the vertices,
+    and moments a triangulation: the fan about `center` over the given
+    `simplices` (radial graphs), else Delaunay's of the vertices.
     """
 
+    simplices = None
     _tri = None
 
+    @cached_property
+    def _hull(self):
+        return _vertex_hull(self.verts)
+
+    @cached_property
+    def normals(self):
+        return self._hull[0]
+
+    @cached_property
+    def offsets(self):
+        return self._hull[1]
+
+    @cached_property
+    def verts(self):
+        # only half-space constructions reach this
+        try:
+            return _halfspace_vertices(self.normals, self.offsets, self.center)
+        except NotProperlyConvexError as exc:
+            exc.data["witness"] = self._recession_direction()
+            raise
+
+    @cached_property
+    def center(self):
+        """Interior point: the vertex mean (a radial graph's is given, a
+        half-space list's is its Chebyshev center)."""
+        return self.verts.mean(axis=0)
+
+    def _check_hull(self, message):
+        """NotProperlyConvexError unless every vertex is extreme; the
+        witness lists the others."""
+        extreme = self._hull[2]
+        if len(extreme) != len(self.verts):
+            inner = sorted(set(range(len(self.verts))) - set(extreme))
+            raise NotProperlyConvexError(
+                message, witness={"non_extreme_indices": inner})
+
+    def interior_point(self):
+        return self.center
+
+    def vertices(self):
+        return self.verts
+
     def contains_margin(self, x):
-        hp = self.as_hpoly()
         x = np.asarray(x, dtype=float)
-        slack = hp.offsets - _matvec(hp.normals, x)
+        slack = self.offsets - _matvec(self.normals, x)
         return slack.min(axis=-1) if x.ndim > 1 else float(slack.min())
 
     def chord_params(self, x, d):
@@ -273,9 +338,8 @@ class _PolytopeBackend:
         mesh radii); a line through two points to be checked takes
         `segment_chord`.
         """
-        hp = self.as_hpoly()
         x = np.asarray(x, dtype=float)
-        return _facet_chord(hp.normals, hp.offsets - _matvec(hp.normals, x), d)
+        return _facet_chord(self.normals, self.offsets - _matvec(self.normals, x), d)
 
     def segment_chord(self, x, y, d):
         """`chord_params(x, d)` for the line through x and y = x + d, after
@@ -283,26 +347,23 @@ class _PolytopeBackend:
         point).  x's facet slack serves both its check and the chord.
         One pair or (N, n) stacks, row by row the one-pair values.
         """
-        hp = self.as_hpoly()
         x = np.asarray(x, dtype=float)
-        slack = hp.offsets - _matvec(hp.normals, x)
+        slack = self.offsets - _matvec(self.normals, x)
         if _any(slack.min(axis=-1) <= 0):
             raise InvalidInputError("point x is not inside the domain")
         if _any(self.contains_margin(y) <= 0):
             raise InvalidInputError("point y is not inside the domain")
-        return _facet_chord(hp.normals, slack, d)
+        return _facet_chord(self.normals, slack, d)
 
     def supporting_facets(self, x, tol):
-        hp = self.as_hpoly()
-        slack = hp.offsets - hp.normals @ np.asarray(x, dtype=float)
+        slack = self.offsets - self.normals @ np.asarray(x, dtype=float)
         idx = np.nonzero(np.abs(slack) <= tol)[0]
-        return [(hp.normals[i], hp.offsets[i]) for i in idx]
+        return [(self.normals[i], self.offsets[i]) for i in idx]
 
     def boundary_flats(self):
-        hp = self.as_hpoly()
-        v = hp.vertices()
+        v = self.verts
         flats = []
-        for a, b in zip(hp.normals, hp.offsets):
+        for a, b in zip(self.normals, self.offsets):
             on = v[np.abs(v @ a - b) <= TOL.flatness * (1.0 + abs(b))]
             flats.append({"normal": a.copy(), "offset": float(b), "vertices": on})
         return flats
@@ -310,19 +371,24 @@ class _PolytopeBackend:
     def support(self, u):
         """Support function at one direction, or at each row of a stack."""
         u = np.asarray(u, dtype=float)
-        h = _matvec(self.vertices(), u)
+        h = _matvec(self.verts, u)
         return h.max(axis=-1) if u.ndim > 1 else float(h.max())
 
     def support_point(self, u):
-        v = self.vertices()
-        return v[np.argmax(v @ np.asarray(u, dtype=float))]
+        return self.verts[np.argmax(self.verts @ np.asarray(u, dtype=float))]
 
     def bounding_radius(self):
-        return float(np.max(np.linalg.norm(self.vertices(), axis=1)))
+        return float(np.max(np.linalg.norm(self.verts, axis=1)))
 
     def chart_triangulation(self):
         if self._tri is None:
-            self._tri = _triangulate(self.vertices())
+            if self.simplices is None:
+                self._tri = _triangulate(self.verts)
+            else:
+                pts = np.vstack([self.center[None, :], self.verts])
+                simps = np.array([[0] + [i + 1 for i in s] for s in self.simplices],
+                                 dtype=int)
+                self._tri = pts, simps
         return self._tri
 
     moments = _triangulated_moments
@@ -338,23 +404,17 @@ class HPolyBackend(_PolytopeBackend):
         b = np.atleast_1d(np.asarray(offsets, dtype=float))
         if a.shape[0] != b.size:
             raise InvalidInputError("normals/offsets length mismatch")
-        norms = np.linalg.norm(a, axis=1)
-        if np.any(norms <= 0):
-            raise InvalidInputError("zero normal vector")
-        self.normals = a / norms[:, None]
-        self.offsets = b / norms
-        self._vertices = None
-        self._interior = None
+        self.normals, self.offsets = _unit_halfspaces(a, b)
+        self.dim = a.shape[1]
         if prune:
-            self._prune_inactive()
+            # keep the facets that some vertex touches
+            slack = self.offsets[:, None] - self.normals @ self.verts.T
+            active = np.min(np.abs(slack), axis=1) <= 1e-9 * (1.0 + np.abs(self.offsets))
+            self.normals, self.offsets = self.normals[active], self.offsets[active]
 
-    @property
-    def dim(self):
-        return self.normals.shape[1]
-
-    # -- construction helpers
-
-    def _chebyshev(self):
+    @cached_property
+    def center(self):
+        """The Chebyshev center, by one LP."""
         from scipy.optimize import linprog
 
         m, n = self.normals.shape
@@ -386,58 +446,30 @@ class HPolyBackend(_PolytopeBackend):
                     return res.x
         return None
 
-    def vertices(self):
-        if self._vertices is None:
-            self._interior = self._chebyshev()
-            try:
-                self._vertices = _halfspace_vertices(self.normals, self.offsets,
-                                                     self._interior)
-            except NotProperlyConvexError as exc:
-                exc.data["witness"] = self._recession_direction()
-                raise
-        return self._vertices
-
-    def _prune_inactive(self):
-        v = self.vertices()
-        slack = self.offsets[:, None] - self.normals @ v.T
-        active = np.min(np.abs(slack), axis=1) <= 1e-9 * (1.0 + np.abs(self.offsets))
-        if not np.all(active):
-            self.normals = self.normals[active]
-            self.offsets = self.offsets[active]
-
-    # -- queries
-
-    def interior_point(self):
-        if self._interior is None:
-            self.vertices()
-        return self._interior
-
-    def as_hpoly(self):
-        return self
-
     def to_json(self):
         return {"type": "hpoly", "normals": self.normals.tolist(),
                 "offsets": self.offsets.tolist()}
 
 
 class VPolyBackend(_PolytopeBackend):
-    """Open convex hull of a vertex list in convex position."""
+    """Open convex hull of a vertex list in convex position.
+
+    `listed` keeps the vertices as given, for `to_json` and maps; `verts`
+    is the same array, sorted in 1-d.
+    """
 
     kind = "vpoly"
 
     def __init__(self, vertices, check=True):
         v = np.atleast_2d(np.asarray(vertices, dtype=float))
-        self.verts = v
-        self._hpoly = None
+        self.listed = v
+        self.dim = v.shape[1]
+        self.verts = np.sort(v, axis=0) if self.dim == 1 else v
         if check:
             self._check_convex_position()
 
-    @property
-    def dim(self):
-        return self.verts.shape[1]
-
     def _check_convex_position(self):
-        v = self.verts
+        v = self.listed
         if self.dim == 1:
             if v.shape[0] != 2 or abs(v[0, 0] - v[1, 0]) <= TOL.exact:
                 raise NotProperlyConvexError(
@@ -445,35 +477,10 @@ class VPolyBackend(_PolytopeBackend):
             return
         if v.shape[0] < self.dim + 1:
             raise NotProperlyConvexError("too few vertices for an open set", witness=v)
-        _check_convex_position(v, "vertex list is not in convex position")
-
-    def as_hpoly(self):
-        if self._hpoly is None:
-            v = self.verts
-            if self.dim == 1:
-                lo, hi = float(np.min(v)), float(np.max(v))
-                self._hpoly = HPolyBackend([[1.0], [-1.0]], [hi, -lo], prune=False)
-            else:
-                from scipy.spatial import ConvexHull
-
-                hull = ConvexHull(v)
-                a = hull.equations[:, :-1]
-                b = -hull.equations[:, -1]
-                self._hpoly = HPolyBackend(a, b, prune=False)
-            self._hpoly._vertices = self.vertices()
-            self._hpoly._interior = self.interior_point()
-        return self._hpoly
-
-    def vertices(self):
-        if self.dim == 1:
-            return np.sort(self.verts, axis=0)
-        return self.verts
-
-    def interior_point(self):
-        return self.verts.mean(axis=0)
+        self._check_hull("vertex list is not in convex position")
 
     def to_json(self):
-        return {"type": "vpoly", "vertices": self.verts.tolist()}
+        return {"type": "vpoly", "vertices": self.listed.tolist()}
 
 
 class EllipsoidBackend:
@@ -571,12 +578,14 @@ class EllipsoidBackend:
 
 
 class RadialGraphBackend(_PolytopeBackend):
-    """PL star-shaped region: positive radii over a triangulated direction set."""
+    """PL star-shaped region: positive radii over a triangulated direction
+    set about `center`; its surface points are the vertex form `verts`."""
 
     kind = "radialgraph"
 
     def __init__(self, center, directions, radii, simplices=None, check=True):
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
+        self.dim = self.center.size
         d = np.atleast_2d(np.asarray(directions, dtype=float))
         norms = np.linalg.norm(d, axis=1)
         if np.any(norms <= 0):
@@ -590,11 +599,10 @@ class RadialGraphBackend(_PolytopeBackend):
         if simplices is None:
             simplices = self._default_simplices()
         self.simplices = [tuple(int(i) for i in s) for s in simplices]
-        self._hull_backend = None
+        self.verts = self.center + self.radii[:, None] * self.directions
         if check:
             if self.dim > 1:
-                _check_convex_position(self.surface_points(),
-                                       "radial graph surface is not convex")
+                self._check_hull("radial graph surface is not convex")
             margin = self.contains_margin(self.center)
             if margin <= 0:
                 raise NotProperlyConvexError(
@@ -606,30 +614,6 @@ class RadialGraphBackend(_PolytopeBackend):
         order = np.argsort(np.arctan2(self.directions[:, 1], self.directions[:, 0]))
         return [(int(order[i]), int(order[(i + 1) % len(order)]))
                 for i in range(len(order))]
-
-    @property
-    def dim(self):
-        return self.center.size
-
-    def surface_points(self):
-        return self.center + self.radii[:, None] * self.directions
-
-    def vertices(self):
-        """The surface points, all hull vertices (checked at construction)."""
-        return self.surface_points()
-
-    def as_hpoly(self):
-        if self._hull_backend is None:
-            self._hull_backend = VPolyBackend(self.surface_points(), check=False).as_hpoly()
-        return self._hull_backend
-
-    def interior_point(self):
-        return self.center
-
-    def chart_triangulation(self):
-        pts = np.vstack([self.center[None, :], self.surface_points()])
-        simps = np.array([[0] + [i + 1 for i in s] for s in self.simplices], dtype=int)
-        return pts, simps
 
     def to_json(self):
         return {"type": "radialgraph", "center": self.center.tolist(),
@@ -808,7 +792,7 @@ def _remap(dom, matrix, chart):
         interior = matrix @ old.lift(b.interior_point())
         return ConvexDomain(chart, _ellipsoid_from_quadric(q, chart, interior))
     # vertex polygons, and radial graphs with their center as row 0
-    pts = b.verts if b.kind == "vpoly" else np.vstack([b.center, b.surface_points()])
+    pts = b.listed if b.kind == "vpoly" else np.vstack([b.center, b.verts])
     images, h = _chart_images(chart, old.lift_many(pts) @ matrix.T)
     if h.min() < 0 < h.max():
         raise AtInfinityError("the target chart hyperplane cuts the image")
@@ -940,7 +924,7 @@ def validate(dom: ConvexDomain) -> ProperConvexityCertificate:
         return dom._certificate
     b = dom.backend
     if b.kind == "hpoly":
-        b.vertices()  # raises on unbounded or empty data
+        b.verts  # raises on unbounded or empty data
     if b.kind == "vpoly":
         b._check_convex_position()
     x0 = b.interior_point()

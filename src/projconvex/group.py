@@ -349,5 +349,4 @@ def _cone_constraints(cone: ConvexCone):
     if b.kind == "ellipsoid":
         return [dom_support(dom, b.support_point(u)).coeffs
                 for u in _sphere_directions(dom.dim, _CONIC_SAMPLES)]
-    hp = b.as_hpoly()
-    return _facet_functionals(dom.chart, hp.normals, hp.offsets)
+    return _facet_functionals(dom.chart, b.normals, b.offsets)

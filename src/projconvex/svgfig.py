@@ -69,13 +69,10 @@ def domain_outline(dom, samples=256):
         vals, vecs = np.linalg.eigh(b.shape_matrix)
         half = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
         return b.center[None, :] + dirs @ half
-    if b.kind == "radialgraph":
-        pts = b.surface_points()
-        order = np.argsort(np.arctan2(pts[:, 1] - b.center[1],
-                                      pts[:, 0] - b.center[0]))
-        return pts[order]
+    # a radial graph about its center, the others about their vertex mean: a
+    # half-space list's Chebyshev center would start the loop at another vertex
     verts = b.vertices()
-    center = verts.mean(axis=0)
+    center = b.center if b.kind == "radialgraph" else verts.mean(axis=0)
     order = np.argsort(np.arctan2(verts[:, 1] - center[1],
                                   verts[:, 0] - center[0]))
     return verts[order]

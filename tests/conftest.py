@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from projconvex import domain as dm, hilbert as hb
 from projconvex.projgeom import ProjPoint, ProjTransform
@@ -67,10 +68,17 @@ def oval(rng, k):
                      rng.uniform(0.6, 1.4) * np.sin(ang)], axis=1)
 
 
+def _sphere_points(rng, n):
+    """5-9 points on an axis-scaled sphere of R^n, all in convex position."""
+    pts = rng.normal(size=(int(rng.integers(5, 10)), n))
+    return pts / np.linalg.norm(pts, axis=1)[:, None] * rng.uniform(0.6, 1.4, n)
+
+
 def random_domain(kind, n, rng):
     """A seeded domain of one backend kind in the standard chart of
     dimension n: half-spaces and vertex polytopes around the origin, an
-    ellipsoid, or (n = 2) a radial graph of an oval about an inner center."""
+    ellipsoid, or a radial graph about an inner center (of an oval in 2-d,
+    with the hull's facets as simplices in 3-d)."""
     if kind == "hpoly":
         normals = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(3 * (n > 1), n))])
         return dm.ConvexDomain.from_halfspaces(
@@ -81,16 +89,18 @@ def random_domain(kind, n, rng):
                                                   [rng.uniform(0.3, 1.5)]])
         if n == 2:
             return dm.ConvexDomain.from_vertices(oval(rng, int(rng.integers(3, 9))))
-        pts = rng.normal(size=(int(rng.integers(5, 10)), 3))
-        return dm.ConvexDomain.from_vertices(
-            pts / np.linalg.norm(pts, axis=1)[:, None] * rng.uniform(0.6, 1.4, 3))
+        return dm.ConvexDomain.from_vertices(_sphere_points(rng, 3))
     if kind == "ellipsoid":
         b = rng.normal(size=(n, n))
         return dm.ConvexDomain.ellipsoid(rng.uniform(-0.3, 0.3, n),
                                          b @ b.T + 0.5 * np.eye(n))
-    pts = oval(rng, int(rng.integers(3, 13)))
+    if n == 1:
+        return dm.ConvexDomain.radial_graph(rng.uniform(-0.3, 0.3, 1), [[1.0], [-1.0]],
+                                            rng.uniform(0.3, 1.5, 2), [[0], [1]])
+    pts = oval(rng, int(rng.integers(3, 13))) if n == 2 else _sphere_points(rng, n)
     c = 0.5 * pts.mean(axis=0) + 0.5 * rng.dirichlet(np.ones(len(pts))) @ pts
-    return dm.ConvexDomain.radial_graph(c, pts - c, np.linalg.norm(pts - c, axis=1))
+    return dm.ConvexDomain.radial_graph(c, pts - c, np.linalg.norm(pts - c, axis=1),
+                                        ConvexHull(pts).simplices if n == 3 else None)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.spatial import ConvexHull
 
 from projconvex import domain as dm
 from projconvex import hilbert as hb
@@ -282,6 +283,32 @@ def test_boundary_flats(disk, triangle, square, polygon24):
     assert all(len(f["vertices"]) == 2 for f in flats)
 
 
+def _assert_backends_agree(hpoly, others, rng):
+    """Every query of each backend in others matches the half-space form's."""
+    n = hpoly.dim
+    ref_vol, ref_mu, ref_q = hpoly.moments()
+    xs = rng.uniform(-1.5, 1.5, size=(12, n))
+    inner = rng.dirichlet(np.ones(len(hpoly.verts)), size=(2, 12)) @ hpoly.verts
+    us = rng.normal(size=(12, n))
+    for b in others:
+        for x, y, z, u in zip(xs, *inner, us):
+            assert b.contains_margin(x) == pytest.approx(hpoly.contains_margin(x),
+                                                         abs=1e-14)
+            assert np.allclose(b.chord_params(y, u), hpoly.chord_params(y, u),
+                               rtol=1e-13, atol=0.0)
+            assert np.allclose(b.segment_chord(y, z, z - y),
+                               hpoly.segment_chord(y, z, z - y), rtol=1e-13, atol=0.0)
+            assert b.support(u) == pytest.approx(hpoly.support(u), abs=1e-14)
+            assert np.allclose(b.support_point(u), hpoly.support_point(u),
+                               rtol=0.0, atol=1e-14)
+        assert b.bounding_radius() == pytest.approx(hpoly.bounding_radius(), rel=1e-15)
+        vol, mu, q = b.moments()
+        assert vol == pytest.approx(ref_vol, rel=1e-14)
+        assert np.allclose(mu, ref_mu, atol=1e-15)
+        assert np.allclose(q, ref_q, atol=1e-15)
+        assert len(b.boundary_flats()) == len(hpoly.boundary_flats()) == len(b.normals)
+
+
 def test_square_backends_agree(rng):
     v = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
     hpoly = dm.HPolyBackend([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
@@ -292,24 +319,50 @@ def test_square_backends_agree(rng):
     assert ref_vol == pytest.approx(4.0, rel=1e-14)
     assert np.allclose(ref_mu, 0.0, atol=1e-15)
     assert np.allclose(ref_q, np.eye(2) / 3.0, atol=1e-15)
-    xs = rng.uniform(-1.5, 1.5, size=(12, 2))
-    inner = rng.uniform(-0.9, 0.9, size=(12, 2))
-    us = rng.normal(size=(12, 2))
-    for b in (vpoly, radial):
-        for x, y, u in zip(xs, inner, us):
-            assert b.contains_margin(x) == pytest.approx(hpoly.contains_margin(x),
-                                                         abs=1e-14)
-            assert np.allclose(b.chord_params(y, u), hpoly.chord_params(y, u),
-                               rtol=1e-13, atol=0.0)
-            assert b.support(u) == pytest.approx(hpoly.support(u), abs=1e-14)
-            assert np.allclose(b.support_point(u), hpoly.support_point(u),
-                               rtol=0.0, atol=1e-14)
-        assert b.bounding_radius() == pytest.approx(np.sqrt(2.0), rel=1e-15)
-        vol, mu, q = b.moments()
-        assert vol == pytest.approx(ref_vol, rel=1e-14)
-        assert np.allclose(mu, ref_mu, atol=1e-15)
-        assert np.allclose(q, ref_q, atol=1e-15)
-        assert len(b.boundary_flats()) == len(hpoly.boundary_flats()) == 4
+    assert hpoly.bounding_radius() == pytest.approx(np.sqrt(2.0), rel=1e-15)
+    assert len(hpoly.normals) == 4
+    _assert_backends_agree(hpoly, (vpoly, radial), rng)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_polytope_backends_agree(n):
+    # one polytope as its vertex list, as its hull facets, and as a radial
+    # graph about an interior point
+    rng = np.random.default_rng(40 + n)
+    for _ in range(3):
+        v = random_domain("vpoly", n, rng).backend.listed
+        if n == 1:
+            hpoly = dm.HPolyBackend([[1.0], [-1.0]], [v.max(), -v.min()])
+            simplices = [[0], [1]]
+        else:
+            hull = ConvexHull(v)
+            hpoly = dm.HPolyBackend(hull.equations[:, :-1], -hull.equations[:, -1])
+            simplices = hull.simplices if n == 3 else None
+        c = rng.dirichlet(np.ones(len(v))) @ v
+        radial = dm.RadialGraphBackend(c, v - c, np.linalg.norm(v - c, axis=1),
+                                       simplices)
+        _assert_backends_agree(hpoly, (dm.VPolyBackend(v), radial), rng)
+
+
+def test_one_hull_per_vertex_list(monkeypatch):
+    # the qhull run that checks a vertex list's convex position also gives
+    # the facets that the first query reads
+    import scipy.spatial
+
+    built = []
+    real = scipy.spatial.ConvexHull
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", counted)
+    ang = 2 * np.pi * np.arange(24) / 24
+    polygon = dm.ConvexDomain.from_vertices(np.stack([np.cos(ang), np.sin(ang)], 1))
+    hb.distance(polygon, [0.1, 0.2], [-0.3, 0.4])
+    assert len(built) == 1
+    hb.distance(dm.disk_polygon(24), [0.1, 0.2], [-0.3, 0.4])
+    assert len(built) == 2
 
 
 def test_json_round_trip(any_domain):
@@ -350,7 +403,7 @@ def _circle(k):
 def _mapped_domains(draw):
     """A domain of any backend and a projective map near the identity."""
     kind = draw(st.sampled_from(["hpoly", "vpoly", "ellipsoid", "radialgraph"]))
-    n = 2 if kind == "radialgraph" else draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     dom = random_domain(kind, n, rng)
     m = np.eye(n + 1) + draw(st.floats(0.0, 0.4)) * rng.normal(size=(n + 1, n + 1))

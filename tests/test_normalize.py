@@ -105,10 +105,9 @@ def test_isotropic_corpus_post_conditions(any_domain):
 
 @st.composite
 def _charted_domains(draw):
-    """A domain of any backend, chart dimensions 1-3 (radial graphs in 2),
-    in a random chart."""
+    """A domain of any backend, chart dimensions 1-3, in a random chart."""
     kind = draw(st.sampled_from(["hpoly", "vpoly", "ellipsoid", "radialgraph"]))
-    n = 2 if kind == "radialgraph" else draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     pole = np.eye(n + 1)[-1] + draw(st.floats(0.0, 0.6)) * rng.normal(size=n + 1)
     return dm.ConvexDomain(AffineChart(pole), random_domain(kind, n, rng).backend)
