@@ -1,13 +1,15 @@
 """Shared numeric tolerances and randomness defaults.
 
-All tolerance constants live on a single mutable instance so callers can
-tighten or loosen them globally; library code reads them at call time.
+The tolerance constants live on one frozen instance, so no caller can change
+them for another.  A function whose tolerance callers vary takes it as an
+argument whose default is the constant here, as `fixed_point_dynamics`,
+`dirichlet_domain` and `domain.support` take `tol` for `TOL.frontier`.
 """
 
 from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tolerances:
     exact: float = 1e-12        # vector-arithmetic identities
     matrix: float = 1e-9        # determinant scaling, eigen residuals

@@ -967,13 +967,15 @@ def chord(dom: ConvexDomain, x, y) -> Chord:
     return Chord(dom, xc + t_lo * d, xc + t_hi * d)
 
 
-def support(dom: ConvexDomain, b_pt) -> DualFunctional:
-    """Supporting hyperplane at a frontier point, oriented positive on the domain."""
+def support(dom: ConvexDomain, b_pt, tol: float = None) -> DualFunctional:
+    """Supporting hyperplane at a frontier point, oriented positive on the
+    domain; the point's margin may be at most `tol` (default `TOL.frontier`)."""
+    tol = TOL.frontier if tol is None else tol
     x = dom.chart_coords(b_pt)
     m = dom.backend.contains_margin(x)
-    if abs(m) > TOL.frontier:
+    if abs(m) > tol:
         raise NotOnFrontierError("point is not on the frontier", margin=m)
-    facets = dom.backend.supporting_facets(x, 10 * TOL.frontier)
+    facets = dom.backend.supporting_facets(x, 10 * tol)
     if not facets:
         raise NotOnFrontierError("no supporting facet found", margin=m)
     if len(facets) == 1:

@@ -78,7 +78,8 @@ class HyperbolicData:
     eigenvalue_gap: float    # |lambda_1| / |lambda_2|
 
 
-def fixed_point_dynamics(dom: ConvexDomain, a: ProjTransform) -> HyperbolicData:
+def fixed_point_dynamics(dom: ConvexDomain, a: ProjTransform,
+                         tol: float = None) -> HyperbolicData:
     """Attracting and repelling fixed points, axis, and translation length.
 
     Requires a biproximal transform preserving the domain: its eigenvalues
@@ -87,8 +88,10 @@ def fixed_point_dynamics(dom: ConvexDomain, a: ProjTransform) -> HyperbolicData:
     frontier.  The Hilbert translation length is the closed form
     1/2 log(|lambda_1| / |lambda_n|) (Cooper-Long-Tillmann 2015), reached
     on the axis joining the two fixed points.  Both eigenpairs must have a
-    residual |A v - lambda v| of at most 1e-9 |A| |v|.
+    residual |A v - lambda v| of at most 1e-9 |A| |v|, and both fixed points
+    a chart margin of at most `tol` (default `TOL.frontier`).
     """
+    tol = TOL.frontier if tol is None else tol
     chk = is_automorphism(dom, a, tol=1e-6)
     if not chk.is_automorphism:
         raise InvalidInputError(
@@ -122,7 +125,7 @@ def fixed_point_dynamics(dom: ConvexDomain, a: ProjTransform) -> HyperbolicData:
         p = ProjPoint(vec, canonicalize=False)
         x = dom.chart.to_chart(p)
         m = dom.backend.contains_margin(x)
-        if abs(m) > TOL.frontier:
+        if abs(m) > tol:
             raise AutomorphismInconsistencyError(
                 "fixed point is not on the frontier", margin=m)
         return p, x
@@ -250,13 +253,15 @@ class DirichletDomain:
     word_depth: int
 
 
-def dirichlet_domain(cone: ConvexCone, gens, x, max_len: int) -> DirichletDomain:
+def dirichlet_domain(cone: ConvexCone, gens, x, max_len: int,
+                     tol: float = None) -> DirichletDomain:
     """Fundamental polytope in the tangent slice of the characteristic surface.
 
     The halfspace at the base point is bounded by the tangent hyperplane of
     the characteristic surface there; intersecting its translates over the
     reduced words up to max_len, one per group element, and the cone itself
-    yields the polytope.
+    yields the polytope.  An ellipsoid cone's supports are taken at sampled
+    frontier points, each within `tol` (default `TOL.frontier`) of the frontier.
     """
     dom = cone.domain
     for g in gens:
@@ -296,7 +301,7 @@ def dirichlet_domain(cone: ConvexCone, gens, x, max_len: int) -> DirichletDomain
             rows.append(-(z.T @ c))
             offs.append(float(c @ x_s) - 1.0)
             labels.append(word_label(w))
-        for r in _cone_constraints(cone):
+        for r in _cone_constraints(cone, tol):
             rows.append(-(z.T @ r))
             offs.append(float(r @ x_s))
             labels.append("cone")
@@ -342,11 +347,11 @@ def dirichlet_domain(cone: ConvexCone, gens, x, max_len: int) -> DirichletDomain
     )
 
 
-def _cone_constraints(cone: ConvexCone):
+def _cone_constraints(cone: ConvexCone, tol):
     """Functionals nonnegative on the cone: exact facets or sampled supports."""
     dom = cone.domain
     b = dom.backend
     if b.kind == "ellipsoid":
-        return [dom_support(dom, b.support_point(u)).coeffs
+        return [dom_support(dom, b.support_point(u), tol).coeffs
                 for u in _sphere_directions(dom.dim, _CONIC_SAMPLES)]
     return _facet_functionals(dom.chart, b.normals, b.offsets)

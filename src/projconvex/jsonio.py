@@ -6,6 +6,7 @@ inferred from shapes.  Loaders reject NaN and infinities.
 
 import csv
 import json
+import math
 
 import numpy as np
 
@@ -20,29 +21,24 @@ def _reject_constant(name):
     raise InputFormatError(f"non-finite constant {name!r} in input")
 
 
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):   # a literal beyond the float range, as 1e999
+        raise InputFormatError("non-finite number in input")
+    return value
+
+
 def loads(text: str):
     try:
-        data = json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=_reject_constant,
+                          parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"invalid JSON: {exc}") from exc
-    _check_finite(data)
-    return data
 
 
 def load_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())
-
-
-def _check_finite(obj):
-    if isinstance(obj, dict):
-        for v in obj.values():
-            _check_finite(v)
-    elif isinstance(obj, list):
-        for v in obj:
-            _check_finite(v)
-    elif isinstance(obj, float) and not np.isfinite(obj):
-        raise InputFormatError("non-finite number in input")
 
 
 def sanitize(obj):

@@ -3,7 +3,7 @@ the entrywise box estimate for projective maps, degeneration analysis of
 representation sequences, and a bounded invariant-subspace search.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product
 
 import numpy as np
@@ -151,7 +151,6 @@ def isotropic_normalize(dom: ConvexDomain):
 
 @dataclass
 class BoxCheckResult:
-    hypothesis_checked: bool
     hypothesis_holds: bool
     hypothesis_margin: float      # K minus the max image coordinate
     conclusion_holds: bool
@@ -193,7 +192,7 @@ def box_bound_check(a, k: float) -> BoxCheckResult:
     bound = 2.0 * k * alpha
     margins = bound - np.abs(mat)
     conclusion = bool(np.min(margins) >= -1e-12 * max(bound, 1.0))
-    return BoxCheckResult(True, bool(hypothesis), margin, conclusion,
+    return BoxCheckResult(bool(hypothesis), margin, conclusion,
                           margins, float(alpha), float(bound))
 
 
@@ -245,32 +244,7 @@ class DegenerationReport:
     limit_matrices: list = field(default_factory=list)
 
     def to_json(self):
-        return {
-            "verdict": self.verdict,
-            "bounded": self.bounded,
-            "convergent": self.convergent,
-            "slope": self.slope,
-            "d_norms": [float(v) for v in self.d_norms],
-            "residuals": [float(v) for v in self.residuals],
-            "domain_residuals": [float(v) for v in self.domain_residuals],
-            "blocks": self.blocks,
-            "pattern": self.pattern,
-            "pattern_holds": self.pattern_holds,
-            "steps": [
-                {
-                    "k": s.k,
-                    "center_residual": s.center_residual,
-                    "centroid_norm": s.centroid_norm,
-                    "d_entries": s.d_entries.tolist(),
-                    "d_norm": s.d_norm,
-                    "max_entry": s.max_entry,
-                    "raw_max_entry": s.raw_max_entry,
-                    "corner_dev": s.corner_dev,
-                }
-                for s in self.steps
-            ],
-            "limit_matrices": [m.tolist() for m in self.limit_matrices],
-        }
+        return asdict(self)
 
     def to_csv_rows(self):
         rows = [("k", "d_norm", "residual", "maxentry")]

@@ -7,7 +7,7 @@ reported determinants are rescaled by the stored chirality of the first
 simplex so hand-computed values in the input ordering are reproduced.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import asin, sin
 
 import numpy as np
@@ -478,8 +478,7 @@ class ConvexityCertificate:
     violations: list = field(default_factory=list)
 
     def to_json(self):
-        return {"ok": self.ok, "sign": self.sign, "margin": self.margin,
-                "checks": self.checks, "violations": self.violations}
+        return asdict(self)
 
 
 def certify_generic_convex(surf: SimplicialHypersurface) -> ConvexityCertificate:

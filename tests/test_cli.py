@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from projconvex.cli import dispatch
 from projconvex.config import TOL
 from projconvex.normalize import RepSequence
 
-from conftest import boost
+from conftest import boost, rotation
 
 
 @pytest.fixture
@@ -165,14 +167,27 @@ def test_domain_dual_and_flats(tmp_path, capsys):
     assert "4 maximal flat pieces" in capsys.readouterr().out
 
 
-def test_tol_does_not_outlive_the_command(disk_file, tmp_path, monkeypatch):
-    monkeypatch.setattr(TOL, "frontier", 1e-8)
+def test_tol_does_not_outlive_the_command(disk_file, tmp_path):
     mat = tmp_path / "boost.json"
     jsonio.dump_file({"matrix": boost(0.6).tolist()}, mat)
     res = dispatch(["group", "dynamics", "--domain", disk_file,
                     "--matrix", str(mat), "--tol", "1e-6"])
     assert res.exit_code == 0
     assert TOL.frontier == 1e-8
+    with pytest.raises(FrozenInstanceError):
+        TOL.frontier = 1e-6
+
+
+def test_tol_reaches_the_library(disk_file, tmp_path, capsys):
+    # the fixed points of a conjugated boost land on the circle only up to
+    # rounding: within the default frontier tolerance, not within --tol 0
+    mat = tmp_path / "hyp.json"
+    jsonio.dump_file({"matrix": (rotation(0.4) @ boost(1.3)
+                                 @ rotation(-0.4)).tolist()}, mat)
+    argv = ["group", "dynamics", "--domain", disk_file, "--matrix", str(mat)]
+    assert dispatch(argv).exit_code == 0
+    assert dispatch(argv + ["--tol", "0"]).exit_code == 1
+    assert "error[automorphism-inconsistency]" in capsys.readouterr().out
 
 
 def test_bad_numbers_are_rejected(disk_file, tmp_path, capsys):

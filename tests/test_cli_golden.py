@@ -2,8 +2,9 @@
 
 `cli.dispatch` runs in-process on seeded domains of every backend kind in
 chart dimensions 1-3 (radial graphs in 1-d and 3-d with explicit simplices),
-and each command's exit code, report and SVG are compared, by SHA-256, with
-`golden_cli.json`.  A refactor that moves one bit of one float in a report
+and on small matrices, sequences, generator lists and meshes, so that every
+command runs at least once; each run's exit code, report (CSV for a key
+ending in `--csv`) and SVG are compared, by SHA-256, with `golden_cli.json`.  A refactor that moves one bit of one float in a report
 fails here.  To re-record after an intended change of output, run
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from projconvex import domain as dm
-from projconvex.cli import dispatch
+from projconvex.cli import build_parser, dispatch
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -121,8 +122,87 @@ def _commands(name, dom, base, work):
     }
     if n == 2:
         cmds["domain dual"] += ["--svg", str(work / f"{name}_dual.svg")]
+        tri = ":".join(",".join(repr(float(v)) for v in p)
+                       for p in (base, base + step, base - 1.5 * step[::-1]))
+        cmds["hilbert delta"] = ["hilbert", "delta", *d, f"--tri={tri}", "--m", "4"]
     if name == "radial2":
         cmds["hilbert geodesic"] += ["--svg", str(work / f"{name}_geodesic.svg")]
+    if name in ("hpoly1", "ellipsoid2", "vpoly3", "radial2"):
+        cmds["vinberg grad"] = ["vinberg", "grad", *d, f"--phi={phi}"]
+        cmds["vinberg theta"] = ["vinberg", "theta", *d, f"--phi={phi}"]
+    if name in ("ellipsoid1", "square"):
+        cmds["vinberg surface"] = ["vinberg", "surface", *d, "--budget", "6",
+                                   "--seed", "3"]
+        if n == 1:
+            cmds["vinberg surface"] += ["--svg", str(work / f"{name}_surface.svg")]
+    if name in ("vpoly1", "triangle"):
+        cmds["plconvex build"] = ["plconvex", "build", *d, "--budget", "6"]
+    return cmds
+
+
+def _boost(t):
+    """Hyperbolic translation of the Klein disk along the x axis."""
+    c, s = np.cosh(t), np.sinh(t)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+
+
+def _rotation(a):
+    c, s = np.cos(a), np.sin(a)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _file_commands(work):
+    """{"case :: command": argv} of the commands whose inputs are a matrix,
+    a sequence, a generator list or a mesh, rather than one domain alone."""
+    def put(name, obj):
+        path = work / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    disk = ["--domain", put("disk.json", dm.unit_disk().to_json())]
+    hyp = put("hyp.json", {"matrix": (_rotation(0.4) @ _boost(1.3)
+                                      @ _rotation(-0.4)).tolist()})
+    box = put("box.json", {"matrix": (np.diag([2.0, 2.0, 1.0]) @ _rotation(0.7)
+                                      @ _boost(0.5) @ np.diag([0.5, 0.5, 1.0])).tolist()})
+    spin = _rotation(0.3)[:2, :2]
+    seq = put("seq.json", {
+        "generators": ["a"], "terms": [[np.eye(3).tolist()]] * 5,
+        "domains": [dm.ConvexDomain.ellipsoid(
+            [0.0, 0.0], spin @ np.diag([1.0, k * k]) @ spin.T
+        ).to_json() for k in range(1, 6)]})
+    gens = put("gens.json", {"generators": ["a", "b"], "terms": [[
+        _boost(1.2).tolist(), (_rotation(1.6) @ _boost(1.2) @ _rotation(-1.6)).tolist()]]})
+    ang = np.linspace(0.0, 2 * np.pi, 6, endpoint=False)
+    cap = np.vstack([[0.0, 0.0, 1.0],
+                     np.stack([0.5 * np.cos(ang), 0.5 * np.sin(ang),
+                               np.full(6, np.sqrt(1.25))], axis=1)])
+    mesh = put("cap.json", {"vertices": cap.tolist(),
+                            "simplices": [[0, 1 + i, 1 + (i + 1) % 6] for i in range(6)]})
+    line = put("line.json", {"vertices": [[-1.0, 2.0], [-0.4, 1.2], [0.3, 1.1], [1.0, 2.0]],
+                             "simplices": [[0, 1], [1, 2], [2, 3]]})
+    tol = ["--tol", "1e-6"]
+    cmds = {
+        "disk :: group dynamics": ["group", "dynamics", *disk, "--matrix", hyp],
+        "disk :: group dynamics --tol": ["group", "dynamics", *disk, "--matrix", hyp, *tol],
+        "disk :: group orbit": ["group", "orbit", *disk, "--gens", gens,
+                                "--seed-point", "0.1,-0.2", "--L", "2",
+                                "--svg", str(work / "orbit.svg")],
+        "disk :: group dirichlet": ["group", "dirichlet", *disk, "--gens", gens,
+                                    "--x", "0.1,0,1", "--L", "2"],
+        "disk :: group dirichlet --tol": ["group", "dirichlet", *disk, "--gens", gens,
+                                          "--x", "0.1,0,1", "--L", "2", *tol],
+        "box :: normalize boxcheck": ["normalize", "boxcheck", "--matrix", box,
+                                      "--K", "2.0"],
+        "squash :: normalize sequence": ["normalize", "sequence", "--seq", seq],
+        "squash :: normalize sequence --csv": ["normalize", "sequence", "--seq", seq],
+    }
+    for name, path in (("cap", mesh), ("line", line)):
+        cmds[f"{name} :: plconvex check"] = ["plconvex", "check", "--mesh", path]
+        cmds[f"{name} :: plconvex certify"] = ["plconvex", "certify", "--mesh", path]
+        cmds[f"{name} :: plconvex outward"] = ["plconvex", "outward", "--mesh", path,
+                                              "--t", "1.5"]
+    cmds["line :: plconvex radius"] = ["plconvex", "radius", "--mesh", line,
+                                       "--seed", "5"]
     return cmds
 
 
@@ -132,15 +212,17 @@ def _digest(path):
 
 def record(work):
     """{"case :: command": {"exit", "report", "svg"}} of every run."""
+    runs = {f"{name} :: {label}": argv
+            for name, (dom, base) in _cases().items()
+            for label, argv in _commands(name, dom, base, work).items()}
+    runs.update(_file_commands(work))
     out = {}
-    for name, (dom, base) in _cases().items():
-        for label, argv in _commands(name, dom, base, work).items():
-            report = work / f"{name} {label}.json"
-            res = dispatch(argv + ["--out", str(report)])
-            svg = Path(argv[argv.index("--svg") + 1]) if "--svg" in argv else None
-            out[f"{name} :: {label}"] = {
-                "exit": res.exit_code, "report": _digest(report),
-                "svg": _digest(svg) if svg else None}
+    for i, (key, argv) in enumerate(runs.items()):
+        report = work / f"report{i}.{'csv' if key.endswith('--csv') else 'json'}"
+        res = dispatch(argv + ["--out", str(report)])
+        svg = Path(argv[argv.index("--svg") + 1]) if "--svg" in argv else None
+        out[key] = {"exit": res.exit_code, "report": _digest(report),
+                    "svg": _digest(svg) if svg else None}
     return out
 
 
@@ -160,6 +242,15 @@ def test_goldens_cover_every_backend_and_dimension():
         assert {f"{kind}{n}" for n in (1, 2, 3)} <= names
     assert all(v["exit"] == 0 for v in keys.values())
     assert sum(v["svg"] is not None for v in keys.values()) >= 6
+
+
+def test_goldens_cover_every_command():
+    modules = build_parser()._subparsers._group_actions[0].choices
+    commands = {f"{mod} {op}" for mod, sub in modules.items()
+                for op in sub._subparsers._group_actions[0].choices}
+    pinned = {" ".join(key.split(" :: ")[1].split()[:2])
+              for key in json.loads(GOLDEN.read_text())}
+    assert commands == pinned
 
 
 if __name__ == "__main__":

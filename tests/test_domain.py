@@ -377,6 +377,11 @@ def test_json_rejects_nonfinite():
         jsonio.loads('{"chart": [0, 0, NaN]}')
     with pytest.raises(InputFormatError):
         jsonio.loads('{"chart": [0, 0, 1e999]}')
+    with pytest.raises(InputFormatError):
+        jsonio.loads('{"backend": {"shape": [[1.0, 0.0], [0.0, -1e400]]}}')
+    # an integer of any length is exact, not a float that overflows
+    big = 10 ** 399
+    assert jsonio.loads(f'{{"chart": [0, {big}]}}') == {"chart": [0, big]}
 
 
 def test_transform_chart_equivariance(square, rng):
