@@ -251,9 +251,10 @@ SEED = _flag("--seed", type=int, default=config.DEFAULT_SEED)
 FRONTIER = _flag("--tol", type=_tolerance, help="frontier-membership tolerance")
 OUT = _flag("--out", help="report path (.json, or .csv where supported)")
 SVG = _flag("--svg", help="figure path (2-d charts only)")
+SVG_1D = _flag("--svg", help="figure path (1-d charts only)")
 
 # "module op": (function, flags).  Every command also takes OUT, which goes
-# before SVG in the commands that draw, and SVG comes last in their flags.
+# before --svg in the commands that draw, and --svg comes last in their flags.
 COMMANDS = {
     "domain validate": (_domain_validate, [DOMAIN]),
     "domain dual": (_domain_dual, [DOMAIN, SVG]),
@@ -268,7 +269,7 @@ COMMANDS = {
     "vinberg grad": (_vinberg_grad, [DOMAIN, PHI]),
     "vinberg theta": (_vinberg_theta, [DOMAIN, PHI]),
     "vinberg center": (_vinberg_center, [DOMAIN]),
-    "vinberg surface": (_vinberg_surface, [DOMAIN, BUDGET, SEED, SVG]),
+    "vinberg surface": (_vinberg_surface, [DOMAIN, BUDGET, SEED, SVG_1D]),
     "normalize moments": (_normalize_moments, [DOMAIN]),
     "normalize isotropic": (_normalize_isotropic, [DOMAIN]),
     "normalize boxcheck": (_normalize_boxcheck, [
@@ -308,7 +309,7 @@ def build_parser():
         if mod not in modules:
             modules[mod] = top.add_parser(mod).add_subparsers(dest="op", required=True)
         q = modules[mod].add_parser(op)
-        for flag, kwargs in (flags[:-1] + [OUT, SVG] if flags[-1] is SVG
+        for flag, kwargs in (flags[:-1] + [OUT, flags[-1]] if flags[-1] in (SVG, SVG_1D)
                              else flags + [OUT]):
             q.add_argument(flag, **kwargs)
         q.set_defaults(run=run)

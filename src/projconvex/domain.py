@@ -12,7 +12,9 @@ computed hypersurfaces, whose surface points are the vertices).  Every
 polytope query is exact: predicates and chords read the facets, supports
 and radii the vertices, and moments the simplices of a triangulation.
 Chart moments and the cone's slice moments (vinberg) use one kernel,
-`_simplex_moments`, since the chart is the unit slice of its own functional.
+`_simplex_moments`, since the chart is the unit slice of its own functional;
+the cone caches |det P_sigma| of each lifted simplex, so a slice's simplex
+weights take no determinant per functional.
 Projective maps (`transform`, `in_chart`, normalize's affine maps and box
 check, `dual_domain`, and group's automorphism test and Dirichlet
 constraints) share two kernels: facets move as the functionals of
@@ -861,21 +863,22 @@ class ConvexCone:
 
     @cached_property
     def _quadric_inverse(self):
-        """Q^-1 and det Q of the ellipsoid's quadric Q, negative inside."""
+        """Q^-1, det Q of the quadric Q (negative inside), and the lifted center."""
         chart, b = self.domain.chart, self.domain.backend
-        q = _oriented_quadric(_homogeneous_quadric(b, chart),
-                              chart.lift(b.interior_point()))
-        return np.linalg.inv(q), float(np.linalg.det(q))
+        inner = chart.lift(b.interior_point())
+        q = _oriented_quadric(_homogeneous_quadric(b, chart), inner)
+        return np.linalg.inv(q), float(np.linalg.det(q)), inner
 
     @cached_property
     def triangulation(self):
-        """Chart triangulation (points, simplices) with the points lifted;
-        None for ellipsoids."""
+        """Chart triangulation (points, simplices), the points lifted, and
+        |det P_sigma| of each simplex's lifted vertices; None for ellipsoids."""
         tri = self.domain.backend.chart_triangulation()
         if tri is None:
             return None
         pts, simps = tri
-        return pts, simps, self.domain.chart.lift_many(pts)
+        lifts = self.domain.chart.lift_many(pts)
+        return pts, simps, lifts, np.abs(np.linalg.det(lifts[simps]))
 
     def dual_margin(self, v):
         """min of <v, .> over the lifted closure; positive iff v is in the dual cone.

@@ -28,6 +28,15 @@ def _finite_float(text):
     return value
 
 
+def _floats(value):
+    """np.asarray(value, dtype=float); an integer beyond the float range,
+    which json.loads keeps exact, is an input error."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError as exc:
+        raise InputFormatError("number beyond the float range in input") from exc
+
+
 def loads(text: str):
     try:
         return json.loads(text, parse_constant=_reject_constant,
@@ -90,23 +99,23 @@ def write_csv(rows, path):
 
 def domain_from_dict(data) -> ConvexDomain:
     try:
-        chart = AffineChart(np.asarray(data["chart"], dtype=float))
+        chart = AffineChart(_floats(data["chart"]))
         backend = data["backend"]
         kind = backend["type"]
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"malformed domain object: {exc}") from exc
     if kind == "hpoly":
-        return ConvexDomain.from_halfspaces(backend["normals"],
-                                            backend["offsets"], chart=chart)
+        return ConvexDomain.from_halfspaces(_floats(backend["normals"]),
+                                            _floats(backend["offsets"]), chart=chart)
     if kind == "vpoly":
-        return ConvexDomain.from_vertices(backend["vertices"], chart=chart)
+        return ConvexDomain.from_vertices(_floats(backend["vertices"]), chart=chart)
     if kind == "ellipsoid":
-        return ConvexDomain.ellipsoid(backend["center"], backend["shape"],
-                                      chart=chart)
+        return ConvexDomain.ellipsoid(_floats(backend["center"]),
+                                      _floats(backend["shape"]), chart=chart)
     if kind == "radialgraph":
-        return ConvexDomain.radial_graph(backend["center"],
-                                         backend["directions"],
-                                         backend["radii"],
+        return ConvexDomain.radial_graph(_floats(backend["center"]),
+                                         _floats(backend["directions"]),
+                                         _floats(backend["radii"]),
                                          backend.get("simplices"),
                                          chart=chart)
     raise InvalidInputError(f"unknown backend type {kind!r}")
@@ -119,7 +128,7 @@ def load_domain(path) -> ConvexDomain:
 def matrix_from_dict(data) -> ProjTransform:
     if isinstance(data, dict):
         data = data.get("matrix", data)
-    return ProjTransform(np.asarray(data, dtype=float))
+    return ProjTransform(_floats(data))
 
 
 def load_matrix(path) -> ProjTransform:
@@ -129,7 +138,7 @@ def load_matrix(path) -> ProjTransform:
 def sequence_from_dict(data) -> RepSequence:
     try:
         gens = list(data["generators"])
-        terms = [[np.asarray(m, dtype=float) for m in tup]
+        terms = [[_floats(m) for m in tup]
                  for tup in data["terms"]]
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"malformed sequence object: {exc}") from exc
@@ -153,7 +162,7 @@ def sequence_to_dict(seq: RepSequence):
 
 def mesh_from_dict(data) -> SimplicialHypersurface:
     try:
-        return SimplicialHypersurface(data["vertices"], data["simplices"])
+        return SimplicialHypersurface(_floats(data["vertices"]), data["simplices"])
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"malformed mesh object: {exc}") from exc
 

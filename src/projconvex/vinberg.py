@@ -10,10 +10,13 @@ region; the gradient and Hessian reduce to exact slice moments:
     grad W(v)  = -(n+1) V(v) mu(slice)
     hess W(v)  =  (n+1)(n+2) V(v) E[x x^T over slice]
 
-Polytope and radial-graph cones use exact simplex decompositions, whose
-slice moments come from the simplex-moment kernel that also gives the chart
-moments (domain._simplex_moments); ellipsoid cones use exact conic sections.
-A fixed-seed Monte-Carlo estimator is kept as an independent cross-check.
+Polytope and radial-graph cones use closed forms: over a chart simplex with
+lifted vertices P_sigma the cone volume is |det P_sigma| / ((n+1)! prod_j
+<v, p_j>), |det P_sigma| cached by the cone, and these weights feed the
+simplex-moment kernel of the chart moments (domain._simplex_moments).
+Ellipsoid cones use exact conic sections.  The kernel's OutsideDualConeError
+is the only dual-cone test of a Newton trial.  A fixed-seed Monte-Carlo
+estimator is kept as an independent cross-check.
 
 V is a Laplace transform of the cone, so log V is strictly convex on the
 open dual cone (it is the cone's universal barrier).  Both solvers minimize
@@ -91,9 +94,7 @@ def _raw_coeffs(phi):
 
 
 def _as_cone(c):
-    if isinstance(c, ConvexDomain):
-        return c.cone()
-    return c
+    return c.cone() if isinstance(c, ConvexDomain) else c
 
 
 def _require_dual(cone: ConvexCone, v):
@@ -102,7 +103,6 @@ def _require_dual(cone: ConvexCone, v):
         raise OutsideDualConeError(
             "functional is not strictly positive on the closed cone",
             margin=m)
-    return m
 
 
 class _SliceData:
@@ -112,10 +112,8 @@ class _SliceData:
     __slots__ = ("volume", "slice_area", "centroid", "second_moment")
 
     def __init__(self, volume, slice_area, centroid, second_moment):
-        self.volume = volume
-        self.slice_area = slice_area
-        self.centroid = centroid
-        self.second_moment = second_moment
+        self.volume, self.slice_area = volume, slice_area
+        self.centroid, self.second_moment = centroid, second_moment
 
     def set_rows(self, idx, other):
         for name in self.__slots__:
@@ -145,39 +143,37 @@ def _slice_exact(cone: ConvexCone, v) -> _SliceData:
     n = cone.domain.dim
     tri = cone.triangulation
     if tri is not None:
-        pts, simps, lifts = tri
+        pts, simps, lifts, dets = tri
         g = _matvec(lifts, v)
         if v.ndim > 1:
-            _raise_rows(g.min(axis=1) <= 0)
-        elif np.min(g) <= 0:
+            _raise_rows(~(g.min(axis=1) > 0))
+        elif not np.min(g) > 0:
             raise OutsideDualConeError(
                 "functional vanishes on the cone closure",
                 witness=pts[int(np.argmin(g))])
-        roofs = lifts / g[..., None]
-        # (..., k, n+1, n+1), C-ordered (an index array mid-way would
-        # not be), so that sums over k run as in the one-functional case
-        rv = np.take(roofs, simps, axis=-2)
-        vol = np.abs(np.linalg.det(rv)).sum(axis=-1) / factorial(n + 1)
-        e = rv.reshape(-1, n + 1, n + 1)
-        e = e[:, 1:, :] - e[:, :1, :]           # (K*k, n, n+1)
-        gram = np.einsum("kij,klj->kil", e, e)
-        areas = np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / factorial(n)
-        a_tot, mu, e2 = _simplex_moments(rv, areas.reshape(rv.shape[:-2]))
-        return _SliceData(vol, a_tot, mu, e2)
+        # the roof simplex of sigma has vertices p_j / g_j, so its cone has
+        # volume |det P_sigma| / ((n+1)! prod g_j), and its slice area is
+        # (n+1) |v| times that; (..., k, n+1, n+1), C-ordered (an index array
+        # mid-way would not be), so that sums over k run as for one functional
+        rv = np.take(lifts / g[..., None], simps, axis=-2)
+        w = dets / np.take(g, simps, axis=-1).prod(axis=-1)
+        total, mu, e2 = _simplex_moments(rv, w)
+        vol = total / factorial(n + 1)
+        return _SliceData(vol, (n + 1) * vol * _norm(v), mu, e2)
     # ellipsoid cone: exact conic section via the inverse quadric.
     # The section center is the pole of the slicing plane; the restricted
     # inverse form is Qinv minus its rank-one part along the pole.
-    qinv, qdet = cone._quadric_inverse
+    qinv, qdet, inner = cone._quadric_inverse
     u = _matvec(qinv, v)
-    s = _dot(v, u)                 # negative iff v is interior to the dual cone
-    if v.ndim == 1 and s >= 0:
-        raise OutsideDualConeError("slice of the cone is unbounded", pairing=float(s))
-    vv = _dot(v, v)
-    det_restricted = qdet * s / vv   # det of the form on the plane directions
+    s = _dot(v, u)       # negative iff v or -v is interior to the dual cone
+    side = _dot(v, inner)        # and then positive iff v is
     if v.ndim > 1:
-        _raise_rows((s >= 0) | (det_restricted <= 0))
-    elif det_restricted <= 0:
-        raise OutsideDualConeError("slice of the cone is degenerate")
+        _raise_rows(~((s < 0) & (side > 0)))
+    elif not (s < 0 and side > 0):
+        raise OutsideDualConeError("slice of the cone is empty or unbounded",
+                                   pairing=float(s))
+    vv = _dot(v, v)
+    det_restricted = qdet * s / vv   # of the form on the plane; det Q < 0
     mu = u / s[..., None]
     c0 = -1.0 / s                  # section level, positive
     root = _pow(c0, n / 2.0) if v.ndim > 1 else c0 ** (n / 2.0)
@@ -299,12 +295,10 @@ def _newton(cone, v, basis, ridge, max_iter):
         while s > 1e-14:
             v_try = v + s * direction
             try:
-                if cone.dual_margin(v_try) > 0:
-                    v, data = v_try, _slice_exact(cone, v_try)
-                    break
+                v, data = v_try, _slice_exact(cone, v_try)
+                break
             except OutsideDualConeError:
-                pass
-            s *= 0.5
+                s *= 0.5
         else:
             break
     return v, data, it, declined
@@ -335,7 +329,7 @@ def _lockstep_newton(cone, v, data, basis, ridge, max_iter):
         trial = np.arange(rows.size)
         while trial.size:
             v_try = v[rows[trial]] + s[trial, None] * direction[trial]
-            ok = cone.dual_margin(v_try) > 0
+            ok = np.ones(trial.size, dtype=bool)
             while ok.any():
                 try:
                     new = _slice_exact(cone, v_try[ok])

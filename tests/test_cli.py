@@ -99,6 +99,24 @@ def test_malformed_file_exit_code(tmp_path, capsys):
     assert res.exit_code == 2
 
 
+def test_integer_beyond_float_range_is_an_input_error(tmp_path, capsys):
+    # json.loads keeps a 401-digit integer exact; the float conversion of the
+    # domain, matrix and sequence loaders makes it an input error (exit 2)
+    big = "1" + "0" * 400
+    files = {"domain": f'{{"chart": [0, 0, {big}], "backend": {{"type": "vpoly", '
+                       f'"vertices": [[0, 0], [1, 0], [0, 1]]}}}}',
+             "matrix": f'{{"matrix": [[{big}, 0, 0], [0, 1, 0], [0, 0, 1]]}}',
+             "seq": f'{{"generators": ["a"], "terms": [[[[{big}]]]]}}'}
+    for name, text in files.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    paths = {name: str(tmp_path / f"{name}.json") for name in files}
+    for argv in (["domain", "validate", "--domain", paths["domain"]],
+                 ["normalize", "boxcheck", "--matrix", paths["matrix"], "--K", "2"],
+                 ["normalize", "sequence", "--seq", paths["seq"]]):
+        assert dispatch(argv).exit_code == 2
+        assert "beyond the float range" in capsys.readouterr().out
+
+
 def test_complex_error_data_reaches_the_report(disk_file, tmp_path, capsys):
     mat = tmp_path / "rot90.json"
     jsonio.dump_file({"matrix": [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],

@@ -11,6 +11,7 @@ import pytest
 
 from projconvex import cli, domain as dm, hilbert as hb, jsonio
 from projconvex import plconvex as pl, vinberg as vb
+from projconvex.errors import OutsideDualConeError
 
 ROOT = Path(__file__).resolve().parents[1]
 ENV = {**os.environ,
@@ -156,6 +157,46 @@ def test_surface_build_makes_one_slice_call_per_newton_step(monkeypatch):
     assert res.certificate.ok
     assert len(calls) <= 40
     assert max(calls) >= 48        # the sample pass solves every direction at once
+
+
+def test_newton_trials_make_no_dual_margin_call(monkeypatch):
+    # the slice kernel is the one dual-cone test of a Newton trial: counted
+    # while a Newton loop (one problem or a lockstep stack) is running
+    newton, margin = vb._newton, dm.ConvexCone.dual_margin
+    depth, calls = [0], []
+
+    def inside(*args):
+        depth[0] += 1
+        try:
+            return newton(*args)
+        finally:
+            depth[0] -= 1
+
+    def counted(cone, v):
+        calls.append(depth[0])
+        return margin(cone, v)
+
+    monkeypatch.setattr(vb, "_newton", inside)
+    monkeypatch.setattr(dm.ConvexCone, "dual_margin", counted)
+    for dom in (dm.ConvexDomain.from_vertices([[1.1, 0.2], [0.3, 0.9], [-0.8, 0.6],
+                                               [-0.7, -0.5], [0.4, -0.7]]),
+                dm.ConvexDomain.ellipsoid([0.3, -0.2], [[1.5, 0.4], [0.4, 0.8]])):
+        assert vb.spherical_center(dom).iterations > 1
+    assert pl.pl_characteristic_surface(dm.unit_disk(), 48).certificate.ok
+    assert not [d for d in calls if d]
+
+
+def test_conic_slice_rejects_the_opposite_nappe():
+    # v Q^-1 v < 0 holds for -v as for v; the kernel's side test tells them apart
+    dom = dm.ConvexDomain.ellipsoid([0.2, -0.1], [[1.5, 0.3], [0.3, 0.8]])
+    cone = dom.cone()
+    v = dom.chart.infinity + np.array([0.1, -0.2, 0.0])
+    assert cone.dual_margin(v) > 0 and vb._slice_exact(cone, v).volume > 0
+    with pytest.raises(OutsideDualConeError):
+        vb._slice_exact(cone, -v)
+    with pytest.raises(OutsideDualConeError) as exc:
+        vb._slice_exact(cone, np.array([v, -v, 2.0 * v]))
+    assert exc.value.data["rows"] == [1]
 
 
 @pytest.mark.parametrize("demo", ["spherical_centers_and_boxes.py",

@@ -1,8 +1,12 @@
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from math import factorial, sqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projconvex import domain as dm, vinberg as vb
+from projconvex import domain as dm, jsonio, vinberg as vb
 from projconvex.config import TOL
 from projconvex.errors import (
     ConvergenceFailureError,
@@ -13,6 +17,7 @@ from projconvex.errors import (
 from projconvex.projgeom import ProjPoint, ProjTransform, null_space
 
 from conftest import boost, random_orthogonal
+from test_cli_golden import _cases as golden_cases
 
 
 def orthant_volume(phi):
@@ -509,3 +514,97 @@ def test_contains_vector_stack_matches_rows(rng):
         got = cone.contains_vector(ws)
         assert [cone.contains_vector(w) for w in ws] == got.tolist()
         assert got[0] == -np.inf and got[1] > 0
+
+
+# ---------------------------------------------------------------------------
+# polytope slices against rational arithmetic
+
+
+def _exact_det(rows):
+    """Determinant of a square matrix of Fractions by exact elimination."""
+    m = [list(r) for r in rows]
+    det = Fraction(1)
+    for i in range(len(m)):
+        p = next((r for r in range(i, len(m)) if m[r][i] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != i:
+            m[i], m[p], det = m[p], m[i], -det
+        det *= m[i][i]
+        for r in range(i + 1, len(m)):
+            f = m[r][i] / m[i][i]
+            m[r] = [a - f * b for a, b in zip(m[r], m[i])]
+    return det
+
+
+def _exact_slice(cone, v):
+    """Volume, slice area, centroid and E[x x^T] of the unit slice of v over
+    the cone's lifted triangulation, in rational arithmetic: each roof simplex
+    has vertices p_j / <v, p_j>; cone volumes come from their determinants,
+    the area from Gram determinants (square roots to 50 digits), and the
+    moment weights from the roof simplices projected to a coordinate plane.
+    The volume and moments are Fractions, the area a Decimal."""
+    _, simps, lifts, _ = cone.triangulation
+    n1 = lifts.shape[1]
+    v = [Fraction(x) for x in v]
+    k = max(range(n1), key=lambda i: abs(v[i]))    # the coordinate dropped
+    vol, total, area = Fraction(0), Fraction(0), Decimal(0)
+    mu = [Fraction(0)] * n1
+    e2 = [[Fraction(0)] * n1 for _ in range(n1)]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for simp in simps:
+            roof = []
+            for j in simp:
+                p = [Fraction(x) for x in lifts[j]]
+                g = sum(a * b for a, b in zip(v, p))
+                roof.append([x / g for x in p])
+            vol += abs(_exact_det(roof)) / factorial(n1)
+            edges = [[a - b for a, b in zip(r, roof[0])] for r in roof[1:]]
+            gram = _exact_det([[sum(a * b for a, b in zip(e, f)) for f in edges]
+                               for e in edges])
+            area += (Decimal(gram.numerator) / gram.denominator).sqrt() / factorial(n1 - 1)
+            w = abs(_exact_det([[x for i, x in enumerate(e) if i != k] for e in edges]))
+            s = [sum(col) for col in zip(*roof)]
+            total += w
+            for a in range(n1):
+                mu[a] += w * s[a] / n1
+                for b in range(n1):
+                    sq = sum(r[a] * r[b] for r in roof)
+                    e2[a][b] += w * (sq + s[a] * s[b]) / (n1 * (n1 + 1))
+    return (vol, area, [m / total for m in mu],
+            [[x / total for x in row] for row in e2])
+
+
+ORACLE_CASES = [f"{kind}{n}" for kind in ("hpoly", "vpoly", "radial") for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_polytope_slices_match_rational_arithmetic(name, rng):
+    dom = jsonio.domain_from_dict(golden_cases()[name][0])
+    cone = dom.cone()
+    vs = dom.chart.infinity + 0.15 * rng.normal(size=(3, dom.dim + 1))
+    vs = vs[cone.dual_margin(vs) > 0.05]
+    assert len(vs)
+    stack = vb._slice_exact(cone, vs)
+    for i, v in enumerate(vs):
+        one = vb._slice_exact(cone, v)
+        vol, area, mu, e2 = _exact_slice(cone, v)
+        mu, e2 = np.array(mu, dtype=float), np.array(e2, dtype=float)
+        for data, row in ((one, ()), (stack, i)):
+            assert abs(data.volume[row] - float(vol)) <= 1e-13 * float(vol)
+            assert abs(data.slice_area[row] - float(area)) <= 1e-13 * float(area)
+            assert np.abs(data.centroid[row] - mu).max() <= 1e-13 * np.abs(mu).max()
+            assert (np.abs(data.second_moment[row] - e2).max()
+                    <= 1e-13 * np.abs(e2).max())
+
+
+def test_spherical_center_converges_on_hpoly3():
+    # weighting the slice moments by sqrt(det Gram) stalled here 1e-10 above
+    # the Newton tolerance for 38 iterations, 3.6e-10 from the fixed point
+    dom = jsonio.domain_from_dict(golden_cases()["hpoly3"][0])
+    sc = vb.spherical_center(dom)
+    assert sc.iterations <= 10
+    q = sc.center.coords
+    mu = _exact_slice(dom.cone(), q)[2]
+    assert sqrt(sum((Fraction(x) - m) ** 2 for x, m in zip(q, mu))) <= 1e-11
