@@ -160,9 +160,12 @@ def _chart_images(chart, w):
 
 def _halfspace_vertices(normals, offsets, interior):
     """Vertices of the bounded intersection of the half-spaces a . x <= b
-    around a strictly interior point.  In 1-d they are the min and max of
-    b / a over the normals beyond +-TOL.exact; an unbounded intersection or
-    a qhull failure raises NotProperlyConvexError."""
+    around a strictly interior point, counterclockwise about it in 2-d: in
+    1-d the min and max of b / a over the normals beyond +-TOL.exact, above
+    qhull's points merged within TOL.flatness of the polytope's size (a
+    vertex on more than n facets comes once per dual facet, ulps apart).
+    An unbounded intersection or a qhull failure raises
+    NotProperlyConvexError."""
     if normals.shape[1] == 1:
         a = normals[:, 0]
         up, down = a > TOL.exact, a < -TOL.exact
@@ -170,16 +173,22 @@ def _halfspace_vertices(normals, offsets, interior):
             raise NotProperlyConvexError("half-space data is unbounded")
         return np.array([[np.max(offsets[down] / a[down])],
                          [np.min(offsets[up] / a[up])]])
-    from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
+    from scipy.spatial import HalfspaceIntersection, QhullError, cKDTree
 
     try:
         pts = HalfspaceIntersection(np.hstack([normals, -offsets[:, None]]),
                                     interior).intersections
-        if not np.all(np.isfinite(pts)):
-            raise NotProperlyConvexError("half-space data is unbounded")
-        return pts[ConvexHull(pts).vertices]
     except (QhullError, ValueError) as exc:
         raise NotProperlyConvexError(f"half-space intersection failed: {exc}") from exc
+    if not np.all(np.isfinite(pts)):
+        raise NotProperlyConvexError("half-space data is unbounded")
+    rel = pts - interior
+    pairs = cKDTree(rel).query_pairs(TOL.flatness * np.max(np.abs(rel)),
+                                     output_type="ndarray")
+    keep = np.setdiff1d(np.arange(len(pts)), pairs[:, 1])   # first of each
+    if pts.shape[1] == 2:
+        keep = keep[np.argsort(np.arctan2(rel[keep, 1], rel[keep, 0]))]
+    return pts[keep]
 
 
 def _unit_halfspaces(normals, offsets):
@@ -601,6 +610,11 @@ class RadialGraphBackend(_PolytopeBackend):
         if simplices is None:
             simplices = self._default_simplices()
         self.simplices = [tuple(int(i) for i in s) for s in simplices]
+        if any(len(s) != self.dim or not all(0 <= i < len(d) for i in s)
+               for s in self.simplices):
+            raise InvalidInputError(
+                f"radial graph simplices must be {self.dim} direction indices "
+                f"in range({len(d)})")
         self.verts = self.center + self.radii[:, None] * self.directions
         if check:
             if self.dim > 1:

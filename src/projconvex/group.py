@@ -28,7 +28,7 @@ from .errors import (
     NotHyperbolicError,
 )
 from .projgeom import ProjPoint, ProjTransform, null_space
-from .vinberg import characteristic_point, min_volume_on_fiber
+from .vinberg import min_volume_on_fiber
 
 # Iterates `attractor_convergence` tries, and sampled support functionals
 # standing in for an ellipsoid cone's boundary in `dirichlet_domain`.
@@ -287,8 +287,11 @@ def dirichlet_domain(cone: ConvexCone, gens, x, max_len: int,
         if min(np.linalg.norm(y - ref), np.linalg.norm(y + ref)) < 1e-10:
             raise InvalidBasepointError(
                 "base point is fixed by a word", word=word_label(w))
-    x_s = characteristic_point(cone, x)
-    vstar = min_volume_on_fiber(cone, x_s).phi
+    # the characteristic point t ref, t = V^(-1/(n+1)), from the one fiber
+    # solve at ref; by homogeneity the fiber minimizer at t ref is phi / t
+    fm = min_volume_on_fiber(cone, ref)
+    t = fm.value ** (-1.0 / ref.size)
+    x_s, vstar = t * ref, fm.phi / t
 
     def _solve(depth):
         z = null_space(vstar[None, :])

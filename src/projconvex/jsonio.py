@@ -37,6 +37,16 @@ def _floats(value):
         raise InputFormatError("number beyond the float range in input") from exc
 
 
+def _ints(rows):
+    """Each row of an index list as an int array, so that ragged rows reach
+    the caller's width check; an index beyond the 64-bit range is an input
+    error."""
+    try:
+        return [np.asarray(row, dtype=int) for row in rows]
+    except OverflowError as exc:
+        raise InputFormatError("index beyond the integer range in input") from exc
+
+
 def loads(text: str):
     try:
         return json.loads(text, parse_constant=_reject_constant,
@@ -97,28 +107,30 @@ def write_csv(rows, path):
 # specific codecs
 
 
+# Each backend type's constructor and the array fields it takes, in order.
+_BACKENDS = {
+    "hpoly": (ConvexDomain.from_halfspaces, ("normals", "offsets")),
+    "vpoly": (ConvexDomain.from_vertices, ("vertices",)),
+    "ellipsoid": (ConvexDomain.ellipsoid, ("center", "shape")),
+    "radialgraph": (ConvexDomain.radial_graph, ("center", "directions", "radii")),
+}
+
+
 def domain_from_dict(data) -> ConvexDomain:
     try:
         chart = AffineChart(_floats(data["chart"]))
         backend = data["backend"]
         kind = backend["type"]
+        if kind not in _BACKENDS:
+            raise InvalidInputError(f"unknown backend type {kind!r}")
+        make, names = _BACKENDS[kind]
+        args = [_floats(backend[name]) for name in names]
+        if kind == "radialgraph":
+            simplices = backend.get("simplices")
+            args.append(None if simplices is None else _ints(simplices))
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"malformed domain object: {exc}") from exc
-    if kind == "hpoly":
-        return ConvexDomain.from_halfspaces(_floats(backend["normals"]),
-                                            _floats(backend["offsets"]), chart=chart)
-    if kind == "vpoly":
-        return ConvexDomain.from_vertices(_floats(backend["vertices"]), chart=chart)
-    if kind == "ellipsoid":
-        return ConvexDomain.ellipsoid(_floats(backend["center"]),
-                                      _floats(backend["shape"]), chart=chart)
-    if kind == "radialgraph":
-        return ConvexDomain.radial_graph(_floats(backend["center"]),
-                                         _floats(backend["directions"]),
-                                         _floats(backend["radii"]),
-                                         backend.get("simplices"),
-                                         chart=chart)
-    raise InvalidInputError(f"unknown backend type {kind!r}")
+    return make(*args, chart=chart)
 
 
 def load_domain(path) -> ConvexDomain:
@@ -162,7 +174,7 @@ def sequence_to_dict(seq: RepSequence):
 
 def mesh_from_dict(data) -> SimplicialHypersurface:
     try:
-        return SimplicialHypersurface(_floats(data["vertices"]), data["simplices"])
+        return SimplicialHypersurface(_floats(data["vertices"]), _ints(data["simplices"]))
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"malformed mesh object: {exc}") from exc
 

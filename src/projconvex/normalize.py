@@ -73,11 +73,9 @@ def box_sandwich(dom: ConvexDomain) -> BoxSandwich:
     corners = np.array(list(product((-1.0, 1.0), repeat=n)))
     inner_scale = float(b.chord_params(np.zeros(n), corners)[1].min())
     k = max(outer, 1.0 / inner_scale, 1.0)
-    # certify both containments at the returned constant
+    # k bounds outer, so only the inner containment needs certifying
     if b.contains_margin(corners / k).min() < -TOL.matrix:
         raise DegenerateDomainError("inner box certification failed")
-    if outer > k * (1.0 + 1e-12):
-        raise DegenerateDomainError("outer box certification failed")
     return BoxSandwich(k, k, float(outer), float(inner_scale))
 
 
@@ -277,41 +275,33 @@ def analyze_sequence(seq: RepSequence) -> DegenerationReport:
         pre = minimal_rotation(dom.chart.infinity, pole) @ sc.rotation.matrix
         dom1 = dom.transform(ProjTransform(pre), chart=std)
         m1 = moments(dom1)
-        _, vecs = _ordered_eig(m1.second_moment)
-        alpha = np.eye(n1)
-        alpha[:n, :n] = vecs.T
-        alpha_full = alpha @ pre
-        dom2 = dom1.transform(ProjTransform(alpha), chart=std)
-        m2 = moments(dom2)
-        q_diag = np.diag(m2.second_moment)
-        d = 1.0 / np.sqrt(q_diag)
+        # rotating onto the moment axes makes the second moment diag(w) and
+        # keeps the centroid's norm, so the rotated term needs no measuring:
+        # one map takes dom1 to isotropic scale along the axes
+        w, vecs = _ordered_eig(m1.second_moment)
+        d = 1.0 / np.sqrt(w)
         d_full = np.append(d, 1.0)
-        iso_domains.append(_affine_image(dom2, np.diag(d), np.zeros(n)))
-        b_tup = []
-        raw_max = 0.0
-        corner_dev = 0.0
-        for a_mat in tup:
-            a_hat = alpha_full @ a_mat @ alpha_full.T
-            b_mat = d_full[:, None] * a_hat / d_full[None, :]
-            corner_dev = max(corner_dev, abs(b_mat[-1, -1] - a_hat[-1, -1]))
-            raw_max = max(raw_max, float(np.max(np.abs(a_mat))))
-            b_tup.append(b_mat)
+        iso_domains.append(_affine_image(dom1, d[:, None] * vecs.T, np.zeros(n)))
+        alpha_full = np.eye(n1)
+        alpha_full[:n, :n] = vecs.T
+        alpha_full = alpha_full @ pre
+        a_tup = np.array(tup)
+        a_hat = alpha_full @ a_tup @ alpha_full.T
+        b_tup = d_full[:, None] * a_hat / d_full[None, :]
         tuples.append(b_tup)
         steps.append(StepRecord(
             k=k,
             center_residual=sc.residual,
-            centroid_norm=float(np.linalg.norm(m2.centroid)),
+            centroid_norm=float(np.linalg.norm(m1.centroid)),
             d_entries=d,
             d_norm=float(np.max(d_full)),
-            max_entry=float(max(np.max(np.abs(b)) for b in b_tup)),
-            raw_max_entry=raw_max,
-            corner_dev=float(corner_dev),
+            max_entry=float(np.max(np.abs(b_tup))),
+            raw_max_entry=float(np.max(np.abs(a_tup))),
+            corner_dev=float(np.max(np.abs(b_tup[:, -1, -1] - a_hat[:, -1, -1]))),
         ))
 
-    residuals = []
-    for prev, cur in zip(tuples, tuples[1:]):
-        residuals.append(max(float(np.max(np.abs(b - a)))
-                             for a, b in zip(prev, cur)))
+    residuals = [float(np.max(np.abs(cur - prev)))
+                 for prev, cur in zip(tuples, tuples[1:])]
     dirs = _sphere_directions(n, 32)
     domain_residuals = [support_residual(a, b, dirs)
                         for a, b in zip(iso_domains, iso_domains[1:])]

@@ -97,24 +97,54 @@ def test_malformed_file_exit_code(tmp_path, capsys):
                    '"vertices": [[0, 0], [1, 0], [0, 1]]}}')
     res = dispatch(["domain", "validate", "--domain", str(nan)])
     assert res.exit_code == 2
+    bare = tmp_path / "bare.json"   # a backend without its fields
+    bare.write_text('{"chart": [0, 0, 1], "backend": {"type": "hpoly"}}')
+    res = dispatch(["domain", "validate", "--domain", str(bare)])
+    assert res.exit_code == 2
+    assert "malformed domain object" in capsys.readouterr().out
 
 
 def test_integer_beyond_float_range_is_an_input_error(tmp_path, capsys):
     # json.loads keeps a 401-digit integer exact; the float conversion of the
-    # domain, matrix and sequence loaders makes it an input error (exit 2)
+    # domain, matrix and sequence loaders and the index conversion of mesh
+    # and radial-graph simplices make it an input error (exit 2)
     big = "1" + "0" * 400
+    radial = ('{"chart": [0, 0, 1], "backend": {"type": "radialgraph", '
+              '"center": [0, 0], "directions": [[1, 0], [-1, 1], [-1, -1]], '
+              f'"radii": [1, 1, 1], "simplices": [[0, 1], [1, 2], [2, {big}]]}}}}')
     files = {"domain": f'{{"chart": [0, 0, {big}], "backend": {{"type": "vpoly", '
                        f'"vertices": [[0, 0], [1, 0], [0, 1]]}}}}',
              "matrix": f'{{"matrix": [[{big}, 0, 0], [0, 1, 0], [0, 0, 1]]}}',
-             "seq": f'{{"generators": ["a"], "terms": [[[[{big}]]]]}}'}
+             "seq": f'{{"generators": ["a"], "terms": [[[[{big}]]]]}}',
+             "mesh": '{"vertices": [[-1, 2], [0, 1], [1, 2]], '
+                     f'"simplices": [[0, 1], [1, {big}]]}}',
+             "radial": radial}
     for name, text in files.items():
         (tmp_path / f"{name}.json").write_text(text)
     paths = {name: str(tmp_path / f"{name}.json") for name in files}
-    for argv in (["domain", "validate", "--domain", paths["domain"]],
-                 ["normalize", "boxcheck", "--matrix", paths["matrix"], "--K", "2"],
-                 ["normalize", "sequence", "--seq", paths["seq"]]):
+    for argv, kind in (
+            (["domain", "validate", "--domain", paths["domain"]], "float"),
+            (["normalize", "boxcheck", "--matrix", paths["matrix"], "--K", "2"], "float"),
+            (["normalize", "sequence", "--seq", paths["seq"]], "float"),
+            (["plconvex", "check", "--mesh", paths["mesh"]], "integer"),
+            (["normalize", "moments", "--domain", paths["radial"]], "integer")):
         assert dispatch(argv).exit_code == 2
-        assert "beyond the float range" in capsys.readouterr().out
+        assert f"beyond the {kind} range" in capsys.readouterr().out
+
+
+def test_radial_graph_simplex_index_out_of_range(tmp_path, capsys):
+    # checked at construction: the surface check and the moments would
+    # otherwise read a direction that is not there, or none at all
+    path = tmp_path / "radial.json"
+    jsonio.dump_file({"chart": [0, 0, 1], "backend": {
+        "type": "radialgraph", "center": [0, 0],
+        "directions": [[1, 0], [-1, 1], [-1, -1]], "radii": [1, 1, 1],
+        "simplices": [[0, 1], [1, 2], [2, 7]]}}, path)
+    for op in ("validate", "moments"):
+        module = "domain" if op == "validate" else "normalize"
+        assert dispatch([module, op, "--domain", str(path)]).exit_code == 1
+        out = capsys.readouterr().out
+        assert "error[invalid-input]" in out and "direction indices" in out
 
 
 def test_complex_error_data_reaches_the_report(disk_file, tmp_path, capsys):

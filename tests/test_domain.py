@@ -346,23 +346,31 @@ def test_random_polytope_backends_agree(n):
 
 def test_one_hull_per_vertex_list(monkeypatch):
     # the qhull run that checks a vertex list's convex position also gives
-    # the facets that the first query reads
+    # the facets that the first query reads; a half-space list's vertices
+    # come from its one intersection run
     import scipy.spatial
 
     built = []
-    real = scipy.spatial.ConvexHull
+    for name in ("ConvexHull", "HalfspaceIntersection"):
+        real = getattr(scipy.spatial, name)
 
-    def counted(*args, **kwargs):
-        built.append(1)
-        return real(*args, **kwargs)
+        def counted(*args, real=real, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.spatial, "ConvexHull", counted)
+        monkeypatch.setattr(scipy.spatial, name, counted)
     ang = 2 * np.pi * np.arange(24) / 24
     polygon = dm.ConvexDomain.from_vertices(np.stack([np.cos(ang), np.sin(ang)], 1))
     hb.distance(polygon, [0.1, 0.2], [-0.3, 0.4])
     assert len(built) == 1
     hb.distance(dm.disk_polygon(24), [0.1, 0.2], [-0.3, 0.4])
     assert len(built) == 2
+    ang = 2 * np.pi * np.arange(12) / 12
+    dodecagon = dm.ConvexDomain.from_halfspaces(
+        np.stack([np.cos(ang), np.sin(ang)], 1), np.ones(12))
+    hb.distance(dodecagon, [0.1, 0.2], [-0.3, 0.4])
+    assert len(dodecagon.backend.verts) == 12
+    assert len(built) == 3
 
 
 def test_json_round_trip(any_domain):

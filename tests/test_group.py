@@ -269,17 +269,26 @@ def _klein_area(vertices):
     return (len(v) - 2) * np.pi - angles
 
 
-@pytest.mark.parametrize("pqr", [(3, 3, 4), (4, 4, 4), (2, 3, 7)])
-def test_dirichlet_gauss_bonnet_area(pqr):
+_GROUPS = [(3, 3, 4), (4, 4, 4), (2, 3, 7)]
+_SHIFTS = [0.0, 1e-15, -1e-15, 2e-15, 1e-14, -1e-14, 1e-13]
+
+
+@pytest.mark.parametrize(
+    "pqr, shift", [(g, s) for g in _GROUPS for s in _SHIFTS],
+    ids=[f"pqr{i}" + (f"-shift{s:+.0e}" if s else "")
+         for i in range(len(_GROUPS)) for s in _SHIFTS])
+def test_dirichlet_gauss_bonnet_area(pqr, shift):
     # the rotation subgroup has index 2 in the (p, q, r) triangle group, so
-    # its fundamental polygon has twice the triangle's area
+    # its fundamental polygon has twice the triangle's area; base points a
+    # few ulps apart give the same polygon, with no spurious near-double
+    # vertex where several bisectors meet
     p, q, r = pqr
     r1, r2, r3 = triangle_group(p, q, r)
     gens = [ProjTransform(r1 @ r2), ProjTransform(r2 @ r3)]
     cone = dm.klein_disk().cone()
     want = 2.0 * np.pi * (1.0 - 1.0 / p - 1.0 / q - 1.0 / r)
     for depth in (2, 3, 4):
-        dd = gp.dirichlet_domain(cone, gens, np.array([0.05, 0.03, 1.0]), depth)
+        dd = gp.dirichlet_domain(cone, gens, np.array([0.05 + shift, 0.03, 1.0]), depth)
         assert all(f.label != "cone" for f in dd.facets)
         assert abs(_klein_area(dd.vertices) - want) <= 1e-12
         assert dd.stable or depth == 2

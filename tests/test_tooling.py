@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from projconvex import cli, domain as dm, hilbert as hb, jsonio
-from projconvex import plconvex as pl, vinberg as vb
+from conftest import rotation, triangle_group
+from projconvex import cli, domain as dm, group as gp, hilbert as hb, jsonio
+from projconvex import normalize as nm, plconvex as pl, vinberg as vb
 from projconvex.errors import OutsideDualConeError
+from projconvex.projgeom import ProjTransform
 
 ROOT = Path(__file__).resolve().parents[1]
 ENV = {**os.environ,
@@ -184,6 +186,52 @@ def test_newton_trials_make_no_dual_margin_call(monkeypatch):
         assert vb.spherical_center(dom).iterations > 1
     assert pl.pl_characteristic_surface(dm.unit_disk(), 48).certificate.ok
     assert not [d for d in calls if d]
+
+
+def test_dirichlet_domain_makes_one_fiber_solve(monkeypatch):
+    # the characteristic point and the tangent functional at it both come
+    # from the fiber solve on the base point's unit ray, by homogeneity
+    newton = vb._newton
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return newton(*args)
+
+    monkeypatch.setattr(vb, "_newton", counted)
+    r1, r2, r3 = triangle_group(3, 3, 4)
+    gens = [ProjTransform(r1 @ r2), ProjTransform(r2 @ r3)]
+    dd = gp.dirichlet_domain(dm.klein_disk().cone(), gens,
+                             np.array([0.05, 0.03, 1.0]), 3)
+    assert dd.stable and len(calls) == 1
+
+
+def test_sequence_analysis_measures_each_term_once(monkeypatch):
+    # each term is charted once and measured once: the rotation onto the
+    # moment axes has the second moment diag(w) in closed form, and the
+    # rotation and the isotropic scaling are one map
+    remap, moments = dm._remap, nm.moments
+    calls = {"remap": 0, "moments": 0}
+
+    def counted_remap(*args):
+        calls["remap"] += 1
+        return remap(*args)
+
+    def counted_moments(dom):
+        calls["moments"] += 1
+        return moments(dom)
+
+    monkeypatch.setattr(dm, "_remap", counted_remap)
+    monkeypatch.setattr(nm, "_remap", counted_remap)
+    monkeypatch.setattr(nm, "moments", counted_moments)
+    doms = [dm.ConvexDomain.ellipsoid([0.1, 0.0], [[1.0, 0.2], [0.2, k * k]])
+            for k in (1.0, 2.0)]
+    doms += [dm.disk_polygon(12), dm.square_domain(), dm.ConvexDomain.from_halfspaces(
+        [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [1.0, 1.0, 0.5])]
+    terms = [[np.eye(3), rotation(0.3)] for _ in doms]
+    rep = nm.analyze_sequence(nm.RepSequence(["a", "b"], terms, doms))
+    assert len(rep.steps) == len(doms)
+    assert calls == {"remap": 2 * len(doms), "moments": len(doms)}
 
 
 def test_conic_slice_rejects_the_opposite_nappe():
