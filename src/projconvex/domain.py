@@ -4,13 +4,14 @@ A domain is a chart (hyperplane at infinity plus cached frame) and a backend
 holding the set in chart coordinates: an ellipsoid, with closed forms, or a
 polytope.  One class holds a polytope in two forms, unit-normal half-spaces
 and a vertex array, and computes the form its constructor did not set on
-first use: a vertex list's facets from the one qhull run that also checks
-its convex position, a half-space list's vertices around its Chebyshev
-center.  Its constructors keep the input kinds: half-space lists, vertex
-lists and radial graphs (PL star-shaped regions used for numerically
-computed hypersurfaces, whose surface points are the vertices).  Every
-polytope query is exact: predicates and chords read the facets, supports
-and radii the vertices, and moments the simplices of a triangulation.
+first use: a vertex list's facets from the hull that also checks its convex
+position (closed forms in chart dimensions 1 and 2, one qhull run above), a
+half-space list's vertices around its Chebyshev center.  Its constructors
+keep the input kinds: half-space lists, vertex lists and radial graphs (PL
+star-shaped regions used for numerically computed hypersurfaces, whose
+surface points are the vertices).  Every polytope query is exact:
+predicates and chords read the facets, supports and radii the vertices, and
+moments the simplices of a triangulation (a fan in 2-d).
 Chart moments and the cone's slice moments (vinberg) use one kernel,
 `_simplex_moments`, since the chart is the unit slice of its own functional;
 the cone caches |det P_sigma| of each lifted simplex, so a slice's simplex
@@ -22,8 +23,8 @@ constraints) share two kernels: facets move as the functionals of
 target chart whose hyperplane cuts the image raises instead of returning a
 wrong domain.  Half-space domains and group's Dirichlet polytopes take their
 vertices from one kernel, `_halfspace_vertices`.  scipy is imported inside
-the calls that use it: it would be most of a cold start, and ellipsoids need
-none of it.
+the calls that use it, since it would be most of a cold start: ellipsoids
+and polygons (vertex lists and radial graphs in 2-d) need none of it.
 """
 
 from dataclasses import dataclass
@@ -179,7 +180,8 @@ def _halfspace_vertices(normals, offsets, interior):
         pts = HalfspaceIntersection(np.hstack([normals, -offsets[:, None]]),
                                     interior).intersections
     except (QhullError, ValueError) as exc:
-        raise NotProperlyConvexError(f"half-space intersection failed: {exc}") from exc
+        raise NotProperlyConvexError(
+            f"half-space intersection failed: {_first_line(exc)}") from exc
     if not np.all(np.isfinite(pts)):
         raise NotProperlyConvexError("half-space data is unbounded")
     rel = pts - interior
@@ -187,7 +189,7 @@ def _halfspace_vertices(normals, offsets, interior):
                                      output_type="ndarray")
     keep = np.setdiff1d(np.arange(len(pts)), pairs[:, 1])   # first of each
     if pts.shape[1] == 2:
-        keep = keep[np.argsort(np.arctan2(rel[keep, 1], rel[keep, 0]))]
+        keep = keep[_ccw_order(rel[keep])]
     return pts[keep]
 
 
@@ -200,20 +202,68 @@ def _unit_halfspaces(normals, offsets):
     return normals / norms[:, None], offsets / norms
 
 
+def _first_line(exc):
+    """qhull's message without the diagnostic (and per-process run id) after it."""
+    return str(exc).partition("\n")[0]
+
+
+def _ccw_order(rel):
+    """Indices of the rows of an (N, 2) array of vectors (points less an
+    interior point) in counterclockwise order of angle from -pi; equal
+    angles keep their index order."""
+    return np.argsort(np.arctan2(rel[:, 1], rel[:, 0]), kind="stable")
+
+
+def _convex_polygon(verts):
+    """Indices of the extreme points of a 2-d point list, counterclockwise
+    about its mean: the corners of that star polygon that turn left.  Each
+    round drops the later index of neighbours within TOL.flatness of the
+    data's size, or else the corners within that of their neighbours'
+    chord or beyond it; collinear points raise NotProperlyConvexError."""
+    rel = verts - verts.sum(axis=0) / len(verts)
+    tol = TOL.flatness * np.abs(rel).max()
+    idx = _ccw_order(rel)
+    while len(idx) >= 3:
+        ring = np.concatenate((idx[-1:], idx, idx[:1]))
+        p = rel[ring]
+        e = p[1:] - p[:-1]   # e[i] and e[i + 1] go into and out of point i
+        into, out = e[:-1], e[1:]
+        near = np.hypot(into[:, 0], into[:, 1]) <= tol
+        if near.any():
+            later = idx > ring[:-2]
+            drop = (near & later) | np.roll(near & ~later, -1)
+        else:
+            turn = into[:, 0] * out[:, 1] - into[:, 1] * out[:, 0]
+            chord = into + out
+            drop = turn <= tol * np.hypot(chord[:, 0], chord[:, 1])
+            if not drop.any():
+                return idx
+        idx = idx[~drop]
+    raise NotProperlyConvexError("degenerate vertex data: the points are collinear")
+
+
 def _vertex_hull(verts):
     """Unit facets (normals, offsets) of the hull of a vertex list and the
-    indices of its extreme points, from one qhull run; in 1-d the facets of
-    the min and the max (extreme indices None)."""
+    indices of its extreme points: in 1-d the facets of the min and the max
+    (extreme indices None), in 2-d the edges between the extreme points in
+    counterclockwise order, above that from one qhull run."""
     if verts.shape[1] == 1:
         lo, hi = float(np.min(verts)), float(np.max(verts))
         return (*_unit_halfspaces(np.array([[1.0], [-1.0]]), np.array([hi, -lo])),
                 None)
+    if verts.shape[1] == 2:
+        idx = _convex_polygon(verts)
+        p = verts[idx]
+        e = np.concatenate((p[1:], p[:1])) - p
+        normals = e[:, ::-1] * [1.0, -1.0] / np.hypot(e[:, 0], e[:, 1])[:, None]
+        return normals, (normals * p).sum(axis=1), idx
     from scipy.spatial import ConvexHull, QhullError
 
     try:
         hull = ConvexHull(verts)
     except (QhullError, ValueError) as exc:
-        raise NotProperlyConvexError(f"degenerate vertex data: {exc}") from exc
+        raise NotProperlyConvexError(
+            f"degenerate vertex data: {_first_line(exc)}") from exc
     eq = hull.equations
     return (*_unit_halfspaces(eq[:, :-1], -eq[:, -1]), hull.vertices)
 
@@ -222,19 +272,22 @@ def _vertex_hull(verts):
 # chord kernels, one per backend family
 
 
-def _facet_chord(normals, num, d):
+def _facet_chord(normals, num, d, step=None):
     """Chord parameters (t_lo, t_hi) of the line x + t d in a polytope, from
     the facet slack num = b - A x of its base point.
 
     A facet with |a . d| <= cut is parallel to the line; the cut scales with
-    |d| so that a short direction keeps its facets.
+    |d| (`step`, computed here unless the caller has it) so that a short
+    direction keeps its facets.
     """
     d = np.asarray(d, dtype=float)
+    if step is None:
+        step = np.sqrt(_dot(d, d))
     if num.ndim == 1 and d.ndim == 1:
         # one line: a loop over Python floats beats the masked reduction on
         # the few facets of a typical polytope
         den = (normals @ d).tolist()
-        cut = float(TOL.exact * np.sqrt(np.dot(d, d)))
+        cut = float(TOL.exact * step)
         t_hi, t_lo = inf, -inf
         for ni, di in zip(num.tolist(), den):
             if di > cut:
@@ -249,7 +302,7 @@ def _facet_chord(normals, num, d):
             raise NotProperlyConvexError("line does not exit the region")
         return t_lo, t_hi
     den = _matvec(normals, d)
-    cut = TOL.exact * np.sqrt(_dot(d, d))[..., None]
+    cut = TOL.exact * step[..., None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = num / den
     t_hi = np.where(den > cut, t, np.inf).min(axis=-1)
@@ -281,12 +334,14 @@ class _PolytopeBackend:
     a_i . x < b_i (`normals`, `offsets`) and the vertex array `verts`.
 
     Each constructor sets one form; the other is computed on first use.
-    The facets of a vertex list come from the one qhull run that also checks
-    its convex position (`_hull`, the min and max in 1-d); the vertices of a
+    The facets of a vertex list come from the hull that also checks its
+    convex position (`_hull`: the min and max in 1-d, the counterclockwise
+    extreme points in 2-d, one qhull run above); the vertices of a
     half-space list from their intersection around its Chebyshev center.
     Predicates and chords read the facets, supports and radii the vertices,
     and moments a triangulation: the fan about `center` over the given
-    `simplices` (radial graphs), else Delaunay's of the vertices.
+    `simplices` (radial graphs), else the fan from the first extreme point
+    in 2-d and Delaunay's of the vertices above.
     """
 
     simplices = None
@@ -352,11 +407,12 @@ class _PolytopeBackend:
         x = np.asarray(x, dtype=float)
         return _facet_chord(self.normals, self.offsets - _matvec(self.normals, x), d)
 
-    def segment_chord(self, x, y, d):
+    def segment_chord(self, x, y, d, step=None):
         """`chord_params(x, d)` for the line through x and y = x + d, after
         checking that x and then y are inside (InvalidInputError naming the
-        point).  x's facet slack serves both its check and the chord.
-        One pair or (N, n) stacks, row by row the one-pair values.
+        point).  x's facet slack serves both its check and the chord; `step`
+        is |d| if the caller has it.  One pair or (N, n) stacks, row by row
+        the one-pair values.
         """
         x = np.asarray(x, dtype=float)
         slack = self.offsets - _matvec(self.normals, x)
@@ -364,7 +420,7 @@ class _PolytopeBackend:
             raise InvalidInputError("point x is not inside the domain")
         if _any(self.contains_margin(y) <= 0):
             raise InvalidInputError("point y is not inside the domain")
-        return _facet_chord(self.normals, slack, d)
+        return _facet_chord(self.normals, slack, d, step)
 
     def supporting_facets(self, x, tol):
         slack = self.offsets - self.normals @ np.asarray(x, dtype=float)
@@ -394,7 +450,8 @@ class _PolytopeBackend:
     def chart_triangulation(self):
         if self._tri is None:
             if self.simplices is None:
-                self._tri = _triangulate(self.verts)
+                self._tri = _triangulate(self.verts,
+                                         self._hull[2] if self.dim == 2 else None)
             else:
                 pts = np.vstack([self.center[None, :], self.verts])
                 simps = np.array([[0] + [i + 1 for i in s] for s in self.simplices],
@@ -549,9 +606,9 @@ class EllipsoidBackend:
         um, q = self._quadric(x)
         return _conic_chord(um, q - 1.0, d, self.shape_matrix)
 
-    def segment_chord(self, x, y, d):
+    def segment_chord(self, x, y, d, step=None):
         """As `_PolytopeBackend.segment_chord`; x's quadric form serves both
-        its check and the chord."""
+        its check and the chord, which needs no |d|."""
         um, q = self._quadric(x)
         if _any(self._margin(q) <= 0):
             raise InvalidInputError("point x is not inside the domain")
@@ -627,9 +684,8 @@ class RadialGraphBackend(_PolytopeBackend):
     def _default_simplices(self):
         if self.dim != 2:
             raise InvalidInputError("simplices required for radial graphs off the circle")
-        order = np.argsort(np.arctan2(self.directions[:, 1], self.directions[:, 0]))
-        return [(int(order[i]), int(order[(i + 1) % len(order)]))
-                for i in range(len(order))]
+        order = _ccw_order(self.directions)
+        return np.stack([order, np.roll(order, -1)], axis=1)
 
     def to_json(self):
         return {"type": "radialgraph", "center": self.center.tolist(),
@@ -641,18 +697,21 @@ def _ball_volume(n):
     return pi ** (n / 2.0) / gamma(n / 2.0 + 1.0)
 
 
-def _triangulate(vertices):
-    v = np.asarray(vertices, dtype=float)
-    n = v.shape[1]
-    if n == 1:
+def _triangulate(v, ccw):
+    """Triangulation (points, simplices) of the hull of a vertex array:
+    consecutive pairs of the sorted points in 1-d; in 2-d the fan from the
+    first of the extreme indices ccw, given counterclockwise (n - 2
+    triangles, as many as Delaunay gives a convex n-gon); Delaunay's above."""
+    if v.shape[1] == 1:
         order = np.argsort(v[:, 0])
         pts = v[order]
         simps = np.array([[i, i + 1] for i in range(pts.shape[0] - 1)], dtype=int)
         return pts, simps
+    if v.shape[1] == 2:
+        return v, np.stack([np.full(len(ccw) - 2, ccw[0]), ccw[1:-1], ccw[2:]], axis=1)
     from scipy.spatial import Delaunay
 
-    tri = Delaunay(v)
-    return v, tri.simplices
+    return v, Delaunay(v).simplices
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ def _distance_and_chord(dom: ConvexDomain, xc, yc):
     step = np.sqrt(d.dot(d))  # np.linalg.norm(d), without its overhead
     if step <= TOL.exact:
         return 0.0, None, None
-    t_lo, t_hi = dom.backend.segment_chord(xc, yc, d)
+    t_lo, t_hi = dom.backend.segment_chord(xc, yc, d, step)
     return _cross_ratio(t_lo, t_hi, step), t_lo, t_hi
 
 
@@ -85,7 +85,7 @@ def distances(dom: ConvexDomain, xs, ys):
     if not live.any():
         return out
     try:
-        t_lo, t_hi = dom.backend.segment_chord(xs[live], ys[live], d[live])
+        t_lo, t_hi = dom.backend.segment_chord(xs[live], ys[live], d[live], step[live])
         out[live] = _cross_ratio(t_lo, t_hi, step[live])
     except GeometryError:
         for x, y in zip(xs, ys):  # raises at the first failing row

@@ -69,10 +69,4 @@ def domain_outline(dom, samples=256):
         vals, vecs = np.linalg.eigh(b.shape_matrix)
         half = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
         return b.center[None, :] + dirs @ half
-    # a radial graph about its center, the others about their vertex mean: a
-    # half-space list's Chebyshev center would start the loop at another vertex
-    verts = b.vertices()
-    center = b.center if b.kind == "radialgraph" else verts.mean(axis=0)
-    order = np.argsort(np.arctan2(verts[:, 1] - center[1],
-                                  verts[:, 0] - center[0]))
-    return verts[order]
+    return b.verts[b._hull[2]]   # the extreme points, counterclockwise

@@ -345,13 +345,14 @@ def test_random_polytope_backends_agree(n):
 
 
 def test_one_hull_per_vertex_list(monkeypatch):
-    # the qhull run that checks a vertex list's convex position also gives
-    # the facets that the first query reads; a half-space list's vertices
-    # come from its one intersection run
+    # a polygon's hull and fan have closed forms: the 24-gon, as a vertex list
+    # or a radial graph, runs no qhull for its check, facets and moments; the
+    # qhull run that checks a 3-d vertex list gives the facets the first
+    # query reads, and a half-space list's vertices come from one run
     import scipy.spatial
 
     built = []
-    for name in ("ConvexHull", "HalfspaceIntersection"):
+    for name in ("ConvexHull", "HalfspaceIntersection", "Delaunay"):
         real = getattr(scipy.spatial, name)
 
         def counted(*args, real=real, **kwargs):
@@ -361,16 +362,98 @@ def test_one_hull_per_vertex_list(monkeypatch):
         monkeypatch.setattr(scipy.spatial, name, counted)
     ang = 2 * np.pi * np.arange(24) / 24
     polygon = dm.ConvexDomain.from_vertices(np.stack([np.cos(ang), np.sin(ang)], 1))
-    hb.distance(polygon, [0.1, 0.2], [-0.3, 0.4])
+    for dom in (polygon, dm.disk_polygon(24)):
+        hb.distance(dom, [0.1, 0.2], [-0.3, 0.4])
+        dom.backend.moments()
+    assert len(built) == 0
+    pts = np.random.default_rng(5).normal(size=(9, 3))
+    solid = dm.ConvexDomain.from_vertices(pts / np.linalg.norm(pts, axis=1)[:, None])
+    hb.distance(solid, [0.1, 0.2, 0.0], [-0.3, 0.1, 0.2])
     assert len(built) == 1
-    hb.distance(dm.disk_polygon(24), [0.1, 0.2], [-0.3, 0.4])
-    assert len(built) == 2
     ang = 2 * np.pi * np.arange(12) / 12
     dodecagon = dm.ConvexDomain.from_halfspaces(
         np.stack([np.cos(ang), np.sin(ang)], 1), np.ones(12))
     hb.distance(dodecagon, [0.1, 0.2], [-0.3, 0.4])
     assert len(dodecagon.backend.verts) == 12
-    assert len(built) == 3
+    assert len(built) == 2
+
+
+def _with_degenerate_points(rng, pts):
+    """pts with one or more of: a repeated vertex, a point on an edge, an
+    interior point and a point 1e-17 outside an edge, each at a random
+    index; the kinds drawn are returned too."""
+    k = len(pts)
+    kinds = [kind for kind in ("repeat", "on-edge", "interior", "off-edge")
+             if rng.random() < 0.5]
+    for kind in kinds:
+        i = rng.integers(k)
+        a, b = pts[i], pts[(i + 1) % k]
+        if kind == "repeat":
+            q = a
+        elif kind == "interior":
+            q = rng.dirichlet(np.ones(k)) @ pts[:k]
+        else:
+            t = rng.uniform(0.1, 0.9)
+            q = (1 - t) * a + t * b
+            if kind == "off-edge":
+                q = q + 1e-17 * np.array([b[1] - a[1], a[0] - b[0]])
+        pts = np.insert(pts, rng.integers(len(pts) + 1), q, axis=0)
+    return pts, kinds
+
+
+def _assert_hull_is_qhulls(verts, hull):
+    """The facets match qhull's as a set within 1e-12 and the extreme indices
+    exactly; of a point repeated within 1e-12, whose copy qhull keeps varies
+    with its processing order, the first copy is the extreme one."""
+    normals, offsets, extreme = hull
+    ref = ConvexHull(verts)
+    first = (np.abs(verts[:, None] - verts[None]).max(axis=2) <= 1e-12).argmax(axis=1)
+    assert sorted(extreme) == sorted(set(first[ref.vertices]))
+    ours = np.hstack([normals, offsets[:, None]])
+    theirs = np.hstack([ref.equations[:, :-1], -ref.equations[:, -1:]])
+    gap = np.abs(ours[:, None, :] - theirs[None, :, :]).max(axis=2)
+    assert len(ours) == len(theirs)
+    assert gap.min(axis=1).max() <= 1e-12 and gap.min(axis=0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_polygon_hull_and_fan_match_qhull_and_delaunay(seed):
+    # the closed-form 2-d hull gives qhull's facets and extreme points, on
+    # vertex lists and radial graphs, also with repeated, edge, interior and
+    # near-edge points; the fan over the extreme points has Delaunay's moments
+    from scipy.spatial import Delaunay
+
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(3, 13))
+    ang = np.sort(rng.uniform(0.0, 2 * np.pi, k))
+    if np.max(np.diff(np.append(ang, ang[0] + 2 * np.pi))) >= np.pi:
+        ang = 2 * np.pi * (np.arange(k) + rng.uniform(-0.3, 0.3, k)) / k
+    oval = np.stack([np.cos(ang), np.sin(ang)], 1) * rng.uniform(0.3, 3.0, 2)
+    oval = oval + rng.uniform(-2.0, 2.0, 2)
+    pts, kinds = _with_degenerate_points(rng, oval)
+    vpoly = dm.VPolyBackend(pts, check=False)
+    _assert_hull_is_qhulls(pts, vpoly._hull)
+    rv = pts[Delaunay(pts).simplices]
+    vol, mu, e2 = dm._simplex_moments(rv, np.abs(np.linalg.det(rv[:, 1:] - rv[:, :1])) / 2)
+    got = vpoly.moments()
+    assert abs(got[0] - vol) <= 1e-12
+    assert np.abs(got[1] - mu).max() <= 1e-12
+    assert np.abs(got[2] - (e2 - np.outer(mu, mu))).max() <= 1e-12
+    center = oval.mean(axis=0)
+    radial = dm.RadialGraphBackend(center, pts - center,
+                                   np.linalg.norm(pts - center, axis=1), check=False)
+    _assert_hull_is_qhulls(radial.verts, radial._hull)
+    if kinds:
+        with pytest.raises(NotProperlyConvexError) as err:
+            dm.ConvexDomain.from_vertices(pts)
+        inner = set(range(len(pts))) - set(vpoly._hull[2])
+        assert err.value.data["witness"]["non_extreme_indices"] == sorted(inner)
+    else:
+        dm.ConvexDomain.from_vertices(pts)
+    line = rng.normal(size=2) + rng.uniform(-2, 2, (k, 1)) * rng.normal(size=2)
+    for flat in (line, np.repeat(pts[:1], 3, axis=0)):
+        with pytest.raises(NotProperlyConvexError):
+            dm.ConvexDomain.from_vertices(flat)
 
 
 def test_json_round_trip(any_domain):

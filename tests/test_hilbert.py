@@ -439,9 +439,9 @@ def test_geodesic_makes_one_chord_call(square, monkeypatch):
     calls = []
     segment_chord = square.backend.segment_chord
 
-    def counted(x, y, d):
+    def counted(*args):
         calls.append(1)
-        return segment_chord(x, y, d)
+        return segment_chord(*args)
 
     monkeypatch.setattr(square.backend, "segment_chord", counted)
     pts = hb.geodesic(square, [0.3, -0.2], [-0.5, 0.6], 4)

@@ -94,18 +94,56 @@ def test_ellipsoid_command_runs_without_scipy(tmp_path, command):
     assert not [m for m in loaded if m.split(".")[0] == "scipy"]
 
 
-def test_hull_and_mesh_commands_load_scipy_at_first_use(tmp_path):
+@pytest.mark.parametrize("command", [
+    ["domain", "dual", "--domain", "pentagon.json"],
+    ["hilbert", "dist", "--domain", "tri.json", "--x", "0.2,0.2", "--y", "0.3,0.4"],
+    ["vinberg", "volume", "--domain", "pentagon.json", "--phi", "0,0,1"],
+    ["vinberg", "volume", "--domain", "radial.json", "--phi", "0,0,1"],
+    ["normalize", "moments", "--domain", "pentagon.json"],
+], ids=["domain-dual", "hilbert-dist", "vinberg-volume", "vinberg-volume-radial",
+        "normalize-moments"])
+def test_polygon_commands_load_no_scipy(tmp_path, command):
+    # a polygon's hull and fan triangulation have closed forms, so commands
+    # on 2-d vertex lists and radial graphs load no scipy module
+    ang = 2 * np.pi * np.arange(5) / 5
+    pentagon = dm.ConvexDomain.from_vertices(np.stack([np.cos(ang), np.sin(ang)], 1))
+    jsonio.dump_file(pentagon.to_json(), tmp_path / "pentagon.json")
     jsonio.dump_file(dm.triangle_domain().to_json(), tmp_path / "tri.json")
-    out, loaded = _cli(["hilbert", "dist", "--domain", "tri.json",
-                        "--x", "0.2,0.2", "--y", "0.3,0.4"], tmp_path)
-    expected = hb.distance(dm.triangle_domain(), [0.2, 0.2], [0.3, 0.4])
-    assert out.strip() == f"{expected:.6f}"
-    assert "scipy.spatial" in loaded
+    jsonio.dump_file(dm.disk_polygon(12).to_json(), tmp_path / "radial.json")
+    out, loaded = _cli(command, tmp_path)
+    if command[:2] == ["hilbert", "dist"]:
+        expected = hb.distance(dm.triangle_domain(), [0.2, 0.2], [0.3, 0.4])
+        assert out.strip() == f"{expected:.6f}"
+    assert out.strip()
+    assert f"projconvex.{command[0]}" in loaded
+    assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+
+
+def test_mesh_commands_load_scipy_at_first_use(tmp_path):
     jsonio.dump_file({"vertices": [[-1, 2], [0, 1], [1, 2]],
                       "simplices": [[0, 1], [1, 2]]}, tmp_path / "polyline.json")
     out, loaded = _cli(["plconvex", "check", "--mesh", "polyline.json"], tmp_path)
     assert "radial section: True" in out
     assert "scipy.spatial" in loaded
+
+
+def test_qhull_failure_report_is_the_same_in_every_process(tmp_path):
+    # qhull's diagnostic goes on with a run id that changes with each
+    # process; the error message keeps its first line only
+    jsonio.dump_file({"chart": [0, 0, 0, 1], "backend": {
+        "type": "vpoly", "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]}},
+        tmp_path / "flat.json")
+    reports = []
+    for i in range(2):
+        res = subprocess.run(
+            [sys.executable, "-m", "projconvex.cli", "domain", "validate",
+             "--domain", "flat.json", "--out", f"report{i}.json"],
+            cwd=tmp_path, env=ENV, capture_output=True, text=True, timeout=120)
+        assert res.returncode == 1
+        reports.append((tmp_path / f"report{i}.json").read_bytes())
+    assert reports[0] == reports[1]
+    message = jsonio.load_file(tmp_path / "report0.json")["error"]["message"]
+    assert message.startswith("degenerate vertex data: QH6154 ") and "\n" not in message
 
 
 def test_surface_build_commands(tmp_path):
@@ -131,9 +169,9 @@ def test_thin_triangle_makes_one_chord_call_per_search_step(monkeypatch):
     segment_chord = square.backend.segment_chord
     calls = []
 
-    def counted(x, y, d):
+    def counted(*args):
         calls.append(1)
-        return segment_chord(x, y, d)
+        return segment_chord(*args)
 
     monkeypatch.setattr(square.backend, "segment_chord", counted)
     res = hb.thin_triangle_delta(
