@@ -5,8 +5,10 @@ holding the set in chart coordinates: an ellipsoid, with closed forms, or a
 polytope.  One class holds a polytope in two forms, unit-normal half-spaces
 and a vertex array, and computes the form its constructor did not set on
 first use: a vertex list's facets from the hull that also checks its convex
-position (closed forms in chart dimensions 1 and 2, one qhull run above), a
-half-space list's vertices around its Chebyshev center.  Its constructors
+position, a half-space list's vertices from their intersection.  Both are
+closed forms in chart dimensions 1 and 2 (a polygon's facet lines are
+clipped by the other half-planes); above, one qhull run makes each, a 3-d
+half-space list's around its Chebyshev center (one LP).  Its constructors
 keep the input kinds: half-space lists, vertex lists and radial graphs (PL
 star-shaped regions used for numerically computed hypersurfaces, whose
 surface points are the vertices).  Every polytope query is exact:
@@ -24,7 +26,8 @@ target chart whose hyperplane cuts the image raises instead of returning a
 wrong domain.  Half-space domains and group's Dirichlet polytopes take their
 vertices from one kernel, `_halfspace_vertices`.  scipy is imported inside
 the calls that use it, since it would be most of a cold start: ellipsoids
-and polygons (vertex lists and radial graphs in 2-d) need none of it.
+and polygons (vertex lists, radial graphs and half-space lists in 2-d, so
+also polygons' duals and Dirichlet polygons) need none of it.
 """
 
 from dataclasses import dataclass
@@ -159,21 +162,31 @@ def _chart_images(chart, w):
     return (w @ chart.frame) / h[:, None], h
 
 
-def _halfspace_vertices(normals, offsets, interior):
-    """Vertices of the bounded intersection of the half-spaces a . x <= b
-    around a strictly interior point, counterclockwise about it in 2-d: in
-    1-d the min and max of b / a over the normals beyond +-TOL.exact, above
-    qhull's points merged within TOL.flatness of the polytope's size (a
-    vertex on more than n facets comes once per dual facet, ulps apart).
-    An unbounded intersection or a qhull failure raises
-    NotProperlyConvexError."""
+def _halfspace_vertices(normals, offsets, interior=None):
+    """Vertices of the bounded intersection of the half-spaces a . x <= b.
+
+    In 1-d they are the max and min of b / a over the normals below and
+    above +-TOL.exact; in 2-d the closed form of `_halfspace_polygon`,
+    counterclockwise about `interior` (default: their mean).  Above, qhull
+    intersects the half-spaces around the strictly interior point
+    `interior`, and its points are merged within TOL.flatness of the
+    polytope's size (a vertex on more than n facets comes once per dual
+    facet, ulps apart).  Unbounded, empty or flat data and qhull failures
+    raise NotProperlyConvexError; in 1-d and 2-d an unbounded intersection's
+    witness is a recession direction d, a . d <= TOL.exact for every unit a.
+    """
     if normals.shape[1] == 1:
         a = normals[:, 0]
         up, down = a > TOL.exact, a < -TOL.exact
         if not (up.any() and down.any()):
-            raise NotProperlyConvexError("half-space data is unbounded")
-        return np.array([[np.max(offsets[down] / a[down])],
-                         [np.min(offsets[up] / a[up])]])
+            raise NotProperlyConvexError("half-space data is unbounded",
+                                         witness=np.array([-1.0 if up.any() else 1.0]))
+        lo, hi = np.max(offsets[down] / a[down]), np.min(offsets[up] / a[up])
+        if lo >= hi:
+            raise NotProperlyConvexError("empty or flat half-space intersection")
+        return np.array([[lo], [hi]])
+    if normals.shape[1] == 2:
+        return _halfspace_polygon(normals, offsets, interior)
     from scipy.spatial import HalfspaceIntersection, QhullError, cKDTree
 
     try:
@@ -187,10 +200,52 @@ def _halfspace_vertices(normals, offsets, interior):
     rel = pts - interior
     pairs = cKDTree(rel).query_pairs(TOL.flatness * np.max(np.abs(rel)),
                                      output_type="ndarray")
-    keep = np.setdiff1d(np.arange(len(pts)), pairs[:, 1])   # first of each
-    if pts.shape[1] == 2:
-        keep = keep[_ccw_order(rel[keep])]
-    return pts[keep]
+    return pts[np.setdiff1d(np.arange(len(pts)), pairs[:, 1])]   # first of each
+
+
+def _halfspace_polygon(normals, offsets, interior=None):
+    """Vertices of the polygon a_i . x <= b_i, by clipping each facet line.
+
+    The line of facet i is p_i + t u_i, with p_i = b_i a_i for the unit
+    normal a_i and u_i = a_i turned by +90 degrees, so t runs
+    counterclockwise; every other half-plane bounds t from one side, or
+    (parallel to the line) keeps or empties it.  The intervals [lo_i, hi_i]
+    left are the edges, except that a facet through a vertex only has an
+    empty or zero-length one and a redundant facet none.  So the vertices
+    are the start points p_i + lo_i u_i in counterclockwise order of the
+    normals, where near-coincident ones are neighbours: of each run within
+    TOL.flatness of the data's size (max |start - their mean|) the first is
+    kept.  An infinite interval raises (unbounded; witness its
+    direction), as do fewer than three vertices (empty or flat).
+    """
+    a, b = _unit_halfspaces(normals, offsets)
+    u = a[:, ::-1] * [-1.0, 1.0]
+    p = b[:, None] * a
+    den = u @ a.T                 # den[i, j] = a_j . u_i
+    num = b - p @ a.T             # b_j - a_j . p_i: t den[i, j] <= num[i, j]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = num / den
+    hi = np.where(den > TOL.exact, t, inf).min(axis=1)
+    lo = np.where(den < -TOL.exact, t, -inf).max(axis=1)
+    shut = ((np.abs(den) <= TOL.exact)
+            & (num < -TOL.exact * (np.abs(b)[:, None] + np.abs(b))))
+    live = (lo <= hi) & ~shut.any(axis=1)
+    a, u, p, lo, hi = a[live], u[live], p[live], lo[live], hi[live]
+    ray = np.flatnonzero(~np.isfinite(hi - lo))
+    if ray.size:
+        i = ray[0]
+        raise NotProperlyConvexError("half-space data is unbounded",
+                                     witness=u[i] if hi[i] == inf else -u[i])
+    s = p + lo[:, None] * u
+    if len(s):
+        tol = TOL.flatness * np.abs(s - s.mean(axis=0)).max()
+        s = s[_ccw_order(a)]
+        step = s - np.roll(s, 1, axis=0)
+        s = s[np.hypot(step[:, 0], step[:, 1]) > tol]   # the first of each run
+    if len(s) < 3:
+        raise NotProperlyConvexError("empty or flat half-space intersection")
+    c = s.mean(axis=0) if interior is None else interior
+    return s[_ccw_order(s - c)]
 
 
 def _unit_halfspaces(normals, offsets):
@@ -219,7 +274,9 @@ def _convex_polygon(verts):
     about its mean: the corners of that star polygon that turn left.  Each
     round drops the later index of neighbours within TOL.flatness of the
     data's size, or else the corners within that of their neighbours'
-    chord or beyond it; collinear points raise NotProperlyConvexError."""
+    chord or beyond it, except a spike tip: a corner that arrives outward
+    along its ray from the mean and turns back, whose nearer neighbours on
+    that ray drop instead.  Collinear points raise NotProperlyConvexError."""
     rel = verts - verts.sum(axis=0) / len(verts)
     tol = TOL.flatness * np.abs(rel).max()
     idx = _ccw_order(rel)
@@ -235,7 +292,9 @@ def _convex_polygon(verts):
         else:
             turn = into[:, 0] * out[:, 1] - into[:, 1] * out[:, 0]
             chord = into + out
-            drop = turn <= tol * np.hypot(chord[:, 0], chord[:, 1])
+            flat = tol * np.hypot(chord[:, 0], chord[:, 1])
+            tip = (_dot(into, out) < 0) & (_dot(into, p[1:-1]) > 0)
+            drop = (turn <= flat) & ~(tip & (turn >= -flat))
             if not drop.any():
                 return idx
         idx = idx[~drop]
@@ -337,7 +396,8 @@ class _PolytopeBackend:
     The facets of a vertex list come from the hull that also checks its
     convex position (`_hull`: the min and max in 1-d, the counterclockwise
     extreme points in 2-d, one qhull run above); the vertices of a
-    half-space list from their intersection around its Chebyshev center.
+    half-space list from `_halfspace_vertices`: closed forms in 1-d and 2-d,
+    one qhull run around its Chebyshev center above.
     Predicates and chords read the facets, supports and radii the vertices,
     and moments a triangulation: the fan about `center` over the given
     `simplices` (radial graphs), else the fan from the first extreme point
@@ -360,18 +420,9 @@ class _PolytopeBackend:
         return self._hull[1]
 
     @cached_property
-    def verts(self):
-        # only half-space constructions reach this
-        try:
-            return _halfspace_vertices(self.normals, self.offsets, self.center)
-        except NotProperlyConvexError as exc:
-            exc.data["witness"] = self._recession_direction()
-            raise
-
-    @cached_property
     def center(self):
         """Interior point: the vertex mean (a radial graph's is given, a
-        half-space list's is its Chebyshev center)."""
+        half-space list's in chart dimension 3 is its Chebyshev center)."""
         return self.verts.mean(axis=0)
 
     def _check_hull(self, message):
@@ -481,8 +532,21 @@ class HPolyBackend(_PolytopeBackend):
             self.normals, self.offsets = self.normals[active], self.offsets[active]
 
     @cached_property
+    def verts(self):
+        if self.dim < 3:
+            return _halfspace_vertices(self.normals, self.offsets)
+        try:
+            return _halfspace_vertices(self.normals, self.offsets, self.center)
+        except NotProperlyConvexError as exc:
+            exc.data["witness"] = self._recession_direction()
+            raise
+
+    @cached_property
     def center(self):
-        """The Chebyshev center, by one LP."""
+        """The vertex mean in chart dimensions 1 and 2, where the vertices
+        have closed forms; above, the Chebyshev center, by one LP."""
+        if self.dim < 3:
+            return self.verts.mean(axis=0)
         from scipy.optimize import linprog
 
         m, n = self.normals.shape

@@ -57,10 +57,6 @@ class BoxSandwich:
     outer_tight: float      # smallest K with the domain inside K box
     inner_scale: float      # largest s with s box inside the domain
 
-    @property
-    def K(self):
-        return self.outer_K
-
 
 def box_sandwich(dom: ConvexDomain) -> BoxSandwich:
     """Certified box sandwich of a domain containing the chart origin."""

@@ -190,10 +190,6 @@ class SimplicialHypersurface:
         self._inv_stack = None
         self._caps = None
 
-    @property
-    def closed(self):
-        return bool(np.all(self._complex.mate >= 0))
-
     def interior_vertices(self):
         return np.flatnonzero(self._complex.interior).tolist()
 

@@ -60,10 +60,6 @@ class ProjPoint:
         u.flags.writeable = False
         self.coords = u
 
-    @property
-    def dim(self):
-        return self.coords.size - 1
-
     def same_class(self, other, tol=None):
         tol = TOL.exact if tol is None else tol
         d = min(
@@ -91,10 +87,6 @@ class DualFunctional:
             u = _canonical_sign(u)
         u.flags.writeable = False
         self.coeffs = u
-
-    @property
-    def dim(self):
-        return self.coeffs.size - 1
 
     def pair(self, p):
         v = p.coords if isinstance(p, ProjPoint) else np.asarray(p, dtype=float)
@@ -129,10 +121,6 @@ class ProjTransform:
         m = m / abs(det) ** (1.0 / m.shape[0])
         m.flags.writeable = False
         self.matrix = m
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0] - 1
 
     def apply(self, p: ProjPoint) -> ProjPoint:
         return normalize_point(self.matrix @ p.coords)
@@ -233,15 +221,8 @@ class AffineChart:
         self.infinity = v
         self.frame = frame
 
-    @property
-    def dim(self):
-        return self.frame.shape[1]
-
     def functional(self) -> DualFunctional:
         return DualFunctional(self.infinity, canonicalize=False)
-
-    def pole(self) -> ProjPoint:
-        return ProjPoint(self.infinity, canonicalize=False)
 
     def height(self, w):
         """Pairing of a raw vector with the chart functional."""

@@ -346,17 +346,18 @@ def test_random_polytope_backends_agree(n):
 
 def test_one_hull_per_vertex_list(monkeypatch):
     # a polygon's hull and fan have closed forms: the 24-gon, as a vertex list
-    # or a radial graph, runs no qhull for its check, facets and moments; the
-    # qhull run that checks a 3-d vertex list gives the facets the first
-    # query reads, and a half-space list's vertices come from one run
+    # or a radial graph, runs no qhull for its check, facets and moments, nor
+    # does a 2-d half-space list for its vertices; the qhull run that checks
+    # a 3-d vertex list gives the facets the first query reads, and a 3-d
+    # half-space list's vertices come from one run
     import scipy.spatial
 
     built = []
     for name in ("ConvexHull", "HalfspaceIntersection", "Delaunay"):
         real = getattr(scipy.spatial, name)
 
-        def counted(*args, real=real, **kwargs):
-            built.append(1)
+        def counted(*args, real=real, name=name, **kwargs):
+            built.append(name)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(scipy.spatial, name, counted)
@@ -374,8 +375,13 @@ def test_one_hull_per_vertex_list(monkeypatch):
     dodecagon = dm.ConvexDomain.from_halfspaces(
         np.stack([np.cos(ang), np.sin(ang)], 1), np.ones(12))
     hb.distance(dodecagon, [0.1, 0.2], [-0.3, 0.4])
+    dodecagon.backend.moments()
     assert len(dodecagon.backend.verts) == 12
-    assert len(built) == 2
+    assert len(built) == 1
+    cube = dm.ConvexDomain.from_halfspaces(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6))
+    hb.distance(cube, [0.1, 0.2, 0.0], [-0.3, 0.1, 0.2])
+    assert len(cube.backend.verts) == 8
+    assert built == ["ConvexHull", "HalfspaceIntersection"]
 
 
 def _with_degenerate_points(rng, pts):
@@ -416,21 +422,38 @@ def _assert_hull_is_qhulls(verts, hull):
     assert gap.min(axis=1).max() <= 1e-12 and gap.min(axis=0).max() <= 1e-12
 
 
-@pytest.mark.parametrize("seed", range(40))
+# the square with three points on one ray from the mean, in several orders:
+# where the farthest, (1, 1), is listed between nearer ones, the corner
+# there reverses, and it is the spike tip that stays while they drop
+_SPIKE = np.array([[0.5, 0.5], [1.0, 1.0], [0.25, 0.25],
+                   [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+_SPIKE_ORDERS = [[0, 1, 2, 3, 4, 5], [2, 1, 0, 3, 4, 5], [1, 0, 2, 3, 4, 5],
+                 [3, 0, 1, 2, 4, 5], [5, 4, 3, 2, 1, 0], [1, 3, 2, 4, 0, 5]]
+
+
+@pytest.mark.parametrize("seed", [*range(40),
+                                  *(f"spike{i}" for i in range(len(_SPIKE_ORDERS)))])
 def test_polygon_hull_and_fan_match_qhull_and_delaunay(seed):
     # the closed-form 2-d hull gives qhull's facets and extreme points, on
     # vertex lists and radial graphs, also with repeated, edge, interior and
-    # near-edge points; the fan over the extreme points has Delaunay's moments
+    # near-edge points and with points on one ray from the mean; the fan
+    # over the extreme points has Delaunay's moments
     from scipy.spatial import Delaunay
 
-    rng = np.random.default_rng(seed)
-    k = int(rng.integers(3, 13))
-    ang = np.sort(rng.uniform(0.0, 2 * np.pi, k))
-    if np.max(np.diff(np.append(ang, ang[0] + 2 * np.pi))) >= np.pi:
-        ang = 2 * np.pi * (np.arange(k) + rng.uniform(-0.3, 0.3, k)) / k
-    oval = np.stack([np.cos(ang), np.sin(ang)], 1) * rng.uniform(0.3, 3.0, 2)
-    oval = oval + rng.uniform(-2.0, 2.0, 2)
-    pts, kinds = _with_degenerate_points(rng, oval)
+    if isinstance(seed, str):
+        order = _SPIKE_ORDERS[int(seed[5:])]
+        rng = np.random.default_rng(order)
+        pts, kinds, center, k = _SPIKE[order], ["spike"], np.zeros(2), len(order)
+    else:
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(3, 13))
+        ang = np.sort(rng.uniform(0.0, 2 * np.pi, k))
+        if np.max(np.diff(np.append(ang, ang[0] + 2 * np.pi))) >= np.pi:
+            ang = 2 * np.pi * (np.arange(k) + rng.uniform(-0.3, 0.3, k)) / k
+        oval = np.stack([np.cos(ang), np.sin(ang)], 1) * rng.uniform(0.3, 3.0, 2)
+        oval = oval + rng.uniform(-2.0, 2.0, 2)
+        pts, kinds = _with_degenerate_points(rng, oval)
+        center = oval.mean(axis=0)
     vpoly = dm.VPolyBackend(pts, check=False)
     _assert_hull_is_qhulls(pts, vpoly._hull)
     rv = pts[Delaunay(pts).simplices]
@@ -439,7 +462,6 @@ def test_polygon_hull_and_fan_match_qhull_and_delaunay(seed):
     assert abs(got[0] - vol) <= 1e-12
     assert np.abs(got[1] - mu).max() <= 1e-12
     assert np.abs(got[2] - (e2 - np.outer(mu, mu))).max() <= 1e-12
-    center = oval.mean(axis=0)
     radial = dm.RadialGraphBackend(center, pts - center,
                                    np.linalg.norm(pts - center, axis=1), check=False)
     _assert_hull_is_qhulls(radial.verts, radial._hull)
@@ -454,6 +476,95 @@ def test_polygon_hull_and_fan_match_qhull_and_delaunay(seed):
     for flat in (line, np.repeat(pts[:1], 3, axis=0)):
         with pytest.raises(NotProperlyConvexError):
             dm.ConvexDomain.from_vertices(flat)
+
+
+def _qhull_polygon(normals, offsets, interior):
+    """Vertices of a 2-d half-space list by qhull around an interior point,
+    merged by a kd-tree within 1e-9 of their size (the first of each pair)."""
+    from scipy.spatial import HalfspaceIntersection, cKDTree
+
+    pts = HalfspaceIntersection(np.hstack([normals, -offsets[:, None]]),
+                                interior).intersections
+    rel = pts - interior
+    pairs = cKDTree(rel).query_pairs(1e-9 * np.abs(rel).max(), output_type="ndarray")
+    return pts[np.setdiff1d(np.arange(len(pts)), pairs[:, 1])]
+
+
+def _halfspace_list(rng):
+    """A 2-d half-space list around the origin, 3-60 rows at any scale: a
+    polygon and extra rows of the kinds drawn (redundant, parallel,
+    anti-parallel, duplicate and near-duplicate rows, and rows through a
+    vertex that already has two facets)."""
+    k = int(rng.integers(3, 49))
+    ang = 2 * np.pi * (np.arange(k) + rng.uniform(-0.2, 0.2, k)) / k
+    a = np.stack([np.cos(ang), np.sin(ang)], 1)
+    b = rng.uniform(0.5, 2.0, k)
+    for kind in ("redundant", "parallel", "anti-parallel", "duplicate",
+                 "near-duplicate", "through-vertex"):
+        for _ in range(int(rng.integers(1, 4)) if rng.random() < 0.5 else 0):
+            i = rng.integers(len(a))
+            if kind == "through-vertex":
+                v = _qhull_polygon(a, b, np.zeros(2))
+                j = rng.integers(len(v))
+                on = np.abs(a @ v[j] - b) <= 1e-9
+                mix = rng.uniform(0.2, 0.8) * a[on][0] + rng.uniform(0.2, 0.8) * a[on][-1]
+                row = mix / np.linalg.norm(mix)
+                off = row @ v[j]
+            elif kind == "redundant":
+                t = rng.uniform(0, 2 * np.pi)
+                row = np.array([np.cos(t), np.sin(t)])
+                off = (_qhull_polygon(a, b, np.zeros(2)) @ row).max() + rng.uniform(0.01, 1)
+            elif kind == "parallel":
+                row, off = a[i], b[i] * rng.choice([0.7, 1.3])
+            elif kind == "anti-parallel":
+                row, off = -a[i], rng.uniform(0.3, 2.0)
+            elif kind == "duplicate":
+                row, off = a[i], b[i]
+            else:
+                twist = rng.choice([0.0, 1e-15])
+                row = a[i] + twist * np.array([-a[i, 1], a[i, 0]])
+                off = b[i] * (1.0 + rng.choice([0.0, 1e-15, -1e-14]))
+            if len(a) < 60:
+                at = rng.integers(len(a) + 1)
+                a, b = np.insert(a, at, row, axis=0), np.insert(b, at, off)
+    scale = rng.uniform(0.5, 3.0, len(a))
+    return a * scale[:, None], b * scale
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_halfspace_polygon_matches_qhull(seed):
+    # four seeded lists per seed: the closed form gives qhull's vertices,
+    # merged, within 1e-12 of their size and as many, counterclockwise from
+    # angle -pi about their mean (about a given interior point for Dirichlet
+    # polygons); an unbounded list raises with a recession direction, an
+    # empty one raises
+    rng = np.random.default_rng(700 + seed)
+    for _ in range(4):
+        normals, offsets = _halfspace_list(rng)
+        want = _qhull_polygon(normals, offsets, np.zeros(2))
+        for interior in (None, np.zeros(2)):
+            got = dm._halfspace_vertices(normals, offsets, interior)
+            c = got.mean(axis=0) if interior is None else interior
+            assert len(got) == len(want)
+            gap = np.abs(got[:, None] - want[None]).max(axis=2).min(axis=1).max()
+            assert gap <= 1e-12 * np.abs(want).max()
+            ang = np.arctan2(got[:, 1] - c[1], got[:, 0] - c[0])
+            assert (np.diff(ang) > 0).all()
+    unit = normals / np.linalg.norm(normals, axis=1)[:, None]
+    arc = rng.uniform(0.0, 2 * np.pi) + np.sort(rng.uniform(0.0, np.pi - 0.05,
+                                                            rng.integers(1, 12)))
+    strip = unit[:1] * [[1.0], [-1.0]]
+    for rows in (np.stack([np.cos(arc), np.sin(arc)], 1), strip):
+        with pytest.raises(NotProperlyConvexError, match="unbounded") as err:
+            dm.ConvexDomain.from_halfspaces(rows, rng.uniform(0.5, 2.0, len(rows)))
+        d = err.value.data["witness"]
+        assert abs(np.linalg.norm(d) - 1.0) <= 1e-12
+        assert (rows @ d <= 1e-12).all()
+    cut = normals[:1] * -1.0
+    with pytest.raises(NotProperlyConvexError, match="empty"):
+        dm.ConvexDomain.from_halfspaces(
+            np.vstack([normals, cut]),
+            np.append(offsets, -np.abs(want @ cut[0]).max() - 0.1))
 
 
 def test_json_round_trip(any_domain):

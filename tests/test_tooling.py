@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import rotation, triangle_group
+from conftest import boost, rotation, triangle_group
 from projconvex import cli, domain as dm, group as gp, hilbert as hb, jsonio
 from projconvex import normalize as nm, plconvex as pl, vinberg as vb
 from projconvex.errors import OutsideDualConeError
@@ -44,8 +44,9 @@ def test_each_command_takes_only_the_flags_it_reads():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # linprog is imported inside the two HPolyBackend methods that call it;
-    # a module-level import would put scipy.optimize on every start-up.
+    # linprog is imported inside the two HPolyBackend methods that call it,
+    # which only half-space lists in chart dimension 3 reach; a module-level
+    # import would put scipy.optimize on every start-up.
     subprocess.run(
         [sys.executable, "-c",
          "import projconvex, sys; assert 'scipy.optimize' not in sys.modules"],
@@ -100,16 +101,31 @@ def test_ellipsoid_command_runs_without_scipy(tmp_path, command):
     ["vinberg", "volume", "--domain", "pentagon.json", "--phi", "0,0,1"],
     ["vinberg", "volume", "--domain", "radial.json", "--phi", "0,0,1"],
     ["normalize", "moments", "--domain", "pentagon.json"],
+    ["domain", "validate", "--domain", "hexagon.json"],
+    ["domain", "dual", "--domain", "pentagon.json", "--svg", "dual.svg"],
+    ["group", "dirichlet", "--domain", "disk.json", "--gens", "gens.json",
+     "--x", "0.1,0,1", "--L", "2"],
 ], ids=["domain-dual", "hilbert-dist", "vinberg-volume", "vinberg-volume-radial",
-        "normalize-moments"])
+        "normalize-moments", "domain-validate-hpoly", "domain-dual-svg",
+        "group-dirichlet"])
 def test_polygon_commands_load_no_scipy(tmp_path, command):
-    # a polygon's hull and fan triangulation have closed forms, so commands
-    # on 2-d vertex lists and radial graphs load no scipy module
+    # a polygon's hull, fan triangulation and half-space vertices have closed
+    # forms, so commands on 2-d vertex lists, radial graphs and half-space
+    # lists (a polygon's dual, the Dirichlet polygons) load no scipy module
     ang = 2 * np.pi * np.arange(5) / 5
     pentagon = dm.ConvexDomain.from_vertices(np.stack([np.cos(ang), np.sin(ang)], 1))
     jsonio.dump_file(pentagon.to_json(), tmp_path / "pentagon.json")
     jsonio.dump_file(dm.triangle_domain().to_json(), tmp_path / "tri.json")
     jsonio.dump_file(dm.disk_polygon(12).to_json(), tmp_path / "radial.json")
+    ang = 2 * np.pi * np.arange(6) / 6
+    jsonio.dump_file({"chart": [0, 0, 1], "backend": {
+        "type": "hpoly", "normals": np.stack([np.cos(ang), np.sin(ang)], 1).tolist(),
+        "offsets": [1.0] * 6}}, tmp_path / "hexagon.json")
+    jsonio.dump_file(dm.unit_disk().to_json(), tmp_path / "disk.json")
+    turn = rotation(np.pi / 2)
+    jsonio.dump_file({"generators": ["a", "b"], "terms": [[
+        boost(1.2).tolist(), (turn @ boost(1.2) @ turn.T).tolist()]]},
+        tmp_path / "gens.json")
     out, loaded = _cli(command, tmp_path)
     if command[:2] == ["hilbert", "dist"]:
         expected = hb.distance(dm.triangle_domain(), [0.2, 0.2], [0.3, 0.4])
