@@ -190,8 +190,11 @@ def _halfspace_vertices(normals, offsets, interior=None):
     from scipy.spatial import HalfspaceIntersection, QhullError, cKDTree
 
     try:
-        pts = HalfspaceIntersection(np.hstack([normals, -offsets[:, None]]),
-                                    interior).intersections
+        # an unbounded intersection divides by zero in qhull's dual; the
+        # non-finite check below reports it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pts = HalfspaceIntersection(np.hstack([normals, -offsets[:, None]]),
+                                        interior).intersections
     except (QhullError, ValueError) as exc:
         raise NotProperlyConvexError(
             f"half-space intersection failed: {_first_line(exc)}") from exc
@@ -538,7 +541,8 @@ class HPolyBackend(_PolytopeBackend):
         try:
             return _halfspace_vertices(self.normals, self.offsets, self.center)
         except NotProperlyConvexError as exc:
-            exc.data["witness"] = self._recession_direction()
+            if "witness" not in exc.data:   # `center` may have attached one
+                exc.data["witness"] = self._recession_direction()
             raise
 
     @cached_property
@@ -561,7 +565,8 @@ class HPolyBackend(_PolytopeBackend):
                 witness=self._recession_direction(),
             )
         if not res.success or res.x[-1] <= 0:
-            raise NotProperlyConvexError("empty or flat half-space intersection")
+            raise NotProperlyConvexError("empty or flat half-space intersection",
+                                         witness=None)
         return res.x[:-1]
 
     def _recession_direction(self):

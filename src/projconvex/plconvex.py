@@ -24,10 +24,11 @@ from .errors import (
 from .vinberg import _characteristic_rows, characteristic_points
 
 
-# Elements (candidate pairs x vertices x vertices) of one block of gathered
-# inverse vertex matrices (`SimplicialHypersurface._cone_pairs`, behind the
-# section check and `radial_values`): the temporaries of a block stay fixed
-# however many candidates the directions have.
+# Elements of one block of the candidate search (directions x cap centres,
+# `SimplicialHypersurface._candidates`) and of the gathered inverse vertex
+# matrices (candidate pairs x vertices x vertices, `_cone_pairs`), behind the
+# section check and `radial_values`: the temporaries of a block stay fixed
+# however many directions and candidates there are.
 _SECTION_CHUNK = 1 << 16
 
 # Largest sine of the hit test's slack angle (see `radial_section_check`)
@@ -220,16 +221,14 @@ class SimplicialHypersurface:
     def _cap_index(self):
         """Spherical caps around the simplex cones, built once per surface.
 
-        Returns (tree, members, reach, everywhere, size_slack, cond_slack):
-        a cKDTree of the cap centres (normalized sums of the unit vertex
-        directions) of the simplices `members`, the largest chord radius of
+        Returns (centres, members, reach, everywhere, size_slack, cond_slack):
+        the cap centres (normalized sums of the unit vertex directions) of
+        the simplices `members`, one row each, the largest chord radius of
         their caps, the simplices whose cap would reach a hemisphere or whose
         rounding allowance passes _SLACK_BOUND, and the two terms of the hit
         test's slack (see `radial_section_check`).
         """
         if self._caps is None:
-            from scipy.spatial import cKDTree  # imported here: slow to load
-
             inv = self.inv_stack()
             pts = self.vertices[self.simplices]
             norms = np.sqrt(np.einsum("tkj,tkj->tk", pts, pts))
@@ -243,7 +242,7 @@ class SimplicialHypersurface:
                      * np.einsum("tij,tij->t", inv, inv))
             near = (chord < np.sqrt(2.0)) & (1e-12 * cond2 < _SLACK_BOUND)
             members = np.flatnonzero(near)
-            self._caps = (cKDTree(centre[members]), members,
+            self._caps = (centre[members], members,
                           float(chord.max(initial=0.0, where=near)),
                           np.flatnonzero(~near),
                           1e-12 * norms.shape[1] * float(norms.max()),
@@ -252,8 +251,9 @@ class SimplicialHypersurface:
 
     def _candidates(self, dirs):
         """(row, simplex) pairs, sorted by row then simplex, that include
-        every pair the hit test can pass (see `radial_section_check`)."""
-        tree, members, reach, everywhere, size_slack, cond_slack = self._cap_index()
+        every pair the hit test can pass (see `radial_section_check`): unit
+        rows within the query chord of a cap centre, by their cosines."""
+        centres, members, reach, everywhere, size_slack, cond_slack = self._cap_index()
         t_count = self.simplices.shape[0]
         norms = np.sqrt(np.einsum("ij,ij->i", dirs, dirs))
         bounded = (size_slack < _SLACK_BOUND * norms) & (norms < np.inf)
@@ -263,14 +263,17 @@ class SimplicialHypersurface:
             # every row meets the simplices without a cap
             keys.append(np.arange(len(dirs))[:, None] * t_count + everywhere)
         if found.size and members.size:
-            from scipy.spatial import cKDTree
-
             # sine of the angle between a hit and its cone, at the shortest row
             off = size_slack / norms[found].min() + cond_slack
             angle = min(np.pi, 2.0 * asin(0.5 * reach) + asin(off))
-            close = cKDTree(dirs[found] / norms[found, None]).sparse_distance_matrix(
-                tree, 2.0 * sin(0.5 * angle) + 1e-9, output_type="ndarray")
-            keys.append(found[close["i"]] * t_count + members[close["j"]])
+            chord = 2.0 * sin(0.5 * angle) + 1e-9
+            cosine = 1.0 - 0.5 * chord * chord - 1e-12
+            unit = dirs[found] / norms[found, None]
+            step = max(1, _SECTION_CHUNK // members.size)
+            for lo in range(0, found.size, step):
+                near = np.flatnonzero(unit[lo:lo + step] @ centres.T >= cosine)
+                i, j = np.divmod(near, members.size)
+                keys.append(found[lo + i] * t_count + members[j])
         if found.size < len(dirs):
             # rows too short for the slack bound (zero, say) or not finite
             # meet every simplex that has a cap
@@ -367,14 +370,17 @@ def radial_section_check(surf: SimplicialHypersurface,
     cone.  The cone lies in the cap around its normalized vertex centroid
     whose chord radius reaches the farthest unit vertex direction: a cap
     narrower than a hemisphere is convex, so holding the vertices it holds
-    the whole spherical simplex.  A kd-tree query of the centres within the
-    largest cap radius plus that angle (and 1e-9 for rounding in the
-    distances) returns every such simplex.  A simplex whose cap would reach
+    the whole spherical simplex.  Every centre within the largest cap
+    radius plus that angle (and 1e-9) of the unit sample is a candidate; for
+    unit vectors that chord test is a cosine test, q . c >= 1 - chord^2/2,
+    made with 1e-12 to spare for rounding in the products, one block of
+    samples against all centres at a time.  A simplex whose cap would reach
     a hemisphere, or whose rounding allowance passes _SLACK_BOUND, is a
     candidate for every sample, as is every simplex for a direction too
     short for that bound (zero, say) or not finite.  Each sample meets about
-    as many candidates however fine the surface, so the check grows
-    near-linearly.
+    as many candidates however fine the surface, so the membership tests
+    grow near-linearly; the cosine products, 3T x T for T simplices, grow
+    quadratically with a small constant.
     """
     pts = surf.vertices[surf.simplices]
     scale = np.prod(np.linalg.norm(pts, axis=2), axis=1)

@@ -40,6 +40,35 @@ def test_validate_halfplane_unbounded():
     assert err.value.data.get("witness") is not None
 
 
+@pytest.mark.parametrize("normals, offsets, lps, message, witness", [
+    (np.vstack([np.eye(3), -np.eye(3)]), [-1.0, 0.5, 1.0, 1.0, 1.0, 1.0], 1,
+     "empty or flat half-space intersection", None),
+    (-np.eye(3), [0.5, 0.5, 0.5], 2, "half-space data is unbounded", [1.0, 0.0, 0.0]),
+    (np.vstack([np.eye(3), -np.eye(3)[:2]]), [1.0] * 5, 7,
+     "half-space data is unbounded", [0.0, 0.0, -1.0]),
+], ids=["empty-cube", "orthant", "open-box"])
+def test_3d_halfspace_failure_runs_each_lp_once(monkeypatch, normals, offsets, lps,
+                                                message, witness):
+    # the Chebyshev LP's verdict stands: an empty list runs no recession LP,
+    # and a witness the LP's branch attached is not searched for again; only
+    # qhull's unbounded verdict (the open box) needs the recession LPs
+    import scipy.optimize
+
+    linprog, calls = scipy.optimize.linprog, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    with pytest.raises(NotProperlyConvexError) as err:
+        dm.ConvexDomain.from_halfspaces(normals, offsets)
+    assert len(calls) == lps
+    assert jsonio.sanitize(err.value.report()) == {
+        "code": "not-properly-convex", "message": message,
+        "data": {"witness": witness}}
+
+
 def test_validate_nonconvex_vertices():
     with pytest.raises(NotProperlyConvexError):
         dm.ConvexDomain.from_vertices([[0, 0], [1, 0], [0, 1], [0.2, 0.2]])

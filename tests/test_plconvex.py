@@ -654,6 +654,8 @@ def test_section_check_matches_reference_at_scale():
     assert len(surf.simplices) == 987
     res = pl.radial_section_check(surf)
     assert res == _ref_section_check(surf)
+    # the 3 x 987 samples fill more than one block of the candidate search
+    assert 3 * 987 > pl._SECTION_CHUNK // len(surf._cap_index()[1])
     assert any(v["kind"] == "multiplicity" for v in res.violations)
 
 

@@ -54,8 +54,8 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 
 def test_import_leaves_scipy_unloaded():
-    # hulls, LPs and kd-trees import scipy at their first call, and null
-    # spaces come from numpy, so start-up loads no scipy module at all
+    # hulls and LPs import scipy at their first call, and null spaces come
+    # from numpy, so start-up loads no scipy module at all
     subprocess.run(
         [sys.executable, "-c",
          "import projconvex, projconvex.cli, sys; "
@@ -105,13 +105,20 @@ def test_ellipsoid_command_runs_without_scipy(tmp_path, command):
     ["domain", "dual", "--domain", "pentagon.json", "--svg", "dual.svg"],
     ["group", "dirichlet", "--domain", "disk.json", "--gens", "gens.json",
      "--x", "0.1,0,1", "--L", "2"],
+    ["plconvex", "check", "--mesh", "cap.json"],
+    ["plconvex", "certify", "--mesh", "cap.json"],
+    ["plconvex", "radius", "--mesh", "cap.json"],
+    ["plconvex", "outward", "--mesh", "cap.json", "--t", "1.5"],
 ], ids=["domain-dual", "hilbert-dist", "vinberg-volume", "vinberg-volume-radial",
         "normalize-moments", "domain-validate-hpoly", "domain-dual-svg",
-        "group-dirichlet"])
+        "group-dirichlet", "plconvex-check", "plconvex-certify", "plconvex-radius",
+        "plconvex-outward"])
 def test_polygon_commands_load_no_scipy(tmp_path, command):
     # a polygon's hull, fan triangulation and half-space vertices have closed
     # forms, so commands on 2-d vertex lists, radial graphs and half-space
-    # lists (a polygon's dual, the Dirichlet polygons) load no scipy module
+    # lists (a polygon's dual, the Dirichlet polygons) load no scipy module;
+    # nor do the commands on a given mesh, whose section check finds its
+    # candidate simplices by a matrix product
     ang = 2 * np.pi * np.arange(5) / 5
     pentagon = dm.ConvexDomain.from_vertices(np.stack([np.cos(ang), np.sin(ang)], 1))
     jsonio.dump_file(pentagon.to_json(), tmp_path / "pentagon.json")
@@ -122,6 +129,10 @@ def test_polygon_commands_load_no_scipy(tmp_path, command):
         "type": "hpoly", "normals": np.stack([np.cos(ang), np.sin(ang)], 1).tolist(),
         "offsets": [1.0] * 6}}, tmp_path / "hexagon.json")
     jsonio.dump_file(dm.unit_disk().to_json(), tmp_path / "disk.json")
+    cap = np.vstack([[0.0, 0.0, 1.0], np.stack(
+        [0.5 * np.cos(ang), 0.5 * np.sin(ang), np.full(6, np.sqrt(1.25))], 1)])
+    jsonio.dump_file({"vertices": cap.tolist(), "simplices": [
+        [0, 1 + i, 1 + (i + 1) % 6] for i in range(6)]}, tmp_path / "cap.json")
     turn = rotation(np.pi / 2)
     jsonio.dump_file({"generators": ["a", "b"], "terms": [[
         boost(1.2).tolist(), (turn @ boost(1.2) @ turn.T).tolist()]]},
@@ -130,17 +141,37 @@ def test_polygon_commands_load_no_scipy(tmp_path, command):
     if command[:2] == ["hilbert", "dist"]:
         expected = hb.distance(dm.triangle_domain(), [0.2, 0.2], [0.3, 0.4])
         assert out.strip() == f"{expected:.6f}"
+    if command[:2] in (["plconvex", "check"], ["plconvex", "certify"]):
+        assert "True" in out
     assert out.strip()
     assert f"projconvex.{command[0]}" in loaded
     assert not [m for m in loaded if m.split(".")[0] == "scipy"]
 
 
 def test_mesh_commands_load_scipy_at_first_use(tmp_path):
-    jsonio.dump_file({"vertices": [[-1, 2], [0, 1], [1, 2]],
-                      "simplices": [[0, 1], [1, 2]]}, tmp_path / "polyline.json")
-    out, loaded = _cli(["plconvex", "check", "--mesh", "polyline.json"], tmp_path)
-    assert "radial section: True" in out
+    # a surface build spans its vertices by qhull's origin-facing faces
+    jsonio.dump_file(dm.triangle_domain().to_json(), tmp_path / "tri.json")
+    out, loaded = _cli(["plconvex", "build", "--domain", "tri.json", "--budget", "24"],
+                       tmp_path)
+    assert "certified=True" in out
     assert "scipy.spatial" in loaded
+
+
+def test_unbounded_3d_halfspaces_report_without_warnings(tmp_path):
+    # qhull divides by zero on an unbounded intersection; the non-finite
+    # vertices are reported as unbounded and no numpy warning reaches stderr
+    jsonio.dump_file({"chart": [0, 0, 0, 1], "backend": {
+        "type": "hpoly", "normals": np.vstack([np.eye(3), -np.eye(3)[:2]]).tolist(),
+        "offsets": [1.0] * 5}}, tmp_path / "box.json")
+    res = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "projconvex.cli",
+         "domain", "validate", "--domain", "box.json", "--out", "report.json"],
+        cwd=tmp_path, env=ENV, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 1 and res.stderr == ""
+    assert res.stdout == "error[not-properly-convex]: half-space data is unbounded\n"
+    assert jsonio.load_file(tmp_path / "report.json") == {"error": {
+        "code": "not-properly-convex", "message": "half-space data is unbounded",
+        "data": {"witness": [0.0, 0.0, -1.0]}}}
 
 
 def test_qhull_failure_report_is_the_same_in_every_process(tmp_path):
