@@ -9,6 +9,10 @@ report, a summary line and warnings.  A report that holds every field of a
 result object is written from `dataclasses.asdict` of it.  `--tol` reaches
 the library as an argument; no command changes global state.
 
+The module imports only `config`, `jsonio` and `errors`; each command
+function imports the library module it calls, and `svgfig` only when it
+draws, so a command loads no module that it does not use.
+
 Exit codes: 0 success, 1 computation error, 2 usage or input-format error.
 """
 
@@ -18,8 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import config, domain as dm, group as gp, hilbert as hb
-from . import jsonio, normalize as nm, plconvex as pl, svgfig, vinberg as vb
+from . import config, jsonio
 from .errors import GeometryError, InputFormatError, InvalidInputError
 
 
@@ -53,6 +56,7 @@ def _tolerance(text):
 
 
 def _domain_validate(args, domain):
+    from . import domain as dm
     cert = dm.validate(domain)
     return ({**asdict(cert), "hyperplane": cert.hyperplane.coeffs},
             f"properly convex: margin={cert.margin:.6g} "
@@ -60,26 +64,32 @@ def _domain_validate(args, domain):
 
 
 def _domain_dual(args, domain):
+    from . import domain as dm
     dual = dm.dual_domain(domain)
     if args.svg and domain.dim == 2:
+        from . import svgfig
         svgfig.render_scene(
             [{"type": "polygon", "points": svgfig.domain_outline(dual)}], args.svg)
     return {"domain": dual.to_json()}, f"dual backend: {dual.backend.kind}", []
 
 
 def _domain_flats(args, domain):
+    from . import domain as dm
     flats = dm.boundary_flats(domain)
     return {"flats": flats}, f"{len(flats)} maximal flat pieces", []
 
 
 def _hilbert_dist(args, domain):
+    from . import hilbert as hb
     d = hb.distance(domain, _parse_point(args.x), _parse_point(args.y))
     return {"distance": d}, f"{d:.6f}", []
 
 
 def _hilbert_geodesic(args, domain):
+    from . import hilbert as hb
     pts = hb.geodesic(domain, _parse_point(args.x), _parse_point(args.y), args.k)
     if args.svg and domain.dim == 2:
+        from . import svgfig
         d_total = hb.distance(domain, pts[0], pts[-1])
         ball = hb.metric_ball(domain, pts[0], 0.5 * d_total)
         svgfig.render_scene(
@@ -91,28 +101,33 @@ def _hilbert_geodesic(args, domain):
 
 
 def _hilbert_delta(args, domain):
+    from . import hilbert as hb
     res = hb.thin_triangle_delta(domain, _parse_triangle(args.tri), m=args.m)
     warnings = ["degenerate (collinear) triangle"] if res.degenerate else []
     return asdict(res), f"delta={res.delta:.6f}", warnings
 
 
 def _vinberg_volume(args, domain):
+    from . import vinberg as vb
     res = vb.volume_functional(domain.cone(), _parse_point(args.phi))
     return asdict(res), f"{res.value:.12g}", []
 
 
 def _vinberg_grad(args, domain):
+    from . import vinberg as vb
     g = vb.grad_volume(domain.cone(), _parse_point(args.phi))
     return {"gradient": g}, f"gradient norm {np.linalg.norm(g):.6g}", []
 
 
 def _vinberg_theta(args, domain):
+    from . import vinberg as vb
     p = vb.theta(domain.cone(), _parse_point(args.phi))
     return ({"point": p.coords, "chart": domain.chart.to_chart(p)},
             "theta point computed", [])
 
 
 def _vinberg_center(args, domain):
+    from . import vinberg as vb
     sc = vb.spherical_center(domain)
     return ({"center": sc.center.coords, "rotation": sc.rotation.matrix,
              "residual": sc.residual}, f"center residual {sc.residual:.2e}", [])
@@ -124,8 +139,10 @@ def _surface_report(res):
 
 
 def _vinberg_surface(args, domain):
+    from . import plconvex as pl
     res = pl.pl_characteristic_surface(domain.cone(), args.budget, seed=args.seed)
     if args.svg and domain.dim == 1:
+        from . import svgfig
         svgfig.render_scene(
             [{"type": "polyline", "points": res.surface.vertices}], args.svg)
     return ({**_surface_report(res), "jitter_rounds": res.jitter_rounds},
@@ -134,16 +151,19 @@ def _vinberg_surface(args, domain):
 
 
 def _plconvex_build(args, domain):
+    from . import plconvex as pl
     res = pl.pl_characteristic_surface(domain.cone(), args.budget, seed=args.seed)
     return _surface_report(res), f"certified={res.certificate.ok}", []
 
 
 def _normalize_moments(args, domain):
+    from . import normalize as nm
     m = nm.moments(domain)
     return asdict(m), f"volume {m.volume:.6g}", []
 
 
 def _normalize_isotropic(args, domain):
+    from . import normalize as nm
     iso = nm.isotropic_normalize(domain)
     return ({"rotation": iso.rotation, "scales": iso.scales,
              "translation": iso.translation, "domain": iso.domain.to_json(),
@@ -152,6 +172,7 @@ def _normalize_isotropic(args, domain):
 
 
 def _normalize_boxcheck(args, matrix):
+    from . import normalize as nm
     res = nm.box_bound_check(matrix, args.K)
     return ({"hypothesis_holds": res.hypothesis_holds,
              "hypothesis_margin": res.hypothesis_margin,
@@ -162,6 +183,7 @@ def _normalize_boxcheck(args, matrix):
 
 
 def _normalize_sequence(args, seq):
+    from . import normalize as nm
     rep = nm.analyze_sequence(seq)
     report = rep.to_json()
     if args.out and args.out.endswith(".csv"):
@@ -171,12 +193,14 @@ def _normalize_sequence(args, seq):
 
 
 def _group_aut(args, domain, matrix):
+    from . import group as gp
     chk = gp.is_automorphism(domain, matrix, tol=args.tol)
     return (asdict(chk), f"automorphism={chk.is_automorphism} "
             f"residual={chk.residual:.2e}", [])
 
 
 def _group_dynamics(args, domain, matrix):
+    from . import group as gp
     hd = gp.fixed_point_dynamics(domain, matrix, tol=args.tol)
     return ({"a_plus": hd.a_plus.coords, "a_minus": hd.a_minus.coords,
              "translation_length": hd.translation_length,
@@ -186,6 +210,7 @@ def _group_dynamics(args, domain, matrix):
 
 
 def _group_orbit(args, domain, gens):
+    from . import group as gp
     seed_pt = domain.chart.from_chart(_parse_point(args.seed_point))
     pts = gp.orbit(gens.terms[0], seed_pt, args.L)
     charted = []
@@ -195,6 +220,7 @@ def _group_orbit(args, domain, gens):
         except GeometryError:
             pass
     if args.svg and domain.dim == 2 and charted:
+        from . import svgfig
         svgfig.render_scene(
             [{"type": "polygon", "points": svgfig.domain_outline(domain)},
              {"type": "points", "points": np.array(charted)}], args.svg)
@@ -203,6 +229,7 @@ def _group_orbit(args, domain, gens):
 
 
 def _group_dirichlet(args, domain, gens):
+    from . import group as gp
     dd = gp.dirichlet_domain(domain.cone(), gens.terms[0], _parse_point(args.x),
                              args.L, tol=args.tol)
     warnings = [] if dd.stable else ["facet set not stable at this word length"]
@@ -213,22 +240,26 @@ def _group_dirichlet(args, domain, gens):
 
 
 def _plconvex_check(args, mesh):
+    from . import plconvex as pl
     res = pl.radial_section_check(mesh, seed=args.seed)
     return asdict(res), f"radial section: {res.ok}", []
 
 
 def _plconvex_certify(args, mesh):
+    from . import plconvex as pl
     cert = pl.certify_generic_convex(mesh)
     return cert.to_json(), f"certified={cert.ok} margin={cert.margin:.6g}", []
 
 
 def _plconvex_radius(args, mesh):
+    from . import plconvex as pl
     res = pl.perturbation_radius(mesh, seed=args.seed)
     return (asdict(res), f"epsilon={res.epsilon:.6g} "
             f"({res.reverify_passes}/{res.reverify_trials} reverified)", [])
 
 
 def _plconvex_outward(args, mesh):
+    from . import plconvex as pl
     ok = pl.outward_check(mesh, args.t)
     return {"outward": ok, "t": args.t}, f"outward={ok}", []
 

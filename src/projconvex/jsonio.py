@@ -12,8 +12,6 @@ import numpy as np
 
 from .domain import ConvexDomain
 from .errors import InputFormatError, InvalidInputError
-from .normalize import RepSequence
-from .plconvex import SimplicialHypersurface
 from .projgeom import AffineChart, ProjTransform
 
 
@@ -147,7 +145,9 @@ def load_matrix(path) -> ProjTransform:
     return matrix_from_dict(load_file(path))
 
 
-def sequence_from_dict(data) -> RepSequence:
+def sequence_from_dict(data) -> "RepSequence":
+    # imported here, so that commands without a sequence do not load normalize
+    from .normalize import RepSequence
     try:
         gens = list(data["generators"])
         terms = [[_floats(m) for m in tup]
@@ -160,11 +160,11 @@ def sequence_from_dict(data) -> RepSequence:
     return RepSequence(generators=gens, terms=terms, domains=domains)
 
 
-def load_sequence(path) -> RepSequence:
+def load_sequence(path) -> "RepSequence":
     return sequence_from_dict(load_file(path))
 
 
-def sequence_to_dict(seq: RepSequence):
+def sequence_to_dict(seq: "RepSequence"):
     out = {"generators": list(seq.generators),
            "terms": [[m.tolist() for m in tup] for tup in seq.terms]}
     if seq.domains is not None:
@@ -172,12 +172,14 @@ def sequence_to_dict(seq: RepSequence):
     return out
 
 
-def mesh_from_dict(data) -> SimplicialHypersurface:
+def mesh_from_dict(data) -> "SimplicialHypersurface":
+    # imported here, so that commands without a mesh do not load plconvex
+    from .plconvex import SimplicialHypersurface
     try:
         return SimplicialHypersurface(_floats(data["vertices"]), _ints(data["simplices"]))
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"malformed mesh object: {exc}") from exc
 
 
-def load_mesh(path) -> SimplicialHypersurface:
+def load_mesh(path) -> "SimplicialHypersurface":
     return mesh_from_dict(load_file(path))

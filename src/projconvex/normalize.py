@@ -22,9 +22,7 @@ from .errors import (
     DegenerateDomainError,
     InvalidInputError,
 )
-from .group import _reduced_word_matrices, word_label
 from .projgeom import ProjTransform, minimal_rotation, standard_chart
-from .vinberg import spherical_center
 
 # Interior sample points per box edge in `box_bound_check`.
 _EDGE_SAMPLES = 5
@@ -254,6 +252,8 @@ def analyze_sequence(seq: RepSequence) -> DegenerationReport:
     conjugate the generators by the normalizing diagonal, and diagnose whether
     the rescaled sequence converges and whether the diagonals stay bounded.
     """
+    # imported here, so that the other normalize commands do not load vinberg
+    from .vinberg import spherical_center
     if seq.domains is None or any(d is None for d in seq.domains):
         raise InvalidInputError("degeneration analysis needs a domain per term")
     if len(seq.domains) != len(seq.terms):
@@ -381,6 +381,8 @@ def invariant_subspace_search(gens, tol=1e-8, max_word_len=4):
 
     A returned witness is certified within tol; none-found is not a proof.
     """
+    # imported here, so that the normalize commands do not load group
+    from .group import _reduced_word_matrices, word_label
     mats = [(g if isinstance(g, ProjTransform) else ProjTransform(g)).matrix
             for g in gens]
     if not mats:

@@ -21,7 +21,6 @@ from .errors import (
     NonManifoldComplexError,
     TransversalityError,
 )
-from .vinberg import _characteristic_rows, characteristic_points
 
 
 # Elements of one block of the candidate search (directions x cap centres,
@@ -649,6 +648,8 @@ def pl_characteristic_surface(cone, budget: int,
     convex and those faces form the convex radial section the certificate
     accepts.  Where the hull splits a coplanar quad, the radii are jittered
     and re-hulled."""
+    # imported here, so that the commands on a given mesh do not load vinberg
+    from .vinberg import characteristic_points
     if isinstance(cone, ConvexDomain):
         cone = cone.cone()
     dom = cone.domain
@@ -735,6 +736,8 @@ def _sampled_deviation(cone, surf, rng):
     """Largest radial gap between the surface and the characteristic surface
     over the midpoints of up to _DEVIATION_EDGES sampled edges; a midpoint
     whose fiber solve fails is skipped."""
+    # imported here, so that the commands on a given mesh do not load vinberg
+    from .vinberg import _characteristic_rows
     pairs = surf.simplices[:, np.transpose(np.triu_indices(surf.simplices.shape[1], 1))]
     edges = np.unique(np.sort(pairs.reshape(-1, 2), axis=1), axis=0)
     if len(edges) > _DEVIATION_EDGES:

@@ -63,15 +63,74 @@ def test_import_leaves_scipy_unloaded():
         env=ENV, check=True, timeout=60)
 
 
+def test_import_loads_submodules_at_first_use():
+    # `import projconvex` loads config alone; each exported name and each
+    # submodule is imported at its first use and is then the submodule's own
+    code = """if True:
+        import sys
+        import projconvex
+        assert {m for m in sys.modules if m.startswith("projconvex.")} == {
+            "projconvex.config"}, sorted(sys.modules)
+        assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        assert set(projconvex.__all__) <= set(dir(projconvex))
+        assert len(projconvex.__all__) == 65
+        assert "projconvex.hilbert" not in sys.modules
+        assert projconvex.hilbert is sys.modules["projconvex.hilbert"]
+        star = {}
+        exec("from projconvex import *", star)
+        mods = [m for name, m in sys.modules.items() if name.startswith("projconvex.")]
+        for name in projconvex.__all__:
+            assert star[name] is getattr(projconvex, name)
+            assert {id(vars(m)[name]) for m in mods if name in vars(m)} == {
+                id(star[name])}, name
+        try:
+            projconvex.no_such_name
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError("unknown name resolved")
+    """
+    res = subprocess.run([sys.executable, "-c", code], env=ENV,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+
+
+# The projconvex modules each CLI command loads, beyond those that every
+# command loads to read its inputs; --svg adds svgfig.
+_EVERY_COMMAND = {"config", "errors", "projgeom", "domain", "jsonio"}
+_COMMAND_MODULES = {
+    "domain validate": set(),
+    "domain dual": set(),
+    "hilbert dist": {"hilbert"},
+    "vinberg volume": {"vinberg"},
+    "vinberg center": {"vinberg"},
+    "normalize moments": {"normalize"},
+    "normalize isotropic": {"normalize"},
+    "normalize sequence": {"normalize", "vinberg"},
+    "group dirichlet": {"group", "vinberg", "normalize"},
+    "plconvex check": {"plconvex"},
+    "plconvex certify": {"plconvex"},
+    "plconvex radius": {"plconvex"},
+    "plconvex outward": {"plconvex"},
+    "plconvex build": {"plconvex", "vinberg"},
+}
+
+
 def _cli(args, tmp_path):
     """Run `python -m projconvex.cli args`; return stdout and the set of
-    modules it imported (from -X importtime, which reports every import)."""
+    modules it imported (from -X importtime, which reports every import),
+    after checking its projconvex modules against `_COMMAND_MODULES`."""
     res = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "projconvex.cli", *args],
         cwd=tmp_path, env=ENV, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stdout + res.stderr
     loaded = {line.rsplit("|", 1)[1].strip() for line in res.stderr.splitlines()
               if line.startswith("import time:") and "|" in line}
+    expected = _EVERY_COMMAND | _COMMAND_MODULES[" ".join(args[:2])]
+    if "--svg" in args:
+        expected = expected | {"svgfig"}
+    assert {m for m in loaded if m.startswith("projconvex.")} == {
+        f"projconvex.{m}" for m in expected}
     return res.stdout, loaded
 
 
@@ -91,7 +150,6 @@ def test_ellipsoid_command_runs_without_scipy(tmp_path, command):
                      tmp_path / "ellipses.json")
     out, loaded = _cli(command, tmp_path)
     assert out.strip()
-    assert f"projconvex.{command[0]}" in loaded
     assert not [m for m in loaded if m.split(".")[0] == "scipy"]
 
 
@@ -144,12 +202,12 @@ def test_polygon_commands_load_no_scipy(tmp_path, command):
     if command[:2] in (["plconvex", "check"], ["plconvex", "certify"]):
         assert "True" in out
     assert out.strip()
-    assert f"projconvex.{command[0]}" in loaded
     assert not [m for m in loaded if m.split(".")[0] == "scipy"]
 
 
 def test_mesh_commands_load_scipy_at_first_use(tmp_path):
-    # a surface build spans its vertices by qhull's origin-facing faces
+    # a surface build spans its vertices by qhull's origin-facing faces and
+    # solves for its characteristic points in vinberg
     jsonio.dump_file(dm.triangle_domain().to_json(), tmp_path / "tri.json")
     out, loaded = _cli(["plconvex", "build", "--domain", "tri.json", "--budget", "24"],
                        tmp_path)
