@@ -28,7 +28,6 @@ from .errors import (
     NotHyperbolicError,
 )
 from .projgeom import ProjPoint, ProjTransform, null_space
-from .vinberg import min_volume_on_fiber
 
 # Iterates `attractor_convergence` tries, and sampled support functionals
 # standing in for an ellipsoid cone's boundary in `dirichlet_domain`.
@@ -263,6 +262,8 @@ def dirichlet_domain(cone: ConvexCone, gens, x, max_len: int,
     yields the polytope.  An ellipsoid cone's supports are taken at sampled
     frontier points, each within `tol` (default `TOL.frontier`) of the frontier.
     """
+    # imported here, so that the other group commands do not load vinberg
+    from .vinberg import min_volume_on_fiber
     dom = cone.domain
     for g in gens:
         gt = g if isinstance(g, ProjTransform) else ProjTransform(g)

@@ -23,11 +23,12 @@ from .errors import (
 )
 
 
-# Elements of one block of the candidate search (directions x cap centres,
-# `SimplicialHypersurface._candidates`) and of the gathered inverse vertex
+# Elements of one block of the candidate search (surfaces x directions x cap
+# centres, `_SurfaceStack._candidates`) and of the gathered inverse vertex
 # matrices (candidate pairs x vertices x vertices, `_cone_pairs`), behind the
-# section check and `radial_values`: the temporaries of a block stay fixed
-# however many directions and candidates there are.
+# section check and `radial_values`, and of one stack of perturbed surfaces
+# in `perturbation_radius`: the temporaries of a block stay fixed however
+# many directions, candidates and trials there are.
 _SECTION_CHUNK = 1 << 16
 
 # Largest sine of the hit test's slack angle (see `radial_section_check`)
@@ -138,6 +139,156 @@ def _check_widths(simplices, width):
                 f"hypersurface simplices need {width} vertices, got {len(s)}")
 
 
+class _SurfaceStack:
+    """Vertex arrays (R, V, n) of R surfaces on one `_Complex`, and their
+    per-simplex geometry with a leading surface axis.
+
+    A `SimplicialHypersurface` is the one-row stack; `perturbation_radius`
+    stacks its perturbed surfaces.  numpy's stacked `det`, `svd` and `inv`
+    run one LAPACK call per matrix and the reductions run over the same
+    trailing axes, so every row equals its surface on its own.
+    `degenerate` marks the simplices, (R, T), whose edge vectors are nearly
+    dependent.
+    """
+
+    def __init__(self, cx, verts):
+        self.complex, self.vertices = cx, verts
+        self.pts = np.take(verts, cx.simplices, axis=1)
+        edges = self.pts[:, :, 1:] - self.pts[:, :, :1]
+        scale = np.maximum(np.linalg.norm(edges, axis=3).max(axis=2), 1e-300)
+        sv = np.linalg.svd(edges, compute_uv=False)
+        self.degenerate = sv[:, :, -1] <= 1e-10 * scale
+        self.dets = np.linalg.det(np.swapaxes(self.pts, 2, 3))
+        self._inv = None
+        self._caps = None
+
+    def select(self, keep):
+        """The stack of the selected rows, its geometry not yet computed."""
+        sub = object.__new__(type(self))
+        sub.complex, sub.vertices, sub.pts = self.complex, self.vertices[keep], self.pts[keep]
+        sub.degenerate, sub.dets = self.degenerate[keep], self.dets[keep]
+        sub._inv = sub._caps = None
+        return sub
+
+    def transversality(self):
+        """|det| of each simplex over the product of its vertex norms, (R, T)."""
+        scale = np.prod(np.linalg.norm(self.pts, axis=3), axis=2)
+        return np.abs(self.dets) / np.maximum(scale, 1e-300)
+
+    def inv(self):
+        if self._inv is None:
+            try:
+                self._inv = np.linalg.inv(np.swapaxes(self.pts, 2, 3))
+            except np.linalg.LinAlgError as exc:
+                # a zero pivot: that simplex's determinant is exactly 0
+                raise TransversalityError(
+                    "simplex has a degenerate ray cone",
+                    simplex=int(np.argmin(np.abs(self.dets)) % self.dets.shape[1])) from exc
+        return self._inv
+
+    def _cap_index(self):
+        """Spherical caps around the simplex cones, built once per stack.
+
+        Returns (centres, near, reach, size_slack, cond_slack): the cap
+        centres (normalized sums of the unit vertex directions), (R, T, n);
+        the simplices whose cap is narrower than a hemisphere and whose
+        rounding allowance stays within _SLACK_BOUND, (R, T); and per row the
+        largest chord radius of those caps and the two terms of the hit
+        test's slack (see `radial_section_check`).
+        """
+        if self._caps is None:
+            inv = self.inv()
+            pts = self.pts
+            norms = np.sqrt(np.einsum("rtkj,rtkj->rtk", pts, pts))
+            unit = pts / norms[..., None]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                centre = unit.sum(axis=2)
+                centre /= np.sqrt(np.einsum("rtj,rtj->rt", centre, centre))[..., None]
+            gap = unit - centre[:, :, None, :]
+            chord = np.sqrt(np.einsum("rtkj,rtkj->rtk", gap, gap).max(axis=2))
+            cond2 = (np.einsum("rtij,rtij->rt", pts, pts)
+                     * np.einsum("rtij,rtij->rt", inv, inv))
+            near = (chord < np.sqrt(2.0)) & (1e-12 * cond2 < _SLACK_BOUND)
+            self._caps = (centre, near, chord.max(axis=1, initial=0.0, where=near),
+                          1e-12 * norms.shape[2] * norms.max(axis=(1, 2)),
+                          1e-12 * cond2.max(axis=1, initial=0.0, where=near))
+        return self._caps
+
+    def _candidates(self, dirs):
+        """(row, simplex) pairs of the directions dirs (R, N, n) flattened to
+        R * N rows and of the R * T simplices, each row meeting its own
+        surface's simplices only, sorted by row then simplex, that include
+        every pair the hit test can pass (see `radial_section_check`): unit
+        rows within the query chord of a cap centre, by their cosines.
+        Pair (r, i, j), row i and simplex j of surface r, has key
+        (r * N + i) * T + j."""
+        centres, near, reach, size_slack, cond_slack = self._cap_index()
+        r_count, n_rows = dirs.shape[:2]
+        t_count = near.shape[1]
+        norms = np.sqrt(np.einsum("rij,rij->ri", dirs, dirs))
+        bounded = (size_slack[:, None] < _SLACK_BOUND * norms) & (norms < np.inf)
+        unit = np.divide(dirs, norms[:, :, None], out=np.full_like(dirs, np.nan),
+                         where=bounded[:, :, None])
+        found = [np.empty(0, dtype=np.intp)]
+        if not near.all():
+            # every row meets the simplices without a cap; their nan centres
+            # meet nothing below
+            r, j = np.nonzero(~near)
+            found.append(((r * n_rows + np.arange(n_rows)[:, None]) * t_count + j).ravel())
+            centres = np.where(near[:, :, None], centres, np.nan)
+        if not bounded.all():
+            # rows too short for the slack bound (zero, say) or not finite,
+            # nan above, meet every simplex with a cap
+            r, i = np.nonzero(~bounded)
+            lost, j = np.nonzero(near[r])
+            found.append((r[lost] * n_rows + i[lost]) * t_count + j)
+        shortest = norms.min(axis=1, initial=np.inf, where=bounded)
+        cosine = np.array([_query_cosine(*row) for row in zip(
+            reach.tolist(), (size_slack / shortest + cond_slack).tolist())])
+        centres = np.swapaxes(centres, 1, 2)
+        step = max(1, _SECTION_CHUNK // near.size)
+        for lo in range(0, n_rows, step):
+            block = unit[:, lo:lo + step]
+            hit = np.flatnonzero(block @ centres >= cosine[:, None, None])
+            # from the block's (r, i - lo, j) to the key of (r, i, j)
+            hit += (hit // (block.shape[1] * t_count) * (n_rows - block.shape[1]) + lo) * t_count
+            found.append(hit)
+        rows, j = np.divmod(np.sort(np.concatenate(found)), t_count)
+        return rows, rows // n_rows * t_count + j
+
+    def _cone_pairs(self, dirs):
+        """Candidate pairs (rows, simplices) of dirs (R, N, n), as in
+        `_candidates`, with the least and the sum of the coordinates of each
+        direction in its simplex's vertex basis, computed in blocks of at
+        most _SECTION_CHUNK gathered inverse entries.  Sums run column by
+        column: numpy sums fewer than eight terms in that order, so each
+        value equals the sum over that simplex alone."""
+        rows, simp = self._candidates(dirs)
+        inv = self.inv()
+        inv = inv.reshape(-1, *inv.shape[2:])
+        dirs = dirs.reshape(-1, dirs.shape[2])
+        step = max(1, _SECTION_CHUNK // inv[0].size)
+        lam = np.empty((rows.size, inv.shape[1]))
+        for lo in range(0, rows.size, step):
+            lam[lo:lo + step] = np.einsum(
+                "pij,pj->pi", np.take(inv, simp[lo:lo + step], axis=0),
+                np.take(dirs, rows[lo:lo + step], axis=0))
+        low, total = lam[:, 0].copy(), lam[:, 0].copy()
+        for col in lam.T[1:]:
+            np.minimum(low, col, out=low)
+            total += col
+        return rows, simp, low, total
+
+
+def _query_cosine(reach, off):
+    """Cosine threshold of the candidate search: unit rows within the largest
+    cap radius `reach` (a chord) plus the angle whose sine is `off`, and
+    1e-9, of a cap centre, with 1e-12 to spare for rounding in the products."""
+    angle = min(np.pi, 2.0 * asin(0.5 * reach) + asin(off))
+    chord = 2.0 * sin(0.5 * angle) + 1e-9
+    return 1.0 - 0.5 * chord * chord - 1e-12
+
+
 class SimplicialHypersurface:
     """Flat-simplex hypersurface in R^{n+1}: vertices plus top simplices, a
     (T, n+1) index array.
@@ -177,35 +328,18 @@ class SimplicialHypersurface:
     def _set_vertices(self, v):
         self.vertices = v
         self.simplices = self._complex.simplices
-        pts = v[self.simplices]
-        edges = pts[:, 1:] - pts[:, :1]
-        scale = np.maximum(np.linalg.norm(edges, axis=2).max(axis=1), 1e-300)
-        sv = np.linalg.svd(edges, compute_uv=False)
-        bad = np.flatnonzero(sv[:, -1] <= 1e-10 * scale)
+        self._stack = _SurfaceStack(self._complex, v[None])
+        bad = np.flatnonzero(self._stack.degenerate[0])
         if bad.size:
             raise InvalidInputError(
                 "degenerate simplex: edge vectors nearly dependent",
                 simplex=int(bad[0]))
-        self._dets = np.linalg.det(np.swapaxes(pts, 1, 2))
-        self._inv_stack = None
-        self._caps = None
+        self._dets = self._stack.dets[0]
 
     def interior_vertices(self):
         return np.flatnonzero(self._complex.interior).tolist()
 
     # -- geometry
-
-    def inv_stack(self):
-        if self._inv_stack is None:
-            try:
-                self._inv_stack = np.linalg.inv(
-                    np.swapaxes(self.vertices[self.simplices], 1, 2))
-            except np.linalg.LinAlgError as exc:
-                # a zero pivot: that simplex's determinant is exactly 0
-                raise TransversalityError(
-                    "simplex has a degenerate ray cone",
-                    simplex=int(np.argmin(np.abs(self._dets)))) from exc
-        return self._inv_stack
 
     def radial_sign(self, si):
         return float(np.sign(self._dets[si]))
@@ -217,95 +351,12 @@ class SimplicialHypersurface:
             raise TransversalityError("first simplex has a degenerate ray cone")
         return s
 
-    def _cap_index(self):
-        """Spherical caps around the simplex cones, built once per surface.
-
-        Returns (centres, members, reach, everywhere, size_slack, cond_slack):
-        the cap centres (normalized sums of the unit vertex directions) of
-        the simplices `members`, one row each, the largest chord radius of
-        their caps, the simplices whose cap would reach a hemisphere or whose
-        rounding allowance passes _SLACK_BOUND, and the two terms of the hit
-        test's slack (see `radial_section_check`).
-        """
-        if self._caps is None:
-            inv = self.inv_stack()
-            pts = self.vertices[self.simplices]
-            norms = np.sqrt(np.einsum("tkj,tkj->tk", pts, pts))
-            unit = pts / norms[:, :, None]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                centre = unit.sum(axis=1)
-                centre /= np.sqrt(np.einsum("tj,tj->t", centre, centre))[:, None]
-            gap = unit - centre[:, None, :]
-            chord = np.sqrt(np.einsum("tkj,tkj->tk", gap, gap).max(axis=1))
-            cond2 = (np.einsum("tij,tij->t", pts, pts)
-                     * np.einsum("tij,tij->t", inv, inv))
-            near = (chord < np.sqrt(2.0)) & (1e-12 * cond2 < _SLACK_BOUND)
-            members = np.flatnonzero(near)
-            self._caps = (centre[members], members,
-                          float(chord.max(initial=0.0, where=near)),
-                          np.flatnonzero(~near),
-                          1e-12 * norms.shape[1] * float(norms.max()),
-                          1e-12 * float(cond2.max(initial=0.0, where=near)))
-        return self._caps
-
-    def _candidates(self, dirs):
-        """(row, simplex) pairs, sorted by row then simplex, that include
-        every pair the hit test can pass (see `radial_section_check`): unit
-        rows within the query chord of a cap centre, by their cosines."""
-        centres, members, reach, everywhere, size_slack, cond_slack = self._cap_index()
-        t_count = self.simplices.shape[0]
-        norms = np.sqrt(np.einsum("ij,ij->i", dirs, dirs))
-        bounded = (size_slack < _SLACK_BOUND * norms) & (norms < np.inf)
-        found = np.flatnonzero(bounded)
-        keys = [np.empty(0, dtype=np.intp)]
-        if everywhere.size:
-            # every row meets the simplices without a cap
-            keys.append(np.arange(len(dirs))[:, None] * t_count + everywhere)
-        if found.size and members.size:
-            # sine of the angle between a hit and its cone, at the shortest row
-            off = size_slack / norms[found].min() + cond_slack
-            angle = min(np.pi, 2.0 * asin(0.5 * reach) + asin(off))
-            chord = 2.0 * sin(0.5 * angle) + 1e-9
-            cosine = 1.0 - 0.5 * chord * chord - 1e-12
-            unit = dirs[found] / norms[found, None]
-            step = max(1, _SECTION_CHUNK // members.size)
-            for lo in range(0, found.size, step):
-                near = np.flatnonzero(unit[lo:lo + step] @ centres.T >= cosine)
-                i, j = np.divmod(near, members.size)
-                keys.append(found[lo + i] * t_count + members[j])
-        if found.size < len(dirs):
-            # rows too short for the slack bound (zero, say) or not finite
-            # meet every simplex that has a cap
-            lost = np.flatnonzero(~bounded)
-            keys.append(lost[:, None] * t_count + members)
-        return np.divmod(np.sort(np.concatenate(keys, axis=None)), t_count)
-
-    def _cone_pairs(self, dirs):
-        """Candidate pairs (rows, simplices) with the least and the sum of the
-        coordinates of each direction in its simplex's vertex basis, computed
-        in blocks of at most _SECTION_CHUNK gathered inverse entries.  Sums
-        run column by column: numpy sums fewer than eight terms in that
-        order, so each value equals the sum over that simplex alone."""
-        rows, simp = self._candidates(dirs)
-        inv = self.inv_stack()
-        step = max(1, _SECTION_CHUNK // inv[0].size)
-        lam = np.empty((rows.size, inv.shape[1]))
-        for lo in range(0, rows.size, step):
-            lam[lo:lo + step] = np.einsum(
-                "pij,pj->pi", np.take(inv, simp[lo:lo + step], axis=0),
-                np.take(dirs, rows[lo:lo + step], axis=0))
-        low, total = lam[:, 0].copy(), lam[:, 0].copy()
-        for col in lam.T[1:]:
-            np.minimum(low, col, out=low)
-            total += col
-        return rows, simp, low, total
-
     def radial_values(self, dirs):
         """PL radius of the surface along each direction; nan when uncovered.
         The lowest-numbered simplex containing a direction gives its value."""
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         out = np.full(dirs.shape[0], np.nan)
-        rows, _, low, total = self._cone_pairs(dirs)
+        rows, _, low, total = self._stack._cone_pairs(dirs[None])
         valid = (low >= -1e-12) & (total > 1e-300)
         rows, total = rows[valid], total[valid]
         first = _run_starts(rows)
@@ -381,28 +432,35 @@ def radial_section_check(surf: SimplicialHypersurface,
     grow near-linearly; the cosine products, 3T x T for T simplices, grow
     quadratically with a small constant.
     """
-    pts = surf.vertices[surf.simplices]
-    scale = np.prod(np.linalg.norm(pts, axis=2), axis=1)
-    trans = np.abs(surf._dets) / np.maximum(scale, 1e-300)
+    trans = surf._stack.transversality()[0]
     min_trans = float(trans.min())
     violations = [{"kind": "transversality", "simplex": si}
                   for si in np.flatnonzero(trans <= 1e-10).tolist()]
     if violations:
         return RadialSectionResult(False, violations, min_trans)
-    weights = surf._complex.sample_weights(seed)
-    dirs = (weights @ pts).reshape(-1, pts.shape[2])
-    rows, simp, low, total = surf._cone_pairs(dirs)
-    hit = (low >= -1e-12) & (total > 0)
-    strict = np.bincount(rows[low > 1e-9], minlength=len(dirs))
-    hits = np.bincount(rows[hit], minlength=len(dirs))
-    bad = (strict > 1) | ((strict == 0) & (hits > 2))
-    for r in np.flatnonzero(bad).tolist():
+    bad, rows, simp, hit = _multiplicity(surf._stack, seed)
+    for r in np.flatnonzero(bad[0]).tolist():
         si = r // _SECTION_SAMPLES
         if not violations or violations[-1]["simplex"] != si:
             lo, hi = np.searchsorted(rows, [r, r + 1])
             violations.append({"kind": "multiplicity", "simplex": si,
                                "hits": simp[lo:hi][hit[lo:hi]].tolist()})
     return RadialSectionResult(not violations, violations, min_trans)
+
+
+def _multiplicity(stack, seed):
+    """The samples of the section check whose ray meets their surface more
+    than once: an (R, T * _SECTION_SAMPLES) mask over the stack's surfaces,
+    with the candidate pairs (rows, simplices, flattened as in
+    `_SurfaceStack._candidates`) and which of them are hits."""
+    weights = stack.complex.sample_weights(seed)
+    dirs = (weights @ stack.pts).reshape(len(stack.pts), -1, stack.pts.shape[3])
+    rows, simp, low, total = stack._cone_pairs(dirs)
+    hit = (low >= -1e-12) & (total > 0)
+    strict = np.bincount(rows[low > 1e-9], minlength=dirs.shape[0] * dirs.shape[1])
+    hits = np.bincount(rows[hit], minlength=strict.size)
+    bad = (strict > 1) | ((strict == 0) & (hits > 2))
+    return bad.reshape(dirs.shape[:2]), rows, simp, hit
 
 
 # ---------------------------------------------------------------------------
@@ -416,33 +474,40 @@ class VertexConvexity:
     determinants: list  # (simplex index, test vertex index, value)
 
 
-def _oriented_dets(surf, t, u):
-    """det(vertices of simplex t - vertex u) for stacked indices, times the
-    radial sign of t and the chirality."""
-    mats = surf.vertices[surf.simplices[t]] - surf.vertices[u][:, None, :]
-    return ((surf.chirality() * np.sign(surf._dets[t]))
-            * np.linalg.det(np.swapaxes(mats, 1, 2)))
+def _oriented_dets(stack, t, u):
+    """det(vertices of simplex t - vertex u) for stacked indices on each
+    surface of the stack, (R, len(t)), times the radial sign of t and the
+    chirality (the radial sign of the first simplex)."""
+    verts = stack.vertices
+    mats = (np.take(verts, stack.complex.simplices[t], axis=1)
+            - np.take(verts, u, axis=1)[:, :, None, :])
+    return ((np.sign(stack.dets[:, :1]) * np.sign(stack.dets[:, t]))
+            * np.linalg.det(np.swapaxes(mats, 2, 3)))
 
 
-def _judge_stars(v, t, u, adjacent, vals):
-    """Per-vertex verdicts on stacked star checks sorted by vertex.
+def _judge_stars(v, adjacent, vals):
+    """Per-vertex verdicts on star checks sorted by vertex, for each row of
+    their determinants vals (R, C).
 
-    Returns the coplanar stars (error data of the first flat adjacent check
-    at each), the mask of checks at the other vertices, and for those the
-    start of each vertex's checks and its sign (+1 or -1 when every
-    determinant has it, else 0).
+    Returns the flat adjacent checks (coplanar stars), the mask of checks at
+    vertices without one, and each vertex's sign (R, vertices): +1 or -1
+    when every determinant at it has that sign, else 0.
     """
     folded = (np.abs(vals) <= TOL.coplanarity) & adjacent
-    flat_v, first = np.unique(v[folded], return_index=True)
-    coplanar = [{"vertex": int(v[i]), "simplex": int(t[i]),
-                 "test_vertex": int(u[i]), "determinant": float(vals[i])}
-                for i in np.flatnonzero(folded)[first]]
-    keep = ~np.isin(v, flat_v)
-    signs = np.sign(vals[keep])
-    starts = np.flatnonzero(_run_starts(v[keep]))
-    lo = np.minimum.reduceat(signs, starts)
-    hi = np.maximum.reduceat(signs, starts)
-    return coplanar, keep, starts, np.where(lo == hi, lo, 0.0).astype(int)
+    first = _run_starts(v)
+    starts = np.flatnonzero(first)
+    keep = ~np.logical_or.reduceat(folded, starts, axis=1)[:, np.cumsum(first) - 1]
+    signs = np.sign(vals)
+    lo = np.minimum.reduceat(signs, starts, axis=1)
+    hi = np.maximum.reduceat(signs, starts, axis=1)
+    return folded, keep, np.where(lo == hi, lo, 0.0).astype(int)
+
+
+def _coplanar_stars(v, t, u, vals, folded):
+    """Error data of the first flat adjacent check at each vertex."""
+    i = np.flatnonzero(folded)
+    return [{"vertex": int(v[j]), "simplex": int(t[j]), "test_vertex": int(u[j]),
+             "determinant": float(vals[j])} for j in i[_run_starts(v[i])].tolist()]
 
 
 def _determinant_list(t, u, vals):
@@ -461,12 +526,15 @@ def vertex_convexity(surf: SimplicialHypersurface, v: int) -> VertexConvexity:
     lo, hi = np.searchsorted(vs, [v, v + 1])
     if lo == hi:
         return VertexConvexity(0, 0.0, [])
-    t, u = t[lo:hi], u[lo:hi]
-    vals = _oriented_dets(surf, t, u)
-    coplanar, _, _, sign = _judge_stars(vs[lo:hi], t, u, adjacent[lo:hi], vals)
+    vs, t, u = vs[lo:hi], t[lo:hi], u[lo:hi]
+    surf.chirality()   # raises where the first simplex's ray cone is flat
+    vals = _oriented_dets(surf._stack, t, u)
+    folded, _, sign = _judge_stars(vs, adjacent[lo:hi], vals)
+    vals = vals[0]
+    coplanar = _coplanar_stars(vs, t, u, vals, folded[0])
     if coplanar:
         raise CoplanarStarError("adjacent simplices are coplanar", **coplanar[0])
-    return VertexConvexity(int(sign[0]), float(np.abs(vals).min()),
+    return VertexConvexity(int(sign[0, 0]), float(np.abs(vals).min()),
                            _determinant_list(t, u, vals))
 
 
@@ -482,34 +550,59 @@ class ConvexityCertificate:
         return asdict(self)
 
 
+def _judge_certificates(stack):
+    """The certificate's determinants and verdict on each surface of the
+    stack, one stacked evaluation over the complex's index arrays.
+
+    Returns the determinants of the adjacent pairs (R, P) and of the star
+    checks (R, C), the flat pairs, the coplanar stars, the checks kept and
+    the vertex signs (`_judge_stars`), and per row the majority sign and
+    whether the certificate holds.
+    """
+    pair_a, _, pair_u = stack.complex.pairs
+    v, t, u, adjacent = stack.complex.checks()
+    vals = _oriented_dets(stack, np.concatenate([pair_a, t]),
+                          np.concatenate([pair_u, u]))
+    pair_vals, vals = vals[:, :pair_a.size], vals[:, pair_a.size:]
+    flat = np.abs(pair_vals) <= TOL.coplanarity
+    folded, keep, signs = _judge_stars(v, adjacent, vals)
+    # one orientation sign must work globally: the majority of the checks
+    # kept, or without an interior vertex, of the adjacent pairs
+    checked, counted = (vals, keep) if v.size else (pair_vals, True)
+    majority = np.where(np.sum((checked > 0) & counted, axis=1)
+                        >= np.sum((checked < 0) & counted, axis=1), 1, -1)
+    ok = ~flat.any(axis=1) & ~folded.any(axis=1) & (signs == majority[:, None]).all(axis=1)
+    if not v.size:
+        ok &= (np.sign(pair_vals) == majority[:, None]).all(axis=1)
+    return pair_vals, vals, flat, folded, keep, signs, majority, ok
+
+
 def certify_generic_convex(surf: SimplicialHypersurface) -> ConvexityCertificate:
     """Global convexity certificate: radial section, a single determinant sign
     across all interior vertex stars, and no coplanar adjacent pair.
 
     Every determinant (adjacent pairs, then star checks) is one stacked
-    evaluation over the complex's precomputed index arrays.  Without an
-    interior vertex the adjacent-pair determinants must share one sign; a
-    lone simplex has none and passes with an infinite margin.
+    evaluation over the complex's precomputed index arrays
+    (`_judge_certificates`, which `perturbation_radius` runs on many
+    surfaces at once).  Without an interior vertex the adjacent-pair
+    determinants must share one sign; a lone simplex has none and passes
+    with an infinite margin.
     """
     rs = radial_section_check(surf)
     if not rs.ok:
         raise TransversalityError("surface is not a radial section",
                                   violations=rs.violations)
-    pair_a, pair_b, pair_u = surf._complex.pairs
-    v, t, u, adjacent = surf._complex.checks()
-    vals = _oriented_dets(surf, np.concatenate([pair_a, t]),
-                          np.concatenate([pair_u, u]))
-    pair_vals, vals = vals[:pair_a.size], vals[pair_a.size:]
+    pair_vals, vals, flat, folded, keep, signs, majority, _ = (
+        a[0] for a in _judge_certificates(surf._stack))
+    pair_a, pair_b, _ = surf._complex.pairs
+    v, t, u, _ = surf._complex.checks()
 
     def pair_violations(kind, mask):
         return [{"kind": kind, "simplices": [a, b], "determinant": d}
                 for a, b, d in zip(pair_a[mask].tolist(), pair_b[mask].tolist(),
                                    pair_vals[mask].tolist())]
 
-    flat = np.abs(pair_vals) <= TOL.coplanarity
-    violations = pair_violations("coplanarity", flat)
-    coplanar, keep, starts, signs = _judge_stars(v, t, u, adjacent, vals)
-    v, t, u, vals = v[keep], t[keep], u[keep], vals[keep]
+    starts = np.flatnonzero(_run_starts(v))
     ends = np.append(starts[1:], v.size)
 
     def vertex_violation(i):
@@ -517,20 +610,22 @@ def certify_generic_convex(surf: SimplicialHypersurface) -> ConvexityCertificate
         return {"kind": "vertex", "vertex": int(v[lo]),
                 "determinants": _determinant_list(t[lo:hi], u[lo:hi], vals[lo:hi])}
 
-    per_vertex = [{"kind": "coplanarity", **data} for data in coplanar]
-    per_vertex += [vertex_violation(i) for i in np.flatnonzero(signs == 0)]
+    violations = pair_violations("coplanarity", flat)
+    kept = keep[starts]
+    per_vertex = [{"kind": "coplanarity", **data}
+                  for data in _coplanar_stars(v, t, u, vals, folded)]
+    per_vertex += [vertex_violation(i) for i in np.flatnonzero(kept & (signs == 0))]
     violations += sorted(per_vertex, key=lambda viol: viol["vertex"])
-    # one orientation sign must work globally; minority vertices are flagged,
-    # or without an interior vertex, minority adjacent pairs
-    checked = vals if adjacent.size else pair_vals
-    majority = 1 if np.sum(checked > 0) >= np.sum(checked < 0) else -1
-    violations += [vertex_violation(i)
-                   for i in np.flatnonzero((signs != 0) & (signs != majority))]
-    if not adjacent.size:
+    # minority vertices are flagged, or without an interior vertex, minority
+    # adjacent pairs
+    violations += [vertex_violation(i) for i in
+                   np.flatnonzero(kept & (signs != 0) & (signs != majority))]
+    if not v.size:
         violations += pair_violations("fold", ~flat & (np.sign(pair_vals) != majority))
+    checked = vals[keep] if v.size else pair_vals
     if violations:
         return ConvexityCertificate(False, 0, 0.0, checked.size, violations)
-    return ConvexityCertificate(True, majority,
+    return ConvexityCertificate(True, int(majority),
                                 float(np.abs(checked).min(initial=np.inf)), checked.size)
 
 
@@ -549,19 +644,30 @@ def perturbation_radius(surf: SimplicialHypersurface, trials: int = 100,
 
     epsilon = margin / (2 B) where B bounds the derivative of every checked
     determinant under simultaneous vertex displacements (each column moves at
-    most twice the displacement; Hadamard bounds the cofactors).  Verified by
-    re-certifying 100 random perturbations at 0.9 epsilon; the perturbed
-    surfaces share this one's combinatorics.  Without an interior vertex B
-    bounds the adjacent-pair determinants; without those, nothing is checked
-    and InvalidInputError is raised.
+    most twice the displacement; Hadamard bounds the cofactors).  Without an
+    interior vertex B bounds the adjacent-pair determinants; without those,
+    nothing is checked and InvalidInputError is raised.
+
+    Verified by re-certifying `trials` (at least 1) random perturbations at
+    0.9 epsilon, each vertex moved by that length in a seeded normal
+    direction, and 20 more at ten times epsilon, of which at least one
+    should fail (`failed_at_10x`).
+    A perturbed surface passes when `certify_generic_convex` of it holds
+    with this surface's sign.  The perturbed surfaces share this one's
+    complex and are judged together by `_recertified`, as many at a time as
+    keep one surface's cosine products or determinant matrices, times their
+    number, within _SECTION_CHUNK entries.
     """
+    if trials < 1:
+        raise InvalidInputError("need at least one trial", trials=trials)
     cert = certify_generic_convex(surf)
     if not cert.ok:
         raise ApproximationFailureError("surface is not generic-convex",
                                         violations=cert.violations)
-    _, t, u, _ = surf._complex.checks()
+    cx = surf._complex
+    _, t, u, _ = cx.checks()
     if not t.size:
-        t, _, u = surf._complex.pairs
+        t, _, u = cx.pairs
     if not t.size:
         raise InvalidInputError(
             "no adjacent simplices: no determinant bounds a perturbation radius")
@@ -572,21 +678,37 @@ def perturbation_radius(surf: SimplicialHypersurface, trials: int = 100,
                       for i in range(norms.shape[1]))
     bound = float(b_det.max(initial=0.0))
     eps = cert.margin / (2.0 * bound)
-    rng = np.random.default_rng(seed)
+    # one draw for every trial: the stream of one draw per trial in turn
+    scale = np.repeat([0.9 * eps, 10.0 * eps], [trials, 20])
+    disp = np.random.default_rng(seed).normal(size=(scale.size, *surf.vertices.shape))
+    disp *= scale[:, None, None] / np.linalg.norm(disp, axis=2)[:, :, None]
+    verts = surf.vertices + disp
+    t_count, k = surf.simplices.shape
+    per_trial = max(_SECTION_SAMPLES * t_count * t_count,
+                    (cx.pairs[0].size + cx.checks()[0].size) * k * k)
+    step = max(1, _SECTION_CHUNK // per_trial)
+    passed = np.concatenate([_recertified(cx, verts[lo:lo + step], cert.sign)
+                             for lo in range(0, scale.size, step)])
+    return PerturbationResult(float(eps), float(bound), int(passed[:trials].sum()),
+                              trials, not passed[trials:].all())
 
-    def recertified(scale):
-        disp = rng.normal(size=surf.vertices.shape)
-        disp *= scale * eps / np.linalg.norm(disp, axis=1)[:, None]
-        try:
-            c2 = certify_generic_convex(surf.with_vertices(surf.vertices + disp))
-        except (TransversalityError, InvalidInputError):
-            return False
-        return c2.ok and c2.sign == cert.sign
 
-    passes = sum(recertified(0.9) for _ in range(trials))
-    failed_10x = not all(recertified(10.0) for _ in range(20))
-    return PerturbationResult(float(eps), float(bound), passes, trials,
-                              failed_10x)
+def _recertified(cx, verts, sign):
+    """Per vertex array of verts (R, V, n): does the surface on the complex
+    cx pass `certify_generic_convex` with this sign?  A row fails where that
+    would raise: non-finite or degenerate, not transversal, or a ray meeting
+    the surface twice.  Non-finite, degenerate and non-transversal rows are
+    dropped first, since their ray cones may have no inverse."""
+    passed = np.zeros(len(verts), dtype=bool)
+    rows = np.flatnonzero(np.isfinite(verts).all(axis=(1, 2)))
+    stack = _SurfaceStack(cx, verts[rows])
+    keep = ~stack.degenerate.any(axis=1) & (stack.transversality() > 1e-10).all(axis=1)
+    stack, rows = stack.select(keep), rows[keep]
+    if rows.size:
+        *_, majority, ok = _judge_certificates(stack)
+        passed[rows] = (ok & (majority == sign)
+                        & ~_multiplicity(stack, DEFAULT_SEED)[0].any(axis=1))
+    return passed
 
 
 # ---------------------------------------------------------------------------

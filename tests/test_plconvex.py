@@ -567,12 +567,149 @@ def test_surfaces_without_interior_vertices_certify():
     assert len(res.surface.simplices) == 1
 
 
+def _radius_loop(surf, trials, seed):
+    """perturbation_radius computed one determinant bound and one perturbed
+    surface at a time: each trial draws its displacement and certifies its
+    own surface."""
+    cert = pl.certify_generic_convex(surf)
+    checks = [(si, u) for v in surf.interior_vertices()
+              for si, u, _ in _ref_vertex_convexity(surf, v).determinants]
+    if not checks:
+        checks = [(sj, next(iter(set(surf.simplices[sk].tolist()) - f)))
+                  for sj, sk, f in _ref_complex(surf)[0]]
+    bound = 0.0
+    for si, u in checks:
+        norms = np.linalg.norm(surf.vertices[surf.simplices[si]] - surf.vertices[u], axis=1)
+        prod = np.prod(norms)
+        bound = max(bound, 2.0 * sum(prod / max(n, 1e-300) for n in norms))
+    eps = cert.margin / (2.0 * bound)
+    rng = np.random.default_rng(seed)
+
+    def recertified(scale):
+        disp = rng.normal(size=surf.vertices.shape)
+        disp *= scale * eps / np.linalg.norm(disp, axis=1)[:, None]
+        try:
+            c2 = pl.certify_generic_convex(surf.with_vertices(surf.vertices + disp))
+        except (TransversalityError, InvalidInputError):
+            return False
+        return c2.ok and c2.sign == cert.sign
+
+    passes = sum(recertified(0.9) for _ in range(trials))
+    failed_10x = not all(recertified(10.0) for _ in range(20))
+    return pl.PerturbationResult(eps, bound, passes, trials, failed_10x)
+
+
+RADIUS_SURFACES = {
+    "polyline": REFERENCE_MESHES["polyline"],
+    "ring_2_8": lambda: _ring_surface(17, 1),
+    "ring_3_12": lambda: _ring_surface(37, 2),
+    "strip": _strip,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RADIUS_SURFACES))
+def test_perturbation_radius_matches_the_trial_loop(name):
+    surf = RADIUS_SURFACES[name]()
+    results = []
+    for seed, trials in ((DEFAULT_SEED, 100), (5, 30), (11, 1)):
+        res = pl.perturbation_radius(surf, trials=trials, seed=seed)
+        assert res == _radius_loop(surf, trials, seed)
+        assert type(res.reverify_passes) is int and type(res.failed_at_10x) is bool
+        results.append(res)
+    # ten times the certified radius breaks the polyline's certificate
+    assert results[0].failed_at_10x == (name == "polyline")
+
+
+def _ring_rows():
+    """Vertex arrays on the complex of a ring surface, one per verdict of the
+    loop: passes, a degenerate simplex, a cone through the origin, a
+    degenerate simplex pinched to the origin that is still transversal, a
+    non-finite coordinate, a dent, a fold and the opposite sign."""
+    surf = _ring_surface(37, 2)
+    v = surf.vertices
+    rng = np.random.default_rng(3)
+    a, b, c = surf.simplices[5]
+    rows = [v, v + 1e-6 * rng.normal(size=v.shape)] + [v.copy() for _ in range(4)]
+    rows[2][a] = v[b]
+    rows[3][a] = v[b] - v[c]
+    rows[4][a] = 1e-11 * v[a] / np.linalg.norm(v[a])
+    rows[4][b] = rows[4][a] + 1e-11 * np.cross(v[a], v[c]) / np.linalg.norm(np.cross(v[a], v[c]))
+    rows[5][a, 0] = np.nan
+    i = surf.interior_vertices()[3]
+    rows += [v * np.where(np.arange(len(v)) == i, 0.9, 1.0)[:, None], v.copy(), -v]
+    turn = np.array([[np.cos(0.6), np.sin(0.6)], [-np.sin(0.6), np.cos(0.6)]])
+    rows[-2][i, :2] = v[i, :2] @ turn
+    rows.append(v + 1e-6 * rng.normal(size=v.shape))
+    return surf, rows, ["pass", "pass", "InvalidInputError", "TransversalityError",
+                        "InvalidInputError", "InvalidInputError", "fail",
+                        "TransversalityError", "sign", "pass"]
+
+
+def _arc_rows():
+    """Two convex arcs of three segments each: apart, and turned to lie
+    over one another, so that rays meet both while every star stays convex."""
+    def arcs(turn):
+        a, b = np.linspace(0.3, 1.2, 4), np.linspace(1.5, 2.4, 4) - turn
+        return np.vstack([np.stack([np.cos(a), np.sin(a)], 1),
+                          1.5 * np.stack([np.cos(b), np.sin(b)], 1)])
+    surf = pl.SimplicialHypersurface(arcs(0.0), [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+    return surf, [arcs(0.0), arcs(1.0)], ["pass", "TransversalityError"]
+
+
+@pytest.mark.parametrize("make", [_ring_rows, _arc_rows], ids=["ring", "arcs"])
+def test_stacked_verdicts_match_certificates_row_by_row(make):
+    surf, rows, kinds = make()
+    sign = pl.certify_generic_convex(surf).sign
+    outcomes = [_outcome(lambda w: pl.certify_generic_convex(surf.with_vertices(w)), w)
+                for w in rows]
+    assert kinds == ["pass" if isinstance(o, pl.ConvexityCertificate) and o.ok and o.sign == sign
+                     else "sign" if isinstance(o, pl.ConvexityCertificate) and o.ok
+                     else "fail" if isinstance(o, pl.ConvexityCertificate) else o[0]
+                     for o in outcomes]
+    # the stacked degeneracy check flags the finite rows that with_vertices
+    # rejects, and a failing row leaves the other rows' verdicts unchanged
+    rows = np.stack(rows)
+    finite = np.isfinite(rows).all(axis=(1, 2))
+    stack = pl._SurfaceStack(surf._complex, rows[finite])
+    assert stack.degenerate.any(axis=1).tolist() == [
+        k == "InvalidInputError" for k, f in zip(kinds, finite) if f]
+    passed = pl._recertified(surf._complex, rows, sign)
+    assert passed.tolist() == [k == "pass" for k in kinds]
+    alone = [pl._recertified(surf._complex, w[None], sign)[0] for w in rows]
+    assert passed.tolist() == alone
+
+
+@pytest.mark.parametrize("name", ["polyline", "ring_2_8"])
+def test_perturbation_radius_across_trial_blocks(monkeypatch, name):
+    surf = RADIUS_SURFACES[name]()
+    blocks = []
+    recertified = pl._recertified
+    monkeypatch.setattr(pl, "_recertified",
+                        lambda cx, verts, sign: blocks.append(len(verts))
+                        or recertified(cx, verts, sign))
+    res = pl.perturbation_radius(surf, trials=50, seed=9)
+    assert sum(blocks) == 70 and (len(blocks) >= 2) == (name == "ring_2_8")
+    for chunk in (1, 1 << 30):   # one trial per block, then one block
+        blocks.clear()
+        monkeypatch.setattr(pl, "_SECTION_CHUNK", chunk)
+        assert pl.perturbation_radius(surf, trials=50, seed=9) == res
+        assert blocks == ([1] * 70 if chunk == 1 else [70])
+    assert res.reverify_passes == 50 and res.failed_at_10x == (name == "polyline")
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_perturbation_radius_needs_a_trial(polyline, trials):
+    with pytest.raises(InvalidInputError) as err:
+        pl.perturbation_radius(polyline, trials=trials)
+    assert err.value.data == {"trials": trials}
+
+
 def _block_straddlers(surf, dirs):
     """Candidate-pair count of dirs and the rows whose pairs fall in two
     blocks of the pair kernel (blocks of _SECTION_CHUNK gathered inverse
     entries, so _SECTION_CHUNK // k^2 pairs each)."""
-    rows, _ = surf._candidates(dirs)
-    step = pl._SECTION_CHUNK // surf.inv_stack()[0].size
+    rows, _ = surf._stack._candidates(dirs[None])
+    step = pl._SECTION_CHUNK // surf.simplices.shape[1] ** 2
     return rows.size, [int(rows[b]) for b in range(step, rows.size, step)
                        if rows[b - 1] == rows[b]]
 
@@ -591,7 +728,7 @@ def test_section_check_across_chunks():
     weights = surf._complex.sample_weights(DEFAULT_SEED)
     samples = (weights @ surf.vertices[surf.simplices]).reshape(-1, 2)
     pairs, split = _block_straddlers(surf, samples)
-    assert pairs * surf.inv_stack()[0].size > pl._SECTION_CHUNK
+    assert pairs * surf.simplices.shape[1] ** 2 > pl._SECTION_CHUNK
     res = pl.radial_section_check(surf)
     assert res == _ref_section_check(surf)
     # a sample of a violating simplex has its pairs in two blocks
@@ -608,7 +745,7 @@ def test_radial_values_across_blocks():
     dirs = (rng.dirichlet(np.ones(k), size=len(dirs))[:, :, None] * dirs).sum(1)
     dirs[-1] = [1.0, 0.0, 0.0]          # not covered by the surface
     pairs, split = _block_straddlers(surf, dirs)
-    assert pairs * surf.inv_stack()[0].size > pl._SECTION_CHUNK
+    assert pairs * surf.simplices.shape[1] ** 2 > pl._SECTION_CHUNK
     assert split
     got = surf.radial_values(dirs)
     one_by_one = np.array([surf.radial_values(d[None, :])[0] for d in dirs])
@@ -655,7 +792,7 @@ def test_section_check_matches_reference_at_scale():
     res = pl.radial_section_check(surf)
     assert res == _ref_section_check(surf)
     # the 3 x 987 samples fill more than one block of the candidate search
-    assert 3 * 987 > pl._SECTION_CHUNK // len(surf._cap_index()[1])
+    assert 3 * 987 > pl._SECTION_CHUNK // len(surf.simplices)
     assert any(v["kind"] == "multiplicity" for v in res.violations)
 
 
@@ -687,7 +824,7 @@ def test_candidates_per_sample_stay_flat():
         surf = _ring_surface(budget, 3)
         pts = surf.vertices[surf.simplices]
         dirs = (surf._complex.sample_weights(DEFAULT_SEED) @ pts).reshape(-1, 3)
-        rows, _ = surf._candidates(dirs)
+        rows, _ = surf._stack._candidates(dirs[None])
         sizes.append(len(pts))
         per_sample.append(rows.size / len(dirs))
     assert sizes == [242, 1984]

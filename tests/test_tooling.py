@@ -107,6 +107,8 @@ _COMMAND_MODULES = {
     "normalize moments": {"normalize"},
     "normalize isotropic": {"normalize"},
     "normalize sequence": {"normalize", "vinberg"},
+    "group aut": {"group"},
+    "group dynamics": {"group"},
     "group dirichlet": {"group", "vinberg", "normalize"},
     "plconvex check": {"plconvex"},
     "plconvex certify": {"plconvex"},
@@ -138,7 +140,8 @@ def _cli(args, tmp_path):
     ["vinberg", "center", "--domain", "disk.json"],
     ["normalize", "isotropic", "--domain", "disk.json"],
     ["normalize", "sequence", "--seq", "ellipses.json"],
-], ids=["vinberg-center", "normalize-isotropic", "normalize-sequence"])
+    ["group", "aut", "--domain", "disk.json", "--matrix", "boost.json"],
+], ids=["vinberg-center", "normalize-isotropic", "normalize-sequence", "group-aut"])
 def test_ellipsoid_command_runs_without_scipy(tmp_path, command):
     # ellipsoids have closed forms, and their affine and projective maps go
     # through the quadric, so none of these commands may load scipy
@@ -148,6 +151,7 @@ def test_ellipsoid_command_runs_without_scipy(tmp_path, command):
     jsonio.dump_file({"generators": ["a"], "terms": [[np.eye(3).tolist()]] * 3,
                       "domains": [e.to_json() for e in ellipses]},
                      tmp_path / "ellipses.json")
+    jsonio.dump_file({"matrix": boost(1.2).tolist()}, tmp_path / "boost.json")
     out, loaded = _cli(command, tmp_path)
     assert out.strip()
     assert not [m for m in loaded if m.split(".")[0] == "scipy"]
