@@ -48,8 +48,7 @@ print("  bottom-right entry preserved by the diagonal conjugation:",
       max(s.corner_dev for s in rep2.steps))
 
 print("\nbounded invariant-subspace sweep on the renormalized limit:")
-witness = nm.invariant_subspace_search(rep2.limit_matrices, tol=1e-8,
-                                       max_word_len=3)
+witness = nm.invariant_subspace_search(rep2.limit_matrices, max_word_len=3)
 if witness is None:
     print("  none found up to word length 3")
 else:

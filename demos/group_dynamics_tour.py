@@ -26,7 +26,7 @@ def rotation(a):
                      [0, 0, 1]])
 
 
-disk = dm.klein_disk()
+disk = dm.unit_disk()
 b = ProjTransform(boost(0.8))
 print("boost(0.8) preserves the Klein disk:",
       gp.is_automorphism(disk, b).is_automorphism)
@@ -35,7 +35,7 @@ print("attracting / repelling points:", hd.a_plus.coords, hd.a_minus.coords)
 print(f"translation length {hd.translation_length:.12f}"
       f" = half the log eigenvalue ratio {hd.length_eigen:.12f}")
 print("iterates reach the attractor (1e-6) by k =",
-      gp.attractor_convergence(disk, b, [0.2, -0.3], tol=1e-6))
+      gp.attractor_convergence(disk, b, [0.2, -0.3]))
 
 # a one-dimensional example where everything is exact by hand
 ray = dm.orthant_domain(1)

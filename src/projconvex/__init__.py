@@ -21,7 +21,7 @@ from .config import TOL, DEFAULT_SEED
 _EXPORTS = {
     "domain": (
         "Chord ConvexCone ConvexDomain boundary_flats chord contains "
-        "dual_domain klein_disk orthant_domain square_domain support "
+        "dual_domain orthant_domain square_domain support "
         "supporting_facets triangle_domain unit_disk validate").split(),
     "hilbert": (
         "ChordProjection chord_projection distance distances geodesic "
@@ -37,7 +37,7 @@ _EXPORTS = {
         "radial_section_check vertex_convexity").split(),
     "projgeom": (
         "AffineChart DualFunctional ProjPoint ProjSubspace ProjTransform "
-        "affine_chart normalize_point pencil_core standard_chart").split(),
+        "pencil_core standard_chart").split(),
     "vinberg": (
         "VolumeResult characteristic_point characteristic_points grad_volume "
         "min_volume_on_fiber slice_centroid spherical_center theta "

@@ -1191,7 +1191,7 @@ def _sphere_directions(n, count):
 def support_residual(d1: ConvexDomain, d2: ConvexDomain, dirs):
     """Max support-function gap over unit directions, with d2 re-charted
     into d1's chart unless the two charts are equal."""
-    if not d1.chart.same_as(d2.chart, tol=0.0):
+    if not d1.chart.same_as(d2.chart):
         d2 = d2.in_chart(d1.chart)
     h1 = d1.support_function(dirs)
     h2 = d2.support_function(dirs)
@@ -1204,10 +1204,6 @@ def support_residual(d1: ConvexDomain, d2: ConvexDomain, dirs):
 
 def unit_disk():
     return ConvexDomain.ellipsoid(np.zeros(2), np.eye(2))
-
-
-def klein_disk():
-    return unit_disk()
 
 
 def square_domain(half=1.0):

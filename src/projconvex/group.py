@@ -142,9 +142,8 @@ def fixed_point_dynamics(dom: ConvexDomain, a: ProjTransform,
     )
 
 
-def attractor_convergence(dom: ConvexDomain, a: ProjTransform, x,
-                          tol: float = 1e-6) -> int:
-    """Smallest k with the k-th iterate within chart distance tol of a_plus."""
+def attractor_convergence(dom: ConvexDomain, a: ProjTransform, x) -> int:
+    """Smallest k with the k-th iterate within chart distance 1e-6 of a_plus."""
     hd = fixed_point_dynamics(dom, a)
     target = dom.chart.to_chart(hd.a_plus)
     vec = dom.chart.lift(dom.chart_coords(x))
@@ -153,7 +152,7 @@ def attractor_convergence(dom: ConvexDomain, a: ProjTransform, x,
         vec = vec / np.linalg.norm(vec)
         if abs(dom.chart.height(vec)) <= TOL.exact:
             continue
-        if np.linalg.norm(dom.chart.to_chart(vec * np.sign(dom.chart.height(vec))) - target) < tol:
+        if np.linalg.norm(dom.chart.to_chart(vec * np.sign(dom.chart.height(vec))) - target) < 1e-6:
             return k
     raise NotHyperbolicError("iterates did not reach the attracting point",
                              kmax=_ATTRACTOR_STEPS)

@@ -133,13 +133,15 @@ def chord_projection(dom: ConvexDomain, target: Chord) -> ChordProjection:
     h_plus = support(dom, target.a_plus)
     h_minus = support(dom, target.a_minus)
     core = pencil_core(h_plus, h_minus)
-    basis = np.vstack([core.basis,
-                       target.a_minus.coords[None, :],
-                       target.a_plus.coords[None, :]]).T
-    cond = float(np.linalg.cond(basis))
-    proj = ChordProjection(target, h_plus, h_minus, core, cond)
-    proj._basis = basis
-    return proj
+    cond = float(np.linalg.cond(_pencil_basis(core, target)))
+    return ChordProjection(target, h_plus, h_minus, core, cond)
+
+
+def _pencil_basis(core: ProjSubspace, target: Chord):
+    """Columns: the core's basis vectors, then the chord's two endpoints."""
+    return np.vstack([core.basis,
+                      target.a_minus.coords[None, :],
+                      target.a_plus.coords[None, :]]).T
 
 
 def project_to_chord(proj: ChordProjection, x) -> ProjPoint:
@@ -148,7 +150,7 @@ def project_to_chord(proj: ChordProjection, x) -> ProjPoint:
         vec = x.coords
     else:
         vec = np.asarray(x, dtype=float)
-    basis = proj._basis
+    basis = _pencil_basis(proj.core, proj.chord)
     try:
         coef = np.linalg.solve(basis, vec)
     except np.linalg.LinAlgError as exc:
@@ -164,16 +166,16 @@ def project_to_chord(proj: ChordProjection, x) -> ProjPoint:
 _INVPHI = float((np.sqrt(5.0) - 1.0) / 2.0)
 
 
-def _golden_min(fn, lo, hi, tol=1e-10, max_iter=200):
+def _golden_min(fn, lo, hi):
     """Golden-section minima of quasiconvex functions, one per bracket
     [lo[i], hi[i]], searched in lockstep.
 
     fn(k, s) returns the values of functions k[j] at s[j] for index and
     point arrays k and s.  One call evaluates both interior points of every
-    bracket, then one call per step the new points of the brackets still
-    wider than tol, and a last call the midpoints: each bracket takes the
-    steps of a search of its own, in the same floats.  Returns the midpoints
-    and the values there.
+    bracket, then one call per step (at most 200) the new points of the
+    brackets still wider than 1e-10, and a last call the midpoints: each
+    bracket takes the steps of a search of its own, in the same floats.
+    Returns the midpoints and the values there.
     """
     a = np.array(lo, dtype=float)
     b = np.array(hi, dtype=float)
@@ -182,8 +184,8 @@ def _golden_min(fn, lo, hi, tol=1e-10, max_iter=200):
     d = a + _INVPHI * (b - a)
     f = np.asarray(fn(np.concatenate([every, every]), np.concatenate([c, d])), dtype=float)
     fc, fd = f[:len(a)], f[len(a):]
-    for _ in range(max_iter):
-        k = np.flatnonzero(b - a > tol)
+    for _ in range(200):
+        k = np.flatnonzero(b - a > 1e-10)
         if not k.size:
             break
         left = fc[k] < fd[k]

@@ -375,11 +375,11 @@ class SubspaceWitness:
     dual: bool
 
 
-def invariant_subspace_search(gens, tol=1e-8, max_word_len=4):
+def invariant_subspace_search(gens, max_word_len=4):
     """Bounded heuristic: sweep eigenspace sums of short words for a common
     invariant subspace of the family (and of the transposed family).
 
-    A returned witness is certified within tol; none-found is not a proof.
+    A returned witness is certified within 1e-8; none-found is not a proof.
     """
     # imported here, so that the normalize commands do not load group
     from .group import _reduced_word_matrices, word_label
@@ -408,7 +408,7 @@ def invariant_subspace_search(gens, tol=1e-8, max_word_len=4):
                 if not 0 < p.shape[1] < n1:
                     continue
                 res = max(_invariance_residual(m, p) for m in fam)
-                if res <= tol:
+                if res <= 1e-8:
                     return SubspaceWitness(p, p.shape[1], word_label(word),
                                            res, dual)
     return None

@@ -123,7 +123,7 @@ class ProjTransform:
         self.matrix = m
 
     def apply(self, p: ProjPoint) -> ProjPoint:
-        return normalize_point(self.matrix @ p.coords)
+        return ProjPoint(self.matrix @ p.coords)
 
     def dual_apply(self, phi: DualFunctional) -> DualFunctional:
         w = np.linalg.solve(self.matrix.T, phi.coeffs)
@@ -160,11 +160,6 @@ class ProjSubspace:
         """Orthogonal projection of a raw vector onto the linear span."""
         v = np.asarray(v, dtype=float)
         return self.basis.T @ (self.basis @ v)
-
-
-def normalize_point(v) -> ProjPoint:
-    """Unit representative of [v]; raises on the zero vector."""
-    return ProjPoint(v)
 
 
 def pencil_core(h1: DualFunctional, h2: DualFunctional) -> ProjSubspace:
@@ -207,15 +202,13 @@ class AffineChart:
 
     __slots__ = ("infinity", "frame")
 
-    def __init__(self, infinity, frame=None):
+    def __init__(self, infinity):
         if isinstance(infinity, DualFunctional):
             v = infinity.coeffs.copy()
         else:
             v = _as_vector(infinity)
             v = v / np.linalg.norm(v)
-        if frame is None:
-            frame = canonical_frame(v)
-        frame = np.asarray(frame, dtype=float)
+        frame = canonical_frame(v)
         v.flags.writeable = False
         frame.flags.writeable = False
         self.infinity = v
@@ -247,12 +240,9 @@ class AffineChart:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         return self.infinity[None, :] + xs @ self.frame.T
 
-    def same_as(self, other, tol=None):
-        tol = TOL.exact if tol is None else tol
-        return (
-            np.linalg.norm(self.infinity - other.infinity) <= tol
-            and np.linalg.norm(self.frame - other.frame) <= tol
-        )
+    def same_as(self, other):
+        return (np.array_equal(self.infinity, other.infinity)
+                and np.array_equal(self.frame, other.frame))
 
 
 def standard_chart(n):
@@ -260,11 +250,6 @@ def standard_chart(n):
     v = np.zeros(n + 1)
     v[-1] = 1.0
     return AffineChart(v)
-
-
-def affine_chart(h_inf: DualFunctional, p: ProjPoint):
-    """Chart coordinates of p in the patch complementary to ker(h_inf)."""
-    return AffineChart(h_inf).to_chart(p)
 
 
 def minimal_rotation(u, w):

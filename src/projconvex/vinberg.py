@@ -64,8 +64,10 @@ from .projgeom import (
     null_space,
 )
 
-# Newton iterations a fiber minimization may take.
+# Newton iterations a fiber minimization and each spherical-center solve
+# may take.
 _FIBER_ITERATIONS = 80
+_CENTER_ITERATIONS = 60
 
 
 @dataclass
@@ -366,7 +368,7 @@ def _fiber_certificate(q, basis, mu):
     return residual, cert, ~((residual > 1e-8) | (cert > 1e-6))
 
 
-def min_volume_on_fiber(c, q, max_iter=_FIBER_ITERATIONS) -> FiberMinimum:
+def min_volume_on_fiber(c, q) -> FiberMinimum:
     """Minimize the truncated volume over functionals with phi(q) = 1.
 
     Newton on log V restricted to the fiber (see `_newton`), started from the
@@ -380,7 +382,7 @@ def min_volume_on_fiber(c, q, max_iter=_FIBER_ITERATIONS) -> FiberMinimum:
     v_inf = cone.domain.chart.infinity
     t_basis = null_space(q[None, :])
     v, data, it, _ = _newton(cone, v_inf / float(v_inf @ q), t_basis, 0.0,
-                             max_iter)
+                             _FIBER_ITERATIONS)
     mu = data.centroid
     residual, cert, ok = _fiber_certificate(q, t_basis, mu)
     if not ok:
@@ -467,7 +469,7 @@ class SphericalCenter:
     iterations: int
 
 
-def spherical_center(dom: ConvexDomain, max_iter=60) -> SphericalCenter:
+def spherical_center(dom: ConvexDomain) -> SphericalCenter:
     """Unique direction whose chart sees the domain centroid at the origin.
 
     F(v) = log V(v) + (n+1)|v|^2/2 is strictly convex on the open dual cone
@@ -485,10 +487,11 @@ def spherical_center(dom: ConvexDomain, max_iter=60) -> SphericalCenter:
     cone = dom.cone()
     chart = dom.chart
     v, _, it, _ = _newton(cone, chart.infinity, np.eye(dom.dim + 1),
-                          dom.dim + 1.0, max_iter)
+                          dom.dim + 1.0, _CENTER_ITERATIONS)
     q = v / np.linalg.norm(v)
     x = chart.to_chart(q)
-    w, _, _, declined = _newton(cone, q, null_space(q[None, :]), 0.0, max_iter)
+    w, _, _, declined = _newton(cone, q, null_space(q[None, :]), 0.0,
+                                _CENTER_ITERATIONS)
     gn = float(np.linalg.norm(chart.to_chart(w + declined) - x))
     if gn > 100 * TOL.center_residual:
         raise ConvergenceFailureError(

@@ -220,7 +220,7 @@ def test_criterion_08_box_estimate():
     rng = np.random.default_rng(108)
     violations = 0
     # boosts and rotations on the sandwiched Klein disk
-    iso_disk = nm.isotropic_normalize(dm.klein_disk())
+    iso_disk = nm.isotropic_normalize(dm.unit_disk())
     d_mat = iso_disk.diag_matrix()
     d_inv = np.linalg.inv(d_mat)
     k_disk = iso_disk.sandwich.outer_K
@@ -359,7 +359,7 @@ def test_criterion_11_thin_triangles():
 
 def test_criterion_12_hyperbolic_dynamics():
     rng = np.random.default_rng(112)
-    disk = dm.klein_disk()
+    disk = dm.unit_disk()
     worst = 0.0
     for _ in range(50):
         mat, t = so21_hyperbolic(rng)
@@ -370,7 +370,7 @@ def test_criterion_12_hyperbolic_dynamics():
         assert abs(hd.length_eigen - t) < 1e-9
     assert worst < 1e-6
     a = ProjTransform(boost(0.8))
-    k0 = gp.attractor_convergence(disk, a, [0.1, -0.2], tol=1e-6)
+    k0 = gp.attractor_convergence(disk, a, [0.1, -0.2])
     assert k0 < 500
     _report(12, f"length methods agree to {worst:.1e} on 50 boosts; "
                 f"iterates reach the attractor by k={k0}")

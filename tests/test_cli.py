@@ -251,6 +251,11 @@ def test_bad_numbers_are_rejected(disk_file, tmp_path, capsys):
                     "--tri", "0,0:0.5,0:0,0.5", "--m", "-1"])
     assert res.exit_code == 1
     assert "error[invalid-input]" in capsys.readouterr().out
+    res = dispatch(["hilbert", "dist", "--domain", disk_file,
+                    "--x", "0,zero", "--y", "0.5,0"])
+    assert res.exit_code == 1
+    assert capsys.readouterr().out == (
+        "error[invalid-input]: cannot parse point '0,zero'\n")
 
 
 def test_aut_tol_zero_is_exact(disk_file, tmp_path):

@@ -724,3 +724,35 @@ def test_simplex_moments_stack_rows_match_one_set(m1, rng):
         one = dm._simplex_moments(rv[i], measures[i])
         for a, b in zip(one, stacked):
             assert np.array_equal(a, b[i])
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: dm.ConvexDomain.from_halfspaces([[1.0], [2.0]], [1.0, 1.0]),
+     NotProperlyConvexError, "half-space data is unbounded"),
+    (lambda: dm.ConvexDomain.from_halfspaces([[1.0], [-1.0]], [-1.0, -1.0]),
+     NotProperlyConvexError, "empty or flat half-space intersection"),
+    (lambda: dm.ConvexDomain.from_halfspaces([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0]),
+     InvalidInputError, "zero normal vector"),
+    (lambda: dm.ConvexDomain.from_halfspaces([[1.0, 0.0]], [1.0, 2.0]),
+     InvalidInputError, "normals/offsets length mismatch"),
+    (lambda: dm.ConvexDomain.from_vertices([[0.5], [0.5]]),
+     NotProperlyConvexError, "1-d vertex list must be two distinct points"),
+    (lambda: dm.ConvexDomain.from_vertices([[0.0, 0.0], [1.0, 0.0]]),
+     NotProperlyConvexError, "too few vertices for an open set"),
+    (lambda: dm.ConvexDomain.ellipsoid([0.0, 0.0], [[1.0, 0.0], [0.0, -1.0]]),
+     NotProperlyConvexError, "ellipsoid shape matrix not positive-definite"),
+    (lambda: dm.ConvexDomain.radial_graph(
+        [0.0, 0.0], [[1.0, 0.0], [0.0, 0.0], [-1.0, -1.0]], [1.0, 1.0, 1.0]),
+     InvalidInputError, "zero direction in radial graph"),
+    (lambda: dm.ConvexDomain.radial_graph(
+        [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [1.0, 0.0, 1.0]),
+     NotProperlyConvexError, "radial graph radii must be positive"),
+    (lambda: dm.ConvexDomain.radial_graph([0.0, 0.0, 0.0], np.eye(3), [1.0, 1.0, 1.0]),
+     InvalidInputError, "simplices required for radial graphs off the circle"),
+], ids=["unbounded-1d", "empty-1d", "zero-normal", "length-mismatch",
+        "coincident-1d", "too-few-vertices", "indefinite-ellipsoid",
+        "zero-direction", "zero-radius", "radial-3d-no-simplices"])
+def test_malformed_domain_data_raises(build, error, message):
+    with pytest.raises(GeometryError) as err:
+        build()
+    assert err.type is error and str(err.value) == message

@@ -145,7 +145,7 @@ def test_automorphisms_are_isometries(disk, rng):
 
 def test_iterates_converge_to_attractor(disk, rng):
     a = ProjTransform(boost(0.6))
-    k0 = gp.attractor_convergence(disk, a, [0.2, -0.3], tol=1e-6)
+    k0 = gp.attractor_convergence(disk, a, [0.2, -0.3])
     assert k0 < 200
     hd = gp.fixed_point_dynamics(disk, a)
     vec = disk.chart.lift([0.2, -0.3])
@@ -236,7 +236,7 @@ def test_dirichlet_triangle_group_relators():
     # distinct reduced words give one element and a^3 fixes every point
     r1, r2, r3 = triangle_group(3, 3, 4)
     gens = [ProjTransform(r1 @ r2), ProjTransform(r2 @ r3)]
-    cone = dm.klein_disk().cone()
+    cone = dm.unit_disk().cone()
     x = np.array([0.05, 0.03, 1.0])
     dds = [gp.dirichlet_domain(cone, gens, x, depth) for depth in (2, 3, 4)]
     for dd in dds:
@@ -285,7 +285,7 @@ def test_dirichlet_gauss_bonnet_area(pqr, shift):
     p, q, r = pqr
     r1, r2, r3 = triangle_group(p, q, r)
     gens = [ProjTransform(r1 @ r2), ProjTransform(r2 @ r3)]
-    cone = dm.klein_disk().cone()
+    cone = dm.unit_disk().cone()
     want = 2.0 * np.pi * (1.0 - 1.0 / p - 1.0 / q - 1.0 / r)
     for depth in (2, 3, 4):
         dd = gp.dirichlet_domain(cone, gens, np.array([0.05 + shift, 0.03, 1.0]), depth)
@@ -295,7 +295,7 @@ def test_dirichlet_gauss_bonnet_area(pqr, shift):
 
 
 def test_dirichlet_two_generators_disk():
-    disk = dm.klein_disk()
+    disk = dm.unit_disk()
     g1 = ProjTransform(boost(1.2))
     g2 = ProjTransform(rotation(np.pi / 2) @ boost(1.2) @ rotation(-np.pi / 2))
     x = disk.chart.lift([0.0, 0.0])
@@ -304,3 +304,18 @@ def test_dirichlet_two_generators_disk():
     assert {"g0", "g0'", "g1", "g1'"} <= words
     for w, inv in dd.pairings.items():
         assert inv is not None
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda d: gp.orbit([boost(0.5)], d.chart.from_chart([0.1, 0.2]), -1),
+     "word length bound must be nonnegative"),
+    (lambda d: gp.dirichlet_domain(d.cone(), [np.diag([2.0, 1.0, 0.5])],
+                                   d.chart.lift([0.1, 0.2]), 1),
+     "generator does not preserve the cone"),
+    (lambda d: gp.dirichlet_domain(d.cone(), [boost(0.5)], d.chart.lift([1.5, 0.0]), 1),
+     "base point is not inside the cone"),
+], ids=["negative-length", "not-an-automorphism", "base-point-outside"])
+def test_invalid_group_arguments_raise(disk, call, message):
+    with pytest.raises(InvalidInputError) as err:
+        call(disk)
+    assert err.type is InvalidInputError and str(err.value) == message

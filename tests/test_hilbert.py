@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -316,6 +317,15 @@ def test_projection_disk_example(disk):
     assert image.same_class(again, tol=1e-12)
 
 
+def test_projection_is_its_fields(disk):
+    # a copy of the dataclass projects as the original: the decomposition
+    # basis comes from the fields alone
+    proj = hb.chord_projection(disk, dm.chord(disk, [-0.2, 0.1], [0.4, 0.3]))
+    x = disk.chart.from_chart([0.1, -0.5])
+    assert np.array_equal(hb.project_to_chord(replace(proj), x).coords,
+                          hb.project_to_chord(proj, x).coords)
+
+
 def test_projection_nonexpansive(any_domain, rng):
     x0 = any_domain.random_interior(rng, margin=0.05)
     y0 = any_domain.random_interior(rng, margin=0.05)
@@ -475,3 +485,22 @@ def test_thin_triangle_short_side_on_polytope(triangle):
     # each sample is at most as far from the other sides as from a vertex
     diam = max(hb.distance(triangle, tri[i], tri[i - 1]) for i in range(3))
     assert 0.0 < res.delta <= diam
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda d: hb.geodesic(d, [0.0, 0.0], [0.5, 0.0], 0),
+     "need at least one segment"),
+    (lambda d: hb.metric_ball(d, [1.5, 0.0], 1.0),
+     "ball center is not inside the domain"),
+    (lambda d: hb.metric_ball(dm.orthant_domain(3), [0.0, 0.0, 0.0], 1.0),
+     "metric balls are drawn in 2-d charts only"),
+    (lambda d: hb.thin_triangle_delta(d, [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]], m=0),
+     "need at least one segment per side"),
+    (lambda d: hb.thin_triangle_delta(d, [[0.0, 0.0], [0.5, 0.0]]),
+     "triangle needs exactly three vertices"),
+], ids=["geodesic-k0", "ball-center-outside", "ball-3d", "triangle-m0",
+        "two-vertices"])
+def test_invalid_metric_arguments_raise(disk, call, message):
+    with pytest.raises(GeometryError) as err:
+        call(disk)
+    assert err.type is InvalidInputError and str(err.value) == message

@@ -154,7 +154,7 @@ def test_corpus_constant_and_box_bound(rng):
     assert corpus_k < 6.0
     # every verified automorphism of a sandwiched domain obeys the entrywise
     # bound with the certified constant chain 2 K^4
-    iso = nm.isotropic_normalize(dm.klein_disk())
+    iso = nm.isotropic_normalize(dm.unit_disk())
     d_mat = iso.diag_matrix()
     for _ in range(50):
         a = d_mat @ so21_element(rng) @ np.linalg.inv(d_mat)
@@ -183,7 +183,7 @@ def test_box_check_translation_fails():
 
 
 def test_box_check_on_normalized_automorphism(rng):
-    iso = nm.isotropic_normalize(dm.klein_disk())
+    iso = nm.isotropic_normalize(dm.unit_disk())
     d_mat = iso.diag_matrix()
     k = iso.sandwich.outer_K
     for _ in range(100):
@@ -204,7 +204,7 @@ def _ellipse_sequence(count):
 
 def test_analyze_constant_sequence(rng):
     b = boost(0.8)
-    doms = [dm.klein_disk() for _ in range(8)]
+    doms = [dm.unit_disk() for _ in range(8)]
     terms = [[b] for _ in range(8)]
     rep = nm.analyze_sequence(nm.RepSequence(["a"], terms, doms))
     assert rep.verdict == "convergent, irreducible"
@@ -260,8 +260,7 @@ def test_csv_rows_shape():
 
 
 def test_invariant_subspace_diag():
-    w = nm.invariant_subspace_search([np.diag([2.0, 0.5])], tol=1e-8,
-                                     max_word_len=2)
+    w = nm.invariant_subspace_search([np.diag([2.0, 0.5])], max_word_len=2)
     assert w is not None and w.dim == 1
     basis = np.abs(w.basis.ravel())
     assert np.allclose(sorted(basis), [0.0, 1.0], atol=1e-9)
@@ -271,7 +270,7 @@ def test_invariant_subspace_rotation_block():
     th = 1.0
     m = np.eye(3)
     m[:2, :2] = [[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]]
-    w = nm.invariant_subspace_search([m], tol=1e-8, max_word_len=2)
+    w = nm.invariant_subspace_search([m], max_word_len=2)
     assert w is not None
     span = w.basis @ w.basis.T
     e3 = np.array([0.0, 0.0, 1.0])
@@ -281,4 +280,21 @@ def test_invariant_subspace_rotation_block():
 
 def test_invariant_subspace_random_rotations(rng):
     gens = [random_orthogonal(rng, 3), random_orthogonal(rng, 3)]
-    assert nm.invariant_subspace_search(gens, tol=1e-8, max_word_len=4) is None
+    assert nm.invariant_subspace_search(gens, max_word_len=4) is None
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: nm.box_sandwich(dm.ConvexDomain.ellipsoid([3.0, 0.0], np.eye(2))),
+     "box sandwich requires the origin inside"),
+    (lambda: nm.RepSequence(["a"], [[np.eye(2)], [np.eye(3)]]),
+     "matrices of mixed sizes: [(2, 2), (3, 3)]"),
+    (lambda: nm.RepSequence(["a", "b"], [[np.eye(3)]]),
+     "each term needs one matrix per generator"),
+    (lambda: nm.analyze_sequence(nm.RepSequence(["a"], [[np.eye(3)], [np.eye(3)]],
+                                                [dm.unit_disk()])),
+     "domains and terms length mismatch"),
+], ids=["origin-outside", "mixed-sizes", "missing-generator", "domain-count"])
+def test_invalid_normalize_inputs_raise(call, message):
+    with pytest.raises(InvalidInputError) as err:
+        call()
+    assert err.type is InvalidInputError and str(err.value) == message

@@ -10,17 +10,17 @@ from projconvex.errors import (
 
 
 def test_normalize_point_scaling():
-    assert np.allclose(pg.normalize_point([0, 0, 2]).coords, [0, 0, 1])
-    assert np.allclose(pg.normalize_point([3, 4]).coords, [0.6, 0.8])
+    assert np.allclose(pg.ProjPoint([0, 0, 2]).coords, [0, 0, 1])
+    assert np.allclose(pg.ProjPoint([3, 4]).coords, [0.6, 0.8])
 
 
 def test_normalize_point_zero_rejected():
     with pytest.raises(InvalidInputError):
-        pg.normalize_point([0.0, 0.0, 0.0])
+        pg.ProjPoint([0.0, 0.0, 0.0])
 
 
 def test_apply_identity_and_diag():
-    p = pg.normalize_point([1.0, 1.0])
+    p = pg.ProjPoint([1.0, 1.0])
     ident = pg.ProjTransform(np.eye(2))
     assert ident.apply(p).same_class(p)
     a = pg.ProjTransform(np.diag([2.0, 0.5]))
@@ -112,10 +112,11 @@ def test_pencil_core_annihilation(rng):
 
 def test_affine_chart_examples():
     hinf = pg.DualFunctional([0.0, 0.0, 1.0])
-    assert np.allclose(pg.affine_chart(hinf, pg.ProjPoint([0, 0, 1.0])), [0, 0])
-    assert np.allclose(pg.affine_chart(hinf, pg.ProjPoint([1.0, 1, 1])), [1, 1])
+    chart = pg.AffineChart(hinf)
+    assert np.allclose(chart.to_chart(pg.ProjPoint([0, 0, 1.0])), [0, 0])
+    assert np.allclose(chart.to_chart(pg.ProjPoint([1.0, 1, 1])), [1, 1])
     with pytest.raises(AtInfinityError):
-        pg.affine_chart(hinf, pg.ProjPoint([1.0, 0, 0]))
+        chart.to_chart(pg.ProjPoint([1.0, 0, 0]))
 
 
 def test_affine_chart_round_trip(rng):

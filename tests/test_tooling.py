@@ -73,7 +73,7 @@ def test_import_loads_submodules_at_first_use():
             "projconvex.config"}, sorted(sys.modules)
         assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
         assert set(projconvex.__all__) <= set(dir(projconvex))
-        assert len(projconvex.__all__) == 65
+        assert len(projconvex.__all__) == 62
         assert "projconvex.hilbert" not in sys.modules
         assert projconvex.hilbert is sys.modules["projconvex.hilbert"]
         star = {}
@@ -348,7 +348,7 @@ def test_dirichlet_domain_makes_one_fiber_solve(monkeypatch):
     monkeypatch.setattr(vb, "_newton", counted)
     r1, r2, r3 = triangle_group(3, 3, 4)
     gens = [ProjTransform(r1 @ r2), ProjTransform(r2 @ r3)]
-    dd = gp.dirichlet_domain(dm.klein_disk().cone(), gens,
+    dd = gp.dirichlet_domain(dm.unit_disk().cone(), gens,
                              np.array([0.05, 0.03, 1.0]), 3)
     assert dd.stable and len(calls) == 1
 
@@ -404,8 +404,9 @@ def test_solver_demos_run(demo, tmp_path):
     # the first two drive the spherical-center and fiber solvers; the third
     # the section check, log contours, certificates and perturbation radii;
     # the next two the group dynamics and the characteristic surface; the
-    # last the Hilbert metric, geodesics, metric balls and thin triangles
-    res = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+    # last the Hilbert metric, geodesics, metric balls and thin triangles;
+    # any warning is an error
+    res = subprocess.run([sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
                          cwd=tmp_path, env=ENV, capture_output=True,
                          timeout=120)
     assert res.returncode == 0, res.stderr.decode()

@@ -383,10 +383,11 @@ def test_spherical_center_is_its_own_fiber_direction(rng):
     assert kinds == {"hpoly", "vpoly", "ellipsoid", "radialgraph"}
 
 
-def test_spherical_center_unconverged_raises():
+def test_spherical_center_unconverged_raises(monkeypatch):
     dom = REFERENCE_CENTERS["triangle"][0]
+    monkeypatch.setattr(vb, "_CENTER_ITERATIONS", 1)
     with pytest.raises(ConvergenceFailureError):
-        vb.spherical_center(dom, max_iter=1)
+        vb.spherical_center(dom)
 
 
 # ---------------------------------------------------------------------------
@@ -441,25 +442,104 @@ def test_characteristic_points_raise_the_first_failing_row(disk):
     assert np.array_equal(pts[1], vb.characteristic_point(disk, good))
 
 
+def _fiber_starts(dom, rng, size=7):
+    """Unit interior rays and the chart functional scaled into each fiber."""
+    qs = dom.chart.lift_many(dom.random_interior(rng, size=size))
+    qs = qs / np.linalg.norm(qs, axis=1)[:, None]
+    return qs, dom.chart.infinity / (qs @ dom.chart.infinity)[:, None]
+
+
+def _lockstep_rows_match_runs(cone, v0, basis, row_bases,
+                              max_iter=vb._FIBER_ITERATIONS):
+    """Run `_newton` on the stack and on each row alone with its own basis;
+    every row's iterate, slice data, iteration count and declined step must
+    be the same floats.  Returns the stack's result."""
+    v, data, its, declined = vb._newton(cone, v0, basis, 0.0, max_iter)
+    for i, b in enumerate(row_bases):
+        v1, d1, it1, dec1 = vb._newton(cone, v0[i], b, 0.0, max_iter)
+        assert np.array_equal(v[i], v1) and its[i] == it1
+        assert np.array_equal(declined[i], dec1)
+        assert data.volume[i] == d1.volume
+        assert np.array_equal(data.centroid[i], d1.centroid)
+        assert np.array_equal(data.second_moment[i], d1.second_moment)
+    return v, its, declined
+
+
 def test_lockstep_newton_rows_match_one_problem_runs(rng):
-    # iterates, slice data, iteration counts and declined steps, row by row,
-    # with rows that stop at different iterations (max_iter cuts some)
+    # rows that stop at different iterations (max_iter cuts some)
     dom = STACK_DOMAINS[3]
     cone = dom.cone()
-    qs = dom.chart.lift_many(dom.random_interior(rng, size=7))
-    qs = qs / np.linalg.norm(qs, axis=1)[:, None]
-    v0 = dom.chart.infinity / (qs @ dom.chart.infinity)[:, None]
+    qs, v0 = _fiber_starts(dom, rng)
     for max_iter in (0, 3, 80):
-        basis = vb._fiber_bases(qs)
-        v, data, its, declined = vb._newton(cone, v0, basis, 0.0, max_iter)
-        for i, q in enumerate(qs):
-            v1, d1, it1, dec1 = vb._newton(cone, v0[i], null_space(q[None, :]),
-                                           0.0, max_iter)
-            assert np.array_equal(v[i], v1) and its[i] == it1
-            assert np.array_equal(declined[i], dec1)
-            assert data.volume[i] == d1.volume
-            assert np.array_equal(data.centroid[i], d1.centroid)
-            assert np.array_equal(data.second_moment[i], d1.second_moment)
+        _lockstep_rows_match_runs(cone, v0, vb._fiber_bases(qs),
+                                  [null_space(q[None, :]) for q in qs], max_iter)
+
+
+def test_lockstep_newton_singular_row(rng):
+    # a zero basis makes row 2's Hessian 0: its step solve fails, alone as
+    # in the stack, so it stops at iteration 1 with no declined step, and
+    # the stack solves its other rows one at a time, to the same floats
+    dom = STACK_DOMAINS[3]
+    qs, v0 = _fiber_starts(dom, rng)
+    basis = vb._fiber_bases(qs)
+    basis[2] = 0.0
+    row_bases = [null_space(q[None, :]) for q in qs]
+    row_bases[2] = basis[2]
+    v, its, declined = _lockstep_rows_match_runs(dom.cone(), v0, basis, row_bases)
+    assert its[2] == 1 and not declined[2].any() and np.array_equal(v[2], v0[2])
+    assert (its[[0, 1, 3, 4, 5, 6]] > 1).all()
+
+
+def _refuse_slices(monkeypatch, refused):
+    """Make `_slice_exact` raise OutsideDualConeError, as for a functional
+    outside the dual cone, on each functional v with refused(v); a stack's
+    error lists its refused rows."""
+    real = vb._slice_exact
+
+    def fake(cone, v):
+        bad = [refused(row) for row in np.atleast_2d(v)]
+        if any(bad):
+            raise OutsideDualConeError("refused", rows=np.flatnonzero(bad).tolist())
+        return real(cone, v)
+
+    monkeypatch.setattr(vb, "_slice_exact", fake)
+
+
+def test_lockstep_newton_halves_refused_steps_as_one_problem_runs(rng, monkeypatch):
+    # every step of row 0 is refused, so it halves to exhaustion at its first
+    # iteration; row 1 may not leave a ball about its start of half its first
+    # step's length, so its steps halve at the ball's edge
+    dom = STACK_DOMAINS[3]
+    cone = dom.cone()
+    qs, v0 = _fiber_starts(dom, rng)
+    b1 = null_space(qs[1][None, :])
+    radius = 0.5 * np.linalg.norm(vb._newton(cone, v0[1], b1, 0.0, 1)[0] - v0[1])
+
+    def refused(v):   # a row's iterates stay on its fiber v . q = 1
+        if abs(v @ qs[0] - 1.0) < 1e-9:
+            return not np.array_equal(v, v0[0])
+        return abs(v @ qs[1] - 1.0) < 1e-9 and np.linalg.norm(v - v0[1]) > radius
+
+    _refuse_slices(monkeypatch, refused)
+    v, its, declined = _lockstep_rows_match_runs(
+        cone, v0, vb._fiber_bases(qs), [null_space(q[None, :]) for q in qs])
+    assert its[0] == 1 and not declined[0].any() and np.array_equal(v[0], v0[0])
+    assert 0.0 < np.linalg.norm(v[1] - v0[1]) <= radius
+
+
+def test_characteristic_rows_drop_a_failed_start(rng, monkeypatch):
+    # a row whose starting slice fails leaves the stack: it comes back not
+    # ok, and the other rows' points are unchanged
+    dom = STACK_DOMAINS[3]
+    cone = dom.cone()
+    qs = dom.chart.lift_many(dom.random_interior(rng, size=5))
+    pts, ok = vb._characteristic_rows(cone, qs)
+    q2 = qs[2] / np.linalg.norm(qs[2])
+    _refuse_slices(monkeypatch, lambda v: abs(v @ q2 - 1.0) < 1e-9)
+    pts2, ok2 = vb._characteristic_rows(cone, qs)
+    assert ok.all() and ok2.tolist() == [True, True, False, True, True]
+    assert np.isnan(pts2[2]).all()
+    assert np.array_equal(np.delete(pts2, 2, axis=0), np.delete(pts, 2, axis=0))
 
 
 def test_slice_stack_lists_failing_rows(disk, square):
