@@ -241,7 +241,7 @@ def _group_dirichlet(args, domain, gens):
 
 def _plconvex_check(args, mesh):
     from . import plconvex as pl
-    res = pl.radial_section_check(mesh, seed=args.seed)
+    res = pl.radial_section_check(mesh)
     return asdict(res), f"radial section: {res.ok}", []
 
 
@@ -317,7 +317,7 @@ COMMANDS = {
         DOMAIN, _flag("--gens", required=True),
         _flag("--x", required=True, help="base point, raw cone coordinates"),
         _flag("--L", type=int, default=3), FRONTIER]),
-    "plconvex check": (_plconvex_check, [MESH, SEED]),
+    "plconvex check": (_plconvex_check, [MESH]),
     "plconvex certify": (_plconvex_certify, [MESH]),
     "plconvex radius": (_plconvex_radius, [MESH, SEED]),
     "plconvex outward": (_plconvex_outward, [

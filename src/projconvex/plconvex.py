@@ -31,15 +31,14 @@ from .errors import (
 # many directions, candidates and trials there are.
 _SECTION_CHUNK = 1 << 16
 
-# Largest sine of the hit test's slack angle (see `radial_section_check`)
+# Largest sine of the hit test's slack angle (see `_SurfaceStack._candidates`)
 # that the cap index folds into its query radius; simplices and directions
 # with more slack meet everything, so one of them cannot widen every query.
 _SLACK_BOUND = 1e-3
 
-# Sample points per simplex of the radial section check; jitter rounds of a
-# characteristic-surface build, how far towards the chart boundary its
-# outermost samples sit, and how many of its edges the deviation bound samples.
-_SECTION_SAMPLES = 3
+# Jitter rounds of a characteristic-surface build, how far towards the chart
+# boundary its outermost samples sit, and how many of its edges the deviation
+# bound samples.
 _JITTER_ROUNDS = 8
 _INSET = 0.85
 _DEVIATION_EDGES = 24
@@ -85,21 +84,38 @@ class _Complex:
         boundary = keys[self.mate < 0]
         self.interior = np.zeros(n_vertices, dtype=bool)
         self.interior[flat] = True
+        self.used = self.interior.copy()
         self.interior[boundary[boundary >= 0]] = False
+        self._drop = drop
         self._checks = None
-        self._weights = {}
+        self._section = None
 
-    def sample_weights(self, seed):
-        """Barycentric weights (T, _SECTION_SAMPLES, k) of the section check's
-        samples: each simplex's centroid, then seeded Dirichlet draws.  They
-        depend on the complex alone, so surfaces sharing it draw them once."""
-        if seed not in self._weights:
-            t_count, k = self.simplices.shape
-            draws = np.random.default_rng(seed).dirichlet(
-                np.full(k, 4.0), size=(t_count, _SECTION_SAMPLES - 1))
-            self._weights[seed] = np.concatenate(
-                [np.full((t_count, 1, k), 1.0 / k), draws], axis=1)
-        return self._weights[seed]
+    def section(self):
+        """Index arrays of `_section_faults`, built at first use: per adjacent
+        pair the sign of its determinant product without a fold, and in
+        chart dimension 2 the boundary edges as rows into the boundary
+        vertices, those vertices, and the edge pairs (e < f) without a shared
+        vertex.  The vertex opposite a facet moves from slot j to the last
+        column by k - 1 - j transpositions, and with k <= 3 the two simplices
+        list the facet in swapped orders where their first entries differ."""
+        if self._section is None:
+            simp, k = self.simplices, self.simplices.shape[1]
+
+            def facets(slots):
+                return simp[(slots // k)[:, None], self._drop[slots % k]]
+
+            first = np.flatnonzero(self.mate > np.arange(self.mate.size))
+            second = self.mate[first]
+            swap = facets(first)[:, 0] != facets(second)[:, 0]
+            unfolded = 2 * ((first % k + second % k + swap) % 2) - 1
+            edges = facets(np.flatnonzero(self.mate < 0)) if k == 3 else np.empty((0, 2), int)
+            ends = np.flatnonzero(np.bincount(edges.ravel(), minlength=self.used.size))
+            at = np.searchsorted(ends, edges)
+            incidence = np.zeros((len(at), len(ends)))
+            incidence[np.arange(len(at))[:, None], at] = 1.0
+            e, f = np.nonzero(np.triu(incidence @ incidence.T == 0, 1))
+            self._section = unfolded, at, ends, e, f
+        return self._section
 
     def checks(self):
         """Rows (vertex, simplex, test vertex, adjacent) of the determinant
@@ -194,7 +210,7 @@ class _SurfaceStack:
         the simplices whose cap is narrower than a hemisphere and whose
         rounding allowance stays within _SLACK_BOUND, (R, T); and per row the
         largest chord radius of those caps and the two terms of the hit
-        test's slack (see `radial_section_check`).
+        test's slack (see `_candidates`).
         """
         if self._caps is None:
             inv = self.inv()
@@ -218,10 +234,29 @@ class _SurfaceStack:
         """(row, simplex) pairs of the directions dirs (R, N, n) flattened to
         R * N rows and of the R * T simplices, each row meeting its own
         surface's simplices only, sorted by row then simplex, that include
-        every pair the hit test can pass (see `radial_section_check`): unit
-        rows within the query chord of a cap centre, by their cosines.
-        Pair (r, i, j), row i and simplex j of surface r, has key
-        (r * N + i) * T + j."""
+        every pair the hit test can pass.  Pair (r, i, j), row i and simplex
+        j of surface r, has key (r * N + i) * T + j.
+
+        A direction d hits simplex t when its coordinates in the vertex basis
+        are all at least -1e-12; then d lies within 1e-12 * sum|p_i| of the
+        cone, plus a rounding allowance of 1e-12 * cond(t)^2 * |d| for those
+        coordinates (cond is the Frobenius condition number of the vertex
+        matrix), which bounds its angle to the cone.  The cone lies in the
+        cap around its normalized vertex centroid whose chord radius reaches
+        the farthest unit vertex direction: a cap narrower than a hemisphere
+        is convex, so holding the vertices it holds the whole spherical
+        simplex.  Every centre within the largest cap radius plus that angle
+        (and 1e-9) of the unit direction is a candidate; for unit vectors
+        that chord test is a cosine test, q . c >= 1 - chord^2/2, made with
+        1e-12 to spare for rounding in the products, one block of directions
+        against all centres at a time.  A simplex whose cap would reach a
+        hemisphere, or whose rounding allowance passes _SLACK_BOUND, is a
+        candidate for every direction, as is every simplex for a direction
+        too short for that bound (zero, say) or not finite.  Each direction
+        meets about as many candidates however fine the surface, so the
+        membership tests grow near-linearly; the cosine products, N x T,
+        have a small constant.
+        """
         centres, near, reach, size_slack, cond_slack = self._cap_index()
         r_count, n_rows = dirs.shape[:2]
         t_count = near.shape[1]
@@ -402,65 +437,101 @@ class RadialSectionResult:
     min_transversality: float
 
 
-def radial_section_check(surf: SimplicialHypersurface,
-                         seed: int = DEFAULT_SEED) -> RadialSectionResult:
+def radial_section_check(surf: SimplicialHypersurface) -> RadialSectionResult:
     """Does every ray from the origin meet the surface exactly once?
 
     Per-simplex transversality (origin off the affine hull, by the vertex
-    determinant) plus injectivity of the radial projection on seeded interior
-    sample points with exact per-simplex cone membership.
-
-    Membership is tested only on candidate (sample, simplex) pairs from the
-    surface's cap index, and every hit is a candidate, so the verdict is the
-    all-pairs one.  A sample d hits simplex t when its coordinates in the
-    vertex basis are all at least -1e-12; then d lies within
-    1e-12 * sum|p_i| of the cone, plus a rounding allowance of
-    1e-12 * cond(t)^2 * |d| for those coordinates (cond is the Frobenius
-    condition number of the vertex matrix), which bounds its angle to the
-    cone.  The cone lies in the cap around its normalized vertex centroid
-    whose chord radius reaches the farthest unit vertex direction: a cap
-    narrower than a hemisphere is convex, so holding the vertices it holds
-    the whole spherical simplex.  Every centre within the largest cap
-    radius plus that angle (and 1e-9) of the unit sample is a candidate; for
-    unit vectors that chord test is a cosine test, q . c >= 1 - chord^2/2,
-    made with 1e-12 to spare for rounding in the products, one block of
-    samples against all centres at a time.  A simplex whose cap would reach
-    a hemisphere, or whose rounding allowance passes _SLACK_BOUND, is a
-    candidate for every sample, as is every simplex for a direction too
-    short for that bound (zero, say) or not finite.  Each sample meets about
-    as many candidates however fine the surface, so the membership tests
-    grow near-linearly; the cosine products, 3T x T for T simplices, grow
-    quadratically with a small constant.
+    determinant), then the exact sign tests of `_section_faults`, reported as
+    `fold` (two simplices), `winding` (a vertex), `crossing` (two boundary
+    edges) and `multiplicity` (a vertex, and as `hits` the simplices outside
+    its star that its ray meets).  Chart dimension 3 raises InvalidInputError
+    until its tests of edge windings and triangle crossings are written.
     """
+    if surf.simplices.shape[1] > 3:
+        raise InvalidInputError("the radial section check supports chart dim <= 2")
     trans = surf._stack.transversality()[0]
     min_trans = float(trans.min())
     violations = [{"kind": "transversality", "simplex": si}
                   for si in np.flatnonzero(trans <= 1e-10).tolist()]
     if violations:
         return RadialSectionResult(False, violations, min_trans)
-    bad, rows, simp, hit = _multiplicity(surf._stack, seed)
-    for r in np.flatnonzero(bad[0]).tolist():
-        si = r // _SECTION_SAMPLES
-        if not violations or violations[-1]["simplex"] != si:
-            lo, hi = np.searchsorted(rows, [r, r + 1])
-            violations.append({"kind": "multiplicity", "simplex": si,
-                               "hits": simp[lo:hi][hit[lo:hi]].tolist()})
+    *masks, (rows, simp) = _section_faults(surf._stack)
+    fold, wound, crossed, multiple = (mask[0] for mask in masks)
+    pair_a, pair_b, _ = surf._complex.pairs
+    _, at, ends, e, f = surf._complex.section()
+    edges = ends[at].tolist()
+    violations = [{"kind": "fold", "simplices": [a, b]}
+                  for a, b in zip(pair_a[fold].tolist(), pair_b[fold].tolist())]
+    violations += [{"kind": "winding", "vertex": v} for v in np.flatnonzero(wound).tolist()]
+    violations += [{"kind": "crossing", "edges": [edges[i], edges[j]]}
+                   for i, j in zip(e[crossed].tolist(), f[crossed].tolist())]
+    for v in np.flatnonzero(multiple).tolist():
+        lo, hi = np.searchsorted(rows, [v, v + 1])
+        violations.append({"kind": "multiplicity", "vertex": v, "hits": simp[lo:hi].tolist()})
     return RadialSectionResult(not violations, violations, min_trans)
 
 
-def _multiplicity(stack, seed):
-    """The samples of the section check whose ray meets their surface more
-    than once: an (R, T * _SECTION_SAMPLES) mask over the stack's surfaces,
-    with the candidate pairs (rows, simplices, flattened as in
-    `_SurfaceStack._candidates`) and which of them are hits."""
-    weights = stack.complex.sample_weights(seed)
-    dirs = (weights @ stack.pts).reshape(len(stack.pts), -1, stack.pts.shape[3])
-    rows, simp, low, total = stack._cone_pairs(dirs)
-    hit = (low >= -1e-12) & (total > 0)
-    strict = np.bincount(rows[low > 1e-9], minlength=dirs.shape[0] * dirs.shape[1])
-    hits = np.bincount(rows[hit], minlength=strict.size)
-    bad = (strict > 1) | ((strict == 0) & (hits > 2))
-    return bad.reshape(dirs.shape[:2]), rows, simp, hit
+def _section_faults(stack):
+    """The sign tests of the radial section check on each surface of a
+    transversal stack (R surfaces on V vertices):
+
+    - fold: across each interior facet, the two opposite vertices lie on
+      either side of the hyperplane through the origin and that facet, as
+      the signs of the two simplex determinants tell;
+    - winding (chart dimension 2): seen from the origin, the angles of a
+      vertex's star sum to less than 2 pi at a boundary vertex, and to less
+      than 3 pi (so exactly 2 pi) at an interior vertex;
+    - crossing (chart dimension 2): no two boundary edges without a shared
+      vertex cross on the sphere, by four determinant signs that count as 0
+      within TOL.coplanarity times Hadamard's bound (arcs on one great
+      circle, as along a polygon side, do not cross);
+    - multiplicity: no vertex's ray meets a simplex outside its star, by
+      the hit test of `_SurfaceStack._candidates`.
+
+    They are exact together: the first two make the radial projection a
+    local homeomorphism, the third embeds the boundary, and any overlap of
+    two sheets would then put a boundary vertex of one inside the closed
+    cone of a simplex of the other.  Returns the masks of folded pairs
+    (R, P), wound vertices (R, V), crossed edge pairs (R, Q) and vertices
+    with hits (R, V), and the sorted hits (rows r * V + v, simplices
+    r * T + t).
+    """
+    cx, verts, dets = stack.complex, stack.vertices, stack.dets
+    r_count, v_count = verts.shape[:2]
+    t_count, k = cx.simplices.shape
+    unfolded, at, ends, e, f = cx.section()
+    pair_a, pair_b, _ = cx.pairs
+    fold = np.sign(dets[:, pair_a]) * np.sign(dets[:, pair_b]) != unfolded
+    wound = np.zeros((r_count, v_count), dtype=bool)
+    crossed = np.zeros((r_count, e.size), dtype=bool)
+    if k == 3:
+        # the angle at p between the planes (p, a) and (p, b) has sine
+        # |p| |det| and cosine (p . p)(a . b) - (p . a)(p . b), over one scale
+        gram = np.einsum("rtij,rtkj->rtik", stack.pts, stack.pts)
+        p, a, b = [0, 1, 2], [1, 2, 0], [2, 0, 1]
+        angles = np.arctan2(np.sqrt(gram[..., p, p]) * np.abs(dets)[..., None],
+                            gram[..., p, p] * gram[..., a, b] - gram[..., p, a] * gram[..., p, b])
+        keys = np.arange(r_count)[:, None, None] * v_count + cx.simplices
+        total = np.bincount(keys.ravel(), angles.ravel(), r_count * v_count)
+        wound = total.reshape(r_count, v_count) >= np.where(cx.interior, 3 * np.pi, 2 * np.pi)
+        pts = np.take(verts, ends, axis=1)
+        norm = np.sqrt(np.einsum("rvj,rvj->rv", pts, pts))
+        side = np.cross(pts[:, at[:, 0]], pts[:, at[:, 1]]) @ np.swapaxes(pts, 1, 2)
+        bound = (norm[:, at[:, 0]] * norm[:, at[:, 1]])[:, :, None] * norm[:, None, :]
+        side = np.where(np.abs(side) > TOL.coplanarity * bound, np.sign(side), 0.0)
+        # arcs (p, q) and (c, d) cross where c, d lie on either side of the
+        # plane of p, q and p, q on either side of that of c, d, at the same
+        # one of the two points that the great circles share
+        s_c, s_d = side[:, e, at[f, 0]], side[:, e, at[f, 1]]
+        s_p, s_q = side[:, f, at[e, 0]], side[:, f, at[e, 1]]
+        crossed = (s_c * s_d < 0) & (s_p * s_q < 0) & (s_d == s_p)
+    rows, simp, low, total = stack._cone_pairs(verts)
+    vert = rows % v_count
+    hit = ((low >= -1e-12) & (total > 0) & cx.used[vert]
+           & ~(cx.simplices[simp % t_count] == vert[:, None]).any(axis=1))
+    rows, simp = rows[hit], simp[hit]
+    multiple = np.bincount(rows, minlength=r_count * v_count).reshape(r_count, v_count) > 0
+    return fold, wound, crossed, multiple, (rows, simp)
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +726,9 @@ def perturbation_radius(surf: SimplicialHypersurface, trials: int = 100,
     A perturbed surface passes when `certify_generic_convex` of it holds
     with this surface's sign.  The perturbed surfaces share this one's
     complex and are judged together by `_recertified`, as many at a time as
-    keep one surface's cosine products or determinant matrices, times their
-    number, within _SECTION_CHUNK entries.
+    keep one surface's boundary crossing signs (two per boundary edge and
+    boundary vertex) or determinant matrices, times their number, within
+    _SECTION_CHUNK entries.
     """
     if trials < 1:
         raise InvalidInputError("need at least one trial", trials=trials)
@@ -683,9 +755,9 @@ def perturbation_radius(surf: SimplicialHypersurface, trials: int = 100,
     disp = np.random.default_rng(seed).normal(size=(scale.size, *surf.vertices.shape))
     disp *= scale[:, None, None] / np.linalg.norm(disp, axis=2)[:, :, None]
     verts = surf.vertices + disp
-    t_count, k = surf.simplices.shape
-    per_trial = max(_SECTION_SAMPLES * t_count * t_count,
-                    (cx.pairs[0].size + cx.checks()[0].size) * k * k)
+    k = surf.simplices.shape[1]
+    _, at, ends, _, _ = cx.section()
+    per_trial = max(at.size * ends.size, (cx.pairs[0].size + cx.checks()[0].size) * k * k)
     step = max(1, _SECTION_CHUNK // per_trial)
     passed = np.concatenate([_recertified(cx, verts[lo:lo + step], cert.sign)
                              for lo in range(0, scale.size, step)])
@@ -696,9 +768,9 @@ def perturbation_radius(surf: SimplicialHypersurface, trials: int = 100,
 def _recertified(cx, verts, sign):
     """Per vertex array of verts (R, V, n): does the surface on the complex
     cx pass `certify_generic_convex` with this sign?  A row fails where that
-    would raise: non-finite or degenerate, not transversal, or a ray meeting
-    the surface twice.  Non-finite, degenerate and non-transversal rows are
-    dropped first, since their ray cones may have no inverse."""
+    would raise: non-finite or degenerate, not transversal, or failing a
+    test of `_section_faults`.  Non-finite, degenerate and non-transversal
+    rows are dropped first, since their ray cones may have no inverse."""
     passed = np.zeros(len(verts), dtype=bool)
     rows = np.flatnonzero(np.isfinite(verts).all(axis=(1, 2)))
     stack = _SurfaceStack(cx, verts[rows])
@@ -706,8 +778,8 @@ def _recertified(cx, verts, sign):
     stack, rows = stack.select(keep), rows[keep]
     if rows.size:
         *_, majority, ok = _judge_certificates(stack)
-        passed[rows] = (ok & (majority == sign)
-                        & ~_multiplicity(stack, DEFAULT_SEED)[0].any(axis=1))
+        *faults, _ = _section_faults(stack)
+        passed[rows] = ok & (majority == sign) & ~np.any([m.any(axis=1) for m in faults], axis=0)
     return passed
 
 

@@ -237,14 +237,21 @@ def slice_centroid(c, phi):
     return _slice_exact(cone, v).centroid
 
 
-def _newton_step(v, data, basis, ridge):
-    """Newton decrement and step of F at v, for one problem or a stack."""
+def _newton_step(v, data, basis, ridge, live=None):
+    """Newton decrement and step of F at v, for one problem or a stack.  A
+    stack's rows outside `live` solve the identity in place of their Hessian:
+    LAPACK solves each matrix on its own, so the other rows keep their
+    floats, and a stopped row with a singular Hessian cannot fail the batch."""
     n1 = v.shape[-1]
     mu = data.centroid
     bt = basis.swapaxes(-1, -2)
     grad = _matvec(bt, ridge * v - n1 * mu)
     hess = n1 * ((n1 + 1.0) * data.second_moment - n1 * _outer(mu))
     hess = bt @ hess @ basis + ridge * np.eye(basis.shape[-1])
+    if live is not None:
+        idle = np.ones(len(hess), dtype=bool)
+        idle[live] = False
+        hess[idle] = np.eye(basis.shape[-1])
     if v.ndim == 1:
         step = np.linalg.solve(hess, -grad)
         return np.sqrt(max(-float(grad @ step), 0.0)), basis @ step
@@ -318,7 +325,7 @@ def _lockstep_newton(cone, v, data, basis, ridge, max_iter):
         its[live] = it
         # the step of every row: a copy of live rows would compact each
         # row's basis, and BLAS sums a compacted matrix in another order
-        lam, direction = _newton_step(v, data, basis, ridge)
+        lam, direction = _newton_step(v, data, basis, ridge, live)
         lam, direction = lam[live], direction[live]
         done = lam <= TOL.fiber_gradient
         declined[live[done]] = direction[done]

@@ -12,6 +12,7 @@ from projconvex.errors import (
     GeometryError,
     InfiniteDistanceError,
     InvalidInputError,
+    ProjectionUndefinedError,
 )
 from projconvex.projgeom import ProjPoint, ProjTransform
 
@@ -324,6 +325,17 @@ def test_projection_is_its_fields(disk):
     x = disk.chart.from_chart([0.1, -0.5])
     assert np.array_equal(hb.project_to_chord(replace(proj), x).coords,
                           hb.project_to_chord(proj, x).coords)
+
+
+def test_projection_of_the_core_is_undefined(disk):
+    # the pencil core's own point has no chord part: the decomposition puts
+    # it wholly in the core
+    proj = hb.chord_projection(disk, dm.chord(disk, [-0.2, 0.1], [0.3, 0.2]))
+    assert proj.core.basis.shape[0] == 1
+    with pytest.raises(ProjectionUndefinedError, match="projection core"):
+        hb.project_to_chord(proj, proj.core.basis[0])
+    with pytest.raises(ProjectionUndefinedError):
+        hb.project_to_chord(proj, ProjPoint(-3.0 * proj.core.basis[0]))
 
 
 def test_projection_nonexpansive(any_domain, rng):

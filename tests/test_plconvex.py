@@ -72,6 +72,100 @@ def test_radial_section_overlap_detected():
     assert any(v["kind"] == "multiplicity" for v in res.violations)
 
 
+def _arc(turn, n, growth=0.0):
+    """An open polyline of n segments turning through `turn` about the
+    origin, its radius growing from 1 to 1 + growth."""
+    theta = np.linspace(0.0, turn, n + 1)
+    r = np.linspace(1.0, 1.0 + growth, n + 1)
+    return pl.SimplicialHypersurface(r[:, None] * np.stack([np.cos(theta), np.sin(theta)], 1),
+                                     [(i, i + 1) for i in range(n)])
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.01, 0.001])
+@pytest.mark.parametrize("n", [8, 12, 24])
+def test_open_spirals_are_not_radial_sections(n, delta):
+    # rays in the first delta radians meet the spiral twice, however thin
+    # that overlap: its end vertices lie in each other's end segments
+    surf = _arc(2 * np.pi + delta, n, 0.3)
+    res = pl.radial_section_check(surf)
+    assert res == _ref_section_check(surf)
+    assert res.violations == [{"kind": "multiplicity", "vertex": 0, "hits": [n - 1]},
+                              {"kind": "multiplicity", "vertex": n, "hits": [0]}]
+    with pytest.raises(TransversalityError):
+        pl.certify_generic_convex(surf)
+
+
+def _ring(angles, radius=0.5, height=1.0):
+    return np.stack([radius * np.cos(angles), radius * np.sin(angles),
+                     np.full(len(angles), height)], axis=1)
+
+
+def _winding_star():
+    """A cone vertex whose link of 7 vertices winds twice around it."""
+    return pl.SimplicialHypersurface(
+        np.vstack([[0.0, 0.0, 1.0], _ring(4 * np.pi * np.arange(7) / 7)]),
+        [(0, 1 + i, 1 + (i + 1) % 7) for i in range(7)])
+
+
+def _polygon(turns, m=7):
+    """A closed m-gon around the origin going `turns` times round."""
+    a = 2 * np.pi * turns * np.arange(m) / m
+    return pl.SimplicialHypersurface(np.stack([np.cos(a), np.sin(a)], 1),
+                                     [(i, (i + 1) % m) for i in range(m)])
+
+
+# surfaces that fail the section check, each with the kinds it reports
+SECTION_FAULTS = {
+    # the third vertex turns back over the first segment
+    "fold": (lambda: pl.SimplicialHypersurface([[1.0, 1.0], [0.0, 1.0], [0.5, 2.0]],
+                                               [(0, 1), (1, 2)]), {"fold", "multiplicity"}),
+    # two triangles whose boundaries cross six times and whose vertices
+    # each lie outside the other triangle
+    "crossing": (lambda: pl.SimplicialHypersurface(
+        _ring(np.arange(6) * np.pi / 3), [(0, 2, 4), (1, 3, 5)]), {"crossing"}),
+    "winding": (_winding_star, {"winding", "crossing"}),
+    "multiplicity": (lambda: _polygon(2), {"multiplicity"}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SECTION_FAULTS))
+def test_section_check_names_each_fault(kind):
+    make, kinds = SECTION_FAULTS[kind]
+    surf = make()
+    res = pl.radial_section_check(surf)
+    assert res == _ref_section_check(surf)
+    assert {v["kind"] for v in res.violations} == kinds
+
+
+def _equatorial_band(m=12):
+    """An annulus of 2m triangles around the vertical axis."""
+    a = 2 * np.pi * np.arange(m) / m
+    verts = np.vstack([_ring(a, 1.0, -0.3), _ring(a + np.pi / m, 1.0, 0.3)])
+    tris = [(i, (i + 1) % m, m + i) for i in range(m)]
+    tris += [((i + 1) % m, m + (i + 1) % m, m + i) for i in range(m)]
+    return pl.SimplicialHypersurface(verts, tris)
+
+
+@pytest.mark.parametrize("make", [
+    _equatorial_band, lambda: _polygon(1), lambda: _arc(2 * np.pi - 0.01, 24),
+    # a vertex no simplex uses is not on the surface, so its ray may meet it
+    lambda: pl.SimplicialHypersurface([[-1.0, 2.0], [0.0, 1.0], [1.0, 2.0], [0.1, 3.0]],
+                                      [(0, 1), (1, 2)])],
+    ids=["band", "polygon", "arc", "unused_vertex"])
+def test_section_check_accepts_annuli_polygons_and_arcs(make):
+    surf = make()
+    res = pl.radial_section_check(surf)
+    assert res.ok and res == _ref_section_check(surf)
+
+
+def test_section_check_needs_chart_dim_at_most_2():
+    # the 3-d tests of edge windings and boundary crossings are not written
+    surf = pl.SimplicialHypersurface(np.eye(4) + 0.1, [(0, 1, 2, 3)])
+    for call in (pl.radial_section_check, pl.certify_generic_convex):
+        with pytest.raises(InvalidInputError, match="chart dim <= 2"):
+            call(surf)
+
+
 def test_vertex_convexity_hand_values(polyline):
     vc = pl.vertex_convexity(polyline, 1)
     assert vc.sign == 1
@@ -384,7 +478,17 @@ def _ref_vertex_convexity(surf, v):
     return pl.VertexConvexity(sign, min(abs(d) for _, _, d in dets), dets)
 
 
-def _ref_section_check(surf, samples=3, seed=DEFAULT_SEED):
+def _ref_sign(cols):
+    """Sign of det(cols), 0 within TOL.coplanarity times Hadamard's bound."""
+    d = np.linalg.det(np.array(cols).T)
+    return 0.0 if abs(d) <= TOL.coplanarity * np.prod(np.linalg.norm(cols, axis=1)) else np.sign(d)
+
+
+def _ref_section_check(surf):
+    """The section check one facet, vertex, edge pair and simplex at a time:
+    folds by fresh facet determinants, windings by tangent-vector angles,
+    crossings by the four determinant signs of each boundary edge pair, and
+    multiplicity by cone coordinates of each vertex in each simplex."""
     mats = [surf.vertices[s].T for s in surf.simplices]
     trans = [abs(np.linalg.det(m)) / max(np.prod(np.linalg.norm(m, axis=0)),
                                           1e-300) for m in mats]
@@ -392,22 +496,48 @@ def _ref_section_check(surf, samples=3, seed=DEFAULT_SEED):
                   for si, d in enumerate(trans) if d <= 1e-10]
     if violations:
         return pl.RadialSectionResult(False, violations, float(min(trans)))
-    rng = np.random.default_rng(seed)
+    verts, simplices = surf.vertices, surf.simplices.tolist()
+    pairs, boundary = _ref_complex(surf)
+    for sj, sk, f in pairs:
+        face = [verts[i] for i in sorted(f)]
+        w, u = (set(simplices[sj]) - f).pop(), (set(simplices[sk]) - f).pop()
+        if np.sign(np.linalg.det(np.array(face + [verts[w]]).T)) == np.sign(
+                np.linalg.det(np.array(face + [verts[u]]).T)):
+            violations.append({"kind": "fold", "simplices": [sj, sk]})
+    edges = []
+    if surf.simplices.shape[1] == 3:
+        for v in range(len(verts)):
+            p = verts[v] / np.linalg.norm(verts[v])
+            total = 0.0
+            for s in simplices:
+                if v in s:
+                    a, b = (verts[i] - (verts[i] @ p) * p for i in s if i != v)
+                    total += np.arccos(np.clip(a @ b / np.linalg.norm(a) / np.linalg.norm(b),
+                                               -1.0, 1.0))
+            if total >= (2.0 if v in boundary else 3.0) * np.pi:
+                violations.append({"kind": "winding", "vertex": v})
+        faces = {}
+        for s in simplices:
+            for drop in range(3):
+                faces.setdefault(frozenset(s[:drop] + s[drop + 1:]), []).append(
+                    s[:drop] + s[drop + 1:])
+        edges = [e[0] for e in faces.values() if len(e) == 1]
+    for i, (p, q) in enumerate(edges):
+        for c, d in edges[i + 1:]:
+            if {p, q} & {c, d}:
+                continue
+            s_c, s_d, s_p, s_q = (_ref_sign([verts[x], verts[y], verts[z]]) for x, y, z in
+                                  ((p, q, c), (p, q, d), (c, d, p), (c, d, q)))
+            if s_c * s_d < 0 and s_p * s_q < 0 and s_d == s_p:
+                violations.append({"kind": "crossing", "edges": [[p, q], [c, d]]})
     inv = np.linalg.inv(np.stack(mats))
-    for si, s in enumerate(surf.simplices):
-        pts = surf.vertices[s]
-        k = len(s)
-        weights = np.vstack([np.full(k, 1.0 / k),
-                             rng.dirichlet(np.full(k, 4.0), size=samples - 1)])
-        for w in weights:
-            lam = np.einsum("mij,j->mi", inv, w @ pts)
-            hits = np.nonzero(np.all(lam >= -1e-12, axis=1)
-                              & (lam.sum(axis=1) > 0))[0]
-            strict = [h for h in hits if np.all(lam[h] > 1e-9)]
-            if len(strict) > 1 or (not strict and len(hits) > 2):
-                violations.append({"kind": "multiplicity", "simplex": si,
-                                   "hits": hits.tolist()})
-                break
+    for v in sorted(set(surf.simplices.ravel().tolist())):
+        lam = np.einsum("mij,j->mi", inv, verts[v])
+        hits = [si for si in np.nonzero(np.all(lam >= -1e-12, axis=1)
+                                        & (lam.sum(axis=1) > 0))[0].tolist()
+                if v not in simplices[si]]
+        if hits:
+            violations.append({"kind": "multiplicity", "vertex": v, "hits": hits})
     return pl.RadialSectionResult(not violations, violations, float(min(trans)))
 
 
@@ -715,24 +845,22 @@ def _block_straddlers(surf, dirs):
 
 
 def test_section_check_across_chunks():
-    # an arc of 200 short segments under an arc of 4 long ones: samples
-    # under the outer arc hit twice, and the long segments' wide caps give
-    # every sample dozens of candidate simplices, so the candidate pairs fill
+    # an arc of 400 short segments under an arc of 4 long ones: vertices
+    # under the outer arc meet it, and the long segments' wide caps give
+    # every vertex dozens of candidate simplices, so the candidate pairs fill
     # more than one block of the pair kernel
-    inner = np.linspace(0.3, 2.8, 201)
+    inner = np.linspace(0.3, 2.8, 401)
     outer = np.linspace(1.0, 2.6, 5)
     verts = np.vstack([np.stack([np.cos(inner), np.sin(inner)], 1),
                        2.0 * np.stack([np.cos(outer), np.sin(outer)], 1)])
-    segs = [(i, i + 1) for i in range(200)] + [(201 + i, 202 + i) for i in range(4)]
+    segs = [(i, i + 1) for i in range(400)] + [(401 + i, 402 + i) for i in range(4)]
     surf = pl.SimplicialHypersurface(verts, segs)
-    weights = surf._complex.sample_weights(DEFAULT_SEED)
-    samples = (weights @ surf.vertices[surf.simplices]).reshape(-1, 2)
-    pairs, split = _block_straddlers(surf, samples)
+    pairs, split = _block_straddlers(surf, surf.vertices)
     assert pairs * surf.simplices.shape[1] ** 2 > pl._SECTION_CHUNK
     res = pl.radial_section_check(surf)
     assert res == _ref_section_check(surf)
-    # a sample of a violating simplex has its pairs in two blocks
-    assert {r // 3 for r in split} & {v["simplex"] for v in res.violations}
+    # a violating vertex has its pairs in two blocks
+    assert set(split) & {v["vertex"] for v in res.violations}
 
 
 def test_radial_values_across_blocks():
@@ -791,24 +919,24 @@ def test_section_check_matches_reference_at_scale():
     assert len(surf.simplices) == 987
     res = pl.radial_section_check(surf)
     assert res == _ref_section_check(surf)
-    # the 3 x 987 samples fill more than one block of the candidate search
-    assert 3 * 987 > pl._SECTION_CHUNK // len(surf.simplices)
+    # the vertices fill more than one block of the candidate search
+    assert len(surf.vertices) > pl._SECTION_CHUNK // len(surf.simplices)
     assert any(v["kind"] == "multiplicity" for v in res.violations)
 
 
 @pytest.mark.parametrize("gap, kept", [(2e-12, True), (2e-11, False)])
 def test_hits_within_the_slack_are_kept(gap, kept):
-    # three stacked segments: the centroid direction (0, 1) of the lowest
-    # (simplex 1) is inside the highest and outside the middle one (simplex
-    # 0) by a cone coordinate of about -gap/4; the hit test keeps it when
-    # that is above -1e-12
-    verts = np.array([[gap, 2.0], [2.0, 2.0], [-1.0, 1.0], [1.0, 1.0],
+    # three stacked segments: the ray of vertex 2, (0, 1), is inside the
+    # highest (simplex 2) and outside the first one (simplex 0) by a cone
+    # coordinate of about -gap/4; the hit test keeps it when that is above
+    # -1e-12
+    verts = np.array([[gap, 2.0], [2.0, 2.0], [0.0, 1.0], [1.0, 1.0],
                       [-3.0, 3.0], [3.0, 3.0]])
     surf = pl.SimplicialHypersurface(verts, [(0, 1), (2, 3), (4, 5)])
     res = pl.radial_section_check(surf)
     assert res == _ref_section_check(surf)
-    hits = {v["simplex"]: v["hits"] for v in res.violations}
-    assert hits[1] == ([0, 1, 2] if kept else [1, 2])
+    hits = {v["vertex"]: v["hits"] for v in res.violations}
+    assert hits[2] == ([0, 2] if kept else [2])
     # the lowest-numbered simplex holding a direction gives its radius
     rho = surf.radial_values(np.array([[0.0, 1.0], [0.0, 0.5]]))
     np.testing.assert_allclose(rho, [2.0, 4.0] if kept else [1.0, 2.0], rtol=1e-12)
@@ -817,18 +945,16 @@ def test_hits_within_the_slack_are_kept(gap, kept):
     np.testing.assert_allclose(tiny, [2e290], rtol=1e-12)
 
 
-def test_candidates_per_sample_stay_flat():
-    # the cap index tests each sample against a bounded number of simplices
-    sizes, per_sample = [], []
+def test_candidates_per_vertex_stay_flat():
+    # the cap index tests each vertex against a bounded number of simplices
+    sizes, per_vertex = [], []
     for budget in (128, 1024):
         surf = _ring_surface(budget, 3)
-        pts = surf.vertices[surf.simplices]
-        dirs = (surf._complex.sample_weights(DEFAULT_SEED) @ pts).reshape(-1, 3)
-        rows, _ = surf._stack._candidates(dirs[None])
-        sizes.append(len(pts))
-        per_sample.append(rows.size / len(dirs))
+        rows, _ = surf._stack._candidates(surf.vertices[None])
+        sizes.append(len(surf.simplices))
+        per_vertex.append(rows.size / len(surf.vertices))
     assert sizes == [242, 1984]
-    assert per_sample[1] <= 1.5 * per_sample[0]
+    assert per_vertex[1] <= 1.5 * per_vertex[0]
 
 
 def _disk_mesh_loop(dom, budget):

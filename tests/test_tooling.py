@@ -36,7 +36,7 @@ def test_each_command_takes_only_the_flags_it_reads():
     flags = _flags_by_command()
     assert len(flags) == 24
     assert {c for c, f in flags.items() if "--seed" in f} == {
-        "vinberg surface", "plconvex build", "plconvex check", "plconvex radius"}
+        "vinberg surface", "plconvex build", "plconvex radius"}
     assert {c for c, f in flags.items() if "--tol" in f} == {
         "group aut", "group dynamics", "group dirichlet"}
     assert not [c for c, f in flags.items() if "--threads" in f]
@@ -217,6 +217,24 @@ def test_mesh_commands_load_scipy_at_first_use(tmp_path):
                        tmp_path)
     assert "certified=True" in out
     assert "scipy.spatial" in loaded
+
+
+def test_section_check_draws_no_random_numbers(monkeypatch, tmp_path):
+    # the radial section check is exact: neither it, the certificate built
+    # on it, nor the command running it draws a sample
+    def refuse(*args, **kwargs):
+        raise AssertionError("random numbers drawn")
+
+    ang = np.linspace(0.0, 2 * np.pi, 6, endpoint=False)
+    cap = {"vertices": np.vstack([[0.0, 0.0, 1.0], np.stack(
+               [0.5 * np.cos(ang), 0.5 * np.sin(ang), np.full(6, 1.25 ** 0.5)], axis=1)]).tolist(),
+           "simplices": [[0, 1 + i, 1 + (i + 1) % 6] for i in range(6)]}
+    jsonio.dump_file(cap, tmp_path / "cap.json")
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    surf = pl.SimplicialHypersurface(cap["vertices"], cap["simplices"])
+    assert pl.radial_section_check(surf).ok
+    assert pl.certify_generic_convex(surf).ok
+    assert cli.dispatch(["plconvex", "check", "--mesh", str(tmp_path / "cap.json")]).exit_code == 0
 
 
 def test_unbounded_3d_halfspaces_report_without_warnings(tmp_path):

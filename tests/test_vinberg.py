@@ -475,7 +475,7 @@ def test_lockstep_newton_rows_match_one_problem_runs(rng):
                                   [null_space(q[None, :]) for q in qs], max_iter)
 
 
-def test_lockstep_newton_singular_row(rng):
+def test_lockstep_newton_singular_row(rng, monkeypatch):
     # a zero basis makes row 2's Hessian 0: its step solve fails, alone as
     # in the stack, so it stops at iteration 1 with no declined step, and
     # the stack solves its other rows one at a time, to the same floats
@@ -488,6 +488,13 @@ def test_lockstep_newton_singular_row(rng):
     v, its, declined = _lockstep_rows_match_runs(dom.cone(), v0, basis, row_bases)
     assert its[2] == 1 and not declined[2].any() and np.array_equal(v[2], v0[2])
     assert (its[[0, 1, 3, 4, 5, 6]] > 1).all()
+    # a stopped row solves the identity: only iteration 1's batch fails and
+    # falls back to one solve per row, and every later iteration is one batch
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
+    vb._newton(dom.cone(), v0, basis, 0.0, vb._FIBER_ITERATIONS)
+    assert len(calls) == its.max() + len(v0)
 
 
 def _refuse_slices(monkeypatch, refused):
