@@ -920,7 +920,8 @@ def _remap(dom, matrix, chart):
     A chart hyperplane that cuts the image raises: AtInfinityError where the
     heights of vertices (a radial graph's center and surface points) change
     sign, NotProperlyConvexError from an ellipsoid's section or, on first
-    use, from a half-space image's vertices.
+    use, from a half-space image's vertices.  An ellipsoid under a map that
+    is affine between the two charts has its image in closed form.
     """
     old = dom.chart
     b = dom.backend
@@ -930,6 +931,16 @@ def _remap(dom, matrix, chart):
         norms = -(gs @ chart.frame)
         return ConvexDomain(chart, HPolyBackend(norms, offs, prune=False))
     if b.kind == "ellipsoid":
+        # a map that sends the old chart's hyperplane at infinity to the new
+        # one's acts between the charts as x -> L x + s (all images at height
+        # h), so the image has center L c + s and shape L^-T M L^-1
+        top, rest = chart.infinity @ matrix, chart.frame.T @ matrix
+        h = top @ old.infinity
+        if h and np.linalg.norm(top @ old.frame) <= TOL.exact * abs(h):
+            lin, shift = rest @ old.frame / h, rest @ old.infinity / h
+            inv = np.linalg.inv(lin)
+            return ConvexDomain(chart, EllipsoidBackend(
+                lin @ b.center + shift, inv.T @ b.shape_matrix @ inv))
         q = _homogeneous_quadric(b, old)
         minv = np.linalg.inv(matrix)
         q = minv.T @ q @ minv
@@ -985,8 +996,8 @@ class ConvexCone:
 
     The constants of its queries are computed once per cone: the lifted
     extreme rays and their norms, the ellipsoid's Cholesky factor and bound,
-    its oriented quadric's inverse and determinant, and the lifted chart
-    triangulation that the slice kernel reads.
+    its oriented quadric with that quadric's inverse and determinant, and the
+    lifted chart triangulation that the slice kernel reads.
     """
 
     def __init__(self, domain: ConvexDomain):
@@ -1004,11 +1015,16 @@ class ConvexCone:
                 np.sqrt(1.0 + b.bounding_radius() ** 2))
 
     @cached_property
-    def _quadric_inverse(self):
-        """Q^-1, det Q of the quadric Q (negative inside), and the lifted center."""
+    def _quadric(self):
+        """The ellipsoid cone's quadric Q, negative inside, and the lifted center."""
         chart, b = self.domain.chart, self.domain.backend
         inner = chart.lift(b.interior_point())
-        q = _oriented_quadric(_homogeneous_quadric(b, chart), inner)
+        return _oriented_quadric(_homogeneous_quadric(b, chart), inner), inner
+
+    @cached_property
+    def _quadric_inverse(self):
+        """Q^-1 and det Q of the quadric, and the lifted center."""
+        q, inner = self._quadric
         return np.linalg.inv(q), float(np.linalg.det(q)), inner
 
     @cached_property

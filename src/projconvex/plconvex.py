@@ -335,6 +335,9 @@ class SimplicialHypersurface:
     def __init__(self, vertices, simplices):
         v = _finite_vertices(vertices)
         n1 = v.shape[1]
+        if n1 < 2:
+            raise InvalidInputError(
+                "hypersurface vertices need at least 2 columns", vertices=v.shape)
         try:
             simp = np.array(simplices, dtype=int)
         except ValueError:  # ragged rows: name the first of the wrong width

@@ -20,22 +20,27 @@ estimator is kept as an independent cross-check.
 
 V is a Laplace transform of the cone, so log V is strictly convex on the
 open dual cone (it is the cone's universal barrier).  Both solvers minimize
-a convex function built from it with one damped Newton loop on those exact
-moments: the fiber minimum minimizes log V on {phi(q) = 1}, and the
-spherical center minimizes log V(v) + (n+1)|v|^2/2, whose gradient
-(n+1)(v - mu(v)) vanishes exactly where a functional is its own slice
-centroid.
+a convex function built from it: the fiber minimum minimizes log V on
+{phi(q) = 1}, and the spherical center minimizes log V(v) + (n+1)|v|^2/2,
+whose gradient (n+1)(v - mu(v)) vanishes exactly where a functional is its
+own slice centroid.  On an ellipsoid cone, V(v) = K (-v^T Q^-1 v)^(-(n+1)/2)
+for the cone's quadric Q, and both minima have closed forms: the fiber
+minimizer Q q / (q^T Q q) and the eigenvector of Q's negative eigenvalue.
+Polytope and radial-graph cones share one Newton loop on the exact
+moments, which takes full steps near the minimum and backtracks on the
+decrease of F farther out.
 
-The slice kernel and the Newton loop also take a stack: a (K, n+1) array
-whose row i is the functional (or the problem) i, independent of the other
-rows.  A stack of K fiber problems advances in lockstep, one slice call per
-step for all rows still moving, and every output row is bit for bit what
-the one-functional call returns for that row; `characteristic_points` is
-built on it.  One 1-d functional takes the plain one-vector operations.
+The slice kernel, the closed forms and the Newton loop also take a stack: a
+(K, n+1) array whose row i is the functional (or the problem) i,
+independent of the other rows.  A stack of K fiber problems advances in
+lockstep, one slice call per step for all rows still moving, and every
+output row is bit for bit what the one-functional call returns for that
+row; `characteristic_points` is built on it.  One 1-d functional takes the
+plain one-vector operations.
 """
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, log
 
 import numpy as np
 
@@ -68,6 +73,16 @@ from .projgeom import (
 # may take.
 _FIBER_ITERATIONS = 80
 _CENTER_ITERATIONS = 60
+
+# Newton step rule for the self-concordant barrier F (see `_newton`).  Below
+# a decrement of 1/4 the full step stays in the cone and converges
+# quadratically, so it is taken as is (Nesterov 2004, Introductory lectures
+# on convex optimization, section 4.1).  A longer step backtracks from the
+# full step until F falls by a quarter of the decrease that its linear model
+# predicts; on a self-concordant F every step up to the damped 1/(1 + lambda)
+# meets this, so the halving ends.
+_FULL_STEP = 0.25
+_DECREASE = 0.25
 
 
 @dataclass
@@ -120,6 +135,10 @@ class _SliceData:
     def set_rows(self, idx, other):
         for name in self.__slots__:
             getattr(self, name)[idx] = getattr(other, name)
+
+    def take(self, idx):
+        """The data of the selected rows of a stack."""
+        return _SliceData(*(getattr(self, name)[idx] for name in self.__slots__))
 
 
 def _pow(x, e):
@@ -267,17 +286,27 @@ def _newton_step(v, data, basis, ridge, live=None):
     return np.sqrt(np.maximum(-_dot(grad, step), 0.0)), _matvec(basis, step)
 
 
+def _objective(v, volume, ridge):
+    """F = log V + ridge |v|^2 / 2 at v, or at each row of a stack, from the
+    slice volume; a stack takes the scalar log of each entry (see `_pow`)."""
+    if v.ndim == 1:
+        return log(volume) + 0.5 * ridge * _dot(v, v)
+    return np.array([log(x) for x in volume.tolist()]) + 0.5 * ridge * _dot(v, v)
+
+
 def _newton(cone, v, basis, ridge, max_iter):
-    """Damped Newton on F(w) = log V(w) + ridge |w|^2 / 2 over v + span(basis).
+    """Newton on F(w) = log V(w) + ridge |w|^2 / 2 over v + span(basis).
 
     log V is strictly convex on the open dual cone (it is the cone's
-    universal barrier), with gradient -(n+1) mu and Hessian
-    (n+1)[(n+2) E[x x^T] - (n+1) mu mu^T] from the moments of one slice.
-    Each step is damped by 1/(1 + lambda), lambda the Newton decrement, and
-    halved while it leaves the cone; the loop stops once lambda is at most
-    TOL.fiber_gradient.  `basis` has orthonormal columns.  Returns the last
-    iterate, its slice data, the iteration count and the Newton step that
-    stop declined (zero when the loop ended otherwise).
+    universal barrier, a self-concordant function), with gradient -(n+1) mu
+    and Hessian (n+1)[(n+2) E[x x^T] - (n+1) mu mu^T] from the moments of one
+    slice.  With lambda the Newton decrement, a step below `_FULL_STEP` is
+    taken in full and only halved while it leaves the cone; a longer one
+    starts at the full step and halves until the trial is in the cone and
+    lowers F by `_DECREASE` s lambda^2.  The loop stops once lambda is at
+    most TOL.fiber_gradient.  `basis` has orthonormal columns.  Returns the
+    last iterate, its slice data, the iteration count and the Newton step
+    that stop declined (zero when the loop ended otherwise).
 
     A stack is K independent problems advanced in lockstep: v is (K, n+1),
     basis (K, n+1, d), and row i of every input and output is problem i.
@@ -300,14 +329,22 @@ def _newton(cone, v, basis, ridge, max_iter):
         if lam <= TOL.fiber_gradient:
             declined = direction
             break
-        s = 1.0 / (1.0 + lam)
+        if not np.isfinite(lam):
+            break
+        bound = _objective(v, data.volume, ridge)
+        drop = _DECREASE * lam * lam
+        s = 1.0
         while s > 1e-14:
             v_try = v + s * direction
             try:
-                v, data = v_try, _slice_exact(cone, v_try)
-                break
+                new = _slice_exact(cone, v_try)
             except OutsideDualConeError:
-                s *= 0.5
+                new = None
+            if new is not None and (lam < _FULL_STEP or _objective(
+                    v_try, new.volume, ridge) <= bound - s * drop):
+                v, data = v_try, new
+                break
+            s *= 0.5
         else:
             break
     return v, data, it, declined
@@ -329,11 +366,13 @@ def _lockstep_newton(cone, v, data, basis, ridge, max_iter):
         lam, direction = lam[live], direction[live]
         done = lam <= TOL.fiber_gradient
         declined[live[done]] = direction[done]
-        s = 1.0 / (1.0 + lam)
-        # rows that take a step: not converged, and a step size to try
-        # (a singular Hessian leaves lam nan, which stops the row here)
-        go = ~done & (s > 1e-14)
-        rows, direction, s = live[go], direction[go], s[go]
+        # rows that take a step: not converged, and a finite decrement (a
+        # singular Hessian leaves lam nan, which stops the row here)
+        go = ~done & np.isfinite(lam)
+        rows, direction, lam = live[go], direction[go], lam[go]
+        bound = _objective(v[rows], data.volume[rows], ridge)
+        drop = _DECREASE * lam * lam
+        s = np.ones(rows.size)
         moved = np.zeros(rows.size, dtype=bool)
         trial = np.arange(rows.size)
         while trial.size:
@@ -346,10 +385,14 @@ def _lockstep_newton(cone, v, data, basis, ridge, max_iter):
                 except OutsideDualConeError as exc:
                     ok[np.flatnonzero(ok)[exc.data["rows"]]] = False
             if ok.any():
-                idx = rows[trial[ok]]
+                t = trial[ok]
+                keep = (lam[t] < _FULL_STEP) | (_objective(v_try[ok], new.volume, ridge)
+                                                <= bound[t] - s[t] * drop[t])
+                ok[np.flatnonzero(ok)[~keep]] = False
+                idx = rows[t[keep]]
                 v[idx] = v_try[ok]
-                data.set_rows(idx, new)
-                moved[trial[ok]] = True
+                data.set_rows(idx, new.take(keep))
+                moved[t[keep]] = True
             trial = trial[~ok]
             s[trial] *= 0.5
             trial = trial[s[trial] > 1e-14]
@@ -375,21 +418,47 @@ def _fiber_certificate(q, basis, mu):
     return residual, cert, ~((residual > 1e-8) | (cert > 1e-6))
 
 
+def _quadric_fiber(cone, q):
+    """Fiber minimizer of an ellipsoid cone at q, or at each row of a stack,
+    in closed form.
+
+    On this cone V(v) = K (-v^T Q^-1 v)^(-(n+1)/2) with K constant, and the
+    slice centroid of v is Q^-1 v / (v^T Q^-1 v) (see `_slice_exact`).  So
+    phi = Q q / (q^T Q q) lies on the fiber phi(q) = 1 with centroid q: the
+    gradient of log V is normal to the fiber there, and phi is the minimizer.
+    """
+    u = _matvec(cone._quadric[0], q)
+    return u / _dot(q, u)[..., None]
+
+
+def _fiber_minimum(cone, q, basis):
+    """Functional, slice data and iteration count of the fiber minimum at q,
+    or at each row of a stack (basis: the fiber directions): the closed form
+    on an ellipsoid cone, taking 0 iterations; elsewhere Newton on log V (see
+    `_newton`) from the chart functional scaled into the fiber.  The slice
+    data come from the slice kernel, so a certificate measures them."""
+    if cone.triangulation is None:
+        phi = _quadric_fiber(cone, q)
+        return (phi, _slice_exact(cone, phi),
+                np.zeros(len(q), dtype=int) if q.ndim > 1 else 0)
+    v_inf = cone.domain.chart.infinity
+    v, data, it, _ = _newton(cone, v_inf / _dot(v_inf, q)[..., None], basis,
+                             0.0, _FIBER_ITERATIONS)
+    return v, data, it
+
+
 def min_volume_on_fiber(c, q) -> FiberMinimum:
     """Minimize the truncated volume over functionals with phi(q) = 1.
 
-    Newton on log V restricted to the fiber (see `_newton`), started from the
-    chart functional scaled into the fiber.  Certifies that the optimal slice
-    centroid reproduces q.
+    In closed form on an ellipsoid cone, by Newton elsewhere (see
+    `_fiber_minimum`).  Certifies that the optimal slice centroid reproduces q.
     """
     cone = _as_cone(c)
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if not cone.contains_vector(q) > 0:
         raise InvalidInputError("base point is not strictly inside the cone")
-    v_inf = cone.domain.chart.infinity
     t_basis = null_space(q[None, :])
-    v, data, it, _ = _newton(cone, v_inf / float(v_inf @ q), t_basis, 0.0,
-                             _FIBER_ITERATIONS)
+    v, data, it = _fiber_minimum(cone, q, t_basis)
     mu = data.centroid
     residual, cert, ok = _fiber_certificate(q, t_basis, mu)
     if not ok:
@@ -431,16 +500,15 @@ def characteristic_point(c, q) -> np.ndarray:
 
 def _characteristic_rows(cone, qs):
     """`characteristic_point` at each row of a (K, n+1) array, all fiber
-    solves in one lockstep Newton: the points, bit-identical to that call,
-    nan where it raises, and the mask of rows that succeed."""
+    solves in one closed form or one lockstep Newton: the points,
+    bit-identical to that call, nan where it raises, and the mask of rows
+    that succeed."""
     q = qs / _norm(qs)[:, None]
-    v_inf = cone.domain.chart.infinity
     rows = np.flatnonzero(cone.contains_vector(q) > 0)
     while True:
         basis = _fiber_bases(q[rows])
         try:
-            _, data, _, _ = _newton(cone, v_inf / _dot(v_inf, q[rows])[:, None],
-                                    basis, 0.0, _FIBER_ITERATIONS)
+            _, data, _ = _fiber_minimum(cone, q[rows], basis)
             break
         except OutsideDualConeError as exc:   # starting slices that fail
             rows = np.delete(rows, exc.data["rows"])
@@ -482,24 +550,36 @@ def spherical_center(dom: ConvexDomain) -> SphericalCenter:
     F(v) = log V(v) + (n+1)|v|^2/2 is strictly convex on the open dual cone
     with gradient (n+1)(v - mu(v)), so its minimizer is the one functional
     equal to its own slice centroid; it is a unit vector, and the
-    fiber-minimizing functional at its direction is parallel to it.  Newton
-    on F (see `_newton`) starts at the chart functional.  One Newton fiber
-    minimization at the end, started at the iterate (which is that
-    minimizer up to scale), measures the residual: the chart distance
-    between the center and the direction the fiber solve reaches, counting
-    the last step it declined, so a check that takes no step still reports
-    a measured length.
+    fiber-minimizing functional at its direction is parallel to it.  The
+    residual is the chart distance between the center and the direction of
+    that fiber minimizer, computed anew.
+
+    On an ellipsoid cone mu(v) = Q^-1 v / (v^T Q^-1 v), so the center is the
+    unit eigenvector of the quadric Q's one negative eigenvalue, oriented
+    into the cone, with 0 iterations, and its fiber minimizer is the closed
+    form of `_quadric_fiber`.  Elsewhere Newton on F (see `_newton`) starts
+    at the chart functional, and a Newton fiber minimization started at the
+    iterate gives the minimizer, counting the last step it declined, so a
+    check that takes no step still reports a measured length.
     """
     validate(dom)
     cone = dom.cone()
     chart = dom.chart
-    v, _, it, _ = _newton(cone, chart.infinity, np.eye(dom.dim + 1),
-                          dom.dim + 1.0, _CENTER_ITERATIONS)
-    q = v / np.linalg.norm(v)
+    if cone.triangulation is None:
+        quad, inner = cone._quadric
+        axis = np.linalg.eigh(quad)[1][:, 0]
+        q = axis if axis @ inner > 0 else -axis
+        it = 0
+        w = _quadric_fiber(cone, q)
+    else:
+        v, _, it, _ = _newton(cone, chart.infinity, np.eye(dom.dim + 1),
+                              dom.dim + 1.0, _CENTER_ITERATIONS)
+        q = v / np.linalg.norm(v)
+        w, _, _, declined = _newton(cone, q, null_space(q[None, :]), 0.0,
+                                    _CENTER_ITERATIONS)
+        w = w + declined
     x = chart.to_chart(q)
-    w, _, _, declined = _newton(cone, q, null_space(q[None, :]), 0.0,
-                                _CENTER_ITERATIONS)
-    gn = float(np.linalg.norm(chart.to_chart(w + declined) - x))
+    gn = float(np.linalg.norm(chart.to_chart(w) - x))
     if gn > 100 * TOL.center_residual:
         raise ConvergenceFailureError(
             "spherical center iteration did not converge",

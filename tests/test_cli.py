@@ -203,6 +203,14 @@ def test_mesh_commands(tmp_path, capsys):
     assert "outward=True" in out
 
 
+def test_one_column_mesh_is_an_input_error(tmp_path, capsys):
+    mesh = tmp_path / "points.json"
+    jsonio.dump_file({"vertices": [[1.0], [2.0]], "simplices": [[0], [1]]}, mesh)
+    assert dispatch(["plconvex", "check", "--mesh", str(mesh)]).exit_code == 2
+    out = capsys.readouterr().out
+    assert "'vertices'" in out and "zero-size" not in out
+
+
 def test_domain_dual_and_flats(tmp_path, capsys):
     sq = tmp_path / "square.json"
     jsonio.dump_file(dm.square_domain().to_json(), sq)

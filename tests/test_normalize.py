@@ -32,6 +32,30 @@ def test_translation_invariance_of_central_moments(triangle):
     assert np.max(np.abs(m1.second_moment - m0.second_moment)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_affine_ellipsoid_image_is_the_quadric_section(n, monkeypatch):
+    # the closed-form image of an ellipsoid under an affine chart map, in a
+    # tilted chart, against the chart section of the mapped quadric cone
+    rng = np.random.default_rng(n)
+    chart = AffineChart(np.append(0.1 * rng.normal(size=n), 1.0))
+    dom = random_domain("ellipsoid", n, rng).in_chart(chart)
+    lin = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
+    shift = rng.normal(size=n)
+    a = np.eye(n + 1)
+    a[:-1, :-1], a[:-1, -1] = lin, shift
+    b = np.column_stack([chart.frame, chart.infinity])
+    minv = np.linalg.inv(b @ a @ b.T)
+    quadric = minv.T @ dm._homogeneous_quadric(dom.backend, chart) @ minv
+    want = dm._ellipsoid_from_quadric(quadric, chart, b @ a @ b.T @ chart.lift(
+        dom.backend.center))
+    monkeypatch.setattr(dm, "_ellipsoid_from_quadric", None)   # not called
+    image = nm._affine_image(dom, lin, shift).backend
+    assert np.allclose(image.center, want.center, rtol=0, atol=1e-12)
+    assert np.allclose(image.shape_matrix, want.shape_matrix, rtol=1e-11, atol=0)
+    assert np.allclose(image.center, lin @ dom.backend.center + shift, rtol=0,
+                       atol=1e-12)
+
+
 def _assert_moments_are_unit_slice_moments(dom):
     # the chart is the unit slice of the chart functional, so the chart
     # moments are that slice's moments read through the chart frame

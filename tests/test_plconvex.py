@@ -413,6 +413,10 @@ def test_simplex_checks_name_the_first_bad_row():
             pl.SimplicialHypersurface(verts, simplices)
     with pytest.raises(InvalidInputError, match="out of range"):
         pl.SimplicialHypersurface(verts, np.array([[0, 1], [1, 3]]))
+    for one_column in ([[1.0], [2.0]], np.empty((2, 0))):   # chart dimension < 1
+        with pytest.raises(InvalidInputError, match="vertices") as exc:
+            pl.SimplicialHypersurface(one_column, [[0], [1]])
+        assert exc.value.data["vertices"] == np.shape(one_column)
     # an index array and a list of tuples give the same complex
     a = pl.SimplicialHypersurface(verts, np.array([[0, 1], [1, 2]]))
     b = pl.SimplicialHypersurface(verts, [(0, 1), (1, 2)])

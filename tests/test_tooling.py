@@ -311,7 +311,8 @@ def test_thin_triangle_makes_one_chord_call_per_search_step(monkeypatch):
 
 def test_surface_build_makes_one_slice_call_per_newton_step(monkeypatch):
     # all fiber solves of a build advance in lockstep, one stacked slice
-    # call per Newton step or halving; a solve per direction makes about 600
+    # call per Newton step or halving; a solve per direction makes hundreds
+    # (a polygon: the disk's fiber minima are closed forms, with no Newton)
     slice_exact = vb._slice_exact
     calls = []
 
@@ -320,7 +321,7 @@ def test_surface_build_makes_one_slice_call_per_newton_step(monkeypatch):
         return slice_exact(cone, v)
 
     monkeypatch.setattr(vb, "_slice_exact", counted)
-    res = pl.pl_characteristic_surface(dm.unit_disk(), 48)
+    res = pl.pl_characteristic_surface(dm.disk_polygon(24), 48)
     assert res.certificate.ok
     assert len(calls) <= 40
     assert max(calls) >= 48        # the sample pass solves every direction at once
@@ -328,7 +329,9 @@ def test_surface_build_makes_one_slice_call_per_newton_step(monkeypatch):
 
 def test_newton_trials_make_no_dual_margin_call(monkeypatch):
     # the slice kernel is the one dual-cone test of a Newton trial: counted
-    # while a Newton loop (one problem or a lockstep stack) is running
+    # while a Newton loop (one problem or a lockstep stack) is running; an
+    # ellipsoid cone takes its closed forms, so the domains are polytopes
+    # and radial graphs
     newton, margin = vb._newton, dm.ConvexCone.dual_margin
     depth, calls = [0], []
 
@@ -347,23 +350,25 @@ def test_newton_trials_make_no_dual_margin_call(monkeypatch):
     monkeypatch.setattr(dm.ConvexCone, "dual_margin", counted)
     for dom in (dm.ConvexDomain.from_vertices([[1.1, 0.2], [0.3, 0.9], [-0.8, 0.6],
                                                [-0.7, -0.5], [0.4, -0.7]]),
-                dm.ConvexDomain.ellipsoid([0.3, -0.2], [[1.5, 0.4], [0.4, 0.8]])):
+                dm.ConvexDomain.radial_graph(
+                    [0.1, -0.05], [[1.0, 0.0], [0.3, 1.0], [-1.0, 0.4], [-0.6, -1.0],
+                                   [0.7, -0.9]], [1.2, 0.9, 1.1, 0.8, 1.0])):
         assert vb.spherical_center(dom).iterations > 1
-    assert pl.pl_characteristic_surface(dm.unit_disk(), 48).certificate.ok
+    assert pl.pl_characteristic_surface(dm.disk_polygon(24), 48).certificate.ok
     assert not [d for d in calls if d]
 
 
 def test_dirichlet_domain_makes_one_fiber_solve(monkeypatch):
     # the characteristic point and the tangent functional at it both come
     # from the fiber solve on the base point's unit ray, by homogeneity
-    newton = vb._newton
+    fiber = vb._fiber_minimum
     calls = []
 
     def counted(*args):
         calls.append(1)
-        return newton(*args)
+        return fiber(*args)
 
-    monkeypatch.setattr(vb, "_newton", counted)
+    monkeypatch.setattr(vb, "_fiber_minimum", counted)
     r1, r2, r3 = triangle_group(3, 3, 4)
     gens = [ProjTransform(r1 @ r2), ProjTransform(r2 @ r3)]
     dd = gp.dirichlet_domain(dm.unit_disk().cone(), gens,

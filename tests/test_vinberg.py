@@ -16,7 +16,7 @@ from projconvex.errors import (
 )
 from projconvex.projgeom import ProjPoint, ProjTransform, null_space
 
-from conftest import boost, random_orthogonal
+from conftest import boost, random_domain, random_orthogonal
 from test_cli_golden import _cases as golden_cases
 
 
@@ -390,6 +390,49 @@ def test_spherical_center_unconverged_raises(monkeypatch):
         vb.spherical_center(dom)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_quadric_closed_forms_match_newton(n):
+    # an ellipsoid cone's fiber minimum, its value, the characteristic point
+    # and the spherical center against Newton run on the same cone
+    rng = np.random.default_rng(27 + n)
+    dom = random_domain("ellipsoid", n, rng)
+    cone = dom.cone()
+    v_inf = dom.chart.infinity
+
+    def close(a, b):
+        return np.linalg.norm(a - b) <= 1e-11 * np.linalg.norm(b)
+
+    for x in dom.random_interior(rng, size=10, margin=0.05):
+        q = dom.chart.lift(x)
+        q = q / np.linalg.norm(q)
+        v, data, _, _ = vb._newton(cone, v_inf / (v_inf @ q), null_space(q[None, :]),
+                                   0.0, vb._FIBER_ITERATIONS)
+        fm = vb.min_volume_on_fiber(cone, q)
+        assert fm.iterations == 0 and close(fm.phi, v) and close(fm.value, data.volume)
+        assert close(vb.characteristic_point(cone, q), data.volume ** (-1.0 / (n + 1)) * q)
+    v, _, _, _ = vb._newton(cone, v_inf, np.eye(n + 1), n + 1.0, vb._CENTER_ITERATIONS)
+    sc = vb.spherical_center(dom)
+    assert sc.iterations == 0 and sc.residual <= TOL.center_residual
+    assert close(sc.center.coords, v / np.linalg.norm(v))
+
+
+def test_quadric_fiber_solves_next_to_the_frontier(disk):
+    # 1e-9 from the circle, where Newton stalled
+    q = disk.chart.lift((1.0 - 1e-9) * np.array([0.6, 0.8]))
+    fm = vb.min_volume_on_fiber(disk, q)
+    assert fm.iterations == 0
+    assert np.linalg.norm(fm.centroid - q) <= 1e-6 * np.linalg.norm(q)
+
+
+def test_fiber_newton_iterations_are_bounded():
+    # full Newton steps below a decrement of 1/4: at most 10 iterations at
+    # these points, where steps damped by 1/(1 + lambda) took 13 to 15
+    for dom in (dm.square_domain(), dm.orthant_domain(3), dm.disk_polygon(24)):
+        rng = np.random.default_rng(1)
+        for x in dom.random_interior(rng, size=60, margin=0.05):
+            assert vb.min_volume_on_fiber(dom, dom.chart.lift(x)).iterations <= 11
+
+
 # ---------------------------------------------------------------------------
 # lockstep fiber solves and the cached cone constants
 
@@ -426,20 +469,22 @@ def test_characteristic_points_match_loop(index, data):
         assert np.array_equal(p, vb.characteristic_point(dom, q))
 
 
-def test_characteristic_points_raise_the_first_failing_row(disk):
-    good = disk.chart.lift([0.2, -0.1])
-    outside = disk.chart.lift([1.5, 0.0])                     # invalid input
-    stalls = disk.chart.lift((1.0 - 1e-9) * np.array([0.6, 0.8]))   # no convergence
+def test_characteristic_points_raise_the_first_failing_row(square):
+    # the disk's closed form solves next to its frontier, the square's Newton
+    # does not solve next to a vertex
+    good = square.chart.lift([0.2, -0.1])
+    outside = square.chart.lift([1.5, 0.0])                   # invalid input
+    stalls = square.chart.lift((1.0 - 1e-9) * np.array([1.0, 1.0]))  # no convergence
     with pytest.raises(ConvergenceFailureError):
-        vb.characteristic_point(disk, stalls)
+        vb.characteristic_point(square, stalls)
     with pytest.raises(InvalidInputError):
-        vb.characteristic_points(disk, [good, outside, stalls])
+        vb.characteristic_points(square, [good, outside, stalls])
     with pytest.raises(ConvergenceFailureError):
-        vb.characteristic_points(disk, [good, stalls, outside])
-    pts, ok = vb._characteristic_rows(disk.cone(), np.array([stalls, good, outside]))
+        vb.characteristic_points(square, [good, stalls, outside])
+    pts, ok = vb._characteristic_rows(square.cone(), np.array([stalls, good, outside]))
     assert ok.tolist() == [False, True, False]
     assert np.isnan(pts[[0, 2]]).all()
-    assert np.array_equal(pts[1], vb.characteristic_point(disk, good))
+    assert np.array_equal(pts[1], vb.characteristic_point(square, good))
 
 
 def _fiber_starts(dom, rng, size=7):
@@ -532,6 +577,32 @@ def test_lockstep_newton_halves_refused_steps_as_one_problem_runs(rng, monkeypat
         cone, v0, vb._fiber_bases(qs), [null_space(q[None, :]) for q in qs])
     assert its[0] == 1 and not declined[0].any() and np.array_equal(v[0], v0[0])
     assert 0.0 < np.linalg.norm(v[1] - v0[1]) <= radius
+
+
+def test_lockstep_newton_backtracks_as_one_problem_runs(rng, monkeypatch):
+    # F is raised to inf outside a ball about row 1's start of half its
+    # first step's length, so that step, whose decrement is above
+    # _FULL_STEP, halves into the ball; the stack must halve it alike
+    dom = STACK_DOMAINS[3]
+    cone = dom.cone()
+    qs, v0 = _fiber_starts(dom, rng)
+    b1 = null_space(qs[1][None, :])
+    assert vb._newton_step(v0[1], vb._slice_exact(cone, v0[1]), b1, 0.0)[0] \
+        >= vb._FULL_STEP
+    radius = 0.5 * np.linalg.norm(vb._newton(cone, v0[1], b1, 0.0, 1)[0] - v0[1])
+    objective = vb._objective
+
+    def raised(v, volume, ridge):   # a row's iterates stay on its fiber
+        far = ((np.abs(v @ qs[1] - 1.0) < 1e-9)
+               & (np.linalg.norm(v - v0[1], axis=-1) > radius))
+        return np.where(far, np.inf, objective(v, volume, ridge))
+
+    monkeypatch.setattr(vb, "_objective", raised)
+    bases = vb._fiber_bases(qs)
+    row_bases = [null_space(q[None, :]) for q in qs]
+    v, _, _ = _lockstep_rows_match_runs(cone, v0, bases, row_bases, 1)
+    assert 0.0 < np.linalg.norm(v[1] - v0[1]) <= radius
+    _lockstep_rows_match_runs(cone, v0, bases, row_bases)
 
 
 def test_characteristic_rows_drop_a_failed_start(rng, monkeypatch):
