@@ -176,12 +176,8 @@ def mesh_from_dict(data) -> "SimplicialHypersurface":
     # imported here, so that commands without a mesh do not load plconvex
     from .plconvex import SimplicialHypersurface
     try:
-        vertices = _floats(data["vertices"])
-        if np.atleast_2d(vertices).shape[1] < 2:
-            raise InputFormatError(
-                "malformed mesh object: 'vertices' rows need at least 2 coordinates")
-        return SimplicialHypersurface(vertices, _ints(data["simplices"]))
-    except (KeyError, TypeError) as exc:
+        return SimplicialHypersurface(_floats(data["vertices"]), _ints(data["simplices"]))
+    except (KeyError, TypeError, InvalidInputError) as exc:
         raise InputFormatError(f"malformed mesh object: {exc}") from exc
 
 

@@ -13,7 +13,7 @@ from math import asin, sin
 import numpy as np
 
 from .config import DEFAULT_SEED, TOL
-from .domain import ConvexDomain, _norm, validate
+from .domain import _matvec, _norm, validate
 from .errors import (
     ApproximationFailureError,
     CoplanarStarError,
@@ -36,12 +36,9 @@ _SECTION_CHUNK = 1 << 16
 # with more slack meet everything, so one of them cannot widen every query.
 _SLACK_BOUND = 1e-3
 
-# Jitter rounds of a characteristic-surface build, how far towards the chart
-# boundary its outermost samples sit, and how many of its edges the deviation
-# bound samples.
+# Jitter rounds of a surface build; how far out its outermost samples sit.
 _JITTER_ROUNDS = 8
 _INSET = 0.85
-_DEVIATION_EDGES = 24
 
 
 class _Complex:
@@ -337,7 +334,7 @@ class SimplicialHypersurface:
         n1 = v.shape[1]
         if n1 < 2:
             raise InvalidInputError(
-                "hypersurface vertices need at least 2 columns", vertices=v.shape)
+                "hypersurface 'vertices' need at least 2 columns", vertices=v.shape)
         try:
             simp = np.array(simplices, dtype=int)
         except ValueError:  # ragged rows: name the first of the wrong width
@@ -830,6 +827,7 @@ def log_contour_values(surf: SimplicialHypersurface, xs) -> np.ndarray:
 
 @dataclass
 class PLSurfaceResult:
+    """`deviation_bound` is an upper bound on the radial gap between `surface` and S."""
     surface: SimplicialHypersurface
     certificate: ConvexityCertificate
     deviation_bound: float
@@ -839,16 +837,15 @@ class PLSurfaceResult:
 def pl_characteristic_surface(cone, budget: int,
                               seed: int = DEFAULT_SEED) -> PLSurfaceResult:
     """Lift about `budget` sample directions of the cone to its characteristic
-    surface, span them by their hull's origin-facing faces (`_origin_faces`)
-    and certify.  The surface is a level set of Vinberg's characteristic
-    function, which is log-convex and homogeneous, so the region above it is
-    convex and those faces form the convex radial section the certificate
-    accepts.  Where the hull splits a coplanar quad, the radii are jittered
-    and re-hulled."""
+    surface S, span them by their hull's origin-facing faces (`_origin_faces`)
+    and certify.  S is a level set of Vinberg's characteristic function,
+    which is log-convex and homogeneous, so the region above it is convex and
+    those faces form the convex radial section the certificate accepts.
+    Where the hull splits a coplanar quad, the radii are jittered and
+    re-hulled; the deviation bound is an upper bound on the radial gap to S."""
     # imported here, so that the commands on a given mesh do not load vinberg
-    from .vinberg import characteristic_points
-    if isinstance(cone, ConvexDomain):
-        cone = cone.cone()
+    from .vinberg import _as_cone, _characteristic_rows, characteristic_points
+    cone = _as_cone(cone)
     dom = cone.domain
     validate(dom)
     n = dom.dim
@@ -865,7 +862,10 @@ def pl_characteristic_surface(cone, budget: int,
         raise InvalidInputError("PL characteristic surfaces support chart dim <= 2")
     lifts = dom.chart.lift_many(chart_pts)
     dirs = lifts / np.linalg.norm(lifts, axis=1)[:, None]
-    radii = _norm(characteristic_points(cone, dirs))
+    on_s, tangents, ok = _characteristic_rows(cone, dirs)
+    if not ok.all():   # raises the error of the first failing row
+        characteristic_points(cone, dirs[~ok])
+    radii = exact = _norm(on_s)
 
     rng = np.random.default_rng(seed)
     for rounds in range(_JITTER_ROUNDS + 1):
@@ -888,7 +888,7 @@ def pl_characteristic_surface(cone, budget: int,
         raise ApproximationFailureError(
             "jitter budget exhausted without a certificate",
             violations=cert.violations)
-    deviation = _sampled_deviation(cone, surf, rng)
+    deviation = float(_face_deviations(pts, exact, tangents, surf.simplices).max())
     return PLSurfaceResult(surf, cert, deviation, rounds)
 
 
@@ -929,22 +929,26 @@ def _disk_mesh(dom, budget):
     return np.vstack([centroid, centroid + (frac * t_hi)[:, None] * u])
 
 
-def _sampled_deviation(cone, surf, rng):
-    """Largest radial gap between the surface and the characteristic surface
-    over the midpoints of up to _DEVIATION_EDGES sampled edges; a midpoint
-    whose fiber solve fails is skipped."""
-    # imported here, so that the commands on a given mesh do not load vinberg
-    from .vinberg import _characteristic_rows
-    pairs = surf.simplices[:, np.transpose(np.triu_indices(surf.simplices.shape[1], 1))]
-    edges = np.unique(np.sort(pairs.reshape(-1, 2), axis=1), axis=0)
-    if len(edges) > _DEVIATION_EDGES:
-        edges = edges[np.sort(rng.choice(len(edges), size=_DEVIATION_EDGES,
-                                         replace=False))]
-    mids = 0.5 * (surf.vertices[edges[:, 0]] + surf.vertices[edges[:, 1]])
-    u = mids / _norm(mids)[:, None]
-    pts, ok = _characteristic_rows(cone, u)
-    if not ok.any():
-        return 0.0
-    dirs, exact = u[ok], _norm(pts[ok])
-    gaps = np.abs(surf.radial_values(dirs) - exact)
-    return float(gaps[~np.isnan(gaps)].max(initial=0.0))
+def _face_deviations(pts, exact, tangents, faces):
+    """Upper bound on the radial gap between each face and the surface S with
+    radii `exact` and tangent functionals l_i along the rows of `pts`.  As S
+    lies in {l_i.y >= 1}, the gap is at most max_j |p_j| (1 - 1 / v), v the
+    largest min_i l_i.x on the face: at a vertex, where two l_i tie on an
+    edge or where three tie, each a closed form in A[i, j] = l_i.p_j.
+    Jitter takes a face below S by at most its vertices' relative offsets."""
+    corners = pts[faces]
+    a = np.einsum("tin,tjn->tij", tangents[faces], corners)
+    i, j = np.triu_indices(faces.shape[1], 1)
+    ends = a[..., i], a[..., j]                         # (T, l, edge)
+    d0, d1 = (e[:, i] - e[:, j] for e in ends)          # (T, tied pair, edge)
+    s = np.clip(np.divide(d0, d0 - d1, out=0.0 * d0, where=d0 != d1), 0.0, 1.0)[:, :, None]
+    ties = ((1.0 - s) * ends[0][:, None] + s * ends[1][:, None]).min(axis=2)
+    best = np.maximum(a.min(axis=1).max(axis=1), ties.max(axis=(1, 2)))
+    if faces.shape[1] == 3:   # all tie at weights A^-1 1: the adjugate's row sums
+        w = np.cross(a[:, :, [1, 2, 0]], a[:, :, [2, 0, 1]], axis=1).sum(axis=1)
+        total = w.sum(axis=1)[:, None]
+        lam = np.divide(w, total, out=np.full_like(w, -1.0), where=total != 0)
+        lam[(lam < 0.0).any(axis=1)] = np.eye(3)[0]   # off the face: a vertex
+        best = np.maximum(best, _matvec(a, lam).min(axis=1))
+    drift = np.abs(_norm(pts) / exact - 1.0).max() * exact.max()
+    return np.maximum(_norm(corners).max(axis=1) * (1.0 - 1.0 / best), drift)

@@ -500,25 +500,24 @@ def characteristic_point(c, q) -> np.ndarray:
 
 def _characteristic_rows(cone, qs):
     """`characteristic_point` at each row of a (K, n+1) array, all fiber
-    solves in one closed form or one lockstep Newton: the points,
-    bit-identical to that call, nan where it raises, and the mask of rows
-    that succeed."""
+    solves in one closed form or one lockstep Newton: the points p = t q,
+    bit-identical to that call, nan where it raises; their tangent functionals
+    l = phi / t (l.p = 1 = V(l), so the surface lies in {l.y >= 1}); the mask."""
     q = qs / _norm(qs)[:, None]
     rows = np.flatnonzero(cone.contains_vector(q) > 0)
     while True:
         basis = _fiber_bases(q[rows])
         try:
-            _, data, _ = _fiber_minimum(cone, q[rows], basis)
+            phi, data, _ = _fiber_minimum(cone, q[rows], basis)
             break
         except OutsideDualConeError as exc:   # starting slices that fail
             rows = np.delete(rows, exc.data["rows"])
     good = _fiber_certificate(q[rows], basis, data.centroid)[2]
     rows = rows[good]
-    pts = np.full_like(q, np.nan)
-    pts[rows] = _pow(data.volume[good], -1.0 / q.shape[1])[:, None] * q[rows]
-    ok = np.zeros(len(q), dtype=bool)
-    ok[rows] = True
-    return pts, ok
+    t = _pow(data.volume[good], -1.0 / q.shape[1])[:, None]
+    pts, tangents = np.full_like(q, np.nan), np.full_like(q, np.nan)
+    pts[rows], tangents[rows] = t * q[rows], phi[good] / t
+    return pts, tangents, ~np.isnan(pts[:, 0])
 
 
 def characteristic_points(c, qs) -> np.ndarray:
@@ -530,7 +529,7 @@ def characteristic_points(c, qs) -> np.ndarray:
     """
     cone = _as_cone(c)
     qs = np.atleast_2d(np.asarray(qs, dtype=float))
-    pts, ok = _characteristic_rows(cone, qs)
+    pts, _, ok = _characteristic_rows(cone, qs)
     for i in np.flatnonzero(~ok):   # raises at the first failing row
         pts[i] = characteristic_point(cone, qs[i])
     return pts

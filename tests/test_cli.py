@@ -209,6 +209,15 @@ def test_one_column_mesh_is_an_input_error(tmp_path, capsys):
     assert dispatch(["plconvex", "check", "--mesh", str(mesh)]).exit_code == 2
     out = capsys.readouterr().out
     assert "'vertices'" in out and "zero-size" not in out
+    # every mesh that the hypersurface constructor refuses is malformed input
+    arc = [[-1.0, 2.0], [0.0, 1.0], [1.0, 2.0]]
+    for vertices, simplices, why in (
+            (arc, [[0, 1, 2]], "need 2 vertices, got 3"),
+            (arc, [[0, 1], [1, 3]], "out of range"),
+            ([[1.0, 1.0], [1.0, 1.0]], [[0, 1]], "degenerate simplex")):
+        jsonio.dump_file({"vertices": vertices, "simplices": simplices}, mesh)
+        assert dispatch(["plconvex", "check", "--mesh", str(mesh)]).exit_code == 2
+        assert why in capsys.readouterr().out
 
 
 def test_domain_dual_and_flats(tmp_path, capsys):

@@ -2,6 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from projconvex import domain as dm, plconvex as pl, vinberg as vb
@@ -318,18 +319,19 @@ def test_pl_surface_coarse_budget_deterministic():
 # (checks, sign, margin, deviation bound) of builds with the default seed,
 # as the staggered ring triangulation gave them before the hull step took
 # its place: the hull finds the same complexes where that one certified.
+# The deviation column is the closed-form bound of `_face_deviations`.
 RING_BUILDS = {
     "disk": (lambda: dm.unit_disk(), 48,
-             (848, -1, 0.0002074956270848198, 0.11230431729581358)),
+             (848, -1, 0.0002074956270848198, 0.301168506601923)),
     "ellipse": (lambda: dm.ConvexDomain.ellipsoid(np.array([0.1, -0.2]),
                                                   np.diag([1.0, 2.5])), 48,
-                (848, -1, 6.317261712252204e-05, 0.29754787760502044)),
+                (848, -1, 6.317261712252204e-05, 0.5798290692895227)),
     "gon24": (lambda: dm.disk_polygon(24), 48,
-              (848, -1, 0.00020684314862308903, 0.11159655842754201)),
+              (848, -1, 0.00020684314862308903, 0.30024300779809404)),
     "square": (lambda: dm.square_domain(), 48,
-               (848, -1, 1.816180536785121e-05, 0.2157300165334406)),
+               (848, -1, 1.816180536785121e-05, 0.28862574348118814)),
     "orthant1": (lambda: dm.orthant_domain(1), 16,
-                 (28, -1, 0.0014940384832202852, 0.02621808039866158)),
+                 (28, -1, 0.0014940384832202852, 0.060038593519638556)),
 }
 
 
@@ -989,41 +991,106 @@ def test_disk_mesh_is_the_per_direction_sampler(make):
                               _disk_mesh_loop(dom, budget))
 
 
-def _deviation_loop(cone, surf, rng):
-    """`_sampled_deviation` with one fiber solve per sampled edge, skipping
-    the edges whose solve raises."""
-    pairs = surf.simplices[:, np.transpose(np.triu_indices(surf.simplices.shape[1], 1))]
-    edges = np.unique(np.sort(pairs.reshape(-1, 2), axis=1), axis=0).tolist()
-    if len(edges) > pl._DEVIATION_EDGES:
-        idx = rng.choice(len(edges), size=pl._DEVIATION_EDGES, replace=False)
-        edges = [edges[i] for i in sorted(idx)]
-    dirs, exact = [], []
-    for a, b in edges:
-        mid = 0.5 * (surf.vertices[a] + surf.vertices[b])
-        u = mid / np.linalg.norm(mid)
-        try:
-            exact.append(np.linalg.norm(vb.characteristic_point(cone, u)))
-        except GeometryError:
-            continue
-        dirs.append(u)
-    if not dirs:
-        return 0.0, len(edges), len(edges)
-    gaps = np.abs(surf.radial_values(np.array(dirs)) - np.array(exact))
-    return (float(gaps[~np.isnan(gaps)].max(initial=0.0)),
-            len(edges) - len(dirs), len(edges))
+def _barycentric_grid(k, steps):
+    """Barycentric weights of the grid with `steps` steps per edge on a
+    simplex with k = 2 or 3 vertices."""
+    if k == 2:
+        s = np.linspace(0.0, 1.0, steps + 1)
+        return np.stack([1.0 - s, s], axis=1)
+    i, j = np.nonzero(np.add.outer(np.arange(steps + 1), np.arange(steps + 1)) <= steps)
+    return np.stack([steps - i - j, i, j], axis=1) / steps
 
 
-@pytest.mark.parametrize("small", [
-    lambda: dm.square_domain(0.45), lambda: dm.disk_polygon(7, radius=0.5),
-    lambda: dm.ConvexDomain.ellipsoid([0.2, 0.0], [[4.0, 0.0], [0.0, 6.0]])],
-    ids=["square", "heptagon", "ellipse"])
-def test_sampled_deviation_skips_the_loop_rows(small):
-    # a disk surface measured against a smaller cone: the outer edge
-    # midpoints leave it and their solves fail; the lockstep pass drops
-    # exactly those rows
-    cone = small().cone()
-    for budget in (9, 48):
-        surf = pl.pl_characteristic_surface(dm.unit_disk(), budget).surface
-        want, skipped, edges = _deviation_loop(cone, surf, np.random.default_rng(4))
-        assert 0 < skipped < edges
-        assert pl._sampled_deviation(cone, surf, np.random.default_rng(4)) == want
+def _face_gaps(surf, radius, steps):
+    """Largest radial gap |x| - r(x / |x|) in absolute value over a
+    barycentric grid of each face, r the characteristic surface's radius
+    along each row of a stack of unit directions."""
+    x = np.einsum("gj,tjn->tgn", _barycentric_grid(surf.simplices.shape[1], steps),
+                  surf.vertices[surf.simplices])
+    norms = np.linalg.norm(x, axis=2)
+    exact = radius((x / norms[..., None]).reshape(-1, x.shape[2])).reshape(norms.shape)
+    return np.abs(norms - exact).max(axis=1)
+
+
+def _face_bounds(res, cone):
+    """Each face's bound in a build, from the fiber pass on its vertices'
+    directions; their largest is the reported bound."""
+    surf = res.surface
+    on_s, tangents, ok = vb._characteristic_rows(cone, surf.vertices)
+    bounds = pl._face_deviations(surf.vertices, np.linalg.norm(on_s, axis=1), tangents,
+                                 surf.simplices)
+    assert ok.all()
+    assert bounds.max() == pytest.approx(res.deviation_bound, rel=1e-12)
+    return bounds
+
+
+def _quadric_radius(center, shape):
+    """Radius of the characteristic surface of the ellipse {(x - c)^T M
+    (x - c) <= 1} in the standard chart, in closed form: the disk's is the
+    hyperboloid z^2 - x^2 - y^2 = (3 / pi)^(2/3), and the affine map
+    (x, z) -> (M^(-1/2) x + c z, z) carries it, scaled by det(M)^(1/6), to
+    the ellipse's."""
+    scale = (3.0 / np.pi) ** (1.0 / 3.0) * np.linalg.det(shape) ** (1.0 / 6.0)
+
+    def radius(u):
+        x = u[:, :2] - np.outer(u[:, 2], center)
+        return scale / np.sqrt(u[:, 2] ** 2 - np.einsum("ki,ij,kj->k", x, shape, x))
+    return radius
+
+
+@pytest.mark.parametrize("center, shape", [
+    ([0.0, 0.0], np.eye(2)), ([0.1, -0.2], [[1.0, 0.3], [0.3, 2.5]])],
+    ids=["disk", "ellipse"])
+@pytest.mark.parametrize("budget", [24, 48, 200])
+def test_deviation_bound_holds_on_quadric_surfaces(center, shape, budget):
+    # every face's bound is at least its largest gap to the closed-form surface
+    dom = dm.ConvexDomain.ellipsoid(center, shape)
+    res = pl.pl_characteristic_surface(dom, budget)
+    gaps = _face_gaps(res.surface, _quadric_radius(np.array(center), np.array(shape)), 60)
+    assert (_face_bounds(res, dom.cone()) >= gaps).all()
+    assert res.deviation_bound >= gaps.max()
+
+
+@pytest.mark.parametrize("make, budget, rounds", [
+    (dm.triangle_domain, 200, 0), (lambda: dm.orthant_domain(2), 48, 1),
+    (dm.triangle_domain, 48, 1), (lambda: dm.orthant_domain(1), 16, 0),
+    (lambda: dm.ConvexDomain.from_vertices([[-0.6], [0.8]]), 16, 0)],
+    ids=["triangle", "orthant2", "triangle-jittered", "orthant1", "segment"])
+def test_deviation_bound_holds_on_a_solved_grid(make, budget, rounds):
+    # the sampled edge midpoints read 0.050 and 0.090 on the first two, under
+    # gaps of 0.407 and 0.323; the jittered build's vertices are off the
+    # surface, and its bound covers that too
+    dom = make()
+    cone = dom.cone()
+    res = pl.pl_characteristic_surface(dom, budget, seed=1)
+    assert res.jitter_rounds == rounds
+    steps = 20 if dom.dim == 2 else 200
+
+    def radius(u):
+        return np.linalg.norm(vb.characteristic_points(cone, u), axis=1)
+    gaps = _face_gaps(res.surface, radius, steps)
+    assert (_face_bounds(res, cone) >= gaps).all()
+    assert res.deviation_bound >= gaps.max()
+
+
+@pytest.mark.parametrize("make, budget", [
+    (dm.unit_disk, 24), (dm.triangle_domain, 48), (lambda: dm.orthant_domain(1), 16)],
+    ids=["disk", "triangle", "orthant1"])
+def test_face_deviations_solve_the_face_game(make, budget):
+    # the closed-form candidates find v = max over the face of min_i l_i.x,
+    # the value of the game with payoffs A[i, j] = l_i.p_j, as an LP solves it
+    cone = make().cone()
+    surf = pl.pl_characteristic_surface(cone, budget, seed=1).surface
+    on_s, tangents, _ = vb._characteristic_rows(cone, surf.vertices)
+    bounds = pl._face_deviations(surf.vertices, np.linalg.norm(on_s, axis=1), tangents,
+                                 surf.simplices)
+    k = surf.simplices.shape[1]
+    for face, bound in zip(surf.simplices, bounds):
+        corners = surf.vertices[face]
+        a = tangents[face] @ corners.T
+        # maximize z subject to z <= (A lam)_i, lam >= 0, sum(lam) = 1
+        lp = linprog(np.r_[np.zeros(k), -1.0], A_ub=np.c_[-a, np.ones(k)],
+                     b_ub=np.zeros(k), A_eq=np.r_[np.ones(k), 0.0][None],
+                     b_eq=[1.0], bounds=[(0, None)] * k + [(None, None)])
+        want = np.linalg.norm(corners, axis=1).max() * (1.0 + 1.0 / lp.fun)
+        assert bound == pytest.approx(want, rel=1e-9, abs=1e-12)

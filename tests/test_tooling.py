@@ -358,9 +358,9 @@ def test_newton_trials_make_no_dual_margin_call(monkeypatch):
     assert not [d for d in calls if d]
 
 
-def test_dirichlet_domain_makes_one_fiber_solve(monkeypatch):
-    # the characteristic point and the tangent functional at it both come
-    # from the fiber solve on the base point's unit ray, by homogeneity
+def _count_fiber_solves(monkeypatch):
+    """The list that gets one entry per call of `vb._fiber_minimum`, one
+    point or a stack."""
     fiber = vb._fiber_minimum
     calls = []
 
@@ -369,11 +369,28 @@ def test_dirichlet_domain_makes_one_fiber_solve(monkeypatch):
         return fiber(*args)
 
     monkeypatch.setattr(vb, "_fiber_minimum", counted)
+    return calls
+
+
+def test_dirichlet_domain_makes_one_fiber_solve(monkeypatch):
+    # the characteristic point and the tangent functional at it both come
+    # from the fiber solve on the base point's unit ray, by homogeneity
+    calls = _count_fiber_solves(monkeypatch)
     r1, r2, r3 = triangle_group(3, 3, 4)
     gens = [ProjTransform(r1 @ r2), ProjTransform(r2 @ r3)]
     dd = gp.dirichlet_domain(dm.unit_disk().cone(), gens,
                              np.array([0.05, 0.03, 1.0]), 3)
     assert dd.stable and len(calls) == 1
+
+
+@pytest.mark.parametrize("make", [dm.unit_disk, lambda: dm.disk_polygon(24)],
+                         ids=["closed-form", "newton"])
+def test_surface_build_makes_one_fiber_pass(monkeypatch, make):
+    # the samples' points and the tangent functionals that bound the
+    # deviation come from one stacked fiber solve
+    calls = _count_fiber_solves(monkeypatch)
+    assert pl.pl_characteristic_surface(make(), 48).certificate.ok
+    assert len(calls) == 1
 
 
 def test_sequence_analysis_measures_each_term_once(monkeypatch):

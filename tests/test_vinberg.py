@@ -469,6 +469,23 @@ def test_characteristic_points_match_loop(index, data):
         assert np.array_equal(p, vb.characteristic_point(dom, q))
 
 
+@pytest.mark.parametrize("index", range(len(STACK_DOMAINS)), ids=STACK_KINDS)
+def test_characteristic_rows_give_supporting_tangents(index, rng):
+    # l = phi / t at p = t q: l.p = 1, every other point y of the surface has
+    # l.y >= 1, and l is the one-point fiber minimizer scaled by 1 / t
+    dom = STACK_DOMAINS[index]
+    qs = dom.chart.lift_many(dom.random_interior(rng, size=12))
+    pts, tangents, ok = vb._characteristic_rows(dom.cone(), qs)
+    assert ok.all()
+    pairing = tangents @ pts.T
+    assert np.allclose(np.diag(pairing), 1.0, rtol=0, atol=1e-12)
+    assert (pairing >= 1.0 - 1e-12).all()
+    for q, p, tangent in zip(qs, pts, tangents):
+        fm = vb.min_volume_on_fiber(dom, q / np.linalg.norm(q))
+        t = np.linalg.norm(p)
+        assert np.allclose(tangent, fm.phi / t, rtol=1e-12, atol=0)
+
+
 def test_characteristic_points_raise_the_first_failing_row(square):
     # the disk's closed form solves next to its frontier, the square's Newton
     # does not solve next to a vertex
@@ -481,7 +498,7 @@ def test_characteristic_points_raise_the_first_failing_row(square):
         vb.characteristic_points(square, [good, outside, stalls])
     with pytest.raises(ConvergenceFailureError):
         vb.characteristic_points(square, [good, stalls, outside])
-    pts, ok = vb._characteristic_rows(square.cone(), np.array([stalls, good, outside]))
+    pts, _, ok = vb._characteristic_rows(square.cone(), np.array([stalls, good, outside]))
     assert ok.tolist() == [False, True, False]
     assert np.isnan(pts[[0, 2]]).all()
     assert np.array_equal(pts[1], vb.characteristic_point(square, good))
@@ -611,10 +628,10 @@ def test_characteristic_rows_drop_a_failed_start(rng, monkeypatch):
     dom = STACK_DOMAINS[3]
     cone = dom.cone()
     qs = dom.chart.lift_many(dom.random_interior(rng, size=5))
-    pts, ok = vb._characteristic_rows(cone, qs)
+    pts, _, ok = vb._characteristic_rows(cone, qs)
     q2 = qs[2] / np.linalg.norm(qs[2])
     _refuse_slices(monkeypatch, lambda v: abs(v @ q2 - 1.0) < 1e-9)
-    pts2, ok2 = vb._characteristic_rows(cone, qs)
+    pts2, _, ok2 = vb._characteristic_rows(cone, qs)
     assert ok.all() and ok2.tolist() == [True, True, False, True, True]
     assert np.isnan(pts2[2]).all()
     assert np.array_equal(np.delete(pts2, 2, axis=0), np.delete(pts, 2, axis=0))
