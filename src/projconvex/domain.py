@@ -32,7 +32,7 @@ also polygons' duals and Dirichlet polygons) need none of it.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial, gamma, inf, isfinite, pi
+from math import factorial, gamma, inf, isfinite, pi, sqrt
 
 import numpy as np
 
@@ -98,15 +98,10 @@ def _triangulated_moments(backend):
 # ---------------------------------------------------------------------------
 # row-wise products
 #
-# Membership, chord and support queries take one point (direction) or an
+# Support queries and the cone and solver kernels take one vector or an
 # (N, n) stack.  A stack goes through numpy's batched matmul, which makes the
 # same BLAS call per row as a single vector does, so each row is bit-identical
-# to the one-point query (a plain `X @ A.T` sums in another order).  One
-# vector takes the plain product: the batched form costs it about 1 us more.
-# The chord of the line through two points to be checked is one query,
-# `segment_chord`: the base point's facet slack (or quadric form) is computed
-# once for its membership test and the chord, by the same products as the
-# separate queries, so it returns their floats and raises their errors.
+# to the one-vector value (a plain `X @ A.T` sums in another order).
 
 
 def _matvec(a, x):
@@ -139,6 +134,45 @@ def _vecmat(u, m):
 def _any(mask):
     """Whether a boolean, numpy scalar or array is true anywhere."""
     return mask.any() if isinstance(mask, np.ndarray) else mask
+
+
+# ---------------------------------------------------------------------------
+# point queries: plain products
+#
+# `contains_margin`, `chord_params` and `segment_chord` take one point (line)
+# or an (N, n) stack and work every dot product as `_plain_dot` does, never
+# by BLAS, whose FMA kernels Python floats cannot reproduce: one point on a
+# small backend in Python floats, from facet (quadric) lists cached on the
+# backend; stacks, and one point on a large backend, in numpy, one
+# coordinate column at a time.  The two ways round alike, so each stacked
+# row is bit-identical to its one-point query.  `segment_chord` checks the
+# two points of its line and finds the chord in one pass, with the floats
+# and errors (x, then y, then the chord) of the separate queries.
+
+# One point is worked in Python floats while its terms (m n for m facets in
+# chart dimension n, n^2 for an ellipsoid) number at most this: one
+# `segment_chord` on random polytopes in chart dimensions 2 and 3 cost the
+# same both ways at 130-160 terms, and a fifth in floats at 12 terms.
+_FLOAT_TERMS = 144
+
+
+def _plain_dot(u, v):
+    """u[0] v[0] + u[1] v[1] + ..., added left to right: Python floats for
+    lists, elementwise for arrays, so that a stack passes its columns (`x.T`)
+    and x . a_j for every column a_j of an (n, m) array A is
+    `_plain_dot(x.T[..., None], A)`."""
+    acc = u[0] * v[0]
+    for k in range(1, len(u)):
+        acc = acc + u[k] * v[k]
+    return acc
+
+
+def _length(d):
+    """|d| by `_plain_dot`: a float for one vector, an array for a stack."""
+    if d.ndim == 1:
+        d = d.tolist()
+        return sqrt(_plain_dot(d, d))
+    return np.sqrt(_plain_dot(d.T, d.T))
 
 
 # ---------------------------------------------------------------------------
@@ -331,60 +365,40 @@ def _vertex_hull(verts):
 
 
 # ---------------------------------------------------------------------------
-# chord kernels, one per backend family
+# the chord kernel of polytopes in Python floats
 
 
-def _facet_chord(normals, num, d, step=None):
-    """Chord parameters (t_lo, t_hi) of the line x + t d in a polytope, from
-    the facet slack num = b - A x of its base point.
-
-    A facet with |a . d| <= cut is parallel to the line; the cut scales with
-    |d| (`step`, computed here unless the caller has it) so that a short
-    direction keeps its facets.
-    """
-    d = np.asarray(d, dtype=float)
-    if step is None:
-        step = np.sqrt(_dot(d, d))
-    if num.ndim == 1 and d.ndim == 1:
-        # one line: a loop over Python floats beats the masked reduction on
-        # the few facets of a typical polytope
-        den = (normals @ d).tolist()
-        cut = float(TOL.exact * step)
-        t_hi, t_lo = inf, -inf
-        for ni, di in zip(num.tolist(), den):
-            if di > cut:
-                r = ni / di
-                if r < t_hi:
-                    t_hi = r
-            elif di < -cut:
-                r = ni / di
-                if r > t_lo:
-                    t_lo = r
-        if not (isfinite(t_hi) and isfinite(t_lo)):
-            raise NotProperlyConvexError("line does not exit the region")
-        return t_lo, t_hi
-    den = _matvec(normals, d)
-    cut = TOL.exact * step[..., None]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = num / den
-    t_hi = np.where(den > cut, t, np.inf).min(axis=-1)
-    t_lo = np.where(den < -cut, t, -np.inf).max(axis=-1)
-    if not (np.isfinite(t_hi).all() and np.isfinite(t_lo).all()):
-        raise NotProperlyConvexError("line does not exit the region")
-    return t_lo, t_hi
-
-
-def _conic_chord(um, gamma, d, m):
-    """Chord parameters of the line x + t d in the ellipsoid
-    (x-c)^T m (x-c) < 1, from um = (x-c)^T m and gamma = um . (x-c) - 1."""
-    d = np.asarray(d, dtype=float)
-    alpha = _dot(_vecmat(d, m), d)
-    beta = _dot(um, d)
-    disc = beta * beta - alpha * gamma
-    if _any(disc <= 0):
-        raise DegenerateChordError("line misses the ellipsoid")
-    root = np.sqrt(disc)
-    return (-beta - root) / alpha, (-beta + root) / alpha
+def _facet_floats(facets, x, y, d, cut):
+    """The least slack b - a . p over the facets (a, b) of p = x and p = y,
+    and the chord (t_lo, t_hi) of x + t d (+-inf if unbounded), in one pass
+    of Python floats (`_plain_dot` written out).  A facet with |a . d| <= cut,
+    which scales with |d|, is parallel to the line."""
+    rest = range(1, len(x))
+    x0, y0, d0 = x[0], y[0], d[0]
+    low_x = low_y = t_hi = inf
+    t_lo = -inf
+    for a, b in facets:
+        a0 = a[0]
+        ax, ay, ad = a0 * x0, a0 * y0, a0 * d0
+        for k in rest:
+            ak = a[k]
+            ax = ax + ak * x[k]
+            ay = ay + ak * y[k]
+            ad = ad + ak * d[k]
+        sx, sy = b - ax, b - ay
+        if sx < low_x:
+            low_x = sx
+        if sy < low_y:
+            low_y = sy
+        if ad > cut:
+            r = sx / ad
+            if r < t_hi:
+                t_hi = r
+        elif ad < -cut:
+            r = sx / ad
+            if r > t_lo:
+                t_lo = r
+    return low_x, low_y, t_lo, t_hi
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +457,19 @@ class _PolytopeBackend:
     def vertices(self):
         return self.verts
 
+    @cached_property
+    def _facets(self):
+        """(a_i, b_i) in Python floats, None above `_FLOAT_TERMS` terms."""
+        if self.normals.size <= _FLOAT_TERMS:
+            return list(zip(self.normals.tolist(), self.offsets.tolist()))
+
     def contains_margin(self, x):
         x = np.asarray(x, dtype=float)
-        slack = self.offsets - _matvec(self.normals, x)
-        return slack.min(axis=-1) if x.ndim > 1 else float(slack.min())
+        if x.ndim == 1 and self._facets is not None:
+            x = x.tolist()
+            return min(b - _plain_dot(a, x) for a, b in self._facets)
+        low = (self.offsets - _plain_dot(x.T[..., None], self.normals.T)).min(axis=-1)
+        return low if x.ndim > 1 else float(low)
 
     def chord_params(self, x, d):
         """Parameters (t_lo, t_hi) of the frontier points of the line x + t d.
@@ -458,23 +481,52 @@ class _PolytopeBackend:
         mesh radii); a line through two points to be checked takes
         `segment_chord`.
         """
-        x = np.asarray(x, dtype=float)
-        return _facet_chord(self.normals, self.offsets - _matvec(self.normals, x), d)
+        return self._chord(x, None, d, None)
 
     def segment_chord(self, x, y, d, step=None):
         """`chord_params(x, d)` for the line through x and y = x + d, after
         checking that x and then y are inside (InvalidInputError naming the
-        point).  x's facet slack serves both its check and the chord; `step`
-        is |d| if the caller has it.  One pair or (N, n) stacks, row by row
-        the one-pair values.
+        point), all from one pass over the facets; `step` is |d| if the
+        caller has it.  One pair or (N, n) stacks, row by row the one-pair
+        values.
         """
-        x = np.asarray(x, dtype=float)
-        slack = self.offsets - _matvec(self.normals, x)
-        if _any(slack.min(axis=-1) <= 0):
+        return self._chord(x, y, d, step)
+
+    def _chord(self, x, y, d, step):
+        """The chord (t_lo, t_hi) of x + t d, after checking x and then y
+        unless y is None: `_facet_floats` for one line on a small polytope,
+        else its terms in numpy columns."""
+        check = y is not None
+        x, y, d = (np.asarray(v, dtype=float) for v in (x, y if check else x, d))
+        cut = TOL.exact * (_length(d) if step is None else step)
+        if self._facets is not None and x.ndim == y.ndim == d.ndim == 1:
+            low_x, low_y, t_lo, t_hi = _facet_floats(
+                self._facets, x.tolist(), y.tolist(), d.tolist(), cut)
+        else:
+            xyd = np.empty((3,) + max(x.shape, d.shape, key=len))
+            xyd[0], xyd[1], xyd[2] = x, y, d
+            acc = _plain_dot(xyd.T[..., None], self.normals.T)   # (..., 3, m)
+            slack = self.offsets - acc[..., :2, :]
+            low_x, low_y = slack.min(axis=-1).T
+            # divide, and read, only the facets that bound the line
+            den, cut = acc[..., 2, :], np.asarray(cut)[..., None]
+            pos, neg = den > cut, den < -cut
+            t = np.divide(slack[..., 0, :], den, out=np.empty(den.shape),
+                          where=pos | neg)
+            t_lo = t.max(axis=-1, where=neg, initial=-inf)
+            t_hi = t.min(axis=-1, where=pos, initial=inf)
+        if check and _any(low_x <= 0):
             raise InvalidInputError("point x is not inside the domain")
-        if _any(self.contains_margin(y) <= 0):
+        if check and _any(low_y <= 0):
             raise InvalidInputError("point y is not inside the domain")
-        return _facet_chord(self.normals, slack, d, step)
+        if isinstance(t_hi, np.ndarray):
+            bounded = np.isfinite(t_lo).all() and np.isfinite(t_hi).all()
+        else:
+            t_lo, t_hi = float(t_lo), float(t_hi)
+            bounded = isfinite(t_lo) and isfinite(t_hi)
+        if not bounded:
+            raise NotProperlyConvexError("line does not exit the region")
+        return t_lo, t_hi
 
     def supporting_facets(self, x, tol):
         slack = self.offsets - self.normals @ np.asarray(x, dtype=float)
@@ -635,6 +687,8 @@ class EllipsoidBackend:
                 "ellipsoid shape matrix not positive-definite",
                 witness={"eigenvalues": w})
         self._minv = np.linalg.inv(self.shape_matrix)
+        self._rows = (self.shape_matrix.tolist()
+                      if self.shape_matrix.size <= _FLOAT_TERMS else None)
 
     @property
     def dim(self):
@@ -643,21 +697,30 @@ class EllipsoidBackend:
     def interior_point(self):
         return self.center
 
-    def _quadric(self, x):
-        """u^T M and the form u^T M u of u = x - c, for one point or a stack."""
-        u = np.asarray(x, dtype=float) - self.center
-        um = _vecmat(u, self.shape_matrix)
-        return um, _dot(um, u)
+    def _form(self, v, shift=False):
+        """u^T M, u^T M u and u itself for u = v (v - c if `shift`), in the
+        coordinates that `_plain_dot` takes: Python floats for one vector
+        on a small ellipsoid, else the columns of the arrays."""
+        v = np.asarray(v, dtype=float)
+        if v.ndim == 1 and self._rows is not None:
+            u = v.tolist()
+            if shift:
+                u = [a - c for a, c in zip(u, self.center.tolist())]
+            um = [_plain_dot(u, row) for row in self._rows]
+        else:
+            u = (v - self.center if shift else v).T
+            um = _plain_dot(u[..., None], self.shape_matrix).T
+        return um, _plain_dot(um, u), u
 
     @staticmethod
     def _margin(q):
         """Chart margin 1 - sqrt(q) of a point of quadric form q."""
-        if q.ndim:
+        if isinstance(q, np.ndarray):
             return 1.0 - np.sqrt(np.maximum(q, 0.0))
-        return 1.0 - float(np.sqrt(max(q, 0.0)))
+        return 1.0 - sqrt(max(q, 0.0))
 
     def contains_margin(self, x):
-        return self._margin(self._quadric(x)[1])
+        return self._margin(self._form(x, shift=True)[1])
 
     def support(self, u):
         """Support function at one direction, or at each row of a stack."""
@@ -672,18 +735,28 @@ class EllipsoidBackend:
 
     def chord_params(self, x, d):
         """As `_PolytopeBackend.chord_params`: one line or (N, n) stacks."""
-        um, q = self._quadric(x)
-        return _conic_chord(um, q - 1.0, d, self.shape_matrix)
+        return self._chord(*self._form(x, shift=True)[:2], d)
 
     def segment_chord(self, x, y, d, step=None):
         """As `_PolytopeBackend.segment_chord`; x's quadric form serves both
         its check and the chord, which needs no |d|."""
-        um, q = self._quadric(x)
+        um, q, _ = self._form(x, shift=True)
         if _any(self._margin(q) <= 0):
             raise InvalidInputError("point x is not inside the domain")
         if _any(self.contains_margin(y) <= 0):
             raise InvalidInputError("point y is not inside the domain")
-        return _conic_chord(um, q - 1.0, d, self.shape_matrix)
+        return self._chord(um, q, d)
+
+    def _chord(self, um, q, d):
+        """Chord parameters of the line x + t d in the ellipsoid, from x's
+        `_form` (um, q): the roots of alpha t^2 + 2 beta t + q - 1."""
+        _, alpha, d = self._form(d)
+        beta = _plain_dot(um, d)
+        disc = beta * beta - alpha * (q - 1.0)
+        if _any(disc <= 0):
+            raise DegenerateChordError("line misses the ellipsoid")
+        root = np.sqrt(disc) if isinstance(disc, np.ndarray) else sqrt(disc)
+        return (-beta - root) / alpha, (-beta + root) / alpha
 
     def supporting_facets(self, x, tol):
         n = self.shape_matrix @ (np.asarray(x, dtype=float) - self.center)

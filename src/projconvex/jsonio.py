@@ -120,7 +120,8 @@ def domain_from_dict(data) -> ConvexDomain:
         backend = data["backend"]
         kind = backend["type"]
         if kind not in _BACKENDS:
-            raise InvalidInputError(f"unknown backend type {kind!r}")
+            raise InputFormatError(
+                f"malformed domain object: unknown backend type {kind!r}")
         make, names = _BACKENDS[kind]
         args = [_floats(backend[name]) for name in names]
         if kind == "radialgraph":

@@ -102,6 +102,11 @@ def test_malformed_file_exit_code(tmp_path, capsys):
     res = dispatch(["domain", "validate", "--domain", str(bare)])
     assert res.exit_code == 2
     assert "malformed domain object" in capsys.readouterr().out
+    alien = tmp_path / "alien.json"   # a backend type that does not exist
+    alien.write_text('{"chart": [0, 0, 1], "backend": {"type": "foo"}}')
+    res = dispatch(["domain", "validate", "--domain", str(alien)])
+    assert res.exit_code == 2
+    assert "unknown backend type 'foo'" in capsys.readouterr().out
 
 
 def test_integer_beyond_float_range_is_an_input_error(tmp_path, capsys):

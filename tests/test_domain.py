@@ -107,7 +107,8 @@ STACK_DOMAINS = [
     lambda: dm.ConvexDomain.ellipsoid(np.zeros(3), np.diag([1.0, 2.0, 0.5])),
     lambda: dm.ConvexDomain.from_halfspaces(
         np.vstack([np.eye(3), -np.eye(3)]), np.ones(6)),
-    lambda: dm.orthant_domain(1), lambda: dm.orthant_domain(3)]
+    lambda: dm.orthant_domain(1), lambda: dm.orthant_domain(3),
+    lambda: dm.disk_polygon(200)]   # past the float crossover
 
 
 @pytest.mark.parametrize("make", STACK_DOMAINS)

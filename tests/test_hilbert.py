@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from functools import lru_cache
 
@@ -108,20 +109,26 @@ def _hexagon():
 
 @lru_cache(maxsize=None)
 def _domain(name):
-    """The `any_domain` backends, the orthants of dims 1-3, a 3-ball and a
-    half-space hexagon, built once."""
+    """The `any_domain` backends, the orthants of dims 1-3, a 3-ball, a
+    tilted ellipse, a 1-d ellipsoid, a half-space hexagon and a 200-gon,
+    built once.  The 200-gon is past the float crossover of one-point
+    queries, the others below."""
     if name.startswith("orthant"):
         return dm.orthant_domain(int(name[-1]))
     return {"disk": dm.unit_disk, "square": dm.square_domain,
             "triangle": dm.triangle_domain,
             "radial": lambda: dm.disk_polygon(24),
+            "gon200": lambda: dm.disk_polygon(200),
+            "ball1": lambda: dm.ConvexDomain.ellipsoid([0.2], [[1.5]]),
+            "ellipse": lambda: dm.ConvexDomain.ellipsoid(
+                [0.1, 0.2], [[1.3, 0.4], [0.4, 0.8]]),
             "ball3": lambda: dm.ConvexDomain.ellipsoid(
                 [0.1, -0.2, 0.0], np.diag([1.0, 2.0, 0.5])),
             "hexagon": _hexagon}[name]()
 
 
-DOMAINS = ["disk", "square", "triangle", "radial", "orthant1", "orthant2",
-           "orthant3", "ball3", "hexagon"]
+DOMAINS = ["disk", "square", "triangle", "radial", "gon200", "orthant1",
+           "orthant2", "orthant3", "ball1", "ball3", "ellipse", "hexagon"]
 
 
 def _loop_or_error(fn, dom, xs, ys):
@@ -200,7 +207,7 @@ def _reference_distance(dom, x, y):
     """Hilbert distance by separate queries, the cross-ratio worked in numpy
     scalars (its array branch, on a 0-d step)."""
     d = y - x
-    step = np.sqrt(d.dot(d))
+    step = np.sqrt(dm._plain_dot(d, d))
     if step <= TOL.exact:
         return 0.0
     t_lo, t_hi = _reference_chord(dom, x, y)
@@ -248,6 +255,55 @@ def test_one_chord_query_matches_the_reference(name, data):
         assert stacked.tolist() == ref
     else:
         assert stacked == first_error
+
+
+def _plain(u, v):
+    acc = u[0] * v[0]
+    for k in range(1, len(u)):
+        acc = acc + u[k] * v[k]
+    return acc
+
+
+def _float_distance(dom, x, y):
+    """Hilbert distance of two interior points (lists of floats), in Python
+    floats and explicit loops: every dot product a sum of plain products
+    added left to right.  The log is np.log of a float, as in the library."""
+    b = dom.backend
+    d = [q - p for p, q in zip(x, y)]
+    step = math.sqrt(_plain(d, d))
+    if isinstance(b, dm.EllipsoidBackend):
+        rows = b.shape_matrix.tolist()
+        u = [p - c for p, c in zip(x, b.center.tolist())]
+        um = [_plain(u, row) for row in rows]
+        alpha = _plain([_plain(d, row) for row in rows], d)
+        beta, gamma = _plain(um, d), _plain(um, u) - 1.0
+        root = math.sqrt(beta * beta - alpha * gamma)
+        t_lo, t_hi = (-beta - root) / alpha, (-beta + root) / alpha
+    else:
+        t_lo, t_hi = -math.inf, math.inf
+        for a, off in zip(b.normals.tolist(), b.offsets.tolist()):
+            rate = _plain(a, d)
+            if abs(rate) > TOL.exact * step:
+                t = (off - _plain(a, x)) / rate
+                if rate > 0:
+                    t_hi = min(t_hi, t)
+                else:
+                    t_lo = max(t_lo, t)
+    ax, ay = -t_lo * step, (1.0 - t_lo) * step
+    bx, by = t_hi * step, (t_hi - 1.0) * step
+    return 0.5 * abs(np.log((bx * ay) / (by * ax)))
+
+
+@pytest.mark.parametrize("name", DOMAINS)
+def test_distance_is_plain_float_arithmetic(name, rng):
+    # bit for bit the loops above, one pair and stacked, on both sides of
+    # the float crossover: BLAS products (FMA kernels) would differ
+    dom = _domain(name)
+    xs = dom.random_interior(rng, size=60)
+    ys = dom.random_interior(rng, size=60)
+    want = [_float_distance(dom, x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+    assert [hb.distance(dom, x, y) for x, y in zip(xs, ys)] == want
+    assert hb.distances(dom, xs, ys).tolist() == want
 
 
 def test_distances_checks(disk, square):
