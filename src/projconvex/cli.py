@@ -14,8 +14,8 @@ function imports the library module it calls, and `svgfig` only when it
 draws, so a command loads no module that it does not use.
 
 Exit codes: 0 success, 1 computation error, 2 usage or input-format error.
-A mesh file that is no valid hypersurface is an input-format error, and so is
-a domain file with a missing field or an unknown backend type.
+A mesh or domain file that its constructor refuses is an input-format error,
+as is one with a missing field or an unknown backend type.
 """
 
 import argparse

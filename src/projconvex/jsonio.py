@@ -127,9 +127,9 @@ def domain_from_dict(data) -> ConvexDomain:
         if kind == "radialgraph":
             simplices = backend.get("simplices")
             args.append(None if simplices is None else _ints(simplices))
-    except (KeyError, TypeError) as exc:
+        return make(*args, chart=chart)
+    except (KeyError, TypeError, InvalidInputError) as exc:
         raise InputFormatError(f"malformed domain object: {exc}") from exc
-    return make(*args, chart=chart)
 
 
 def load_domain(path) -> ConvexDomain:

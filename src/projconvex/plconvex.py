@@ -5,9 +5,12 @@ log-contours, and PL approximation of the characteristic surface.
 Simplices are oriented radially (positive determinant of the vertex matrix);
 reported determinants are rescaled by the stored chirality of the first
 simplex so hand-computed values in the input ordering are reproduced.
+Determinants, inverses and cross products are cofactor expansions over
+stacks (`_minors`); only simplices a closed-form bound cannot clear take an SVD.
 """
 
 from dataclasses import asdict, dataclass, field
+from itertools import combinations
 from math import asin, sin
 
 import numpy as np
@@ -152,26 +155,69 @@ def _check_widths(simplices, width):
                 f"hypersurface simplices need {width} vertices, got {len(s)}")
 
 
+def _minors(m):
+    """{ascending column tuple: maximal minor} of the r x k matrices m
+    (..., r, k), each by cofactor expansion along its first row, worked
+    elementwise over the leading axes: a stacked matrix gets its own value."""
+    r, k = m.shape[-2:]
+    e = np.ascontiguousarray(m.reshape(-1, r, k).transpose(1, 2, 0))
+    minors = {(c,): e[-1, c] for c in range(k)}
+    for size in range(2, r + 1):
+        row, below, minors = e[-size], minors, {}
+        for cols in combinations(range(k), size):
+            total = row[cols[0]] * below[cols[1:]]
+            for i in range(1, size):
+                term = row[cols[i]] * below[cols[:i] + cols[i + 1:]]
+                total = total - term if i % 2 else total + term
+            minors[cols] = total
+    return {cols: v.reshape(m.shape[:-2]) for cols, v in minors.items()}
+
+
+def _det(m):
+    """Determinants of the k x k matrices m (..., k, k)."""
+    return _minors(m)[tuple(range(m.shape[-1]))]
+
+
+def _adjugate(m):
+    """Adjugates of the k x k matrices m (..., k, k): entry (j, i) is
+    (-1)^(i + j) times the minor without row i and column j."""
+    k = m.shape[-1]
+    drop = [tuple(c for c in range(k) if c != i) for i in range(k)]
+    minors = _minors(m[..., drop, :])   # (..., i) without row i
+    sign = (-1.0) ** np.add.outer(range(k), range(k))
+    return np.stack([minors[cols] for cols in drop], axis=-2) * sign
+
+
 class _SurfaceStack:
     """Vertex arrays (R, V, n) of R surfaces on one `_Complex`, and their
     per-simplex geometry with a leading surface axis.
 
     A `SimplicialHypersurface` is the one-row stack; `perturbation_radius`
-    stacks its perturbed surfaces.  numpy's stacked `det`, `svd` and `inv`
-    run one LAPACK call per matrix and the reductions run over the same
-    trailing axes, so every row equals its surface on its own.
-    `degenerate` marks the simplices, (R, T), whose edge vectors are nearly
-    dependent.
-    """
+    stacks its perturbed surfaces.  Determinants and inverses are cofactor
+    expansions (`_minors`) and the reductions run over the trailing axes, so
+    every row equals its surface on its own.  `degenerate` marks the
+    simplices, (R, T), whose least edge singular value (LAPACK's SVD) is at
+    most 1e-10 times the longest edge.  Scaled to a longest edge of 1, with
+    Frobenius norm F <= sqrt(k - 1), the edges' maximal minors have norm
+    (the product of the singular values) over F^(k-2) below that value;
+    where this passes 2e-10 it clears the simplex, the minors and the SVD
+    being off by about 1e-14 F.  Only the others take the SVD."""
 
     def __init__(self, cx, verts):
         self.complex, self.vertices = cx, verts
         self.pts = np.take(verts, cx.simplices, axis=1)
+        k = cx.simplices.shape[1]
         edges = self.pts[:, :, 1:] - self.pts[:, :, :1]
         scale = np.maximum(np.linalg.norm(edges, axis=3).max(axis=2), 1e-300)
-        sv = np.linalg.svd(edges, compute_uv=False)
-        self.degenerate = sv[:, :, -1] <= 1e-10 * scale
-        self.dets = np.linalg.det(np.swapaxes(self.pts, 2, 3))
+        unit = edges / scale[..., None, None]
+        wedge = np.sqrt(sum(v * v for v in _minors(unit).values()))
+        frob = np.sqrt(np.einsum("rtij,rtij->rt", unit, unit))
+        unclear = ~(wedge > 2e-10 * frob ** (k - 2))
+        self.degenerate = np.zeros(unclear.shape, dtype=bool)
+        if unclear.any():
+            sv = np.linalg.svd(edges[unclear], compute_uv=False)
+            self.degenerate[unclear] = sv[:, -1] <= 1e-10 * scale[unclear]
+        self.dets = _det(self.pts)
         self._inv = None
         self._caps = None
 
@@ -189,14 +235,14 @@ class _SurfaceStack:
         return np.abs(self.dets) / np.maximum(scale, 1e-300)
 
     def inv(self):
+        """Inverses of the vertex matrices (vertices as columns), (R, T, k, k):
+        the adjugate over the determinant."""
         if self._inv is None:
-            try:
-                self._inv = np.linalg.inv(np.swapaxes(self.pts, 2, 3))
-            except np.linalg.LinAlgError as exc:
-                # a zero pivot: that simplex's determinant is exactly 0
+            if not self.dets.all():
                 raise TransversalityError(
                     "simplex has a degenerate ray cone",
-                    simplex=int(np.argmin(np.abs(self.dets)) % self.dets.shape[1])) from exc
+                    simplex=int(np.argmin(np.abs(self.dets)) % self.dets.shape[1]))
+            self._inv = _adjugate(np.swapaxes(self.pts, 2, 3)) / self.dets[..., None, None]
         return self._inv
 
     def _cap_index(self):
@@ -210,21 +256,20 @@ class _SurfaceStack:
         test's slack (see `_candidates`).
         """
         if self._caps is None:
-            inv = self.inv()
             pts = self.pts
             norms = np.sqrt(np.einsum("rtkj,rtkj->rtk", pts, pts))
             unit = pts / norms[..., None]
-            with np.errstate(invalid="ignore", divide="ignore"):
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
                 centre = unit.sum(axis=2)
                 centre /= np.sqrt(np.einsum("rtj,rtj->rt", centre, centre))[..., None]
+                growth = (np.einsum("rtij,rtij->rt", pts, pts) ** (0.5 * norms.shape[2])
+                          / np.abs(self.dets))
             gap = unit - centre[:, :, None, :]
             chord = np.sqrt(np.einsum("rtkj,rtkj->rtk", gap, gap).max(axis=2))
-            cond2 = (np.einsum("rtij,rtij->rt", pts, pts)
-                     * np.einsum("rtij,rtij->rt", inv, inv))
-            near = (chord < np.sqrt(2.0)) & (1e-12 * cond2 < _SLACK_BOUND)
+            near = (chord < np.sqrt(2.0)) & (1e-12 * growth < _SLACK_BOUND)
             self._caps = (centre, near, chord.max(axis=1, initial=0.0, where=near),
                           1e-12 * norms.shape[2] * norms.max(axis=(1, 2)),
-                          1e-12 * cond2.max(axis=1, initial=0.0, where=near))
+                          1e-12 * growth.max(axis=1, initial=0.0, where=near))
         return self._caps
 
     def _candidates(self, dirs):
@@ -236,23 +281,28 @@ class _SurfaceStack:
 
         A direction d hits simplex t when its coordinates in the vertex basis
         are all at least -1e-12; then d lies within 1e-12 * sum|p_i| of the
-        cone, plus a rounding allowance of 1e-12 * cond(t)^2 * |d| for those
-        coordinates (cond is the Frobenius condition number of the vertex
-        matrix), which bounds its angle to the cone.  The cone lies in the
-        cap around its normalized vertex centroid whose chord radius reaches
-        the farthest unit vertex direction: a cap narrower than a hemisphere
-        is convex, so holding the vertices it holds the whole spherical
-        simplex.  Every centre within the largest cap radius plus that angle
-        (and 1e-9) of the unit direction is a candidate; for unit vectors
-        that chord test is a cosine test, q . c >= 1 - chord^2/2, made with
-        1e-12 to spare for rounding in the products, one block of directions
-        against all centres at a time.  A simplex whose cap would reach a
-        hemisphere, or whose rounding allowance passes _SLACK_BOUND, is a
-        candidate for every direction, as is every simplex for a direction
-        too short for that bound (zero, say) or not finite.  Each direction
-        meets about as many candidates however fine the surface, so the
-        membership tests grow near-linearly; the cosine products, N x T,
-        have a small constant.
+        cone, plus a rounding allowance of 1e-12 * g(t) * |d| for those
+        coordinates, g = |P|_F^k / |det P| for the k x k vertex matrix P,
+        which bounds its angle to the cone.  The coordinates are P's
+        adjugate over its determinant, times d: each cofactor is off by at
+        most k(k - 1)/2 rounding units u times |P|_F^(k-1), the division and
+        the products by (k + 1) u |P^-1|_F |d| <= (k + 1) k u g |d| / |P|_F,
+        so through P the point moves by less than 5e-15 g |d| for k <= 4;
+        the determinant's own error scales all coordinates alike.  The cone
+        lies in the cap around its normalized vertex centroid whose chord
+        radius reaches the farthest unit vertex direction: a cap narrower
+        than a hemisphere is convex, so holding the vertices it holds the
+        whole spherical simplex.  Every centre within the largest cap radius
+        plus that angle (and 1e-9) of the unit direction is a candidate; for
+        unit vectors that chord test is a cosine test,
+        q . c >= 1 - chord^2/2, made with 1e-12 to spare for rounding in the
+        products, one block of directions against all centres at a time.  A simplex
+        whose cap would reach a hemisphere, or whose rounding allowance
+        passes _SLACK_BOUND, is a candidate for every direction, as is every
+        simplex for a direction too short for that bound (zero, say) or not
+        finite.  Each direction meets about as many candidates however fine
+        the surface, so the membership tests grow near-linearly; the cosine
+        products, N x T, have a small constant.
         """
         centres, near, reach, size_slack, cond_slack = self._cap_index()
         r_count, n_rows = dirs.shape[:2]
@@ -516,7 +566,9 @@ def _section_faults(stack):
         wound = total.reshape(r_count, v_count) >= np.where(cx.interior, 3 * np.pi, 2 * np.pi)
         pts = np.take(verts, ends, axis=1)
         norm = np.sqrt(np.einsum("rvj,rvj->rv", pts, pts))
-        side = np.cross(pts[:, at[:, 0]], pts[:, at[:, 1]]) @ np.swapaxes(pts, 1, 2)
+        cross = _minors(pts[:, at])   # the normals p x q of the edges' planes
+        side = (np.stack([cross[1, 2], -cross[0, 2], cross[0, 1]], axis=-1)
+                @ np.swapaxes(pts, 1, 2))
         bound = (norm[:, at[:, 0]] * norm[:, at[:, 1]])[:, :, None] * norm[:, None, :]
         side = np.where(np.abs(side) > TOL.coplanarity * bound, np.sign(side), 0.0)
         # arcs (p, q) and (c, d) cross where c, d lie on either side of the
@@ -552,8 +604,7 @@ def _oriented_dets(stack, t, u):
     verts = stack.vertices
     mats = (np.take(verts, stack.complex.simplices[t], axis=1)
             - np.take(verts, u, axis=1)[:, :, None, :])
-    return ((np.sign(stack.dets[:, :1]) * np.sign(stack.dets[:, t]))
-            * np.linalg.det(np.swapaxes(mats, 2, 3)))
+    return (np.sign(stack.dets[:, :1]) * np.sign(stack.dets[:, t])) * _det(mats)
 
 
 def _judge_stars(v, adjacent, vals):
@@ -908,7 +959,7 @@ def _origin_faces(pts):
     reach = np.linalg.norm(pts, axis=1).max()
     faces = np.sort(hull.simplices[(hull.simplices < m).all(axis=1)
                                    & (hull.equations[:, -1] > 1e-9 * reach)], axis=1)
-    flip = np.linalg.det(pts[faces]) < 0
+    flip = _det(pts[faces]) < 0
     faces[flip, -2:] = faces[flip, -2:][:, ::-1]
     return faces[np.lexsort(faces.T[::-1])]
 
@@ -945,7 +996,7 @@ def _face_deviations(pts, exact, tangents, faces):
     ties = ((1.0 - s) * ends[0][:, None] + s * ends[1][:, None]).min(axis=2)
     best = np.maximum(a.min(axis=1).max(axis=1), ties.max(axis=(1, 2)))
     if faces.shape[1] == 3:   # all tie at weights A^-1 1: the adjugate's row sums
-        w = np.cross(a[:, :, [1, 2, 0]], a[:, :, [2, 0, 1]], axis=1).sum(axis=1)
+        w = _adjugate(a).sum(axis=2)
         total = w.sum(axis=1)[:, None]
         lam = np.divide(w, total, out=np.full_like(w, -1.0), where=total != 0)
         lam[(lam < 0.0).any(axis=1)] = np.eye(3)[0]   # off the face: a vertex

@@ -139,7 +139,8 @@ def test_integer_beyond_float_range_is_an_input_error(tmp_path, capsys):
 
 def test_radial_graph_simplex_index_out_of_range(tmp_path, capsys):
     # checked at construction: the surface check and the moments would
-    # otherwise read a direction that is not there, or none at all
+    # otherwise read a direction that is not there, or none at all; a domain
+    # file that the constructor refuses is malformed, as a mesh file is
     path = tmp_path / "radial.json"
     jsonio.dump_file({"chart": [0, 0, 1], "backend": {
         "type": "radialgraph", "center": [0, 0],
@@ -147,9 +148,9 @@ def test_radial_graph_simplex_index_out_of_range(tmp_path, capsys):
         "simplices": [[0, 1], [1, 2], [2, 7]]}}, path)
     for op in ("validate", "moments"):
         module = "domain" if op == "validate" else "normalize"
-        assert dispatch([module, op, "--domain", str(path)]).exit_code == 1
+        assert dispatch([module, op, "--domain", str(path)]).exit_code == 2
         out = capsys.readouterr().out
-        assert "error[invalid-input]" in out and "direction indices" in out
+        assert "error[input-format]" in out and "direction indices" in out
 
 
 def test_complex_error_data_reaches_the_report(disk_file, tmp_path, capsys):

@@ -441,12 +441,34 @@ def test_with_vertices_shares_the_complex(polyline):
 # at a time, adjacency from a facet dictionary)
 
 
+def _ref_det(rows):
+    """Determinant of one matrix, its rows as sequences of floats, by cofactor
+    expansion along the first row in Python floats."""
+    rows = [[float(x) for x in r] for r in rows]
+    if len(rows) == 1:
+        return rows[0][0]
+    terms = [x * _ref_det([r[:j] + r[j + 1:] for r in rows[1:]])
+             for j, x in enumerate(rows[0])]
+    total = terms[0]
+    for j, term in enumerate(terms[1:], 1):
+        total = total - term if j % 2 else total + term
+    return total
+
+
+def _ref_inverse(rows):
+    """Inverse of one matrix as nested lists: its adjugate over `_ref_det`."""
+    rows = [[float(x) for x in r] for r in rows]
+    det, k = _ref_det(rows), len(rows)
+    return [[(-1) ** (i + j) * _ref_det([r[:i] + r[i + 1:] for r in rows[:j] + rows[j + 1:]])
+             / det for j in range(k)] for i in range(k)]
+
+
 def _ref_oriented_det(surf, si, u):
     def sign(pts):
-        return float(np.sign(np.linalg.det(pts.T)))
+        return float(np.sign(_ref_det(pts)))
     pts = surf.vertices[surf.simplices[si]]
     return (sign(surf.vertices[surf.simplices[0]]) * sign(pts)
-            * np.linalg.det((pts - surf.vertices[u]).T))
+            * _ref_det(pts - surf.vertices[u]))
 
 
 def _ref_complex(surf):
@@ -486,7 +508,7 @@ def _ref_vertex_convexity(surf, v):
 
 def _ref_sign(cols):
     """Sign of det(cols), 0 within TOL.coplanarity times Hadamard's bound."""
-    d = np.linalg.det(np.array(cols).T)
+    d = _ref_det(cols)
     return 0.0 if abs(d) <= TOL.coplanarity * np.prod(np.linalg.norm(cols, axis=1)) else np.sign(d)
 
 
@@ -495,9 +517,9 @@ def _ref_section_check(surf):
     folds by fresh facet determinants, windings by tangent-vector angles,
     crossings by the four determinant signs of each boundary edge pair, and
     multiplicity by cone coordinates of each vertex in each simplex."""
-    mats = [surf.vertices[s].T for s in surf.simplices]
-    trans = [abs(np.linalg.det(m)) / max(np.prod(np.linalg.norm(m, axis=0)),
-                                          1e-300) for m in mats]
+    mats = [surf.vertices[s] for s in surf.simplices]
+    trans = [abs(_ref_det(m)) / max(np.prod(np.linalg.norm(m, axis=1)), 1e-300)
+             for m in mats]
     violations = [{"kind": "transversality", "simplex": si}
                   for si, d in enumerate(trans) if d <= 1e-10]
     if violations:
@@ -507,8 +529,7 @@ def _ref_section_check(surf):
     for sj, sk, f in pairs:
         face = [verts[i] for i in sorted(f)]
         w, u = (set(simplices[sj]) - f).pop(), (set(simplices[sk]) - f).pop()
-        if np.sign(np.linalg.det(np.array(face + [verts[w]]).T)) == np.sign(
-                np.linalg.det(np.array(face + [verts[u]]).T)):
+        if np.sign(_ref_det(face + [verts[w]])) == np.sign(_ref_det(face + [verts[u]])):
             violations.append({"kind": "fold", "simplices": [sj, sk]})
     edges = []
     if surf.simplices.shape[1] == 3:
@@ -536,12 +557,12 @@ def _ref_section_check(surf):
                                   ((p, q, c), (p, q, d), (c, d, p), (c, d, q)))
             if s_c * s_d < 0 and s_p * s_q < 0 and s_d == s_p:
                 violations.append({"kind": "crossing", "edges": [[p, q], [c, d]]})
-    inv = np.linalg.inv(np.stack(mats))
+    invs = [_ref_inverse(m.T) for m in mats]
     for v in sorted(set(surf.simplices.ravel().tolist())):
-        lam = np.einsum("mij,j->mi", inv, verts[v])
-        hits = [si for si in np.nonzero(np.all(lam >= -1e-12, axis=1)
-                                        & (lam.sum(axis=1) > 0))[0].tolist()
-                if v not in simplices[si]]
+        lams = [[sum(a * x for a, x in zip(row, verts[v].tolist())) for row in inv]
+                for inv in invs]
+        hits = [si for si, lam in enumerate(lams)
+                if min(lam) >= -1e-12 and sum(lam) > 0 and v not in simplices[si]]
         if hits:
             violations.append({"kind": "multiplicity", "vertex": v, "hits": hits})
     return pl.RadialSectionResult(not violations, violations, float(min(trans)))
@@ -681,6 +702,71 @@ def test_reference_meshes_cover_every_verdict():
     assert outcomes[2][0] == "TransversalityError"
     assert any("test_vertex" in v for v in outcomes[3].violations)
     assert [v["kind"] for v in outcomes[4].violations] == ["fold"]
+
+
+def _kernel_stack(rng, k, n):
+    """n k x k matrices with singular values 1 down to 1e-9 in random frames
+    and n with normal entries, each scaled by 1e-6 to 1e6."""
+    frames = [np.linalg.qr(rng.normal(size=(n, k, k)))[0] for _ in range(2)]
+    sv = np.sort(10.0 ** rng.uniform(-9, 0, size=(n, k)), axis=1)[:, ::-1]
+    sv[:, 0] = 1.0
+    m = np.concatenate([np.einsum("nij,nj,nkj->nik", frames[0], sv, frames[1]),
+                        rng.normal(size=(n, k, k))])
+    return m * 10.0 ** rng.uniform(-6, 6, size=(2 * n, 1, 1))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_cofactor_kernels(k):
+    # cofactor expansion errs by at most k(k + 1)/2 - 1 rounding units times
+    # the permanent of |m|, at most k^(k/2) times Hadamard's bound H: below
+    # 72 eps H for k <= 4, and LAPACK's LU about as much; the inverse,
+    # adjugate over determinant, leaves a residual of a few k^2 eps times
+    # g = |m|_F^k / |det m| (see `_SurfaceStack._candidates`)
+    eps = np.finfo(float).eps
+    m = _kernel_stack(np.random.default_rng([k, 30]), k, 2000)
+    det = pl._det(m)
+    hadamard = np.prod(np.linalg.norm(m, axis=2), axis=1)
+    assert (np.abs(det - np.linalg.det(m)) <= 200 * eps * hadamard).all()
+    inv = pl._adjugate(m) / det[:, None, None]
+    g = np.einsum("nij,nij->n", m, m) ** (k / 2) / np.abs(det)
+    assert (np.abs(inv @ m - np.eye(k)).max(axis=(1, 2)) <= k ** 3 * eps * g).all()
+    # a stacked matrix gets the value it gets alone
+    stacked = m[:24].reshape(4, 6, k, k)
+    one = [(pl._det(a), pl._adjugate(a)) for a in m[:24]]
+    assert np.array_equal(pl._det(stacked).ravel(), [d for d, _ in one])
+    assert np.array_equal(pl._adjugate(stacked).reshape(24, k, k), [a for _, a in one])
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_degeneracy_screen_keeps_the_svd_rule(k, monkeypatch):
+    # simplices whose least edge singular value runs from 0.1e-10 to 10e-10
+    # times the longest edge, at scales 1e-6 to 1e6: the screen clears the
+    # plainly flat-free ones and the rest get the SVD rule, so `degenerate`
+    # is the rule's verdict on every one
+    rng = np.random.default_rng([k, 31])
+    n = 400
+    frames = np.linalg.qr(rng.normal(size=(n, k, k)))[0]
+    sv = np.ones((n, k - 1))
+    sv[:, 1:] = 10.0 ** rng.uniform(-3, 0, size=(n, k - 2))
+    sv[:, -1] = np.geomspace(1e-11, 1e-9, n)
+    edges = sv[:, :, None] * frames[:, :k - 1] * 10.0 ** rng.uniform(-6, 6, size=(n, 1, 1))
+    base = rng.normal(size=(n, 1, k)) * np.linalg.norm(edges, axis=2).max(axis=1)[:, None, None]
+    verts = np.concatenate([base, base + edges], axis=1).reshape(n * k, k)
+    stack = pl._SurfaceStack(pl._Complex(np.arange(n * k).reshape(n, k), n * k), verts[None])
+    got = stack.pts[0, :, 1:] - stack.pts[0, :, :1]
+    rule = (np.linalg.svd(got, compute_uv=False)[:, -1]
+            <= 1e-10 * np.linalg.norm(got, axis=2).max(axis=1))
+    assert np.array_equal(stack.degenerate[0], rule)
+    assert 0 < rule.sum() < n
+    # a mesh of well-shaped simplices takes no SVD at all
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the screen left a well-shaped simplex")
+
+    cross = np.vstack([np.eye(k), -np.eye(k)])
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    pl.SimplicialHypersurface(cross, ConvexHull(cross).simplices)
+    REFERENCE_MESHES["ring48"]()
 
 
 def test_surfaces_without_interior_vertices_certify():
