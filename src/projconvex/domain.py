@@ -32,7 +32,8 @@ also polygons' duals and Dirichlet polygons) need none of it.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial, gamma, inf, isfinite, pi, sqrt
+from math import factorial, gamma, inf, isfinite, nan, pi, sqrt
+from operator import sub
 
 import numpy as np
 
@@ -131,28 +132,24 @@ def _vecmat(u, m):
     return u @ m if u.ndim == 1 else (u[..., None, :] @ m)[..., 0, :]
 
 
-def _any(mask):
-    """Whether a boolean, numpy scalar or array is true anywhere."""
-    return mask.any() if isinstance(mask, np.ndarray) else mask
-
-
 # ---------------------------------------------------------------------------
 # point queries: plain products
 #
 # `contains_margin`, `chord_params` and `segment_chord` take one point (line)
 # or an (N, n) stack and work every dot product as `_plain_dot` does, never
-# by BLAS, whose FMA kernels Python floats cannot reproduce: one point on a
-# small backend in Python floats, from facet (quadric) lists cached on the
-# backend; stacks, and one point on a large backend, in numpy, one
-# coordinate column at a time.  The two ways round alike, so each stacked
-# row is bit-identical to its one-point query.  `segment_chord` checks the
-# two points of its line and finds the chord in one pass, with the floats
-# and errors (x, then y, then the chord) of the separate queries.
+# by BLAS, whose FMA kernels Python floats cannot reproduce: while rows
+# times terms number at most `_FLOAT_TERMS`, row by row in Python floats
+# from facet (quadric) lists cached on the backend (`_by_rows`), else in
+# numpy, one coordinate column at a time.  The two ways round alike, so each
+# stacked row is bit-identical to its one-point query.  `segment_chord`
+# checks the two points of its line and finds the chord in one pass, with
+# the floats and errors (x, then y, then the chord) of the separate queries.
 
-# One point is worked in Python floats while its terms (m n for m facets in
-# chart dimension n, n^2 for an ellipsoid) number at most this: one
-# `segment_chord` on random polytopes in chart dimensions 2 and 3 cost the
-# same both ways at 130-160 terms, and a fifth in floats at 12 terms.
+# Points are worked in Python floats while their terms (m n a point for m
+# facets in chart dimension n, n^2 for an ellipsoid) number at most this: one
+# `segment_chord` of a pair in lists on random polytopes in chart dimensions
+# 2 and 3 costs the same both ways at 125-165 terms, and a sixth in floats
+# at 12 terms.
 _FLOAT_TERMS = 144
 
 
@@ -168,11 +165,26 @@ def _plain_dot(u, v):
 
 
 def _length(d):
-    """|d| by `_plain_dot`: a float for one vector, an array for a stack."""
-    if d.ndim == 1:
-        d = d.tolist()
-        return sqrt(_plain_dot(d, d))
+    """|d| by `_plain_dot` for one vector, or for each row of a stack."""
     return np.sqrt(_plain_dot(d.T, d.T))
+
+
+def _by_rows(kernel, terms, *vs):
+    """kernel's floats for the one point, or the array of its values over
+    the rows (its outputs as rows), of arrays vs of shape (n,) or (N, n)
+    whose rows times `terms` number at most `_FLOAT_TERMS`; else None."""
+    n = None
+    for v in vs:
+        if v.ndim == 2 and n in (None, len(v)):
+            n = len(v)
+        elif v.ndim != 1:
+            return None
+    if not 0 < (n or 1) * terms <= _FLOAT_TERMS:
+        return None
+    if n is None:
+        return kernel(*[v.tolist() for v in vs])
+    rows = zip(*[v.tolist() if v.ndim == 2 else [v.tolist()] * n for v in vs])
+    return np.array([kernel(*r) for r in rows]).T
 
 
 # ---------------------------------------------------------------------------
@@ -365,47 +377,71 @@ def _vertex_hull(verts):
 
 
 # ---------------------------------------------------------------------------
-# the chord kernel of polytopes in Python floats
-
-
-def _facet_floats(facets, x, y, d, cut):
-    """The least slack b - a . p over the facets (a, b) of p = x and p = y,
-    and the chord (t_lo, t_hi) of x + t d (+-inf if unbounded), in one pass
-    of Python floats (`_plain_dot` written out).  A facet with |a . d| <= cut,
-    which scales with |d|, is parallel to the line."""
-    rest = range(1, len(x))
-    x0, y0, d0 = x[0], y[0], d[0]
-    low_x = low_y = t_hi = inf
-    t_lo = -inf
-    for a, b in facets:
-        a0 = a[0]
-        ax, ay, ad = a0 * x0, a0 * y0, a0 * d0
-        for k in rest:
-            ak = a[k]
-            ax = ax + ak * x[k]
-            ay = ay + ak * y[k]
-            ad = ad + ak * d[k]
-        sx, sy = b - ax, b - ay
-        if sx < low_x:
-            low_x = sx
-        if sy < low_y:
-            low_y = sy
-        if ad > cut:
-            r = sx / ad
-            if r < t_hi:
-                t_hi = r
-        elif ad < -cut:
-            r = sx / ad
-            if r > t_lo:
-                t_lo = r
-    return low_x, low_y, t_lo, t_hi
-
-
-# ---------------------------------------------------------------------------
 # backends
 
 
-class _PolytopeBackend:
+class _PointQueries:
+    """The point queries of a backend from its `_terms` terms and kernels:
+    `_floats` (one line, Python floats) gives numbers with the signs of x's
+    and y's margins and the chord (t_lo, t_hi) of x + t d, not finite where
+    the line misses (`_chord_error`); `_columns` the same in numpy columns;
+    `_margin_floats` and `_margin_columns` the margin itself."""
+
+    def contains_margin(self, x):
+        x = np.asarray(x, dtype=float)
+        low = _by_rows(self._margin_floats, self._terms, x)
+        low = self._margin_columns(x) if low is None else low
+        return low if x.ndim > 1 else float(low)
+
+    def chord_params(self, x, d):
+        """Parameters (t_lo, t_hi) of the frontier points of the line x + t d.
+
+        x and d are one point and one direction, or (N, n) stacks of them
+        (one point or direction broadcasts); stacks give arrays that are, row
+        by row, the one-line values.  x need not be inside: this is the query
+        for rays from a known interior point (metric balls, box sandwiches,
+        mesh radii); a line through two points to be checked takes
+        `segment_chord`.
+        """
+        return self._query(x, None, d, None)
+
+    def segment_chord(self, x, y, d, step=None):
+        """`chord_params(x, d)` for the line through x and y = x + d, after
+        checking that x and then y are inside (InvalidInputError naming the
+        point), from one pass of the kernels; `step` is |d| if the caller
+        has it.  One pair (arrays, or lists of floats with the step) or
+        (N, n) stacks, row by row the one-pair values."""
+        if type(d) is not list:
+            return self._query(x, y, d, step)
+        if self._terms > _FLOAT_TERMS:
+            return self._checked(True, *self._columns(x, y, d, step))
+        low_x, low_y, t_lo, t_hi = self._floats(x, y, d, step)
+        if low_x > 0 < low_y and isfinite(t_lo) and isfinite(t_hi):
+            return t_lo, t_hi
+        return self._checked(True, low_x, low_y, t_lo, t_hi)
+
+    def _query(self, x, y, d, step):
+        check = y is not None
+        x, d = np.asarray(x, dtype=float), np.asarray(d, dtype=float)
+        y = np.asarray(y, dtype=float) if check else x
+        out = _by_rows(self._floats, self._terms, x, y, d)
+        return self._checked(check, *(self._columns(x, y, d, step) if out is None else out))
+
+    def _checked(self, check, low_x, low_y, t_lo, t_hi):
+        """(t_lo, t_hi) after the checks, in this order: x and then y inside
+        if `check`, then a finite chord (on every row of a stack)."""
+        stack = isinstance(t_hi, np.ndarray)
+        for name, low in (("x", low_x), ("y", low_y)) if check else ():
+            if (low <= 0).any() if stack else low <= 0:
+                raise InvalidInputError(f"point {name} is not inside the domain")
+        if stack and np.isfinite(t_lo).all() and np.isfinite(t_hi).all():
+            return t_lo, t_hi
+        if not stack and isfinite(t_lo) and isfinite(t_hi):
+            return float(t_lo), float(t_hi)
+        raise self._chord_error[0](self._chord_error[1])
+
+
+class _PolytopeBackend(_PointQueries):
     """A polytope held in two forms: the unit-normal half-spaces
     a_i . x < b_i (`normals`, `offsets`) and the vertex array `verts`.
 
@@ -457,76 +493,80 @@ class _PolytopeBackend:
     def vertices(self):
         return self.verts
 
+    _chord_error = NotProperlyConvexError, "line does not exit the region"
+
+    _terms = cached_property(lambda self: self.normals.size)
+
     @cached_property
     def _facets(self):
         """(a_i, b_i) in Python floats, None above `_FLOAT_TERMS` terms."""
-        if self.normals.size <= _FLOAT_TERMS:
+        if self._terms <= _FLOAT_TERMS:
             return list(zip(self.normals.tolist(), self.offsets.tolist()))
 
-    def contains_margin(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1 and self._facets is not None:
-            x = x.tolist()
-            return min(b - _plain_dot(a, x) for a, b in self._facets)
-        low = (self.offsets - _plain_dot(x.T[..., None], self.normals.T)).min(axis=-1)
-        return low if x.ndim > 1 else float(low)
+    def _margin_floats(self, x):
+        """The least slack b - a . x (`_plain_dot` written out)."""
+        rest, x0, low = range(1, self.dim), x[0], inf
+        for a, b in self._facets:
+            s = a[0] * x0
+            for k in rest:
+                s = s + a[k] * x[k]
+            if b - s < low:
+                low = b - s
+        return low
 
-    def chord_params(self, x, d):
-        """Parameters (t_lo, t_hi) of the frontier points of the line x + t d.
+    def _margin_columns(self, x):
+        return (self.offsets - _plain_dot(x.T[..., None], self.normals.T)).min(axis=-1)
 
-        x and d are one point and one direction, or (N, n) stacks of them
-        (one point or direction broadcasts); stacks give arrays that are, row
-        by row, the one-line values.  x need not be inside: this is the query
-        for rays from a known interior point (metric balls, box sandwiches,
-        mesh radii); a line through two points to be checked takes
-        `segment_chord`.
-        """
-        return self._chord(x, None, d, None)
+    def _floats(self, x, y, d, step=None):
+        """The least slack b - a . p over the facets (a, b) of p = x and
+        p = y, and the chord (t_lo, t_hi) of x + t d (+-inf if unbounded), in
+        one pass of Python floats (`_plain_dot` written out).  A facet with
+        |a . d| <= 1e-12 |d| is parallel to the line."""
+        cut = TOL.exact * (sqrt(_plain_dot(d, d)) if step is None else step)
+        rest = range(1, len(x))
+        x0, y0, d0 = x[0], y[0], d[0]
+        low_x = low_y = t_hi = inf
+        t_lo = -inf
+        for a, b in self._facets:
+            a0 = a[0]
+            ax, ay, ad = a0 * x0, a0 * y0, a0 * d0
+            for k in rest:
+                ak = a[k]
+                ax = ax + ak * x[k]
+                ay = ay + ak * y[k]
+                ad = ad + ak * d[k]
+            sx, sy = b - ax, b - ay
+            if sx < low_x:
+                low_x = sx
+            if sy < low_y:
+                low_y = sy
+            if ad > cut:
+                r = sx / ad
+                if r < t_hi:
+                    t_hi = r
+            elif ad < -cut:
+                r = sx / ad
+                if r > t_lo:
+                    t_lo = r
+        return low_x, low_y, t_lo, t_hi
 
-    def segment_chord(self, x, y, d, step=None):
-        """`chord_params(x, d)` for the line through x and y = x + d, after
-        checking that x and then y are inside (InvalidInputError naming the
-        point), all from one pass over the facets; `step` is |d| if the
-        caller has it.  One pair or (N, n) stacks, row by row the one-pair
-        values.
-        """
-        return self._chord(x, y, d, step)
-
-    def _chord(self, x, y, d, step):
-        """The chord (t_lo, t_hi) of x + t d, after checking x and then y
-        unless y is None: `_facet_floats` for one line on a small polytope,
-        else its terms in numpy columns."""
-        check = y is not None
-        x, y, d = (np.asarray(v, dtype=float) for v in (x, y if check else x, d))
+    def _columns(self, x, y, d, step):
+        """`_floats` for all lines in numpy columns."""
         cut = TOL.exact * (_length(d) if step is None else step)
-        if self._facets is not None and x.ndim == y.ndim == d.ndim == 1:
-            low_x, low_y, t_lo, t_hi = _facet_floats(
-                self._facets, x.tolist(), y.tolist(), d.tolist(), cut)
+        if type(d) is list:
+            xyd = np.array((x, y, d))
         else:
             xyd = np.empty((3,) + max(x.shape, d.shape, key=len))
             xyd[0], xyd[1], xyd[2] = x, y, d
-            acc = _plain_dot(xyd.T[..., None], self.normals.T)   # (..., 3, m)
-            slack = self.offsets - acc[..., :2, :]
-            low_x, low_y = slack.min(axis=-1).T
-            # divide, and read, only the facets that bound the line
-            den, cut = acc[..., 2, :], np.asarray(cut)[..., None]
-            pos, neg = den > cut, den < -cut
-            t = np.divide(slack[..., 0, :], den, out=np.empty(den.shape),
-                          where=pos | neg)
-            t_lo = t.max(axis=-1, where=neg, initial=-inf)
-            t_hi = t.min(axis=-1, where=pos, initial=inf)
-        if check and _any(low_x <= 0):
-            raise InvalidInputError("point x is not inside the domain")
-        if check and _any(low_y <= 0):
-            raise InvalidInputError("point y is not inside the domain")
-        if isinstance(t_hi, np.ndarray):
-            bounded = np.isfinite(t_lo).all() and np.isfinite(t_hi).all()
-        else:
-            t_lo, t_hi = float(t_lo), float(t_hi)
-            bounded = isfinite(t_lo) and isfinite(t_hi)
-        if not bounded:
-            raise NotProperlyConvexError("line does not exit the region")
-        return t_lo, t_hi
+        acc = _plain_dot(xyd.T[..., None], self.normals.T)   # (..., 3, m)
+        slack = self.offsets - acc[..., :2, :]
+        low_x, low_y = slack.min(axis=-1).T
+        # divide, and read, only the facets that bound the line
+        den, cut = acc[..., 2, :], np.asarray(cut)[..., None]
+        pos, neg = den > cut, den < -cut
+        t = np.divide(slack[..., 0, :], den, out=np.empty(den.shape), where=pos | neg)
+        return (low_x, low_y, t.max(axis=-1, where=neg, initial=-inf),
+                t.min(axis=-1, where=pos, initial=inf))
 
     def supporting_facets(self, x, tol):
         slack = self.offsets - self.normals @ np.asarray(x, dtype=float)
@@ -672,10 +712,11 @@ class VPolyBackend(_PolytopeBackend):
         return {"type": "vpoly", "vertices": self.listed.tolist()}
 
 
-class EllipsoidBackend:
+class EllipsoidBackend(_PointQueries):
     """Open set {x : (x-c)^T M (x-c) < 1} with M symmetric positive-definite."""
 
     kind = "ellipsoid"
+    _chord_error = DegenerateChordError, "line misses the ellipsoid"
 
     def __init__(self, center, shape):
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
@@ -687,8 +728,10 @@ class EllipsoidBackend:
                 "ellipsoid shape matrix not positive-definite",
                 witness={"eigenvalues": w})
         self._minv = np.linalg.inv(self.shape_matrix)
+        self._terms = self.shape_matrix.size
         self._rows = (self.shape_matrix.tolist()
-                      if self.shape_matrix.size <= _FLOAT_TERMS else None)
+                      if self._terms <= _FLOAT_TERMS else None)
+        self._c = self.center.tolist()
 
     @property
     def dim(self):
@@ -697,30 +740,63 @@ class EllipsoidBackend:
     def interior_point(self):
         return self.center
 
-    def _form(self, v, shift=False):
-        """u^T M, u^T M u and u itself for u = v (v - c if `shift`), in the
-        coordinates that `_plain_dot` takes: Python floats for one vector
-        on a small ellipsoid, else the columns of the arrays."""
-        v = np.asarray(v, dtype=float)
-        if v.ndim == 1 and self._rows is not None:
-            u = v.tolist()
-            if shift:
-                u = [a - c for a, c in zip(u, self.center.tolist())]
-            um = [_plain_dot(u, row) for row in self._rows]
-        else:
-            u = (v - self.center if shift else v).T
-            um = _plain_dot(u[..., None], self.shape_matrix).T
+    def _form(self, v):
+        """u^T M, u^T M u and u for u = v (one vector or a stack) in the
+        numpy columns that `_plain_dot` takes."""
+        u = v.T
+        um = _plain_dot(u[..., None], self.shape_matrix).T
         return um, _plain_dot(um, u), u
 
-    @staticmethod
-    def _margin(q):
-        """Chart margin 1 - sqrt(q) of a point of quadric form q."""
-        if isinstance(q, np.ndarray):
-            return 1.0 - np.sqrt(np.maximum(q, 0.0))
+    def _margin_floats(self, x):
+        """1 - sqrt(q), q = u^T M u for u = x - c (`_plain_dot` written out:
+        -0.0 + t is t)."""
+        u, q = list(map(sub, x, self._c)), -0.0
+        for row, v in zip(self._rows, u):
+            m = -0.0
+            for a, b in zip(u, row):
+                m = m + a * b
+            q = q + m * v
         return 1.0 - sqrt(max(q, 0.0))
 
-    def contains_margin(self, x):
-        return self._margin(self._form(x, shift=True)[1])
+    def _margin_columns(self, x):
+        return 1.0 - np.sqrt(np.maximum(self._form(x - self.center)[1], 0.0))
+
+    def _floats(self, x, y, d, step=None):
+        """1 - q for q = u^T M u of u = x - c and y - c (the margins 1 -
+        sqrt(q) have its sign), and the chord: the roots of alpha t^2 +
+        2 beta t + q_x - 1, beta = u_x^T M d, alpha = d^T M d; one pass of
+        Python floats (`_plain_dot` written out: -0.0 + t is t)."""
+        ux, uy = list(map(sub, x, self._c)), list(map(sub, y, self._c))
+        rest = range(1, len(d))
+        qx = qy = beta = alpha = -0.0
+        for i, row in enumerate(self._rows):
+            m = row[0]
+            mx, my, md = ux[0] * m, uy[0] * m, d[0] * m
+            for k in rest:
+                m = row[k]
+                mx = mx + ux[k] * m
+                my = my + uy[k] * m
+                md = md + d[k] * m
+            qx = qx + mx * ux[i]
+            qy = qy + my * uy[i]
+            beta = beta + mx * d[i]
+            alpha = alpha + md * d[i]
+        disc = beta * beta - alpha * (qx - 1.0)
+        if not disc > 0:
+            return 1.0 - qx, 1.0 - qy, nan, nan
+        root = sqrt(disc)
+        return 1.0 - qx, 1.0 - qy, (-beta - root) / alpha, (-beta + root) / alpha
+
+    def _columns(self, x, y, d, step):
+        """`_floats` in numpy columns."""
+        x, y, d = (np.asarray(v, dtype=float) for v in (x, y, d))
+        um, qx = self._form(x - self.center)[:2]
+        qy = qx if y is x else self._form(y - self.center)[1]
+        _, alpha, d = self._form(d)
+        beta = _plain_dot(um, d)
+        disc = beta * beta - alpha * (qx - 1.0)
+        root = np.sqrt(np.where(disc > 0, disc, nan))
+        return 1.0 - qx, 1.0 - qy, (-beta - root) / alpha, (-beta + root) / alpha
 
     def support(self, u):
         """Support function at one direction, or at each row of a stack."""
@@ -732,31 +808,6 @@ class EllipsoidBackend:
         u = np.asarray(u, dtype=float)
         w = self._minv @ u
         return self.center + w / np.sqrt(u @ w)
-
-    def chord_params(self, x, d):
-        """As `_PolytopeBackend.chord_params`: one line or (N, n) stacks."""
-        return self._chord(*self._form(x, shift=True)[:2], d)
-
-    def segment_chord(self, x, y, d, step=None):
-        """As `_PolytopeBackend.segment_chord`; x's quadric form serves both
-        its check and the chord, which needs no |d|."""
-        um, q, _ = self._form(x, shift=True)
-        if _any(self._margin(q) <= 0):
-            raise InvalidInputError("point x is not inside the domain")
-        if _any(self.contains_margin(y) <= 0):
-            raise InvalidInputError("point y is not inside the domain")
-        return self._chord(um, q, d)
-
-    def _chord(self, um, q, d):
-        """Chord parameters of the line x + t d in the ellipsoid, from x's
-        `_form` (um, q): the roots of alpha t^2 + 2 beta t + q - 1."""
-        _, alpha, d = self._form(d)
-        beta = _plain_dot(um, d)
-        disc = beta * beta - alpha * (q - 1.0)
-        if _any(disc <= 0):
-            raise DegenerateChordError("line misses the ellipsoid")
-        root = np.sqrt(disc) if isinstance(disc, np.ndarray) else sqrt(disc)
-        return (-beta - root) / alpha, (-beta + root) / alpha
 
     def supporting_facets(self, x, tol):
         n = self.shape_matrix @ (np.asarray(x, dtype=float) - self.center)

@@ -11,11 +11,13 @@ searches use.  A metric ball queries the chords of all its rays at once with
 """
 
 from dataclasses import dataclass
+from math import sqrt
+from operator import sub
 
 import numpy as np
 
 from .config import TOL
-from .domain import Chord, ConvexDomain, _any, _length, chord, support
+from .domain import Chord, ConvexDomain, _length, _plain_dot, chord, support
 from .errors import (
     GeometryError,
     InfiniteDistanceError,
@@ -29,20 +31,17 @@ def _cross_ratio(t_lo, t_hi, step):
     """Hilbert distance of x and y: half the log cross-ratio of x, y and the
     chord endpoints at t_lo and t_hi on the line x + t (y - x), step = |y - x|.
 
-    Scalars or arrays, elementwise; raises InfiniteDistanceError if an
-    endpoint coincides with x or y anywhere.  One pair comes in Python
-    floats, which round as numpy's arrays do.  The log is np.log for both:
-    `math.log` differed from numpy's array log on 148 of 200,000 random
-    inputs, np.log of a float on none.
+    One pair in Python floats (`distances` works arrays alike); raises
+    InfiniteDistanceError if an endpoint coincides with x or y.  The log is
+    np.log: `math.log` differed from numpy's array log on 148 of 200,000
+    random inputs, np.log of a float on none.
     """
-    one = not isinstance(step, np.ndarray)
     ax = -t_lo * step          # |a_minus - x|
     ay = (1.0 - t_lo) * step   # |a_minus - y|
     bx = t_hi * step           # |a_plus - x|
     by = (t_hi - 1.0) * step   # |a_plus - y|
-    near = TOL.exact * (max(1.0, step) if one else np.maximum(1.0, step))
-    hit = (ax <= near) | (ay <= near) | (bx <= near) | (by <= near)
-    if _any(hit):
+    near = TOL.exact * max(1.0, step)
+    if ax <= near or ay <= near or bx <= near or by <= near:
         raise InfiniteDistanceError(
             "chord endpoint coincides with an argument point")
     return 0.5 * abs(np.log((bx * ay) / (by * ax)))
@@ -50,13 +49,15 @@ def _cross_ratio(t_lo, t_hi, step):
 
 def _distance_and_chord(dom: ConvexDomain, xc, yc):
     """Distance of two interior chart points, and the parameters (t_lo, t_hi)
-    of the chord endpoints on the line xc + t (yc - xc).  Coincident points
-    give (0.0, None, None) without any check."""
-    d = yc - xc
-    step = _length(d)
+    of the chord endpoints on the line xc + t (yc - xc), in one pass of
+    Python floats on a small backend (`domain._FLOAT_TERMS`).  Coincident
+    points give (0.0, None, None) without any check."""
+    x, y = xc.tolist(), yc.tolist()
+    d = list(map(sub, y, x))
+    step = sqrt(_plain_dot(d, d))
     if step <= TOL.exact:
         return 0.0, None, None
-    t_lo, t_hi = dom.backend.segment_chord(xc, yc, d, step)
+    t_lo, t_hi = dom.backend.segment_chord(x, y, d, step)
     return _cross_ratio(t_lo, t_hi, step), t_lo, t_hi
 
 
@@ -84,13 +85,20 @@ def distances(dom: ConvexDomain, xs, ys):
     live = step > TOL.exact
     if not live.any():
         return out
+    step = step[live]
     try:
-        t_lo, t_hi = dom.backend.segment_chord(xs[live], ys[live], d[live], step[live])
-        out[live] = _cross_ratio(t_lo, t_hi, step[live])
+        t_lo, t_hi = dom.backend.segment_chord(xs[live], ys[live], d[live], step)
+        ax, ay = -t_lo * step, (1.0 - t_lo) * step
+        bx, by = t_hi * step, (t_hi - 1.0) * step
+        near = TOL.exact * np.maximum(1.0, step)
+        if ((ax <= near) | (ay <= near) | (bx <= near) | (by <= near)).any():
+            raise InfiniteDistanceError(
+                "chord endpoint coincides with an argument point")
     except GeometryError:
         for x, y in zip(xs, ys):  # raises at the first failing row
             _distance_chart(dom, x, y)
         raise
+    out[live] = 0.5 * abs(np.log((bx * ay) / (by * ax)))
     return out
 
 

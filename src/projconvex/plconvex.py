@@ -10,6 +10,7 @@ stacks (`_minors`); only simplices a closed-form bound cannot clear take an SVD.
 """
 
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from math import asin, sin
 
@@ -155,37 +156,55 @@ def _check_widths(simplices, width):
                 f"hypersurface simplices need {width} vertices, got {len(s)}")
 
 
+@lru_cache(maxsize=None)
+def _cofactor_table(r, k):
+    """For each size s = 2, ..., r of the r x k cofactor expansion: the
+    s-column combinations (`combinations` order) and, for each of their
+    columns, the index of the combination without it among size s - 1."""
+    index, table = {(c,): c for c in range(k)}, []
+    for size in range(2, r + 1):
+        combos = list(combinations(range(k), size))
+        table.append((np.array(combos), np.array(
+            [[index[cols[:i] + cols[i + 1:]] for i in range(size)] for cols in combos])))
+        index = {cols: j for j, cols in enumerate(combos)}
+    return table
+
+
 def _minors(m):
-    """{ascending column tuple: maximal minor} of the r x k matrices m
-    (..., r, k), each by cofactor expansion along its first row, worked
-    elementwise over the leading axes: a stacked matrix gets its own value."""
+    """The maximal minors of the r x k matrices m (..., r, k), stacked as
+    (C(k, r), ...) in ascending column order (`combinations`), each by
+    cofactor expansion along its first row with the minors of the rows
+    below shared, worked elementwise over the leading axes: a stacked matrix
+    gets its own value."""
     r, k = m.shape[-2:]
     e = np.ascontiguousarray(m.reshape(-1, r, k).transpose(1, 2, 0))
-    minors = {(c,): e[-1, c] for c in range(k)}
-    for size in range(2, r + 1):
-        row, below, minors = e[-size], minors, {}
-        for cols in combinations(range(k), size):
-            total = row[cols[0]] * below[cols[1:]]
-            for i in range(1, size):
-                term = row[cols[i]] * below[cols[:i] + cols[i + 1:]]
-                total = total - term if i % 2 else total + term
-            minors[cols] = total
-    return {cols: v.reshape(m.shape[:-2]) for cols, v in minors.items()}
+    minors = e[-1]
+    for size, (cols, sub) in enumerate(_cofactor_table(r, k), 2):
+        terms = e[-size][cols] * minors[sub]   # (combinations, size, N)
+        minors = terms[:, 0]
+        for i in range(1, size):
+            minors = minors - terms[:, i] if i % 2 else minors + terms[:, i]
+    return minors.reshape(minors.shape[:1] + m.shape[:-2])
 
 
 def _det(m):
     """Determinants of the k x k matrices m (..., k, k)."""
-    return _minors(m)[tuple(range(m.shape[-1]))]
+    return _minors(m)[0]
+
+
+@lru_cache(maxsize=None)
+def _adjugate_table(k):
+    """Row-drop index (row i: the columns but i) and signs (-1)^(i + j)."""
+    drop = [[c for c in range(k) if c != i] for i in range(k)]
+    return np.array(drop), (-1.0) ** np.add.outer(range(k), range(k))
 
 
 def _adjugate(m):
     """Adjugates of the k x k matrices m (..., k, k): entry (j, i) is
     (-1)^(i + j) times the minor without row i and column j."""
-    k = m.shape[-1]
-    drop = [tuple(c for c in range(k) if c != i) for i in range(k)]
-    minors = _minors(m[..., drop, :])   # (..., i) without row i
-    sign = (-1.0) ** np.add.outer(range(k), range(k))
-    return np.stack([minors[cols] for cols in drop], axis=-2) * sign
+    drop, sign = _adjugate_table(m.shape[-1])
+    minors = _minors(m[..., drop, :])   # (k - 1 - j, ..., i): without row i
+    return np.moveaxis(minors[::-1], 0, -2) * sign
 
 
 class _SurfaceStack:
@@ -210,7 +229,7 @@ class _SurfaceStack:
         edges = self.pts[:, :, 1:] - self.pts[:, :, :1]
         scale = np.maximum(np.linalg.norm(edges, axis=3).max(axis=2), 1e-300)
         unit = edges / scale[..., None, None]
-        wedge = np.sqrt(sum(v * v for v in _minors(unit).values()))
+        wedge = np.sqrt(sum(v * v for v in _minors(unit)))
         frob = np.sqrt(np.einsum("rtij,rtij->rt", unit, unit))
         unclear = ~(wedge > 2e-10 * frob ** (k - 2))
         self.degenerate = np.zeros(unclear.shape, dtype=bool)
@@ -567,7 +586,7 @@ def _section_faults(stack):
         pts = np.take(verts, ends, axis=1)
         norm = np.sqrt(np.einsum("rvj,rvj->rv", pts, pts))
         cross = _minors(pts[:, at])   # the normals p x q of the edges' planes
-        side = (np.stack([cross[1, 2], -cross[0, 2], cross[0, 1]], axis=-1)
+        side = (np.stack([cross[2], -cross[1], cross[0]], axis=-1)
                 @ np.swapaxes(pts, 1, 2))
         bound = (norm[:, at[:, 0]] * norm[:, at[:, 1]])[:, :, None] * norm[:, None, :]
         side = np.where(np.abs(side) > TOL.coplanarity * bound, np.sign(side), 0.0)

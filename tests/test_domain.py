@@ -108,15 +108,30 @@ STACK_DOMAINS = [
     lambda: dm.ConvexDomain.from_halfspaces(
         np.vstack([np.eye(3), -np.eye(3)]), np.ones(6)),
     lambda: dm.orthant_domain(1), lambda: dm.orthant_domain(3),
-    lambda: dm.disk_polygon(200)]   # past the float crossover
+    lambda: dm.disk_polygon(200),   # past the float crossover
+    lambda: dm.ConvexDomain.ellipsoid(   # off-centre, not diagonal
+        [0.1, -0.2, 0.05], [[1.3, 0.4, -0.2], [0.4, 0.9, 0.3], [-0.2, 0.3, 1.1]])]
 
 
 @pytest.mark.parametrize("make", STACK_DOMAINS)
 def test_stacked_chord_and_margin_match_rows(make, rng):
+    _stacked_chord_and_margin_match_rows(make, rng, 40)
+
+
+@pytest.mark.parametrize("make", STACK_DOMAINS)
+def test_three_row_stacks_match_rows(make, rng):
+    # 3-row chord stacks are worked row by row in floats on every backend
+    # but the 200-gon; the 40-row stacks above are numpy columns on all but
+    # orthant1
+    _stacked_chord_and_margin_match_rows(make, rng, 3)
+    _segment_chord_is_the_checked_chord_query(make, rng, 3)
+
+
+def _stacked_chord_and_margin_match_rows(make, rng, size):
     # an (N, n) stack gives, row by row, the one-line floats
     dom = make()
     b = dom.backend
-    xs = dom.random_interior(rng, size=40)
+    xs = dom.random_interior(rng, size=size)
     us = rng.normal(size=xs.shape)
     lo, hi = b.chord_params(xs, us)
     rows = np.array([b.chord_params(x, u) for x, u in zip(xs, us)])
@@ -129,21 +144,26 @@ def test_stacked_chord_and_margin_match_rows(make, rng):
     assert np.array_equal(b.contains_margin(pts),
                           [b.contains_margin(p) for p in pts])
     # a stack with one failing line raises as that line does alone
-    us[7] = 0.0
+    bad = min(7, size - 1)
+    us[bad] = 0.0
     with pytest.raises(GeometryError) as alone:
-        b.chord_params(xs[7], us[7])
+        b.chord_params(xs[bad], us[bad])
     with pytest.raises(alone.type):
         b.chord_params(xs, us)
 
 
 @pytest.mark.parametrize("make", STACK_DOMAINS)
 def test_segment_chord_is_the_checked_chord_query(make, rng):
+    _segment_chord_is_the_checked_chord_query(make, rng, 40)
+
+
+def _segment_chord_is_the_checked_chord_query(make, rng, size):
     # one pair or a stack: the chord_params floats, after checking x and
     # then y with the contains_margin test
     dom = make()
     b = dom.backend
-    xs = dom.random_interior(rng, size=40)
-    ys = dom.random_interior(rng, size=40)
+    xs = dom.random_interior(rng, size=size)
+    ys = dom.random_interior(rng, size=size)
     lo, hi = b.segment_chord(xs, ys, ys - xs)
     rows = [b.segment_chord(x, y, y - x) for x, y in zip(xs, ys)]
     assert np.array_equal(np.stack([lo, hi], axis=1), rows)
@@ -152,8 +172,8 @@ def test_segment_chord_is_the_checked_chord_query(make, rng):
     for x, y, name in ((far, xs[0], "x"), (far, far, "x"), (xs[0], far, "y")):
         with pytest.raises(InvalidInputError, match=f"point {name} is not"):
             b.segment_chord(x, y, y - x)
-    ys[5] = far
-    xs[9] = far
+    ys[min(5, size - 2)] = far
+    xs[min(9, size - 1)] = far
     with pytest.raises(InvalidInputError, match="point x is not"):
         b.segment_chord(xs, ys, ys - xs)
 

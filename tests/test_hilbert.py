@@ -110,8 +110,8 @@ def _hexagon():
 @lru_cache(maxsize=None)
 def _domain(name):
     """The `any_domain` backends, the orthants of dims 1-3, a 3-ball, a
-    tilted ellipse, a 1-d ellipsoid, a half-space hexagon and a 200-gon,
-    built once.  The 200-gon is past the float crossover of one-point
+    tilted ellipse, a tilted 3-d ellipsoid, a 1-d ellipsoid, a half-space
+    hexagon and a 200-gon, built once.  The 200-gon is past the float crossover of one-point
     queries, the others below."""
     if name.startswith("orthant"):
         return dm.orthant_domain(int(name[-1]))
@@ -124,11 +124,15 @@ def _domain(name):
                 [0.1, 0.2], [[1.3, 0.4], [0.4, 0.8]]),
             "ball3": lambda: dm.ConvexDomain.ellipsoid(
                 [0.1, -0.2, 0.0], np.diag([1.0, 2.0, 0.5])),
+            "tilted3": lambda: dm.ConvexDomain.ellipsoid(
+                [0.1, -0.2, 0.05],
+                [[1.3, 0.4, -0.2], [0.4, 0.9, 0.3], [-0.2, 0.3, 1.1]]),
             "hexagon": _hexagon}[name]()
 
 
 DOMAINS = ["disk", "square", "triangle", "radial", "gon200", "orthant1",
-           "orthant2", "orthant3", "ball1", "ball3", "ellipse", "hexagon"]
+           "orthant2", "orthant3", "ball1", "ball3", "ellipse", "hexagon",
+           "tilted3"]
 
 
 def _loop_or_error(fn, dom, xs, ys):

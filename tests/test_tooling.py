@@ -309,6 +309,28 @@ def test_thin_triangle_makes_one_chord_call_per_search_step(monkeypatch):
     assert len(calls) <= steps + 3
 
 
+@pytest.mark.parametrize("make", [dm.square_domain, dm.unit_disk])
+def test_distance_makes_one_chart_and_one_chord_call(monkeypatch, make):
+    # the benchmark's traced hilbert.distance metrics wrap
+    # hilbert._distance_chart by its module name and count segment_chord
+    dom = make()
+    calls = []
+    chart, chord = hb._distance_chart, dom.backend.segment_chord
+
+    def counted_chart(*args):
+        calls.append("chart")
+        return chart(*args)
+
+    def counted_chord(*args):
+        calls.append("chord")
+        return chord(*args)
+
+    monkeypatch.setattr(hb, "_distance_chart", counted_chart)
+    monkeypatch.setattr(dom.backend, "segment_chord", counted_chord)
+    assert hb.distance(dom, [0.1, -0.2], [-0.3, 0.4]) > 0
+    assert calls == ["chart", "chord"]
+
+
 def test_surface_build_makes_one_slice_call_per_newton_step(monkeypatch):
     # all fiber solves of a build advance in lockstep, one stacked slice
     # call per Newton step or halving; a solve per direction makes hundreds
