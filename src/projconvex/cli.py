@@ -37,9 +37,12 @@ class CommandResult:
 
 def _parse_point(text):
     try:
-        return np.array([float(t) for t in text.split(",")])
+        p = np.array([float(t) for t in text.split(",")])
     except ValueError as exc:
         raise InvalidInputError(f"cannot parse point {text!r}") from exc
+    if not np.isfinite(p).all():
+        raise InvalidInputError(f"point {text!r} is not finite")
+    return p
 
 
 def _parse_triangle(text):

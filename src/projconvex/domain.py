@@ -140,10 +140,11 @@ def _vecmat(u, m):
 # by BLAS, whose FMA kernels Python floats cannot reproduce: while rows
 # times terms number at most `_FLOAT_TERMS`, row by row in Python floats
 # from facet (quadric) lists cached on the backend (`_by_rows`), else in
-# numpy, one coordinate column at a time.  The two ways round alike, so each
-# stacked row is bit-identical to its one-point query.  `segment_chord`
-# checks the two points of its line and finds the chord in one pass, with
-# the floats and errors (x, then y, then the chord) of the separate queries.
+# numpy, one coordinate column at a time (an ellipsoid: its float kernel
+# run on the columns).  The two ways round alike, so each stacked row is
+# bit-identical to its one-point query.  `segment_chord` checks the two
+# points of its line and finds the chord in one pass, with the floats and
+# errors (x, then y, then the chord) of the separate queries.
 
 # Points are worked in Python floats while their terms (m n a point for m
 # facets in chart dimension n, n^2 for an ellipsoid) number at most this: one
@@ -384,8 +385,9 @@ class _PointQueries:
     """The point queries of a backend from its `_terms` terms and kernels:
     `_floats` (one line, Python floats) gives numbers with the signs of x's
     and y's margins and the chord (t_lo, t_hi) of x + t d, not finite where
-    the line misses (`_chord_error`); `_columns` the same in numpy columns;
-    `_margin_floats` and `_margin_columns` the margin itself."""
+    the line misses (`_chord_error`); `_columns` the same in numpy columns
+    (an ellipsoid's runs `_floats` itself on them); `_margin_floats` and
+    `_margin_columns` the margin itself."""
 
     def contains_margin(self, x):
         x = np.asarray(x, dtype=float)
@@ -713,7 +715,9 @@ class VPolyBackend(_PolytopeBackend):
 
 
 class EllipsoidBackend(_PointQueries):
-    """Open set {x : (x-c)^T M (x-c) < 1} with M symmetric positive-definite."""
+    """Open set {x : (x-c)^T M (x-c) < 1} with M symmetric positive-definite.
+    Each point query is one kernel of plain products, on one line's floats or
+    on the columns of stacks, so a stacked row is its one-point value."""
 
     kind = "ellipsoid"
     _chord_error = DegenerateChordError, "line misses the ellipsoid"
@@ -729,8 +733,7 @@ class EllipsoidBackend(_PointQueries):
                 witness={"eigenvalues": w})
         self._minv = np.linalg.inv(self.shape_matrix)
         self._terms = self.shape_matrix.size
-        self._rows = (self.shape_matrix.tolist()
-                      if self._terms <= _FLOAT_TERMS else None)
+        self._rows = self.shape_matrix.tolist()
         self._c = self.center.tolist()
 
     @property
@@ -739,13 +742,6 @@ class EllipsoidBackend(_PointQueries):
 
     def interior_point(self):
         return self.center
-
-    def _form(self, v):
-        """u^T M, u^T M u and u for u = v (one vector or a stack) in the
-        numpy columns that `_plain_dot` takes."""
-        u = v.T
-        um = _plain_dot(u[..., None], self.shape_matrix).T
-        return um, _plain_dot(um, u), u
 
     def _margin_floats(self, x):
         """1 - sqrt(q), q = u^T M u for u = x - c (`_plain_dot` written out:
@@ -756,16 +752,18 @@ class EllipsoidBackend(_PointQueries):
             for a, b in zip(u, row):
                 m = m + a * b
             q = q + m * v
-        return 1.0 - sqrt(max(q, 0.0))
+        if type(q) is float:
+            return 1.0 - sqrt(max(q, 0.0))
+        return 1.0 - np.sqrt(np.maximum(q, 0.0))
 
     def _margin_columns(self, x):
-        return 1.0 - np.sqrt(np.maximum(self._form(x - self.center)[1], 0.0))
+        return self._margin_floats(x.T if x.ndim > 1 else x.tolist())
 
     def _floats(self, x, y, d, step=None):
         """1 - q for q = u^T M u of u = x - c and y - c (the margins 1 -
         sqrt(q) have its sign), and the chord: the roots of alpha t^2 +
         2 beta t + q_x - 1, beta = u_x^T M d, alpha = d^T M d; one pass of
-        Python floats (`_plain_dot` written out: -0.0 + t is t)."""
+        plain products (`_plain_dot` written out: -0.0 + t is t)."""
         ux, uy = list(map(sub, x, self._c)), list(map(sub, y, self._c))
         rest = range(1, len(d))
         qx = qy = beta = alpha = -0.0
@@ -782,21 +780,19 @@ class EllipsoidBackend(_PointQueries):
             beta = beta + mx * d[i]
             alpha = alpha + md * d[i]
         disc = beta * beta - alpha * (qx - 1.0)
-        if not disc > 0:
+        if type(disc) is not float:
+            root = np.sqrt(np.where(disc > 0, disc, nan))
+        elif disc > 0:
+            root = sqrt(disc)
+        else:
             return 1.0 - qx, 1.0 - qy, nan, nan
-        root = sqrt(disc)
         return 1.0 - qx, 1.0 - qy, (-beta - root) / alpha, (-beta + root) / alpha
 
     def _columns(self, x, y, d, step):
-        """`_floats` in numpy columns."""
-        x, y, d = (np.asarray(v, dtype=float) for v in (x, y, d))
-        um, qx = self._form(x - self.center)[:2]
-        qy = qx if y is x else self._form(y - self.center)[1]
-        _, alpha, d = self._form(d)
-        beta = _plain_dot(um, d)
-        disc = beta * beta - alpha * (qx - 1.0)
-        root = np.sqrt(np.where(disc > 0, disc, nan))
-        return 1.0 - qx, 1.0 - qy, (-beta - root) / alpha, (-beta + root) / alpha
+        """`_floats` over the columns of stacks, or of one line's floats."""
+        xyd = [np.asarray(v, dtype=float) for v in (x, y, d)]
+        one = max(v.ndim for v in xyd) == 1
+        return self._floats(*(v.tolist() if one else v.T for v in xyd))
 
     def support(self, u):
         """Support function at one direction, or at each row of a stack."""
@@ -955,6 +951,7 @@ class ConvexDomain:
         self.chart = chart
         self.backend = backend
         self._certificate = None
+        self._dim = backend.dim
 
     @property
     def dim(self):
@@ -992,11 +989,22 @@ class ConvexDomain:
         return self.backend.interior_point()
 
     def chart_coords(self, p):
+        """Chart coordinates of a point given by them or as a ProjPoint;
+        InvalidInputError unless it has the domain's dimension."""
         if type(p) is np.ndarray and p.ndim == 1 and p.dtype == np.float64:
-            return p
-        if isinstance(p, ProjPoint):
+            if len(p) == self._dim:
+                return p
+        elif isinstance(p, ProjPoint):
+            if len(p.coords) != self._dim + 1:
+                raise InvalidInputError(f"point has {len(p.coords)} homogeneous "
+                                        f"coordinates, not {self._dim + 1}")
             return self.chart.to_chart(p)
-        return np.atleast_1d(np.asarray(p, dtype=float))
+        else:
+            p = np.atleast_1d(np.asarray(p, dtype=float))
+            if p.shape == (self._dim,):
+                return p
+        raise InvalidInputError(f"point of shape {p.shape} in a domain of "
+                                f"chart dimension {self._dim}")
 
     def cone(self):
         return ConvexCone(self)
@@ -1232,6 +1240,8 @@ def contains(dom: ConvexDomain, p) -> Containment:
         x = dom.chart_coords(p)
     except AtInfinityError:
         return Containment("outside", -np.inf)
+    if not np.isfinite(x).all():
+        raise InvalidInputError("point is not finite")
     m = dom.backend.contains_margin(x)
     if abs(m) <= TOL.boundary_band:
         return Containment("boundary", m)

@@ -11,7 +11,7 @@ searches use.  A metric ball queries the chords of all its rays at once with
 """
 
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 from operator import sub
 
 import numpy as np
@@ -57,6 +57,8 @@ def _distance_and_chord(dom: ConvexDomain, xc, yc):
     step = sqrt(_plain_dot(d, d))
     if step <= TOL.exact:
         return 0.0, None, None
+    if not step < inf:
+        raise InvalidInputError("points are not finite")
     t_lo, t_hi = dom.backend.segment_chord(x, y, d, step)
     return _cross_ratio(t_lo, t_hi, step), t_lo, t_hi
 
@@ -82,11 +84,13 @@ def distances(dom: ConvexDomain, xs, ys):
     d = ys - xs
     step = _length(d)
     out = np.zeros(len(d))
-    live = step > TOL.exact
+    live = ~(step <= TOL.exact)   # with the rows of non-finite points
     if not live.any():
         return out
     step = step[live]
     try:
+        if not np.isfinite(step).all():
+            raise InvalidInputError("points are not finite")
         t_lo, t_hi = dom.backend.segment_chord(xs[live], ys[live], d[live], step)
         ax, ay = -t_lo * step, (1.0 - t_lo) * step
         bx, by = t_hi * step, (t_hi - 1.0) * step

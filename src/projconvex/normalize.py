@@ -24,9 +24,6 @@ from .errors import (
 )
 from .projgeom import ProjTransform, minimal_rotation, standard_chart
 
-# Interior sample points per box edge in `box_bound_check`.
-_EDGE_SAMPLES = 5
-
 
 @dataclass
 class MomentData:
@@ -155,21 +152,18 @@ def box_bound_check(a, k: float) -> BoxCheckResult:
     """Test the entrywise bound |A_ij| <= 2K |A_{n+1,n+1}| and its hypothesis.
 
     The hypothesis, that the projective image of the unit box lies in the K
-    box, is checked on the box vertices and on sampled edge points; the chart
-    denominator is affine so a consistent sign at the vertices certifies it
-    on the whole box.  A point sent to the chart hyperplane, or heights of
-    both signs, fail it with margin -inf.
+    box, is checked on the 2^n box corners alone: the chart denominator is
+    affine, so corner heights of one sign keep that sign on the whole box,
+    and the image of the box is then the convex hull of the corner images.
+    A corner sent to the chart hyperplane, or heights of both signs, fail it
+    with margin -inf.
     """
     mat = a.matrix if isinstance(a, ProjTransform) else np.asarray(a, dtype=float)
     n = mat.shape[0] - 1
     corners = np.array(list(product((-1.0, 1.0), repeat=n)))
-    ts = np.linspace(-1.0, 1.0, _EDGE_SAMPLES + 2)[1:-1]
-    # each edge once: from its corner at -1 in the varying coordinate
-    pts = np.vstack([corners, *(np.where(np.arange(n) == j, t, c) for c in corners
-                                for j in np.flatnonzero(c < 0) for t in ts)])
     std = standard_chart(n)
     try:
-        coords, heights = _chart_images(std, std.lift_many(pts) @ mat.T)
+        coords, heights = _chart_images(std, std.lift_many(corners) @ mat.T)
         straddles = heights.min() < 0 < heights.max()
     except AtInfinityError:
         straddles = True

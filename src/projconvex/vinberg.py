@@ -15,8 +15,9 @@ lifted vertices P_sigma the cone volume is |det P_sigma| / ((n+1)! prod_j
 <v, p_j>), |det P_sigma| cached by the cone, and these weights feed the
 simplex-moment kernel of the chart moments (domain._simplex_moments).
 Ellipsoid cones use exact conic sections.  The kernel's OutsideDualConeError
-is the only dual-cone test of a Newton trial.  A fixed-seed Monte-Carlo
-estimator is kept as an independent cross-check.
+is the only dual-cone test of every exact volume, gradient, centroid and
+Newton trial.  A fixed-seed Monte-Carlo estimator, with its own test
+(`ConvexCone.dual_margin`), is kept as an independent cross-check.
 
 V is a Laplace transform of the cone, so log V is strictly convex on the
 open dual cone (it is the cone's universal barrier).  Both solvers minimize
@@ -114,14 +115,6 @@ def _as_cone(c):
     return c.cone() if isinstance(c, ConvexDomain) else c
 
 
-def _require_dual(cone: ConvexCone, v):
-    m = cone.dual_margin(v)
-    if m <= 0:
-        raise OutsideDualConeError(
-            "functional is not strictly positive on the closed cone",
-            margin=m)
-
-
 class _SliceData:
     """Volume of the truncated cone plus exact moments of the unit slice,
     for one functional or for each row of a stack."""
@@ -211,10 +204,7 @@ def _slice_exact(cone: ConvexCone, v) -> _SliceData:
 
 def volume_functional(c, phi) -> VolumeResult:
     """Volume of the cone truncated by the unit level of the functional."""
-    cone = _as_cone(c)
-    v = _raw_coeffs(phi)
-    _require_dual(cone, v)
-    data = _slice_exact(cone, v)
+    data = _slice_exact(_as_cone(c), _raw_coeffs(phi))
     return VolumeResult(data.volume, "exact", 0.0)
 
 
@@ -225,7 +215,10 @@ def volume_functional_quadrature(c, phi, samples=20000, seed=None) -> VolumeResu
     """
     cone = _as_cone(c)
     v = _raw_coeffs(phi)
-    _require_dual(cone, v)
+    m = cone.dual_margin(v)
+    if m <= 0:
+        raise OutsideDualConeError(
+            "functional is not strictly positive on the closed cone", margin=m)
     dom = cone.domain
     n = dom.dim
     rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
@@ -241,19 +234,13 @@ def volume_functional_quadrature(c, phi, samples=20000, seed=None) -> VolumeResu
 def grad_volume(c, phi):
     """Gradient of the truncated-cone volume with respect to raw coefficients."""
     cone = _as_cone(c)
-    v = _raw_coeffs(phi)
-    _require_dual(cone, v)
-    data = _slice_exact(cone, v)
-    n = cone.domain.dim
-    return -(n + 1.0) * data.volume * data.centroid
+    data = _slice_exact(cone, _raw_coeffs(phi))
+    return -(cone.domain.dim + 1.0) * data.volume * data.centroid
 
 
 def slice_centroid(c, phi):
     """Centroid of the flat slice where the functional equals one."""
-    cone = _as_cone(c)
-    v = _raw_coeffs(phi)
-    _require_dual(cone, v)
-    return _slice_exact(cone, v).centroid
+    return _slice_exact(_as_cone(c), _raw_coeffs(phi)).centroid
 
 
 def _newton_step(v, data, basis, ridge, live=None):

@@ -82,6 +82,21 @@ def test_computation_error_exit_code(disk_file, capsys):
     assert "outside-dual-cone" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("points", [["--x", "0.1,0.2,5", "--y=0,0,0"],
+                                    ["--x", "0.1", "--y=0.2"],
+                                    ["--x", "nan,0", "--y=0.2,0"],
+                                    ["--x", "0.1,0.2", "--y=-inf,0"]])
+@pytest.mark.parametrize("make", [dm.square_domain, dm.unit_disk])
+def test_bad_points_are_input_errors(tmp_path, capsys, make, points):
+    path = tmp_path / "domain.json"
+    jsonio.dump_file(make().to_json(), path)
+    res = dispatch(["hilbert", "dist", "--domain", str(path), *points])
+    out = capsys.readouterr()
+    assert res.exit_code == 1
+    assert out.out.startswith("error[invalid-input]: ")
+    assert "Traceback" not in out.out + out.err
+
+
 def test_usage_error_exit_code(capsys):
     res = dispatch(["no-such-command"])
     assert res.exit_code == 2

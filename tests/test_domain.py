@@ -101,6 +101,25 @@ def test_chord_degenerate_and_outside(disk):
         dm.chord(disk, [0.0, 0.0], [3.0, 0.0])
 
 
+def test_contains_rejects_non_finite_and_misshapen_points(square, disk):
+    for dom in (square, disk):
+        for p in ([np.nan, 0.0], [0.0, -np.inf]):
+            with pytest.raises(InvalidInputError, match="not finite"):
+                dm.contains(dom, p)
+        for p in ([0.1], [0.1, 0.2, 5.0], np.zeros(3), np.zeros((2, 2))):
+            with pytest.raises(InvalidInputError, match="chart dimension 2"):
+                dm.contains(dom, p)
+
+
+def _ellipsoid13():
+    # 169 terms: past `_FLOAT_TERMS` for one point, so one point and every
+    # stack take `_columns`, a lone line in floats and a stack in columns
+    rng = np.random.default_rng(13)
+    b = rng.normal(size=(13, 13))
+    return dm.ConvexDomain.ellipsoid(rng.uniform(-0.2, 0.2, 13),
+                                     b @ b.T / 13 + 0.5 * np.eye(13))
+
+
 STACK_DOMAINS = [
     dm.unit_disk, dm.square_domain, dm.triangle_domain,
     lambda: dm.disk_polygon(24),
@@ -110,7 +129,20 @@ STACK_DOMAINS = [
     lambda: dm.orthant_domain(1), lambda: dm.orthant_domain(3),
     lambda: dm.disk_polygon(200),   # past the float crossover
     lambda: dm.ConvexDomain.ellipsoid(   # off-centre, not diagonal
-        [0.1, -0.2, 0.05], [[1.3, 0.4, -0.2], [0.4, 0.9, 0.3], [-0.2, 0.3, 1.1]])]
+        [0.1, -0.2, 0.05], [[1.3, 0.4, -0.2], [0.4, 0.9, 0.3], [-0.2, 0.3, 1.1]]),
+    _ellipsoid13]
+
+
+def _inside(dom, rng, size):
+    """A (size, n) stack of `random_interior` points, but in chart dimension
+    13 (where rejection sampling in the bounding box would hardly ever hit)
+    ellipsoid points at quadric levels below 0.8."""
+    if dom.dim <= 3:
+        return dom.random_interior(rng, size=size).reshape(size, dom.dim)
+    b = dom.backend
+    z = rng.normal(size=(size, b.dim))
+    level = np.sqrt(np.einsum("ij,jk,ik->i", z, b.shape_matrix, z))
+    return b.center + z * (rng.uniform(0.0, 0.8, size) / level)[:, None]
 
 
 @pytest.mark.parametrize("make", STACK_DOMAINS)
@@ -127,11 +159,17 @@ def test_three_row_stacks_match_rows(make, rng):
     _segment_chord_is_the_checked_chord_query(make, rng, 3)
 
 
+@pytest.mark.parametrize("make", STACK_DOMAINS)
+def test_one_row_stacks_match_rows(make, rng):
+    _stacked_chord_and_margin_match_rows(make, rng, 1)
+    _segment_chord_is_the_checked_chord_query(make, rng, 1)
+
+
 def _stacked_chord_and_margin_match_rows(make, rng, size):
     # an (N, n) stack gives, row by row, the one-line floats
     dom = make()
     b = dom.backend
-    xs = dom.random_interior(rng, size=size)
+    xs = _inside(dom, rng, size)
     us = rng.normal(size=xs.shape)
     lo, hi = b.chord_params(xs, us)
     rows = np.array([b.chord_params(x, u) for x, u in zip(xs, us)])
@@ -162,8 +200,7 @@ def _segment_chord_is_the_checked_chord_query(make, rng, size):
     # then y with the contains_margin test
     dom = make()
     b = dom.backend
-    xs = dom.random_interior(rng, size=size)
-    ys = dom.random_interior(rng, size=size)
+    xs, ys = _inside(dom, rng, size), _inside(dom, rng, size)
     lo, hi = b.segment_chord(xs, ys, ys - xs)
     rows = [b.segment_chord(x, y, y - x) for x, y in zip(xs, ys)]
     assert np.array_equal(np.stack([lo, hi], axis=1), rows)
@@ -176,6 +213,21 @@ def _segment_chord_is_the_checked_chord_query(make, rng, size):
     xs[min(9, size - 1)] = far
     with pytest.raises(InvalidInputError, match="point x is not"):
         b.segment_chord(xs, ys, ys - xs)
+
+
+def test_quadric_kernel_matches_blas_above_the_float_rule(rng):
+    dom = _ellipsoid13()
+    b, m = dom.backend, dom.backend.shape_matrix
+    for x, y in zip(_inside(dom, rng, 20), _inside(dom, rng, 20)):
+        u, d = x - b.center, y - x
+        alpha, beta, q = d @ m @ d, u @ m @ d, u @ m @ u
+        root = np.sqrt(beta * beta - alpha * (q - 1.0))
+        ref = np.array([1.0 - np.sqrt(q), (-beta - root) / alpha, (-beta + root) / alpha])
+        got = np.array([b.contains_margin(x), *b.segment_chord(x, y, d)])
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+        # the float lists `distance` passes take the same kernel
+        assert b.segment_chord(x.tolist(), y.tolist(), d.tolist(),
+                               np.linalg.norm(d)) == tuple(got[1:])
 
 
 @pytest.mark.parametrize("make", STACK_DOMAINS)

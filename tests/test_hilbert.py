@@ -100,6 +100,27 @@ def test_distance_guard_near_frontier(disk):
         hb.distance(disk, [2.0, 0.0], [0.0, 0.0])
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+@pytest.mark.parametrize("make", [dm.square_domain, dm.unit_disk])
+def test_non_finite_and_misshapen_points_are_input_errors(make):
+    dom, nan, inf = make(), float("nan"), float("inf")
+    for x, y in (([nan, 0.0], [0.2, 0.0]), ([0.1, inf], [0.2, 0.0]),
+                 ([inf, 0.0], [inf, 0.0]), ([0.2, 0.0], [0.1, nan])):
+        with pytest.raises(InvalidInputError, match="not finite"):
+            hb.distance(dom, x, y)
+        with pytest.raises(InvalidInputError, match="not finite"):
+            hb.distances(dom, [[0.1, 0.1], x], [[0.0, 0.2], y])
+    # the first failing row decides, as in a loop of `distance` calls
+    with pytest.raises(InvalidInputError, match="point x is not inside"):
+        hb.distances(dom, [[3.0, 0.0], [nan, 0.0]], [[0.0, 0.0], [0.2, 0.0]])
+    for x, y in (([0.1, 0.2, 5.0], [0.0, 0.0, 0.0]), ([0.1], [0.2]),
+                 (np.array([0.1, 0.2, 5.0]), np.zeros(3))):
+        with pytest.raises(InvalidInputError, match="chart dimension 2"):
+            hb.distance(dom, x, y)
+    with pytest.raises(InvalidInputError, match="4 homogeneous coordinates"):
+        hb.distance(dom, ProjPoint([0.1, 0.2, 0.0, 1.0]), [0.0, 0.0])
+
+
 def _hexagon():
     ang = 2 * np.pi * (np.arange(6) + 0.2) / 6
     return dm.ConvexDomain.from_halfspaces(

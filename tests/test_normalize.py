@@ -230,6 +230,27 @@ def test_box_check_on_normalized_automorphism(rng):
         assert res.conclusion_holds
 
 
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       spread=st.floats(0.05, 2.0))
+def test_box_check_corners_bound_the_whole_box(n, seed, spread):
+    # the chart denominator is affine, so the box's image is the hull of
+    # its corner images: a dense grid over the box, its edges and faces
+    # included, finds no larger coordinate and no other straddle verdict
+    rng = np.random.default_rng(seed)
+    a = np.eye(n + 1) + spread * rng.normal(size=(n + 1, n + 1))
+    res = nm.box_bound_check(a, 1.0)
+    axis = np.linspace(-1.0, 1.0, 9)
+    grid = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), -1).reshape(-1, n)
+    w = np.hstack([grid, np.ones((len(grid), 1))]) @ a.T
+    h = w[:, -1]
+    straddles = h.min() <= 0 <= h.max()
+    assert straddles == (res.hypothesis_margin == -np.inf)
+    if not straddles:
+        corner = 1.0 - res.hypothesis_margin
+        assert np.abs(w[:, :-1] / h[:, None]).max() <= corner * (1.0 + 1e-12)
+
+
 def _ellipse_sequence(count):
     doms, terms = [], []
     for k in range(1, count + 1):

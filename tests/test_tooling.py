@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import boost, rotation, triangle_group
+from conftest import boost, random_domain, rotation, triangle_group
 from projconvex import cli, domain as dm, group as gp, hilbert as hb, jsonio
 from projconvex import normalize as nm, plconvex as pl, vinberg as vb
 from projconvex.errors import OutsideDualConeError
@@ -378,6 +378,38 @@ def test_newton_trials_make_no_dual_margin_call(monkeypatch):
         assert vb.spherical_center(dom).iterations > 1
     assert pl.pl_characteristic_surface(dm.disk_polygon(24), 48).certificate.ok
     assert not [d for d in calls if d]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["hpoly", "vpoly", "radialgraph", "ellipsoid"])
+def test_slice_kernel_is_the_one_dual_cone_test(monkeypatch, kind, n):
+    # volume, gradient, centroid and theta take the kernel's own
+    # OutsideDualConeError: one slice call and no dual_margin call each, for
+    # a functional inside the dual cone, its negative and one whose zero set
+    # cuts the domain through its interior point
+    dom = random_domain(kind, n, np.random.default_rng(n))
+    cone, e_inf = dom.cone(), dom.chart.infinity
+    cut = np.append(np.ones(n), -np.ones(n) @ dom.interior_point())
+    slice_exact, calls = vb._slice_exact, []
+
+    def counted(cone, v):
+        calls.append("slice")
+        return slice_exact(cone, v)
+
+    def margin(cone, v):
+        calls.append("margin")
+
+    monkeypatch.setattr(vb, "_slice_exact", counted)
+    monkeypatch.setattr(dm.ConvexCone, "dual_margin", margin)
+    for fn in (vb.volume_functional, vb.grad_volume, vb.slice_centroid, vb.theta):
+        for v in (e_inf, -e_inf, cut):
+            calls.clear()
+            if v is e_inf:
+                fn(cone, v)
+            else:
+                with pytest.raises(OutsideDualConeError):
+                    fn(cone, v)
+            assert calls == ["slice"]
 
 
 def _count_fiber_solves(monkeypatch):
