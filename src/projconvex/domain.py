@@ -926,19 +926,11 @@ class Chord:
 
     __slots__ = ("a_minus", "a_plus", "x_minus", "x_plus")
 
-    def __init__(self, domain, x_minus, x_plus, check=True):
+    def __init__(self, domain, x_minus, x_plus):
         self.x_minus = np.asarray(x_minus, dtype=float)
         self.x_plus = np.asarray(x_plus, dtype=float)
         self.a_minus = domain.chart.from_chart(self.x_minus)
         self.a_plus = domain.chart.from_chart(self.x_plus)
-        if check:
-            t = np.linspace(0.0, 1.0, 18)[1:-1, None]
-            x = (1 - t) * self.x_minus + t * self.x_plus
-            out = np.flatnonzero(domain.backend.contains_margin(x) < -TOL.matrix)
-            if out.size:
-                raise DegenerateChordError(
-                    "interior sample of chord left the domain",
-                    parameter=t[out[0], 0])
 
     def point_at(self, t):
         return (1 - t) * self.x_minus + t * self.x_plus

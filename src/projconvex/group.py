@@ -135,7 +135,7 @@ def fixed_point_dynamics(dom: ConvexDomain, a: ProjTransform,
     return HyperbolicData(
         a_plus=p_plus,
         a_minus=p_minus,
-        axis=Chord(dom, x_minus, x_plus, check=False),
+        axis=Chord(dom, x_minus, x_plus),
         translation_length=length,
         length_eigen=length,
         eigenvalue_gap=float(moduli[top] / moduli[second]),

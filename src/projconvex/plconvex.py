@@ -10,7 +10,7 @@ stacks (`_minors`); only simplices a closed-form bound cannot clear take an SVD.
 """
 
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import asin, sin
 
@@ -52,7 +52,8 @@ class _Complex:
     Slot t*k + j of the flattened (T, k) index array stands for the facet of
     simplex t opposite its vertex simplices[t, j].  `mate[slot]` is the slot
     of the same facet in the neighbouring simplex (-1 on the boundary), so
-    `simplices.flat[mate[slot]]` is the vertex across that facet.
+    `simplices.flat[mate[slot]]` is the vertex across that facet.  The index
+    tables `section` and `checks` are cached properties, built at first use.
     """
 
     def __init__(self, simplices, n_vertices):
@@ -88,36 +89,34 @@ class _Complex:
         self.used = self.interior.copy()
         self.interior[boundary[boundary >= 0]] = False
         self._drop = drop
-        self._checks = None
-        self._section = None
 
+    @cached_property
     def section(self):
-        """Index arrays of `_section_faults`, built at first use: per adjacent
-        pair the sign of its determinant product without a fold, and in
-        chart dimension 2 the boundary edges as rows into the boundary
-        vertices, those vertices, and the edge pairs (e < f) without a shared
-        vertex.  The vertex opposite a facet moves from slot j to the last
-        column by k - 1 - j transpositions, and with k <= 3 the two simplices
-        list the facet in swapped orders where their first entries differ."""
-        if self._section is None:
-            simp, k = self.simplices, self.simplices.shape[1]
+        """Index arrays of `_section_faults`: per adjacent pair the sign of
+        its determinant product without a fold, and in chart dimension 2 the
+        boundary edges as rows into the boundary vertices, those vertices,
+        and the edge pairs (e < f) without a shared vertex.  The vertex
+        opposite a facet moves from slot j to the last column by k - 1 - j
+        transpositions, and with k <= 3 the two simplices list the facet in
+        swapped orders where their first entries differ."""
+        simp, k = self.simplices, self.simplices.shape[1]
 
-            def facets(slots):
-                return simp[(slots // k)[:, None], self._drop[slots % k]]
+        def facets(slots):
+            return simp[(slots // k)[:, None], self._drop[slots % k]]
 
-            first = np.flatnonzero(self.mate > np.arange(self.mate.size))
-            second = self.mate[first]
-            swap = facets(first)[:, 0] != facets(second)[:, 0]
-            unfolded = 2 * ((first % k + second % k + swap) % 2) - 1
-            edges = facets(np.flatnonzero(self.mate < 0)) if k == 3 else np.empty((0, 2), int)
-            ends = np.flatnonzero(np.bincount(edges.ravel(), minlength=self.used.size))
-            at = np.searchsorted(ends, edges)
-            incidence = np.zeros((len(at), len(ends)))
-            incidence[np.arange(len(at))[:, None], at] = 1.0
-            e, f = np.nonzero(np.triu(incidence @ incidence.T == 0, 1))
-            self._section = unfolded, at, ends, e, f
-        return self._section
+        first = np.flatnonzero(self.mate > np.arange(self.mate.size))
+        second = self.mate[first]
+        swap = facets(first)[:, 0] != facets(second)[:, 0]
+        unfolded = 2 * ((first % k + second % k + swap) % 2) - 1
+        edges = facets(np.flatnonzero(self.mate < 0)) if k == 3 else np.empty((0, 2), int)
+        ends = np.flatnonzero(np.bincount(edges.ravel(), minlength=self.used.size))
+        at = np.searchsorted(ends, edges)
+        incidence = np.zeros((len(at), len(ends)))
+        incidence[np.arange(len(at))[:, None], at] = 1.0
+        e, f = np.nonzero(np.triu(incidence @ incidence.T == 0, 1))
+        return unfolded, at, ends, e, f
 
+    @cached_property
     def checks(self):
         """Rows (vertex, simplex, test vertex, adjacent) of the determinant
         checks at interior vertices, sorted by vertex, simplex, test vertex.
@@ -126,27 +125,25 @@ class _Complex:
         `adjacent` marks a test vertex across any facet of the simplex: such
         a pair lying flat is a coplanar star.
         """
-        if self._checks is None:
-            simp = self.simplices
-            k = simp.shape[1]
-            n = self.interior.size
-            flat = simp.ravel()
-            slots = np.flatnonzero(self.interior[flat])
-            slots = slots[np.argsort(flat[slots], kind="stable")]
-            v, t = flat[slots], slots // k
-            a, b = np.nonzero(~np.eye(k, dtype=bool))
-            link_v, link_u = np.divmod(
-                np.unique(simp[:, a].ravel() * n + simp[:, b].ravel()), n)
-            lo = np.searchsorted(link_v, v)
-            count = np.searchsorted(link_v, v, side="right") - lo
-            row = np.repeat(np.arange(v.size), count)
-            u = link_u[np.repeat(lo - np.cumsum(count) + count, count)
-                       + np.arange(count.sum())]
-            v, t = v[row], t[row]
-            keep = ~(simp[t] == u[:, None]).any(axis=1)
-            v, t, u = v[keep], t[keep], u[keep]
-            self._checks = v, t, u, (self.across[t] == u[:, None]).any(axis=1)
-        return self._checks
+        simp = self.simplices
+        k = simp.shape[1]
+        n = self.interior.size
+        flat = simp.ravel()
+        slots = np.flatnonzero(self.interior[flat])
+        slots = slots[np.argsort(flat[slots], kind="stable")]
+        v, t = flat[slots], slots // k
+        a, b = np.nonzero(~np.eye(k, dtype=bool))
+        link_v, link_u = np.divmod(
+            np.unique(simp[:, a].ravel() * n + simp[:, b].ravel()), n)
+        lo = np.searchsorted(link_v, v)
+        count = np.searchsorted(link_v, v, side="right") - lo
+        row = np.repeat(np.arange(v.size), count)
+        u = link_u[np.repeat(lo - np.cumsum(count) + count, count)
+                   + np.arange(count.sum())]
+        v, t = v[row], t[row]
+        keep = ~(simp[t] == u[:, None]).any(axis=1)
+        v, t, u = v[keep], t[keep], u[keep]
+        return v, t, u, (self.across[t] == u[:, None]).any(axis=1)
 
 
 def _check_widths(simplices, width):
@@ -237,15 +234,12 @@ class _SurfaceStack:
             sv = np.linalg.svd(edges[unclear], compute_uv=False)
             self.degenerate[unclear] = sv[:, -1] <= 1e-10 * scale[unclear]
         self.dets = _det(self.pts)
-        self._inv = None
-        self._caps = None
 
     def select(self, keep):
         """The stack of the selected rows, its geometry not yet computed."""
         sub = object.__new__(type(self))
         sub.complex, sub.vertices, sub.pts = self.complex, self.vertices[keep], self.pts[keep]
         sub.degenerate, sub.dets = self.degenerate[keep], self.dets[keep]
-        sub._inv = sub._caps = None
         return sub
 
     def transversality(self):
@@ -253,17 +247,17 @@ class _SurfaceStack:
         scale = np.prod(np.linalg.norm(self.pts, axis=3), axis=2)
         return np.abs(self.dets) / np.maximum(scale, 1e-300)
 
+    @cached_property
     def inv(self):
         """Inverses of the vertex matrices (vertices as columns), (R, T, k, k):
         the adjugate over the determinant."""
-        if self._inv is None:
-            if not self.dets.all():
-                raise TransversalityError(
-                    "simplex has a degenerate ray cone",
-                    simplex=int(np.argmin(np.abs(self.dets)) % self.dets.shape[1]))
-            self._inv = _adjugate(np.swapaxes(self.pts, 2, 3)) / self.dets[..., None, None]
-        return self._inv
+        if not self.dets.all():
+            raise TransversalityError(
+                "simplex has a degenerate ray cone",
+                simplex=int(np.argmin(np.abs(self.dets)) % self.dets.shape[1]))
+        return _adjugate(np.swapaxes(self.pts, 2, 3)) / self.dets[..., None, None]
 
+    @cached_property
     def _cap_index(self):
         """Spherical caps around the simplex cones, built once per stack.
 
@@ -274,22 +268,20 @@ class _SurfaceStack:
         largest chord radius of those caps and the two terms of the hit
         test's slack (see `_candidates`).
         """
-        if self._caps is None:
-            pts = self.pts
-            norms = np.sqrt(np.einsum("rtkj,rtkj->rtk", pts, pts))
-            unit = pts / norms[..., None]
-            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                centre = unit.sum(axis=2)
-                centre /= np.sqrt(np.einsum("rtj,rtj->rt", centre, centre))[..., None]
-                growth = (np.einsum("rtij,rtij->rt", pts, pts) ** (0.5 * norms.shape[2])
-                          / np.abs(self.dets))
-            gap = unit - centre[:, :, None, :]
-            chord = np.sqrt(np.einsum("rtkj,rtkj->rtk", gap, gap).max(axis=2))
-            near = (chord < np.sqrt(2.0)) & (1e-12 * growth < _SLACK_BOUND)
-            self._caps = (centre, near, chord.max(axis=1, initial=0.0, where=near),
-                          1e-12 * norms.shape[2] * norms.max(axis=(1, 2)),
-                          1e-12 * growth.max(axis=1, initial=0.0, where=near))
-        return self._caps
+        pts = self.pts
+        norms = np.sqrt(np.einsum("rtkj,rtkj->rtk", pts, pts))
+        unit = pts / norms[..., None]
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            centre = unit.sum(axis=2)
+            centre /= np.sqrt(np.einsum("rtj,rtj->rt", centre, centre))[..., None]
+            growth = (np.einsum("rtij,rtij->rt", pts, pts) ** (0.5 * norms.shape[2])
+                      / np.abs(self.dets))
+        gap = unit - centre[:, :, None, :]
+        chord = np.sqrt(np.einsum("rtkj,rtkj->rtk", gap, gap).max(axis=2))
+        near = (chord < np.sqrt(2.0)) & (1e-12 * growth < _SLACK_BOUND)
+        return (centre, near, chord.max(axis=1, initial=0.0, where=near),
+                1e-12 * norms.shape[2] * norms.max(axis=(1, 2)),
+                1e-12 * growth.max(axis=1, initial=0.0, where=near))
 
     def _candidates(self, dirs):
         """(row, simplex) pairs of the directions dirs (R, N, n) flattened to
@@ -323,7 +315,7 @@ class _SurfaceStack:
         the surface, so the membership tests grow near-linearly; the cosine
         products, N x T, have a small constant.
         """
-        centres, near, reach, size_slack, cond_slack = self._cap_index()
+        centres, near, reach, size_slack, cond_slack = self._cap_index
         r_count, n_rows = dirs.shape[:2]
         t_count = near.shape[1]
         norms = np.sqrt(np.einsum("rij,rij->ri", dirs, dirs))
@@ -365,7 +357,7 @@ class _SurfaceStack:
         column: numpy sums fewer than eight terms in that order, so each
         value equals the sum over that simplex alone."""
         rows, simp = self._candidates(dirs)
-        inv = self.inv()
+        inv = self.inv
         inv = inv.reshape(-1, *inv.shape[2:])
         dirs = dirs.reshape(-1, dirs.shape[2])
         step = max(1, _SECTION_CHUNK // inv[0].size)
@@ -527,7 +519,7 @@ def radial_section_check(surf: SimplicialHypersurface) -> RadialSectionResult:
     *masks, (rows, simp) = _section_faults(surf._stack)
     fold, wound, crossed, multiple = (mask[0] for mask in masks)
     pair_a, pair_b, _ = surf._complex.pairs
-    _, at, ends, e, f = surf._complex.section()
+    _, at, ends, e, f = surf._complex.section
     edges = ends[at].tolist()
     violations = [{"kind": "fold", "simplices": [a, b]}
                   for a, b in zip(pair_a[fold].tolist(), pair_b[fold].tolist())]
@@ -568,7 +560,7 @@ def _section_faults(stack):
     cx, verts, dets = stack.complex, stack.vertices, stack.dets
     r_count, v_count = verts.shape[:2]
     t_count, k = cx.simplices.shape
-    unfolded, at, ends, e, f = cx.section()
+    unfolded, at, ends, e, f = cx.section
     pair_a, pair_b, _ = cx.pairs
     fold = np.sign(dets[:, pair_a]) * np.sign(dets[:, pair_b]) != unfolded
     wound = np.zeros((r_count, v_count), dtype=bool)
@@ -663,7 +655,7 @@ def vertex_convexity(surf: SimplicialHypersurface, v: int) -> VertexConvexity:
     """
     if not (0 <= v < len(surf.vertices) and surf._complex.interior[v]):
         raise InvalidInputError("vertex is not interior to the complex", vertex=v)
-    vs, t, u, adjacent = surf._complex.checks()
+    vs, t, u, adjacent = surf._complex.checks
     lo, hi = np.searchsorted(vs, [v, v + 1])
     if lo == hi:
         return VertexConvexity(0, 0.0, [])
@@ -701,7 +693,7 @@ def _judge_certificates(stack):
     whether the certificate holds.
     """
     pair_a, _, pair_u = stack.complex.pairs
-    v, t, u, adjacent = stack.complex.checks()
+    v, t, u, adjacent = stack.complex.checks
     vals = _oriented_dets(stack, np.concatenate([pair_a, t]),
                           np.concatenate([pair_u, u]))
     pair_vals, vals = vals[:, :pair_a.size], vals[:, pair_a.size:]
@@ -736,7 +728,7 @@ def certify_generic_convex(surf: SimplicialHypersurface) -> ConvexityCertificate
     pair_vals, vals, flat, folded, keep, signs, majority, _ = (
         a[0] for a in _judge_certificates(surf._stack))
     pair_a, pair_b, _ = surf._complex.pairs
-    v, t, u, _ = surf._complex.checks()
+    v, t, u, _ = surf._complex.checks
 
     def pair_violations(kind, mask):
         return [{"kind": kind, "simplices": [a, b], "determinant": d}
@@ -807,7 +799,7 @@ def perturbation_radius(surf: SimplicialHypersurface, trials: int = 100,
         raise ApproximationFailureError("surface is not generic-convex",
                                         violations=cert.violations)
     cx = surf._complex
-    _, t, u, _ = cx.checks()
+    _, t, u, _ = cx.checks
     if not t.size:
         t, _, u = cx.pairs
     if not t.size:
@@ -826,8 +818,8 @@ def perturbation_radius(surf: SimplicialHypersurface, trials: int = 100,
     disp *= scale[:, None, None] / np.linalg.norm(disp, axis=2)[:, :, None]
     verts = surf.vertices + disp
     k = surf.simplices.shape[1]
-    _, at, ends, _, _ = cx.section()
-    per_trial = max(at.size * ends.size, (cx.pairs[0].size + cx.checks()[0].size) * k * k)
+    _, at, ends, _, _ = cx.section
+    per_trial = max(at.size * ends.size, (cx.pairs[0].size + cx.checks[0].size) * k * k)
     step = max(1, _SECTION_CHUNK // per_trial)
     passed = np.concatenate([_recertified(cx, verts[lo:lo + step], cert.sign)
                              for lo in range(0, scale.size, step)])

@@ -14,10 +14,11 @@ Polytope and radial-graph cones use closed forms: over a chart simplex with
 lifted vertices P_sigma the cone volume is |det P_sigma| / ((n+1)! prod_j
 <v, p_j>), |det P_sigma| cached by the cone, and these weights feed the
 simplex-moment kernel of the chart moments (domain._simplex_moments).
-Ellipsoid cones use exact conic sections.  The kernel's OutsideDualConeError
-is the only dual-cone test of every exact volume, gradient, centroid and
-Newton trial.  A fixed-seed Monte-Carlo estimator, with its own test
-(`ConvexCone.dual_margin`), is kept as an independent cross-check.
+Ellipsoid cones use exact conic sections.  The kernel's own test (an
+OutsideDualConeError, or a NaN row of a stack) is the only dual-cone test of
+every exact volume, gradient, centroid and Newton trial.  A fixed-seed
+Monte-Carlo estimator, with its own test (`ConvexCone.dual_margin`), is kept
+as an independent cross-check.
 
 V is a Laplace transform of the cone, so log V is strictly convex on the
 open dual cone (it is the cone's universal barrier).  Both solvers minimize
@@ -33,11 +34,12 @@ decrease of F farther out.
 
 The slice kernel, the closed forms and the Newton loop also take a stack: a
 (K, n+1) array whose row i is the functional (or the problem) i,
-independent of the other rows.  A stack of K fiber problems advances in
-lockstep, one slice call per step for all rows still moving, and every
-output row is bit for bit what the one-functional call returns for that
-row; `characteristic_points` is built on it.  One 1-d functional takes the
-plain one-vector operations.
+independent of the other rows.  Where one functional outside the dual
+cone raises, its row of a stack gets NaN data.  A stack of K fiber
+problems advances in lockstep, one slice call per step for all rows still
+moving, and every output row is bit for bit what the one-functional call
+returns for that row; `characteristic_points` is built on it.  One 1-d
+functional takes the plain one-vector operations.
 """
 
 from dataclasses import dataclass
@@ -140,19 +142,12 @@ def _pow(x, e):
     return np.array([xi ** e for xi in x.tolist()])
 
 
-def _raise_rows(bad):
-    """Raise OutsideDualConeError if a stack has failing rows; `rows` lists them."""
-    if bad.any():
-        raise OutsideDualConeError("functional rows outside the dual cone",
-                                   rows=np.flatnonzero(bad).tolist())
-
-
 def _slice_exact(cone: ConvexCone, v) -> _SliceData:
     """Slice data of one functional v, or of each row of a (K, n+1) stack.
 
-    A stack's rows are bit-identical to one-functional calls.  A functional
-    outside the open dual cone raises OutsideDualConeError; for a stack, its
-    data `rows` lists every failing row.
+    A stack's rows are bit-identical to one-functional calls.  One
+    functional outside the open dual cone raises OutsideDualConeError; a
+    stack's row outside it gets NaN data.
     """
     n = cone.domain.dim
     tri = cone.triangulation
@@ -160,7 +155,7 @@ def _slice_exact(cone: ConvexCone, v) -> _SliceData:
         pts, simps, lifts, dets = tri
         g = _matvec(lifts, v)
         if v.ndim > 1:
-            _raise_rows(~(g.min(axis=1) > 0))
+            g[~(g.min(axis=1) > 0)] = np.nan
         elif not np.min(g) > 0:
             raise OutsideDualConeError(
                 "functional vanishes on the cone closure",
@@ -182,7 +177,7 @@ def _slice_exact(cone: ConvexCone, v) -> _SliceData:
     s = _dot(v, u)       # negative iff v or -v is interior to the dual cone
     side = _dot(v, inner)        # and then positive iff v is
     if v.ndim > 1:
-        _raise_rows(~((s < 0) & (side > 0)))
+        s[~((s < 0) & (side > 0))] = np.nan
     elif not (s < 0 and side > 0):
         raise OutsideDualConeError("slice of the cone is empty or unbounded",
                                    pairing=float(s))
@@ -292,31 +287,26 @@ def _newton(cone, v, basis, ridge, max_iter):
     starts at the full step and halves until the trial is in the cone and
     lowers F by `_DECREASE` s lambda^2.  The loop stops once lambda is at
     most TOL.fiber_gradient.  `basis` has orthonormal columns.  Returns the
-    last iterate, its slice data, the iteration count and the Newton step
-    that stop declined (zero when the loop ended otherwise).
+    last iterate, its slice data and the iteration count.
 
     A stack is K independent problems advanced in lockstep: v is (K, n+1),
     basis (K, n+1, d), and row i of every input and output is problem i.
     Each step makes one `_slice_exact` call for all rows still moving; a
-    row that stops drops out, a row halves its own step, and each row ends
-    with its own iterate, iteration count and declined step, bit-identical
-    to the one-problem run.  If the starting slice fails, the stack raises
-    the OutsideDualConeError of `_slice_exact`, which lists the rows.
+    trial outside the cone comes back as a NaN row, a row that stops drops
+    out, a row halves its own step, and each row ends with its own iterate
+    and iteration count, bit-identical to the one-problem run.  A row whose
+    starting slice is NaN takes no step: it keeps 0 iterations and NaN data.
     """
     data = _slice_exact(cone, v)
     if v.ndim > 1:
         return _lockstep_newton(cone, v, data, basis, ridge, max_iter)
-    declined = np.zeros(v.size)
     it = 0
     for it in range(1, max_iter + 1):
         try:
             lam, direction = _newton_step(v, data, basis, ridge)
         except np.linalg.LinAlgError:
             break
-        if lam <= TOL.fiber_gradient:
-            declined = direction
-            break
-        if not np.isfinite(lam):
+        if not TOL.fiber_gradient < lam < np.inf:
             break
         bound = _objective(v, data.volume, ridge)
         drop = _DECREASE * lam * lam
@@ -334,15 +324,14 @@ def _newton(cone, v, basis, ridge, max_iter):
             s *= 0.5
         else:
             break
-    return v, data, it, declined
+    return v, data, it
 
 
 def _lockstep_newton(cone, v, data, basis, ridge, max_iter):
     """The stacked loop of `_newton`; `live` holds the rows still moving."""
     v = v.copy()
     its = np.zeros(len(v), dtype=int)
-    declined = np.zeros_like(v)
-    live = np.arange(len(v))
+    live = np.flatnonzero(np.isfinite(data.volume))
     for it in range(1, max_iter + 1):
         if not live.size:
             break
@@ -351,11 +340,9 @@ def _lockstep_newton(cone, v, data, basis, ridge, max_iter):
         # row's basis, and BLAS sums a compacted matrix in another order
         lam, direction = _newton_step(v, data, basis, ridge, live)
         lam, direction = lam[live], direction[live]
-        done = lam <= TOL.fiber_gradient
-        declined[live[done]] = direction[done]
         # rows that take a step: not converged, and a finite decrement (a
         # singular Hessian leaves lam nan, which stops the row here)
-        go = ~done & np.isfinite(lam)
+        go = (lam > TOL.fiber_gradient) & (lam < np.inf)
         rows, direction, lam = live[go], direction[go], lam[go]
         bound = _objective(v[rows], data.volume[rows], ridge)
         drop = _DECREASE * lam * lam
@@ -364,27 +351,18 @@ def _lockstep_newton(cone, v, data, basis, ridge, max_iter):
         trial = np.arange(rows.size)
         while trial.size:
             v_try = v[rows[trial]] + s[trial, None] * direction[trial]
-            ok = np.ones(trial.size, dtype=bool)
-            while ok.any():
-                try:
-                    new = _slice_exact(cone, v_try[ok])
-                    break
-                except OutsideDualConeError as exc:
-                    ok[np.flatnonzero(ok)[exc.data["rows"]]] = False
-            if ok.any():
-                t = trial[ok]
-                keep = (lam[t] < _FULL_STEP) | (_objective(v_try[ok], new.volume, ridge)
-                                                <= bound[t] - s[t] * drop[t])
-                ok[np.flatnonzero(ok)[~keep]] = False
-                idx = rows[t[keep]]
-                v[idx] = v_try[ok]
-                data.set_rows(idx, new.take(keep))
-                moved[t[keep]] = True
+            new = _slice_exact(cone, v_try)
+            # a NaN row (outside the cone) fails both tests
+            ok = np.isfinite(new.volume) & ((lam[trial] < _FULL_STEP) | (_objective(
+                v_try, new.volume, ridge) <= bound[trial] - s[trial] * drop[trial]))
+            moved[trial[ok]] = True
+            v[rows[trial[ok]]] = v_try[ok]
+            data.set_rows(rows[trial[ok]], new.take(ok))
             trial = trial[~ok]
             s[trial] *= 0.5
             trial = trial[s[trial] > 1e-14]
         live = rows[moved]
-    return v, data, its, declined
+    return v, data, its
 
 
 def _fiber_bases(q):
@@ -398,11 +376,11 @@ def _fiber_bases(q):
 
 def _fiber_certificate(q, basis, mu):
     """Tangential gradient fraction and centroid error of a fiber solve, and
-    whether they certify it (at most 1e-8 and 1e-6)."""
+    whether they certify it (at most 1e-8 and 1e-6; a NaN row fails)."""
     residual = (_norm(_matvec(basis.swapaxes(-1, -2), mu))
                 / np.maximum(_norm(mu), 1e-300))
     cert = _norm(mu - q) / np.maximum(_norm(q), 1e-300)
-    return residual, cert, ~((residual > 1e-8) | (cert > 1e-6))
+    return residual, cert, (residual <= 1e-8) & (cert <= 1e-6)
 
 
 def _quadric_fiber(cone, q):
@@ -429,9 +407,8 @@ def _fiber_minimum(cone, q, basis):
         return (phi, _slice_exact(cone, phi),
                 np.zeros(len(q), dtype=int) if q.ndim > 1 else 0)
     v_inf = cone.domain.chart.infinity
-    v, data, it, _ = _newton(cone, v_inf / _dot(v_inf, q)[..., None], basis,
-                             0.0, _FIBER_ITERATIONS)
-    return v, data, it
+    return _newton(cone, v_inf / _dot(v_inf, q)[..., None], basis, 0.0,
+                   _FIBER_ITERATIONS)
 
 
 def min_volume_on_fiber(c, q) -> FiberMinimum:
@@ -492,13 +469,8 @@ def _characteristic_rows(cone, qs):
     l = phi / t (l.p = 1 = V(l), so the surface lies in {l.y >= 1}); the mask."""
     q = qs / _norm(qs)[:, None]
     rows = np.flatnonzero(cone.contains_vector(q) > 0)
-    while True:
-        basis = _fiber_bases(q[rows])
-        try:
-            phi, data, _ = _fiber_minimum(cone, q[rows], basis)
-            break
-        except OutsideDualConeError as exc:   # starting slices that fail
-            rows = np.delete(rows, exc.data["rows"])
+    basis = _fiber_bases(q[rows])
+    phi, data, _ = _fiber_minimum(cone, q[rows], basis)
     good = _fiber_certificate(q[rows], basis, data.centroid)[2]
     rows = rows[good]
     t = _pow(data.volume[good], -1.0 / q.shape[1])[:, None]
@@ -544,9 +516,10 @@ def spherical_center(dom: ConvexDomain) -> SphericalCenter:
     unit eigenvector of the quadric Q's one negative eigenvalue, oriented
     into the cone, with 0 iterations, and its fiber minimizer is the closed
     form of `_quadric_fiber`.  Elsewhere Newton on F (see `_newton`) starts
-    at the chart functional, and a Newton fiber minimization started at the
-    iterate gives the minimizer, counting the last step it declined, so a
-    check that takes no step still reports a measured length.
+    at the chart functional, and the fiber minimizer is estimated by one
+    Newton step of the fiber problem at the center's direction, so the
+    residual is that step's measured chart length.  A singular fiber
+    Hessian there, or a length that is not finite, fails the check.
     """
     validate(dom)
     cone = dom.cone()
@@ -558,15 +531,17 @@ def spherical_center(dom: ConvexDomain) -> SphericalCenter:
         it = 0
         w = _quadric_fiber(cone, q)
     else:
-        v, _, it, _ = _newton(cone, chart.infinity, np.eye(dom.dim + 1),
-                              dom.dim + 1.0, _CENTER_ITERATIONS)
+        v, _, it = _newton(cone, chart.infinity, np.eye(dom.dim + 1),
+                           dom.dim + 1.0, _CENTER_ITERATIONS)
         q = v / np.linalg.norm(v)
-        w, _, _, declined = _newton(cone, q, null_space(q[None, :]), 0.0,
-                                    _CENTER_ITERATIONS)
-        w = w + declined
+        try:
+            step = _newton_step(q, _slice_exact(cone, q), null_space(q[None, :]), 0.0)[1]
+        except np.linalg.LinAlgError:
+            step = np.nan
+        w = q + step
     x = chart.to_chart(q)
     gn = float(np.linalg.norm(chart.to_chart(w) - x))
-    if gn > 100 * TOL.center_residual:
+    if not gn <= 100 * TOL.center_residual:
         raise ConvergenceFailureError(
             "spherical center iteration did not converge",
             best=x, residual=gn, iterations=it)

@@ -339,11 +339,20 @@ def test_spherical_center_reference_values(name):
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_CENTERS))
 def test_center_check_measures_the_declined_step(name):
-    # the final fiber check starts at the center's own iterate and takes no
-    # step on these domains; its residual is the chart length of the Newton
-    # step it declined, a measured quantity, never a bare 0
+    # the final fiber check is one Newton step of the fiber problem at the
+    # center's direction, a step a fiber solve started there would decline;
+    # its residual is that step's chart length, a measured quantity, never a
+    # bare 0
     sc = vb.spherical_center(REFERENCE_CENTERS[name][0])
     assert 0.0 < sc.residual <= TOL.center_residual
+
+
+def test_center_check_fails_on_a_singular_fiber_hessian(monkeypatch):
+    # a zero fiber basis makes the check's Hessian 0: its step cannot be
+    # measured, so the check raises instead of reading a residual of 0
+    monkeypatch.setattr(vb, "null_space", lambda a: np.zeros((a.shape[1], a.shape[1] - 1)))
+    with pytest.raises(ConvergenceFailureError):
+        vb.spherical_center(REFERENCE_CENTERS["skewed pentagon"][0])
 
 
 def _random_domains(rng):
@@ -405,12 +414,12 @@ def test_quadric_closed_forms_match_newton(n):
     for x in dom.random_interior(rng, size=10, margin=0.05):
         q = dom.chart.lift(x)
         q = q / np.linalg.norm(q)
-        v, data, _, _ = vb._newton(cone, v_inf / (v_inf @ q), null_space(q[None, :]),
-                                   0.0, vb._FIBER_ITERATIONS)
+        v, data, _ = vb._newton(cone, v_inf / (v_inf @ q), null_space(q[None, :]),
+                                0.0, vb._FIBER_ITERATIONS)
         fm = vb.min_volume_on_fiber(cone, q)
         assert fm.iterations == 0 and close(fm.phi, v) and close(fm.value, data.volume)
         assert close(vb.characteristic_point(cone, q), data.volume ** (-1.0 / (n + 1)) * q)
-    v, _, _, _ = vb._newton(cone, v_inf, np.eye(n + 1), n + 1.0, vb._CENTER_ITERATIONS)
+    v, _, _ = vb._newton(cone, v_inf, np.eye(n + 1), n + 1.0, vb._CENTER_ITERATIONS)
     sc = vb.spherical_center(dom)
     assert sc.iterations == 0 and sc.residual <= TOL.center_residual
     assert close(sc.center.coords, v / np.linalg.norm(v))
@@ -514,17 +523,16 @@ def _fiber_starts(dom, rng, size=7):
 def _lockstep_rows_match_runs(cone, v0, basis, row_bases,
                               max_iter=vb._FIBER_ITERATIONS):
     """Run `_newton` on the stack and on each row alone with its own basis;
-    every row's iterate, slice data, iteration count and declined step must
-    be the same floats.  Returns the stack's result."""
-    v, data, its, declined = vb._newton(cone, v0, basis, 0.0, max_iter)
+    every row's iterate, slice data and iteration count must be the same
+    floats.  Returns the stack's iterates and iteration counts."""
+    v, data, its = vb._newton(cone, v0, basis, 0.0, max_iter)
     for i, b in enumerate(row_bases):
-        v1, d1, it1, dec1 = vb._newton(cone, v0[i], b, 0.0, max_iter)
+        v1, d1, it1 = vb._newton(cone, v0[i], b, 0.0, max_iter)
         assert np.array_equal(v[i], v1) and its[i] == it1
-        assert np.array_equal(declined[i], dec1)
         assert data.volume[i] == d1.volume
         assert np.array_equal(data.centroid[i], d1.centroid)
         assert np.array_equal(data.second_moment[i], d1.second_moment)
-    return v, its, declined
+    return v, its
 
 
 def test_lockstep_newton_rows_match_one_problem_runs(rng):
@@ -539,16 +547,16 @@ def test_lockstep_newton_rows_match_one_problem_runs(rng):
 
 def test_lockstep_newton_singular_row(rng, monkeypatch):
     # a zero basis makes row 2's Hessian 0: its step solve fails, alone as
-    # in the stack, so it stops at iteration 1 with no declined step, and
-    # the stack solves its other rows one at a time, to the same floats
+    # in the stack, so it stops at iteration 1 where it started, and the
+    # stack solves its other rows one at a time, to the same floats
     dom = STACK_DOMAINS[3]
     qs, v0 = _fiber_starts(dom, rng)
     basis = vb._fiber_bases(qs)
     basis[2] = 0.0
     row_bases = [null_space(q[None, :]) for q in qs]
     row_bases[2] = basis[2]
-    v, its, declined = _lockstep_rows_match_runs(dom.cone(), v0, basis, row_bases)
-    assert its[2] == 1 and not declined[2].any() and np.array_equal(v[2], v0[2])
+    v, its = _lockstep_rows_match_runs(dom.cone(), v0, basis, row_bases)
+    assert its[2] == 1 and np.array_equal(v[2], v0[2])
     assert (its[[0, 1, 3, 4, 5, 6]] > 1).all()
     # a stopped row solves the identity: only iteration 1's batch fails and
     # falls back to one solve per row, and every later iteration is one batch
@@ -560,16 +568,21 @@ def test_lockstep_newton_singular_row(rng, monkeypatch):
 
 
 def _refuse_slices(monkeypatch, refused):
-    """Make `_slice_exact` raise OutsideDualConeError, as for a functional
-    outside the dual cone, on each functional v with refused(v); a stack's
-    error lists its refused rows."""
+    """Make `_slice_exact` treat each functional v with refused(v) as one
+    outside the dual cone: one functional raises OutsideDualConeError, and
+    a stack's refused rows get NaN data."""
     real = vb._slice_exact
 
     def fake(cone, v):
-        bad = [refused(row) for row in np.atleast_2d(v)]
-        if any(bad):
-            raise OutsideDualConeError("refused", rows=np.flatnonzero(bad).tolist())
-        return real(cone, v)
+        if v.ndim == 1:
+            if refused(v):
+                raise OutsideDualConeError("refused")
+            return real(cone, v)
+        data = real(cone, v)
+        bad = np.array([refused(row) for row in v], dtype=bool)
+        for name in data.__slots__:
+            getattr(data, name)[bad] = np.nan
+        return data
 
     monkeypatch.setattr(vb, "_slice_exact", fake)
 
@@ -590,9 +603,9 @@ def test_lockstep_newton_halves_refused_steps_as_one_problem_runs(rng, monkeypat
         return abs(v @ qs[1] - 1.0) < 1e-9 and np.linalg.norm(v - v0[1]) > radius
 
     _refuse_slices(monkeypatch, refused)
-    v, its, declined = _lockstep_rows_match_runs(
+    v, its = _lockstep_rows_match_runs(
         cone, v0, vb._fiber_bases(qs), [null_space(q[None, :]) for q in qs])
-    assert its[0] == 1 and not declined[0].any() and np.array_equal(v[0], v0[0])
+    assert its[0] == 1 and np.array_equal(v[0], v0[0])
     assert 0.0 < np.linalg.norm(v[1] - v0[1]) <= radius
 
 
@@ -617,7 +630,7 @@ def test_lockstep_newton_backtracks_as_one_problem_runs(rng, monkeypatch):
     monkeypatch.setattr(vb, "_objective", raised)
     bases = vb._fiber_bases(qs)
     row_bases = [null_space(q[None, :]) for q in qs]
-    v, _, _ = _lockstep_rows_match_runs(cone, v0, bases, row_bases, 1)
+    v, _ = _lockstep_rows_match_runs(cone, v0, bases, row_bases, 1)
     assert 0.0 < np.linalg.norm(v[1] - v0[1]) <= radius
     _lockstep_rows_match_runs(cone, v0, bases, row_bases)
 
@@ -637,17 +650,26 @@ def test_characteristic_rows_drop_a_failed_start(rng, monkeypatch):
     assert np.array_equal(np.delete(pts2, 2, axis=0), np.delete(pts, 2, axis=0))
 
 
-def test_slice_stack_lists_failing_rows(disk, square):
+def test_slice_stack_marks_outside_rows_nan(disk, square):
     # on the disk a functional with an unbounded slice, on the square one
-    # negative at the cone's extreme rays
+    # negative at the cone's extreme rays: alone it raises, in a stack its
+    # rows are NaN and every other row is its one-functional data
     for dom, bad in ((disk, [1.0, 0.0, 0.0]), (square, -square.chart.infinity)):
         cone = dom.cone()
         good = dom.chart.infinity
         with pytest.raises(OutsideDualConeError):
             vb._slice_exact(cone, np.asarray(bad))
-        with pytest.raises(OutsideDualConeError) as exc:
-            vb._slice_exact(cone, np.array([good, bad, good, bad]))
-        assert exc.value.data["rows"] == [1, 3]
+        stack = np.array([good, bad, good + [0.1, -0.2, 0.0], bad])
+        data = vb._slice_exact(cone, stack)
+        for i in (1, 3):
+            assert np.isnan(data.volume[i]) and np.isnan(data.slice_area[i])
+            assert np.isnan(data.centroid[i]).all()
+            assert np.isnan(data.second_moment[i]).all()
+        for i in (0, 2):
+            one = vb._slice_exact(cone, stack[i])
+            assert data.volume[i] == one.volume and data.slice_area[i] == one.slice_area
+            assert np.array_equal(data.centroid[i], one.centroid)
+            assert np.array_equal(data.second_moment[i], one.second_moment)
 
 
 def _reference_margin(cone, v):
