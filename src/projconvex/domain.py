@@ -30,9 +30,10 @@ and polygons (vertex lists, radial graphs and half-space lists in 2-d, so
 also polygons' duals and Dirichlet polygons) need none of it.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial, gamma, inf, isfinite, nan, pi, sqrt
+from math import atan2, factorial, gamma, inf, isfinite, nan, pi, sqrt
 from operator import sub
 
 import numpy as np
@@ -144,7 +145,9 @@ def _vecmat(u, m):
 # run on the columns).  The two ways round alike, so each stacked row is
 # bit-identical to its one-point query.  `segment_chord` checks the two
 # points of its line and finds the chord in one pass, with the floats and
-# errors (x, then y, then the chord) of the separate queries.
+# errors (x, then y, then the chord) of the separate queries; a lone pair on
+# a polygon above `_FLOAT_TERMS` gets them from the at most 6 facets that its
+# arc index finds in O(log m) steps (`_arcs`, built at the first such pair).
 
 # Points are worked in Python floats while their terms (m n a point for m
 # facets in chart dimension n, n^2 for an ellipsoid) number at most this: one
@@ -184,7 +187,8 @@ def _by_rows(kernel, terms, *vs):
         return None
     if n is None:
         return kernel(*[v.tolist() for v in vs])
-    rows = zip(*[v.tolist() if v.ndim == 2 else [v.tolist()] * n for v in vs])
+    lists = {id(v): v.tolist() for v in vs}   # an array passed twice stays one list
+    rows = zip(*[lists[id(v)] if v.ndim == 2 else [lists[id(v)]] * n for v in vs])
     return np.array([kernel(*r) for r in rows]).T
 
 
@@ -410,14 +414,18 @@ class _PointQueries:
     def segment_chord(self, x, y, d, step=None):
         """`chord_params(x, d)` for the line through x and y = x + d, after
         checking that x and then y are inside (InvalidInputError naming the
-        point), from one pass of the kernels; `step` is |d| if the caller
-        has it.  One pair (arrays, or lists of floats with the step) or
-        (N, n) stacks, row by row the one-pair values."""
+        point), from one pass of the kernels (for a pair in lists on a
+        polygon, over the facets of its arc index); `step` is |d| if the
+        caller has it.  One pair (arrays, or lists of floats with the step)
+        or (N, n) stacks, row by row the one-pair values."""
         if type(d) is not list:
             return self._query(x, y, d, step)
-        if self._terms > _FLOAT_TERMS:
+        if self._terms <= _FLOAT_TERMS:
+            low_x, low_y, t_lo, t_hi = self._floats(x, y, d, step)
+        elif self.dim == 2 and self._arcs:   # a polygon: the facets of its arc index
+            low_x, low_y, t_lo, t_hi = self._floats(x, y, d, step, self._arc_facets(x, d))
+        else:
             return self._checked(True, *self._columns(x, y, d, step))
-        low_x, low_y, t_lo, t_hi = self._floats(x, y, d, step)
         if low_x > 0 < low_y and isfinite(t_lo) and isfinite(t_hi):
             return t_lo, t_hi
         return self._checked(True, low_x, low_y, t_lo, t_hi)
@@ -453,11 +461,11 @@ class _PolytopeBackend(_PointQueries):
     extreme points in 2-d, one qhull run above); the vertices of a
     half-space list from `_halfspace_vertices`: closed forms in 1-d and 2-d,
     one qhull run around its Chebyshev center above.
-    Predicates and chords read the facets, supports and radii the vertices,
-    and moments a triangulation: the fan about `center` over the given
+    Predicates and chords read the facets (a polygon's lone pairs only
+    those of its lazy arc index), supports and radii the vertices, and
+    moments a triangulation: the fan about `center` over the given
     `simplices` (radial graphs), else the fan from the first extreme point
-    in 2-d and Delaunay's of the vertices above.
-    """
+    in 2-d and Delaunay's of the vertices above."""
 
     simplices = None
     _tri = None
@@ -519,17 +527,17 @@ class _PolytopeBackend(_PointQueries):
     def _margin_columns(self, x):
         return (self.offsets - _plain_dot(x.T[..., None], self.normals.T)).min(axis=-1)
 
-    def _floats(self, x, y, d, step=None):
+    def _floats(self, x, y, d, step=None, facets=None):
         """The least slack b - a . p over the facets (a, b) of p = x and
         p = y, and the chord (t_lo, t_hi) of x + t d (+-inf if unbounded), in
-        one pass of Python floats (`_plain_dot` written out).  A facet with
-        |a . d| <= 1e-12 |d| is parallel to the line."""
+        one pass of Python floats (`_plain_dot` written out), over `facets`
+        (default all).  A facet with |a . d| <= 1e-12 |d| is parallel."""
         cut = TOL.exact * (sqrt(_plain_dot(d, d)) if step is None else step)
         rest = range(1, len(x))
         x0, y0, d0 = x[0], y[0], d[0]
         low_x = low_y = t_hi = inf
         t_lo = -inf
-        for a, b in self._facets:
+        for a, b in self._facets if facets is None else facets:
             a0 = a[0]
             ax, ay, ad = a0 * x0, a0 * y0, a0 * d0
             for k in rest:
@@ -552,14 +560,57 @@ class _PolytopeBackend(_PointQueries):
                     t_lo = r
         return low_x, low_y, t_lo, t_hi
 
+    @cached_property
+    def _arcs(self):
+        """A polygon's facets (a, b) in counterclockwise order of normal
+        angle as Python floats, those angles, and twice over (for arcs that
+        wrap) the vertex w_i of facets i and i + 1, the hull vertex that
+        supports a_i + a_(i+1); None where facet i - 1 or i + 2 comes within
+        TOL.flatness of the size of w_i (near-parallel or repeated facets)."""
+        order = _ccw_order(self.normals)
+        a, b = self.normals[order], self.offsets[order]
+        h, ring = self._hull[0], self.verts[self._hull[2]]
+        out = np.arctan2(h[:, 1], h[:, 0])   # of hull edge k, which ends at ring[k + 1]
+        turn = np.argsort(out)
+        s = a + np.roll(a, -1, axis=0)
+        k = np.searchsorted(out[turn], np.arctan2(s[:, 1], s[:, 0])) - 1
+        w = np.roll(ring, -1, axis=0)[turn[k]]
+        gap = [np.roll(b, j) - (np.roll(a, j, axis=0) * w).sum(axis=1) for j in (1, -2)]
+        if np.minimum(*gap).min() > TOL.flatness * np.abs(ring).max():
+            return (list(zip(a.tolist(), b.tolist())),
+                    np.arctan2(a[:, 1], a[:, 0]).tolist(), w.tolist() * 2)
+
+    def _arc_facets(self, x, d):
+        """The at most 6 facets of a polygon that can bound the line x + t d
+        or hold the least slack of a point on it.  With d pointing up, the
+        facets with a . d > 0 (< 0) form an arc of normal angles, the front
+        (back) chain, a concave (convex) graph: the line leaves (enters) by
+        the edge whose ends lie on both sides of it, else by the chain's last
+        edge (a line that misses lies outside it or its neighbour), found by
+        binary search and moved by rounding at most to a neighbour."""
+        facets, angles, ends = self._arcs
+        m, (x0, x1), (d0, d1) = len(angles), x, d
+        th = atan2(-d0, d1)   # the angle of d less pi/2
+        i0 = bisect_right(angles, th)
+        i1 = bisect_right(angles, th + pi) if th <= 0 else m + bisect_right(angles, th - pi)
+        at = d0 * x1 - d1 * x0   # w is left of the line where d0 w1 - d1 w0 > at
+        picks = []
+        for lo, hi, sign in ((i0, i1 - 1, 1.0), (i1, i0 + m - 1, -1.0)):
+            while lo < hi:   # the first end past the line, else the chain's last edge
+                k = (lo + hi) // 2
+                w0, w1 = ends[k]
+                if sign * (d0 * w1 - d1 * w0 - at) > 0:
+                    hi = k
+                else:
+                    lo = k + 1
+            picks += (lo - 1, lo, lo + 1)
+        return [facets[i % m] for i in picks]
+
     def _columns(self, x, y, d, step):
         """`_floats` for all lines in numpy columns."""
         cut = TOL.exact * (_length(d) if step is None else step)
-        if type(d) is list:
-            xyd = np.array((x, y, d))
-        else:
-            xyd = np.empty((3,) + max(x.shape, d.shape, key=len))
-            xyd[0], xyd[1], xyd[2] = x, y, d
+        xyd = np.empty((3,) + max(np.shape(x), np.shape(d), key=len))
+        xyd[0], xyd[1], xyd[2] = x, y, d
         acc = _plain_dot(xyd.T[..., None], self.normals.T)   # (..., 3, m)
         slack = self.offsets - acc[..., :2, :]
         low_x, low_y = slack.min(axis=-1).T
@@ -764,35 +815,44 @@ class EllipsoidBackend(_PointQueries):
         sqrt(q) have its sign), and the chord: the roots of alpha t^2 +
         2 beta t + q_x - 1, beta = u_x^T M d, alpha = d^T M d; one pass of
         plain products (`_plain_dot` written out: -0.0 + t is t)."""
-        ux, uy = list(map(sub, x, self._c)), list(map(sub, y, self._c))
+        ux, uy = list(map(sub, x, self._c)), None if y is x else list(map(sub, y, self._c))
         rest = range(1, len(d))
         qx = qy = beta = alpha = -0.0
         for i, row in enumerate(self._rows):
             m = row[0]
-            mx, my, md = ux[0] * m, uy[0] * m, d[0] * m
-            for k in rest:
-                m = row[k]
-                mx = mx + ux[k] * m
-                my = my + uy[k] * m
-                md = md + d[k] * m
+            if uy is None:   # a ray query: y's quadric is x's
+                mx, md = ux[0] * m, d[0] * m
+                for k in rest:
+                    m = row[k]
+                    mx = mx + ux[k] * m
+                    md = md + d[k] * m
+            else:
+                mx, my, md = ux[0] * m, uy[0] * m, d[0] * m
+                for k in rest:
+                    m = row[k]
+                    mx = mx + ux[k] * m
+                    my = my + uy[k] * m
+                    md = md + d[k] * m
+                qy = qy + my * uy[i]
             qx = qx + mx * ux[i]
-            qy = qy + my * uy[i]
             beta = beta + mx * d[i]
             alpha = alpha + md * d[i]
+        low_y = 1.0 - (qx if uy is None else qy)
         disc = beta * beta - alpha * (qx - 1.0)
         if type(disc) is not float:
             root = np.sqrt(np.where(disc > 0, disc, nan))
         elif disc > 0:
             root = sqrt(disc)
         else:
-            return 1.0 - qx, 1.0 - qy, nan, nan
-        return 1.0 - qx, 1.0 - qy, (-beta - root) / alpha, (-beta + root) / alpha
+            return 1.0 - qx, low_y, nan, nan
+        return 1.0 - qx, low_y, (-beta - root) / alpha, (-beta + root) / alpha
 
     def _columns(self, x, y, d, step):
         """`_floats` over the columns of stacks, or of one line's floats."""
         xyd = [np.asarray(v, dtype=float) for v in (x, y, d)]
         one = max(v.ndim for v in xyd) == 1
-        return self._floats(*(v.tolist() if one else v.T for v in xyd))
+        x, y, d = [v.tolist() if one else v.T for v in xyd]
+        return self._floats(x, x if xyd[1] is xyd[0] else y, d)
 
     def support(self, u):
         """Support function at one direction, or at each row of a stack."""

@@ -68,6 +68,18 @@ def oval(rng, k):
                      rng.uniform(0.6, 1.4) * np.sin(ang)], axis=1)
 
 
+def halfspace_polygon(rng, m):
+    """The m tangent half-planes of a tilted ellipse at jittered normal
+    angles, listed in shuffled order: a polygon of m facets."""
+    ang = 2 * np.pi * (np.arange(m) + rng.uniform(-0.3, 0.3, m)) / m
+    normals = np.stack([np.cos(ang), np.sin(ang)], axis=1)[rng.permutation(m)]
+    r = random_orthogonal(rng, 2)
+    inv = r @ np.diag(rng.uniform(0.5, 1.5, 2) ** 2) @ r.T   # the inverse shape
+    support = np.sqrt(np.einsum("ij,jk,ik->i", normals, inv, normals))
+    return dm.ConvexDomain.from_halfspaces(normals,
+                                           support + normals @ rng.uniform(-0.3, 0.3, 2))
+
+
 def _sphere_points(rng, n):
     """5-9 points on an axis-scaled sphere of R^n, all in convex position."""
     pts = rng.normal(size=(int(rng.integers(5, 10)), n))

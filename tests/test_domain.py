@@ -17,7 +17,7 @@ from projconvex.errors import (
 )
 from projconvex.projgeom import AffineChart, ProjPoint, ProjTransform
 
-from conftest import random_domain
+from conftest import halfspace_polygon, random_domain
 
 
 def test_validate_disk(disk):
@@ -130,7 +130,8 @@ STACK_DOMAINS = [
     lambda: dm.disk_polygon(200),   # past the float crossover
     lambda: dm.ConvexDomain.ellipsoid(   # off-centre, not diagonal
         [0.1, -0.2, 0.05], [[1.3, 0.4, -0.2], [0.4, 0.9, 0.3], [-0.2, 0.3, 1.1]]),
-    _ellipsoid13]
+    _ellipsoid13,
+    lambda: halfspace_polygon(np.random.default_rng(120), 120)]   # shuffled facets
 
 
 def _inside(dom, rng, size):
@@ -228,6 +229,104 @@ def test_quadric_kernel_matches_blas_above_the_float_rule(rng):
         # the float lists `distance` passes take the same kernel
         assert b.segment_chord(x.tolist(), y.tolist(), d.tolist(),
                                np.linalg.norm(d)) == tuple(got[1:])
+
+
+def _arc_polygons(rng):
+    """Polygons past the float crossover: the hulls of 80-400 points at
+    jittered angles on ellipses down to 1/1000 as wide as long, some of them
+    far from the origin, as vertex lists and as half-space lists in shuffled
+    order."""
+    for k, aspect, shift in ((80, 1.0, 3), (150, 0.3, 0), (250, 1e-2, 2), (400, 1e-3, 0)):
+        ang = 2 * np.pi * (np.arange(k) + rng.uniform(-0.3, 0.3, k)) / k
+        turn = rng.uniform(0, 2 * np.pi)
+        rot = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+        pts = np.stack([np.cos(ang), aspect * np.sin(ang)], axis=1) @ rot.T
+        b = dm.ConvexDomain.from_vertices(pts + rng.normal(size=2) * 10 ** shift).backend
+        perm = rng.permutation(len(b.normals))
+        yield b
+        yield dm.ConvexDomain.from_halfspaces(b.normals[perm], b.offsets[perm]).backend
+
+
+def _hard_lines(b, rng, count):
+    """Point pairs (x, y) as float lists: x within 1e-16 to 1e-3 of a vertex
+    or an edge on either side, or anywhere about the polygon, and y along a
+    facet (|a . d| <= 1e-12 |d|), along x's edge, at a vertex, or a random
+    step away."""
+    ring = b.verts[b._hull[2]]
+    c, size = b.center, np.abs(ring - b.center).max()
+    for _ in range(count):
+        i = rng.integers(len(ring))
+        p = ring[i] + rng.choice([0.0, rng.uniform()]) * (ring[i - 1] - ring[i])
+        near = 10 ** rng.uniform(-16, -3) * rng.choice([1.0, -1.0])
+        x = [p + near * (c - p), c + rng.uniform(-2, 2, 2) * size][rng.integers(2)]
+        a = b.normals[rng.integers(len(b.normals))]
+        slip = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-17, -12)
+        d = [rng.uniform(-2, 2) * (np.array([-a[1], a[0]]) + slip * a),
+             rng.uniform(0.5, 1.5) * (ring[i - 1] - ring[i]),
+             ring[rng.integers(len(ring))] - x,
+             rng.normal(size=2) * 10 ** rng.uniform(-3, 0.5)][rng.integers(4)]
+        yield x.tolist(), (x + d).tolist()
+
+
+def _edge_lines(b):
+    """Point pairs along each edge from just inside either end (1e-16 and
+    1e-15 of the way to the center): the line is parallel to a facet at an
+    arc end, and both ends of that facet's edge lie within rounding of it."""
+    ring = b.verts[b._hull[2]]
+    for i, p in enumerate(ring):
+        for q in (ring[i - 1], ring[(i + 1) % len(ring)]):
+            for t in (1e-16, 1e-15):
+                x = p + t * (b.center - p)
+                yield x.tolist(), (x + 0.5 * (q - p)).tolist()
+
+
+def _pair_matches_row(b, pairs):
+    """Asserts that one pair in float lists and the one-row stack of it (all
+    facets in numpy columns) give the same floats or the same error; returns
+    the kinds of outcome seen."""
+    def outcome(*args):
+        try:
+            return [float(t) for t in np.ravel(b.segment_chord(*args))]
+        except GeometryError as exc:
+            return type(exc), str(exc)
+
+    kinds = set()
+    for x, y in pairs:
+        d = [q - p for p, q in zip(x, y)]
+        step = float(np.sqrt(dm._plain_dot(d, d)))
+        if step > 1e-12:
+            got = outcome(x, y, d, step)
+            assert got == outcome(*map(np.array, ([x], [y], [d], [step])))
+            kinds.add(got[1][:7] if type(got) is tuple else "chord")
+    return kinds
+
+
+def test_one_pair_polygon_chord_is_the_stacked_row(rng):
+    # one pair takes the at most 6 facets of the arc index: on lines through
+    # vertices and edges, along facets and missing the polygon
+    along = set()
+    for b in _arc_polygons(rng):
+        assert b._arcs is not None and b.normals.size > dm._FLOAT_TERMS
+        assert _pair_matches_row(b, _hard_lines(b, rng, 400)) == {
+            "chord", "point x", "point y"}
+        along |= _pair_matches_row(b, _edge_lines(b))
+    assert along == {"chord", "point x", "point y"}
+
+
+def test_near_parallel_facets_keep_the_full_scan(rng):
+    # facets repeated within 1e-12 of a turn and 1e-11 of an offset pass
+    # within TOL.flatness of a vertex they do not bound: rounding could move
+    # a found edge past its neighbour, so such a polygon has no arc index
+    b = halfspace_polygon(rng, 120).backend
+    twins = rng.integers(0, 120, 30)
+    turn = rng.choice([-1.0, 1.0], 30) * 10 ** rng.uniform(-16, -12, 30)
+    a = b.normals[twins]
+    normals = np.stack([a[:, 0] - turn * a[:, 1], a[:, 1] + turn * a[:, 0]], axis=1)
+    offsets = b.offsets[twins] + 10 ** rng.uniform(-16, -11, 30)
+    b = dm.ConvexDomain.from_halfspaces(np.vstack([b.normals, normals]),
+                                        np.concatenate([b.offsets, offsets])).backend
+    assert len(b.normals) == 150 and b._arcs is None
+    assert "chord" in _pair_matches_row(b, _hard_lines(b, rng, 400))
 
 
 @pytest.mark.parametrize("make", STACK_DOMAINS)

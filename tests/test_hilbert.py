@@ -17,7 +17,7 @@ from projconvex.errors import (
 )
 from projconvex.projgeom import ProjPoint, ProjTransform
 
-from conftest import boost, scalar_golden_min
+from conftest import boost, halfspace_polygon, scalar_golden_min
 
 
 def test_disk_distance_value(disk):
@@ -132,8 +132,10 @@ def _hexagon():
 def _domain(name):
     """The `any_domain` backends, the orthants of dims 1-3, a 3-ball, a
     tilted ellipse, a tilted 3-d ellipsoid, a 1-d ellipsoid, a half-space
-    hexagon and a 200-gon, built once.  The 200-gon is past the float crossover of one-point
-    queries, the others below."""
+    hexagon, a 200-gon and a 150-gon of half-spaces listed in shuffled
+    order, built once.  The two last are past the float crossover of
+    one-point queries (their one-pair chords take the arc index), the
+    others below."""
     if name.startswith("orthant"):
         return dm.orthant_domain(int(name[-1]))
     return {"disk": dm.unit_disk, "square": dm.square_domain,
@@ -148,12 +150,13 @@ def _domain(name):
             "tilted3": lambda: dm.ConvexDomain.ellipsoid(
                 [0.1, -0.2, 0.05],
                 [[1.3, 0.4, -0.2], [0.4, 0.9, 0.3], [-0.2, 0.3, 1.1]]),
-            "hexagon": _hexagon}[name]()
+            "hexagon": _hexagon,
+            "hgon150": lambda: halfspace_polygon(np.random.default_rng(150), 150)}[name]()
 
 
 DOMAINS = ["disk", "square", "triangle", "radial", "gon200", "orthant1",
            "orthant2", "orthant3", "ball1", "ball3", "ellipse", "hexagon",
-           "tilted3"]
+           "tilted3", "hgon150"]
 
 
 def _loop_or_error(fn, dom, xs, ys):

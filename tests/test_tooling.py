@@ -309,7 +309,8 @@ def test_thin_triangle_makes_one_chord_call_per_search_step(monkeypatch):
     assert len(calls) <= steps + 3
 
 
-@pytest.mark.parametrize("make", [dm.square_domain, dm.unit_disk])
+@pytest.mark.parametrize("make", [dm.square_domain, dm.unit_disk,
+                                  lambda: dm.disk_polygon(200)])
 def test_distance_makes_one_chart_and_one_chord_call(monkeypatch, make):
     # the benchmark's traced hilbert.distance metrics wrap
     # hilbert._distance_chart by its module name and count segment_chord
@@ -329,6 +330,33 @@ def test_distance_makes_one_chart_and_one_chord_call(monkeypatch, make):
     monkeypatch.setattr(dom.backend, "segment_chord", counted_chord)
     assert hb.distance(dom, [0.1, -0.2], [-0.3, 0.4]) > 0
     assert calls == ["chart", "chord"]
+
+
+def test_polygon_pair_scans_at_most_six_facets(monkeypatch, rng):
+    # a distance on the 200-gon hands the float kernel the facets its arc
+    # index finds, not all 200 (nor all of them in numpy columns)
+    dom = dm.disk_polygon(200)
+    floats, seen = dom.backend._floats, []
+
+    def counted(x, y, d, step=None, facets=None):
+        seen.append(None if facets is None else len(facets))
+        return floats(x, y, d, step, facets)
+
+    monkeypatch.setattr(dom.backend, "_floats", counted)
+    xs, ys = dom.random_interior(rng, size=50), dom.random_interior(rng, size=50)
+    assert all(hb.distance(dom, x, y) > 0 for x, y in zip(xs, ys))
+    assert len(seen) == 50 and all(n is not None and n <= 6 for n in seen)
+
+
+def test_polygon_arc_index_waits_for_the_first_pair():
+    # construction and point checks do not build the arc index, so a
+    # domain's set-up time does not pay for it
+    dom = dm.disk_polygon(200)
+    assert dm.contains(dom, [0.1, 0.2]).kind == "inside"
+    assert dom.backend.contains_margin([0.1, 0.2]) > 0
+    assert "_arcs" not in vars(dom.backend)
+    hb.distance(dom, [0.1, 0.2], [-0.3, 0.4])
+    assert vars(dom.backend)["_arcs"] is not None
 
 
 def test_surface_build_makes_one_slice_call_per_newton_step(monkeypatch):
